@@ -10,8 +10,7 @@ Three subcommands:
 
 All numbers in reports are exact rational strings; an optional
 --approx-decimals column adds clearly-labeled decimal approximations.
-Output is deterministic given the inputs and seed, byte for byte, at any
---threads setting.
+Output is deterministic given the inputs and seed, byte for byte.
 
 Exit codes: 0 success; 1 parse/validation failure (with a line/column
 diagnostic where available); 2 width target not reached by the depth cap
@@ -84,6 +83,8 @@ def cmd_integrate(args) -> int:
             raise IntvalError("--eps must be a positive rational")
         if not 0 <= args.depth_cap <= 30:
             raise IntvalError("--depth-cap must lie in [0, 30]")
+        if args.approx_decimals is not None and args.approx_decimals < 0:
+            raise IntvalError("--approx-decimals must be >= 0")
     except (IntvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -92,7 +93,7 @@ def cmd_integrate(args) -> int:
     converged = False
     depth = args.depth_cap
     for n in range(args.depth_cap + 1):
-        enclosure = lebesgue_n(n, h, cap=args.depth_cap, threads=args.threads)
+        enclosure = lebesgue_n(n, h, cap=args.depth_cap)
         w = width(enclosure)
         row = {
             "n": n,
@@ -188,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--eps", default="1/1024", help="target enclosure width (rational)")
     p_int.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     p_int.add_argument("--format", choices=("json", "csv"), default="json")
-    p_int.add_argument("--threads", type=int, default=1)
     p_int.add_argument("--approx-decimals", type=int, default=None)
     p_int.set_defaults(run=cmd_integrate)
 

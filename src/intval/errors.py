@@ -40,7 +40,7 @@ class OutOfRange(IntvalError):
 
 
 class NonEvaluablePiece(IntvalError):
-    """A declared-monotone piece fails its monotonicity spot check.
+    """A declared-monotone piece is not monotone in the declared direction.
 
     The caller must split the offending segment at the turning point (which
     may require choosing a nearby rational) so each piece is monotone.

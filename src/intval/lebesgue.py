@@ -21,10 +21,26 @@ the canonical extension
     ext(f)(I) = [ inf of f over I n [0,1], sup of f over I n [0,1] ],
 
 computed exactly from piece endpoints: monotone pieces attain their
-extrema at the ends of the overlap, so no root finding is ever needed.
-Piece monotonicity is declared in the input and spot-validated on a
-dyadic grid; a piece that fails the check must be split by the caller at
-its turning point.
+extrema at the ends of the overlap, so evaluating a cell needs no root
+finding.  Piece monotonicity is declared in the input and decided exactly: a Sturm
+sequence over the rationals counts the roots of p' inside the segment,
+bisection isolates them, and the sign of p' between them is fixed by
+exact evaluation.  A piece that fails the check must be split by the
+caller at its turning point.
+
+For a canonical extension the level is computed in closed form rather
+than cell by cell.  A cell that touches no interior breakpoint lies
+inside one monotone piece p, so its endpoints are p(i/2^n) and
+p((i+1)/2^n); over the run of such cells i = a..b of one piece the
+endpoint sums are sums of q(i) = p(i/2^n), which Newton's forward
+differences give exactly from degree + 1 values:
+
+    sum_{i=a}^{b} q(i) = sum_j (Delta^j q)(a) * C(b - a + 1, j + 1).
+
+Only the at most two cells per interior breakpoint that touch it are
+evaluated directly, since they take both pieces' values there; the cost
+of a level no longer depends on the depth.  Hand-written test functions
+keep the per-cell sum, which is also the oracle for the closed form.
 
 ``dyadic_round`` is the grid-rounding companion: it sends a number
 x in [0, 1] to the depth-n dyadic interval [round_down(x), round_up(x)],
@@ -33,13 +49,13 @@ an ascending (in n) chain of enclosures of the precise point [x, x].
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import ceil, comb, floor
 from typing import Callable, List, Sequence, Tuple
 
 from .algebra import (
     IZERO,
-    ExtNonNeg,
     IntervalValue,
     ext,
     ival_leq,
@@ -65,8 +81,7 @@ class DyadicInterval:
     """A closed interval with dyadic endpoints, a point of the ground space.
 
     Ordered (like all intervals here) by reverse inclusion.  These are the
-    arguments that test functions are evaluated at; hashability makes them
-    usable as memo keys.
+    arguments that test functions are evaluated at.
     """
 
     lo: object
@@ -143,9 +158,39 @@ class Polynomial:
         if n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         result = Polynomial.constant(1)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
+
+    def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder of division by a nonzero polynomial."""
+        rem = list(self.coeffs)
+        d = other.degree
+        lead = other.coeffs[-1]
+        quot = [_ZERO_RAT] * max(1, len(rem) - d)
+        for k in range(len(rem) - 1 - d, -1, -1):
+            c = rem[k + d] / lead
+            quot[k] = c
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] -= c * b
+        return Polynomial(quot), Polynomial(rem[:d] or [0])
+
+    def derivative(self) -> "Polynomial":
+        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:] or [0])
+
+    def monic(self) -> "Polynomial":
+        """Scaled by a positive constant to leading coefficient +-1."""
+        return self.scaled(1 / abs(self.coeffs[-1]))
+
+    @property
+    def degree(self) -> int:
+        """Degree, counting the zero polynomial as degree 0."""
+        return len(self.coeffs) - 1
 
     @property
     def is_constant(self) -> bool:
@@ -173,8 +218,60 @@ class Polynomial:
         return " + ".join(parts) if parts else "0"
 
 
-# number of sample points per piece for the monotonicity spot check
-_SPOT_GRID = 16
+def _sturm_chain(g: Polynomial) -> List[Polynomial]:
+    """g, g', then negated remainders until the last nonzero one."""
+    chain = [g, g.derivative().monic()]
+    while not chain[-1].is_constant:
+        rem = divmod(chain[-2], chain[-1])[1]
+        if rem.coeffs == (_ZERO_RAT,):
+            break
+        chain.append((-rem).monic())
+    return chain
+
+
+def _sign_changes(chain: Sequence[Polynomial], x) -> int:
+    signs = [v > 0 for v in (p(x) for p in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def nonnegative_on(g: Polynomial, lo, hi) -> bool:
+    """Exact decision of g(x) >= 0 for every x in the open segment (lo, hi).
+
+    g is replaced by its square-free part s (same roots, all simple), whose
+    Sturm sequence counts the roots in any (u, v) exactly.  Bisection at
+    rational midpoints then isolates the roots; g has constant sign on each
+    gap between consecutive roots, and that sign is read off an exact
+    evaluation at a non-root point of the gap.
+    """
+    if g.is_constant:
+        return g.coeffs[0] >= 0
+    chain = _sturm_chain(g)
+    if not chain[-1].is_constant:
+        # the last remainder is gcd(g, g'): divide the repeated roots out
+        chain = _sturm_chain(divmod(g, chain[-1])[0])
+    s = chain[0]
+
+    def roots_inside(u, v) -> int:
+        # Sturm: for square-free s, V(u) - V(v) counts the roots in (u, v]
+        return _sign_changes(chain, u) - _sign_changes(chain, v) - (s(v) == 0)
+
+    # (u, v, u_pos, v_pos): x_pos says g(x) > 0 was seen at that endpoint
+    # (never for lo and hi, which may be roots); such an endpoint fixes the
+    # sign of the gap next to it
+    todo = [(lo, hi, False, False)]
+    while todo:
+        u, v, u_pos, v_pos = todo.pop()
+        count = roots_inside(u, v)
+        if count == 0 and (u_pos or v_pos) or count == 1 and u_pos and v_pos:
+            continue
+        mid = (u + v) / 2
+        g_mid = g(mid)
+        if g_mid < 0:
+            return False
+        if count:
+            todo.append((u, mid, u_pos, g_mid > 0))
+            todo.append((mid, v, g_mid > 0, v_pos))
+    return True
 
 
 class PiecewiseMonotoneFn:
@@ -183,10 +280,11 @@ class PiecewiseMonotoneFn:
     Each piece carries a declared direction ('inc' or 'dec'); the
     declaration is what makes exact range computation possible (extrema of
     a monotone piece sit at the ends of any sub-segment).  Directions are
-    spot-validated on a dyadic grid, and nonnegativity is checked at piece
-    endpoints, which bound the range once monotonicity holds.  Adjacent
-    pieces may disagree at a shared breakpoint; ranges then include both
-    one-sided values, which is the tight enclosure of the jump.
+    decided exactly (see ``nonnegative_on``), and nonnegativity is checked
+    at piece endpoints, which bound the range once monotonicity holds.
+    Adjacent pieces may disagree at a shared breakpoint; ranges then
+    include both one-sided values, which is the tight enclosure of the
+    jump.
     """
 
     __slots__ = ("breakpoints", "pieces")
@@ -207,23 +305,20 @@ class PiecewiseMonotoneFn:
         for (direction, poly), lo, hi in zip(pieces, bps, bps[1:]):
             if direction not in ("inc", "dec"):
                 raise ValueError(f"unknown direction {direction!r}")
-            self._spot_check(direction, poly, lo, hi)
+            self._check_piece(direction, poly, lo, hi)
             checked.append((direction, poly))
         self.breakpoints = tuple(bps)
         self.pieces = tuple(checked)
 
     @staticmethod
-    def _spot_check(direction: str, poly: Polynomial, lo, hi) -> None:
-        step = (hi - lo) / _SPOT_GRID
-        samples = [poly(lo + k * step) for k in range(_SPOT_GRID + 1)]
-        for a, b in zip(samples, samples[1:]):
-            ok = a <= b if direction == "inc" else b <= a
-            if not ok:
-                raise NonEvaluablePiece(
-                    f"piece on [{lo},{hi}] is not {direction} (violated between "
-                    f"sampled grid points); split the segment at the turning point"
-                )
-        if min(samples[0], samples[-1]) < 0:
+    def _check_piece(direction: str, poly: Polynomial, lo, hi) -> None:
+        slope = poly.derivative()
+        if not nonnegative_on(slope if direction == "inc" else -slope, lo, hi):
+            raise NonEvaluablePiece(
+                f"piece on [{lo},{hi}] is not {direction}; "
+                f"split the segment at the turning point"
+            )
+        if poly(lo if direction == "inc" else hi) < 0:
             raise ValueError(f"piece on [{lo},{hi}] takes negative values")
 
     def __call__(self, x):
@@ -231,20 +326,19 @@ class PiecewiseMonotoneFn:
         x = rational(x)
         if not (0 <= x <= 1):
             raise OutOfRange(f"{x} is outside [0, 1]")
-        for k, (lo, hi) in enumerate(zip(self.breakpoints, self.breakpoints[1:])):
-            if lo <= x <= hi:
-                return self.pieces[k][1](x)
-        raise OutOfRange(f"{x} is outside [0, 1]")  # pragma: no cover
+        return self.pieces[bisect_left(self.breakpoints, x, 1) - 1][1](x)
 
     def range_over(self, lo, hi) -> Tuple[object, object]:
         """Exact (min, max) of the function over [lo, hi] within [0, 1]."""
+        bps = self.breakpoints
+        # pieces k with bps[k] <= hi and lo <= bps[k + 1]
+        first = bisect_left(bps, lo, 1) - 1
+        last = min(bisect_right(bps, hi), len(self.pieces)) - 1
         best_lo = None
         best_hi = None
-        for k, (seg_lo, seg_hi) in enumerate(
-            zip(self.breakpoints, self.breakpoints[1:])
-        ):
-            a = max(seg_lo, lo)
-            b = min(seg_hi, hi)
+        for k in range(first, last + 1):
+            a = max(bps[k], lo)
+            b = min(bps[k + 1], hi)
             if a > b:
                 continue
             poly = self.pieces[k][1]
@@ -266,16 +360,14 @@ class PiecewiseMonotoneFn:
 
 
 class IntervalTestFn:
-    """A memoized interval-valued test function on dyadic intervals.
+    """An interval-valued test function on dyadic intervals.
 
     The evaluator must be monotone under reverse inclusion: shrinking the
     argument interval may only refine the result.  That is spot-validated
-    on nested dyadic pairs at construction.  The memo table is insert-only
-    with deterministic values, so concurrent grid evaluation cannot change
-    any result.
+    on nested dyadic pairs at construction.
     """
 
-    __slots__ = ("_evaluator", "_cache", "name")
+    __slots__ = ("_evaluator", "name")
 
     def __init__(
         self,
@@ -285,7 +377,6 @@ class IntervalTestFn:
         name: str = "",
     ):
         self._evaluator = evaluator
-        self._cache: dict = {}
         self.name = name
         if validate:
             self._spot_check()
@@ -308,35 +399,43 @@ class IntervalTestFn:
                         )
 
     def __call__(self, interval: DyadicInterval) -> IntervalValue:
-        cached = self._cache.get(interval)
-        if cached is None:
-            cached = self._evaluator(interval)
-            if not isinstance(cached, IntervalValue):
-                raise TypeError("evaluator must return an IntervalValue")
-            self._cache[interval] = cached
-        return cached
+        value = self._evaluator(interval)
+        if not isinstance(value, IntervalValue):
+            raise TypeError("evaluator must return an IntervalValue")
+        return value
 
     def __repr__(self) -> str:
         return f"<test fn {self.name or 'anonymous'}>"
 
 
-def canonical_extension(f: PiecewiseMonotoneFn) -> IntervalTestFn:
+class CanonicalExtension(IntervalTestFn):
+    """ext(f) for a piecewise-monotone f, which it keeps as ``fn``.
+
+    ``lebesgue_n`` recognises it and sums its levels in closed form.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: PiecewiseMonotoneFn):
+        super().__init__(self._range, validate=False, name=repr(fn))
+        self.fn = fn
+
+    def _range(self, interval: DyadicInterval) -> IntervalValue:
+        lo = max(_ZERO_RAT, interval.lo)
+        hi = min(_ONE_RAT, interval.hi)
+        if lo > hi:
+            raise OutOfRange(f"{interval} misses [0, 1]")
+        return IntervalValue(*self.fn.range_over(lo, hi))
+
+
+def canonical_extension(f: PiecewiseMonotoneFn) -> CanonicalExtension:
     """The tight interval extension of a piecewise-monotone function.
 
     Sends an interval I to [inf f, sup f] over I n [0, 1], which is
     monotone under refinement by construction.  Raises OutOfRange when I
     misses [0, 1] entirely.
     """
-
-    def evaluator(interval: DyadicInterval) -> IntervalValue:
-        lo = max(_ZERO_RAT, interval.lo)
-        hi = min(_ONE_RAT, interval.hi)
-        if lo > hi:
-            raise OutOfRange(f"{interval} misses [0, 1]")
-        mn, mx = f.range_over(lo, hi)
-        return IntervalValue._make(ExtNonNeg._make(mn), ExtNonNeg._make(mx))
-
-    return IntervalTestFn(evaluator, validate=False, name=repr(f))
+    return CanonicalExtension(f)
 
 
 def dyadic_grid(n: int) -> List[DyadicInterval]:
@@ -345,33 +444,79 @@ def dyadic_grid(n: int) -> List[DyadicInterval]:
     return [DyadicInterval(i * step, (i + 1) * step) for i in range(2 ** n)]
 
 
+def _power_sums(poly: Polynomial, size: int, a: int, b: int) -> Tuple[object, object]:
+    """(sum of q(i), sum of q(i + 1)) over i = a..b, where q(i) = poly(i/size).
+
+    Newton's forward differences: the sum is sum_j (Delta^j q)(a) *
+    C(b - a + 1, j + 1), and Delta^j q vanishes beyond the degree.  With
+    fewer cells than coefficients the same formula sums them directly.
+    """
+    count = b - a + 1
+    diffs = [poly(rational(a + j, size)) for j in range(min(count, len(poly.coeffs)))]
+    q_a = diffs[0]
+    total = _ZERO_RAT
+    for j in range(len(diffs)):
+        total += diffs[0] * comb(count, j + 1)
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    return total, total - q_a + poly(rational(b + 1, size))
+
+
+def _cells_touching(b, size: int) -> Tuple[int, ...]:
+    """Indices of the depth cells [i/size, (i+1)/size] that contain b."""
+    x = b * size
+    i = int(floor(x))
+    return (i - 1, i) if x == i else (i,)
+
+
+def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[object, object]:
+    """Sums over the 2^n cells of the lower and of the upper endpoints of h."""
+    size = 2 ** n
+    bps = h.fn.breakpoints
+    lo_sum = hi_sum = _ZERO_RAT
+    for (direction, poly), s, t in zip(h.fn.pieces, bps, bps[1:]):
+        # cells i with s < i/size and (i+1)/size < t, except at 0 and 1
+        a = 0 if s == 0 else int(floor(s * size)) + 1
+        b = size - 1 if t == 1 else int(ceil(t * size)) - 2
+        if a > b:
+            continue
+        low, high = _power_sums(poly, size, a, b)
+        if direction == "dec":
+            low, high = high, low
+        lo_sum += low
+        hi_sum += high
+    step = rational(1, size)
+    for i in {i for bp in bps[1:-1] for i in _cells_touching(bp, size)}:
+        value = h(DyadicInterval(i * step, (i + 1) * step))
+        lo_sum += value.lo.value
+        hi_sum += value.hi.value
+    return lo_sum, hi_sum
+
+
 def lebesgue_n(
     n: int,
     h: IntervalTestFn,
     *,
     cap: int = DEFAULT_DEPTH_CAP,
-    threads: int = 1,
 ) -> IntervalValue:
     """The depth-n enclosure: sum of uniformly weighted cell values.
 
     Computed entirely in interval arithmetic; equals the pair of endpoint
     sums (weighted lower endpoints, weighted upper endpoints) because the
-    cell weight is finite and positive.
+    cell weight is finite and positive.  A canonical extension's endpoint
+    sums are taken in closed form (see the module docstring), with a
+    number of operations independent of n.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if n > cap:
         raise DepthCapExceeded(f"depth {n} exceeds the cap {cap}", depth=cap)
-    cells = dyadic_grid(n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(h, cells))
-    else:
-        values = [h(cell) for cell in cells]
+    if isinstance(h, CanonicalExtension):
+        lo_sum, hi_sum = _closed_form_sums(h, n)
+        return IntervalValue(lo_sum / 2 ** n, hi_sum / 2 ** n)
     w = IntervalValue(rational(1, 2 ** n), rational(1, 2 ** n))
     acc = IZERO
-    for v in values:
-        acc = acc + w * v
+    for cell in dyadic_grid(n):
+        acc = acc + w * h(cell)
     return acc
 
 
@@ -380,7 +525,6 @@ def lebesgue_integrate(
     eps,
     *,
     cap: int = DEFAULT_DEPTH_CAP,
-    threads: int = 1,
 ) -> Tuple[IntervalValue, int]:
     """Refine until the enclosure width is at most eps.
 
@@ -395,7 +539,7 @@ def lebesgue_integrate(
         raise ValueError("eps must be a positive rational width target")
     best = None
     for n in range(cap + 1):
-        best = lebesgue_n(n, h, cap=cap, threads=threads)
+        best = lebesgue_n(n, h, cap=cap)
         if width(best) <= eps:
             return best, n
     raise DepthCapExceeded(

@@ -11,8 +11,9 @@ Five literal forms are accepted:
 Scalars are written 'p', 'p/q' or 'inf'; intervals '[lo,hi]'.  Piecewise
 segments carry a declared monotone direction and a polynomial expression
 in x over the rationals (+, -, *, / by a constant, ^ with an integer
-exponent, parentheses).  All parse failures raise ParseError with a
-1-based line/column position.
+exponent, parentheses).  Degrees and exponents are capped at MAX_DEGREE,
+so a short literal cannot expand into a huge polynomial.  All parse
+failures raise ParseError with a 1-based line/column position.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .algebra import (
 from .errors import ParseError
 from .lebesgue import PiecewiseMonotoneFn, Polynomial
 from .spaces import FinitePoset
+
+# Largest polynomial degree, and largest exponent, a piecewise literal may
+# use.  Without it x^8000 alone takes minutes to expand.
+MAX_DEGREE = 64
 
 
 class Token(NamedTuple):
@@ -206,6 +211,7 @@ class _Parser:
             op_tok = self.next()
             rhs = self.poly_unary()
             if op_tok.kind == "*":
+                self.check_degree(node.degree + rhs.degree, op_tok)
                 node = node * rhs
             else:
                 if not rhs.is_constant or rhs.coeffs[0] == 0:
@@ -228,8 +234,25 @@ class _Parser:
         if self.peek().kind == "^":
             caret = self.next()
             exp_tok = self.expect("INT", "an integer exponent")
-            return base ** int(exp_tok.text)
+            exp = int(exp_tok.text)
+            if exp > MAX_DEGREE:
+                raise ParseError(
+                    f"exponent {exp} exceeds the cap {MAX_DEGREE}",
+                    exp_tok.line,
+                    exp_tok.col,
+                )
+            self.check_degree(base.degree * exp, caret)
+            return base ** exp
         return base
+
+    @staticmethod
+    def check_degree(degree: int, tok: Token) -> None:
+        if degree > MAX_DEGREE:
+            raise ParseError(
+                f"polynomial degree {degree} exceeds the cap {MAX_DEGREE}",
+                tok.line,
+                tok.col,
+            )
 
     def poly_atom(self) -> Polynomial:
         tok = self.peek()

@@ -1,4 +1,9 @@
+import time
+from fractions import Fraction
+
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from oracle_dyadic import brute_force_level
 
@@ -17,7 +22,60 @@ from intval.lebesgue import (
     is_dyadic,
     lebesgue_integrate,
     lebesgue_n,
+    nonnegative_on,
 )
+from intval.literals import parse_piecewise
+
+EXAMPLES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _rat(q: Fraction):
+    return rational(q.numerator, q.denominator)
+
+
+def _grid(h: IntervalTestFn) -> IntervalTestFn:
+    """The same test function, summed cell by cell by lebesgue_n."""
+    return IntervalTestFn(lambda c: h(c), validate=False)
+
+
+# interior breakpoints: dyadic (jumps land on cell edges from some depth
+# on, including 1/4096 at depth 12) and non-dyadic (always inside a cell)
+_BREAKPOINTS = sorted(
+    {Fraction(i, 16) for i in range(1, 16)}
+    | {Fraction(1, 4096), Fraction(4095, 4096), Fraction(683, 2048)}
+    | {Fraction(i, d) for d in (3, 5, 7, 12) for i in range(1, d)}
+)
+
+
+@st.composite
+def piecewise_fns(draw):
+    """Piecewise functions with independent pieces of degree <= 8.
+
+    An inc piece on [s, t] is sum_k c_k (x - s)^k with c_k >= 0 and a dec
+    piece sum_k c_k (t - x)^k, so every piece is monotone and nonnegative
+    by construction; adjacent pieces generally disagree at the breakpoint.
+    """
+    inner = draw(st.lists(st.sampled_from(_BREAKPOINTS), max_size=4, unique=True))
+    bps = [Fraction(0)] + sorted(inner) + [Fraction(1)]
+    pieces = []
+    for s, t in zip(bps, bps[1:]):
+        direction = draw(st.sampled_from(("inc", "dec")))
+        degree = draw(st.integers(0, 8))
+        coeffs = draw(
+            st.lists(
+                st.fractions(0, 4, max_denominator=3),
+                min_size=degree + 1,
+                max_size=degree + 1,
+            )
+        )
+        base = (
+            Polynomial([-_rat(s), 1]) if direction == "inc" else Polynomial([_rat(t), -1])
+        )
+        poly = Polynomial.constant(0)
+        for k, c in enumerate(coeffs):
+            poly = poly + (base ** k).scaled(_rat(c))
+        pieces.append((direction, poly))
+    return PiecewiseMonotoneFn([_rat(b) for b in bps], pieces)
 
 
 class TestDyadicInterval:
@@ -49,6 +107,22 @@ class TestPolynomial:
     def test_trailing_zeros_trimmed(self):
         assert Polynomial([1, 0, 0]).coeffs == (1,)
 
+    def test_power_matches_repeated_product(self):
+        p = Polynomial([1, rational(1, 3), -2])
+        product = Polynomial.constant(1)
+        for k in range(12):
+            assert p ** k == product, k
+            product = product * p
+
+    def test_divmod_and_derivative(self):
+        x = Polynomial.identity()
+        a = (x - Polynomial.constant(2)) * (x * x + Polynomial.constant(1))
+        quot, rem = divmod(a + Polynomial.constant(5), x * x + Polynomial.constant(1))
+        assert quot == x - Polynomial.constant(2)
+        assert rem == Polynomial.constant(5)
+        assert (x ** 3).derivative() == (x ** 2).scaled(3)
+        assert Polynomial.constant(7).derivative() == Polynomial.constant(0)
+
 
 class TestPiecewiseMonotoneFn:
     def test_rejects_misdeclared_direction(self):
@@ -64,6 +138,25 @@ class TestPiecewiseMonotoneFn:
         PiecewiseMonotoneFn(
             [0, rational(1, 2), 1], [("inc", bump), ("dec", bump)]
         )
+
+    def test_rejects_turn_between_grid_points(self):
+        # p' = 3(x - 1/256)(x - 1/64): p dips between two roots that both
+        # lie inside the first of 16 equal steps of the segment
+        p = Polynomial([1, rational(3, 16384), rational(-15, 512), 1])
+        with pytest.raises(NonEvaluablePiece):
+            PiecewiseMonotoneFn([0, 1], [("inc", p)])
+        PiecewiseMonotoneFn(
+            [0, rational(1, 256), rational(1, 64), 1],
+            [("inc", p), ("dec", p), ("inc", p)],
+        )
+
+    def test_inflection_is_monotone(self):
+        # (x - 1/3)^3 + 1: p' has a double root at 1/3 and never turns
+        x = Polynomial.identity()
+        p = (x - Polynomial.constant(rational(1, 3))) ** 3 + Polynomial.constant(1)
+        PiecewiseMonotoneFn([0, 1], [("inc", p)])
+        with pytest.raises(NonEvaluablePiece):
+            PiecewiseMonotoneFn([0, 1], [("dec", p)])
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
@@ -83,6 +176,81 @@ class TestPiecewiseMonotoneFn:
         assert fn(rational(1, 4)) == rational(1, 2)
         assert fn(rational(1, 2)) == rational(1)
         assert fn(rational(7, 8)) == rational(1, 4)
+
+
+@st.composite
+def planted_slopes(draw):
+    """a * prod (x - r)^m + shift: turning points at chosen rationals.
+
+    Multiplicities 1 and 2 give cubics' crossings and touching (even)
+    roots; a nonzero shift moves the roots off the rationals or removes
+    them.
+    """
+    roots = draw(
+        st.lists(
+            st.tuples(st.fractions(-1, 2, max_denominator=16), st.integers(1, 2)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    slope = Polynomial.constant(draw(st.sampled_from((1, -1, rational(1, 5)))))
+    for r, m in roots:
+        slope = slope * Polynomial([-_rat(r), 1]) ** m
+    shift = draw(st.sampled_from((0, 0, rational(1, 64), rational(-1, 1000))))
+    return slope + Polynomial.constant(shift)
+
+
+def _sympy_nonnegative(poly: Polynomial, lo, hi) -> bool:
+    """poly >= 0 on (lo, hi) decided from sympy.real_roots.
+
+    A polynomial keeps its sign across roots of even multiplicity and
+    changes it at odd ones; without odd roots inside, any nonzero sample
+    shows the sign.
+    """
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(str(c)) for c in poly.coeffs]
+    g = sympy.Poly(sum(c * x ** k for k, c in enumerate(coeffs)), x)
+    lo, hi = sympy.Rational(str(lo)), sympy.Rational(str(hi))
+    if g.is_zero:
+        return True
+    if g.degree() > 0:
+        for root, mult in sympy.real_roots(g, multiple=False):
+            if mult % 2 == 1 and bool(lo < root) and bool(root < hi):
+                return False
+    d = g.degree() + 2
+    return all(g.eval(lo + (hi - lo) * k / d) >= 0 for k in range(1, d))
+
+
+class TestExactMonotonicity:
+    @EXAMPLES
+    @given(
+        planted_slopes(),
+        st.fractions(-1, 1, max_denominator=32),
+        st.fractions(0, 2, max_denominator=32),
+    )
+    def test_agrees_with_sympy_real_roots(self, slope, a, b):
+        segments = [(rational(0), rational(1))]
+        if a < b:
+            segments.append((_rat(a), _rat(b)))
+        for lo, hi in segments:
+            for g in (slope, -slope):
+                assert nonnegative_on(g, lo, hi) == _sympy_nonnegative(g, lo, hi)
+
+    @EXAMPLES
+    @given(planted_slopes())
+    def test_pieces_accepted_exactly_when_monotone(self, slope):
+        # p = 100 + integral of slope is positive on [0, 1]
+        p = Polynomial(
+            [100] + [c / (k + 1) for k, c in enumerate(slope.coeffs)]
+        )
+        for direction, g in (("inc", slope), ("dec", -slope)):
+            monotone = _sympy_nonnegative(g, 0, 1)
+            try:
+                PiecewiseMonotoneFn([0, 1], [(direction, p)])
+                accepted = True
+            except NonEvaluablePiece:
+                accepted = False
+            assert accepted == monotone, (direction, p)
 
 
 class TestCanonicalExtension:
@@ -142,10 +310,13 @@ class TestLevels:
         assert lebesgue_n(0, h) == ival("1/2", "1/2")
 
     def test_against_brute_force_oracle(self):
+        """The closed form equals the per-cell sum and the oracle."""
         for name, fn in fixture_functions().items():
             h = canonical_extension(fn)
-            for n in range(9):
-                assert lebesgue_n(n, h) == brute_force_level(fn, n), (name, n)
+            for n in range(13):
+                level = lebesgue_n(n, h)
+                assert level == lebesgue_n(n, _grid(h)), (name, n)
+                assert level == brute_force_level(fn, n), (name, n)
 
     def test_endpoint_sum_identity(self):
         """Interval-arithmetic path equals separate weighted endpoint sums."""
@@ -161,16 +332,68 @@ class TestLevels:
                     hi_sum = hi_sum + mul_right(w, h(cell).hi)
                 assert lebesgue_n(n, h) == IntervalValue(lo_sum, hi_sum)
 
+    @staticmethod
+    def _differential(fn, n_max):
+        h = canonical_extension(fn)
+        for n in range(n_max + 1):
+            level = lebesgue_n(n, h)
+            assert level == lebesgue_n(n, _grid(h)), n
+            assert level == brute_force_level(fn, n), n
+
+    # the grid and the oracle cost about 0.7 s per function to depth 12,
+    # so many functions are checked to depth 8 and a few to depth 12
+    @settings(EXAMPLES, max_examples=40)
+    @given(piecewise_fns())
+    def test_closed_form_equals_grid_and_oracle(self, fn):
+        self._differential(fn, 8)
+
+    @settings(EXAMPLES, max_examples=6)
+    @given(piecewise_fns())
+    @example(
+        parse_piecewise(
+            "piecewise { [0,1/4096] inc: 3 + x; [1/4096,1/3] dec: 2*(1/3 - x)^8;"
+            " [1/3,1/2] inc: 1/5 + (x - 1/3)^3; [1/2,1] dec: 7/3 - x^2 }"
+        )
+    )
+    def test_closed_form_equals_grid_and_oracle_to_depth_12(self, fn):
+        self._differential(fn, 12)
+
+    def test_only_breakpoint_cells_are_evaluated(self, monkeypatch):
+        calls = []
+        original = PiecewiseMonotoneFn.range_over
+
+        def counting(self, lo, hi):
+            calls.append((lo, hi))
+            return original(self, lo, hi)
+
+        monkeypatch.setattr(PiecewiseMonotoneFn, "range_over", counting)
+        fn = fixture_functions()["tent"]  # interior breakpoints 1/2 and 3/4
+        h = canonical_extension(fn)
+        for n in (0, 1, 2, 12, 24):
+            calls.clear()
+            lebesgue_n(n, h)
+            assert len(calls) <= 2 * (len(fn.breakpoints) - 2), n
+        calls.clear()
+        lebesgue_n(24, canonical_extension(fixture_functions()["square"]))
+        assert calls == []
+
+    def test_depth_24_is_fast(self):
+        fixtures = fixture_functions()
+        t0 = time.perf_counter()
+        square = lebesgue_n(24, canonical_extension(fixtures["square"]))
+        tent = lebesgue_n(24, canonical_extension(fixtures["tent"]))
+        assert time.perf_counter() - t0 < 1.0
+        p = 2 ** 24
+        assert square == ival(
+            rational((p - 1) * (2 * p - 1), 6 * p * p),
+            rational((p + 1) * (2 * p + 1), 6 * p * p),
+        )
+        assert width(tent) == ext(rational(2, p))
+
     def test_depth_cap(self):
         h = canonical_extension(fixture_functions()["id"])
         with pytest.raises(DepthCapExceeded):
             lebesgue_n(5, h, cap=4)
-
-    def test_threads_do_not_change_results(self):
-        h1 = canonical_extension(fixture_functions()["tent"])
-        h2 = canonical_extension(fixture_functions()["tent"])
-        for n in range(6):
-            assert lebesgue_n(n, h1, threads=4) == lebesgue_n(n, h2)
 
 
 class TestIntegrate:
@@ -306,8 +529,3 @@ class TestEvaluatorValidation:
 
         with pytest.raises(ValueError):
             IntervalTestFn(bad)
-
-    def test_memoization_returns_identical_objects(self):
-        h = canonical_extension(fixture_functions()["id"])
-        cell = DyadicInterval(0, "1/2")
-        assert h(cell) is h(cell)

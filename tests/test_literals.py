@@ -3,6 +3,7 @@ import pytest
 from intval.algebra import INTERVALS, SCALARS, ext, ival, rational
 from intval.errors import NonEvaluablePiece, ParseError
 from intval.literals import (
+    MAX_DEGREE,
     parse_fn,
     parse_measure,
     parse_piecewise,
@@ -116,6 +117,19 @@ class TestPiecewiseLiterals:
     def test_direction_spot_check_applies(self):
         with pytest.raises(NonEvaluablePiece):
             parse_piecewise("piecewise { [0,1] dec: x }")
+
+    def test_degree_cap(self):
+        top = parse_piecewise(f"piecewise {{ [0,1] inc: (x + 1)^{MAX_DEGREE} }}")
+        assert top.pieces[0][1].degree == MAX_DEGREE
+        for text in (
+            f"x^{MAX_DEGREE + 1}",
+            "x^8000",
+            "2^100000",
+            "x^40 * x^40",
+            "(x^2 + 1)^40",
+        ):
+            with pytest.raises(ParseError):
+                parse_piecewise(f"piecewise {{ [0,1] inc: {text} }}")
 
     def test_must_cover_unit_interval(self):
         with pytest.raises(ValueError):
