@@ -156,23 +156,43 @@ def mul_left(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
     Equals the ordinary product whenever neither rule 0 * inf applies.
     This is the product under which zero wins against infinity, making
     the product continuous in each argument from below.
+
+    After the infinity rules, a unit factor returns the other operand and
+    a zero factor returns ZERO.  Both are exact identities (compared by
+    value, so any rational 1 or 0 qualifies) that skip the rational
+    product most law-suite products would otherwise pay for.
     """
-    if a._num is None:
-        return ZERO if b._num == 0 else INFINITY
-    if b._num is None:
-        return ZERO if a._num == 0 else INFINITY
-    return ExtNonNeg._make(a._num * b._num)
+    an, bn = a._num, b._num
+    if an is None:
+        return ZERO if bn == 0 else INFINITY
+    if bn is None:
+        return ZERO if an == 0 else INFINITY
+    if an == 1:
+        return b
+    if bn == 1:
+        return a
+    if an == 0 or bn == 0:
+        return ZERO
+    return ExtNonNeg._make(an * bn)
 
 
 def mul_right(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
     """Scalar product rounding upper endpoints: 0 * inf = inf.
 
     Infinity absorbs outright, making the product continuous in each
-    argument from above.
+    argument from above.  Finite unit and zero factors take the same
+    exact shortcuts as in mul_left.
     """
-    if a._num is None or b._num is None:
+    an, bn = a._num, b._num
+    if an is None or bn is None:
         return INFINITY
-    return ExtNonNeg._make(a._num * b._num)
+    if an == 1:
+        return b
+    if bn == 1:
+        return a
+    if an == 0 or bn == 0:
+        return ZERO
+    return ExtNonNeg._make(an * bn)
 
 
 class IntervalValue:

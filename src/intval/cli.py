@@ -27,10 +27,16 @@ import json
 import sys
 from typing import List, Optional
 
-from .algebra import ExtNonNeg, ext, render_scalar, width
+from .algebra import ZERO, ExtNonNeg, render_scalar, width
 from .errors import IntvalError, ParseError
 from .lebesgue import DEFAULT_DEPTH_CAP, canonical_extension, lebesgue_n
-from .literals import parse_fn, parse_piecewise, parse_poset, parse_valuation
+from .literals import (
+    parse_fn,
+    parse_piecewise,
+    parse_poset,
+    parse_rational,
+    parse_valuation,
+)
 from .spaces import MonotoneMap
 from .valuations import ElementaryValuation, evaluate
 from . import laws as law_suites
@@ -75,12 +81,23 @@ def _emit_rows(rows: List[dict], columns: List[str], fmt: str, extra: dict) -> s
     return json.dumps(doc) + "\n"
 
 
+def _parse_eps(text: str) -> ExtNonNeg:
+    """A positive rational written p or p/q, as in the literals."""
+    try:
+        eps = ExtNonNeg(parse_rational(text))
+    except ParseError:
+        eps = ZERO
+    if eps.is_zero:
+        raise IntvalError(
+            f"--eps must be a positive rational written p or p/q, got {text!r}"
+        )
+    return eps
+
+
 def cmd_integrate(args) -> int:
     try:
         fn = parse_piecewise(_read_spec(args.fn, "piecewise"))
-        eps = ext(args.eps)
-        if eps.is_zero or eps.is_infinite:
-            raise IntvalError("--eps must be a positive rational")
+        eps = _parse_eps(args.eps)
         if not 0 <= args.depth_cap <= 30:
             raise IntvalError("--depth-cap must lie in [0, 30]")
         if args.approx_decimals is not None and args.approx_decimals < 0:
@@ -143,6 +160,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    if args.cases is not None and args.cases < 1:
+        raise IntvalError("--cases must be >= 1")
     results = law_suites.run_all(seed=args.seed, cases=args.cases)
     failed = [r for r in results if not r.passed]
     if args.format == "csv":

@@ -21,6 +21,20 @@ absorbing bottom to stay within its time budget, and runs the full grid on
 the diagonal triples); a seeded randomized pass over posets with up to six
 points and multi-term kernels covers what the enumeration cannot.
 
+Monad-law oracle.  Every monad-law case compares normal forms
+structurally, which is sound but incomplete (see valuations).  On all of
+law (i), all of law (ii) and the diagonal core triples of law (iii)
+(19,739 cases) the suite also checks bind against its defining
+functional description: for every k in the target's exhaustive test
+family, evaluate(bind(f, nu), k) must equal functional_bind(f, nu, k),
+the sum of r_i * f(x_i)(k) computed without bind.  For law (iii) that is
+the law in functional form, bind(g o f, nu)(k) == bind(f, nu)(y -> g(y)(k)).
+Re-evaluating a structurally equal result instead could never fail,
+since evaluate depends only on the terms.  The oracle's cases use
+single-term kernels with Dirac or unit-kernel arguments, so no two terms
+ever merge at one target point there; merged terms are exercised by the
+randomized pass, which compares normal forms.
+
 Randomized scope.  Generators below produce posets, monotone/antitone
 tables, valuations, kernels and measures from fixed seeds; all randomness
 flows through one random.Random instance per family, so a (seed, cases)
@@ -65,7 +79,6 @@ from .spaces import (
 from .valuations import (
     ElementaryValuation,
     dirac,
-    eq_on,
     evaluate,
     exhaustive_tests,
 )
@@ -480,24 +493,57 @@ def _const_kernels(source: FinitePoset, target: FinitePoset, coeffs) -> List[Ker
     return kernels
 
 
-def _law_i_fails(f: Kernel, x) -> bool:
-    got = bind(f, unit(f.source, x))
-    return got != f(x) or not eq_on(got, f(x), _tests_for(f.target))
+def functional_bind(f: Kernel, nu: ElementaryValuation, k: MonotoneMap):
+    """bind(f, nu) applied to k by its defining description nu(x -> f(x)(k)).
+
+    Computes sum_i r_i * f(x_i)(k) from `evaluate` and coefficient
+    arithmetic alone, never through bind, scale or add, so it shares no
+    code with bind's closed form: it sums per source term where bind
+    merges image terms per target point first.
+    """
+    alg = nu.algebra
+    acc = None
+    for coeff, point in nu.terms:
+        term = alg.mul(coeff, evaluate(f(point), k))
+        acc = term if acc is None else alg.add(acc, term)
+    return acc
 
 
-def _law_ii_fails(nu: ElementaryValuation, functional: bool) -> bool:
-    got = bind(_unit_kernel(nu.space), nu)
-    if got != nu:
+def _bind_oracle_fails(
+    got: ElementaryValuation, f: Kernel, nu: ElementaryValuation
+) -> bool:
+    """True iff got differs from functional_bind(f, nu, k) on some exhaustive k."""
+    return any(
+        evaluate(got, k) != functional_bind(f, nu, k) for k in _tests_for(f.target)
+    )
+
+
+def _law_i_fails(f: Kernel, x, dirac_x: ElementaryValuation) -> bool:
+    got = bind(f, dirac_x)
+    return got != f(x) or _bind_oracle_fails(got, f, dirac_x)
+
+
+def _law_ii_fails(eta: Kernel, nu: ElementaryValuation) -> bool:
+    got = bind(eta, nu)
+    return got != nu or _bind_oracle_fails(got, eta, nu)
+
+
+def _law_iii_fails(
+    gf: Kernel,
+    g: Kernel,
+    nu: ElementaryValuation,
+    mid: ElementaryValuation,
+    functional: bool,
+) -> bool:
+    """Law (iii) at nu, given gf = kleisli_compose(g, f) and mid = bind(f, nu).
+
+    With `functional`, also checks the law in functional form,
+    bind(gf, nu)(k) == mid(y -> g(y)(k)), on every exhaustive k.
+    """
+    lhs = bind(gf, nu)
+    if lhs != bind(g, mid):
         return True
-    return functional and not eq_on(got, nu, _tests_for(nu.space))
-
-
-def _law_iii_fails(f: Kernel, g: Kernel, nu: ElementaryValuation, functional: bool) -> bool:
-    lhs = bind(kleisli_compose(g, f), nu)
-    rhs = bind(g, bind(f, nu))
-    if lhs != rhs:
-        return True
-    return functional and not eq_on(lhs, rhs, _tests_for(g.target))
+    return functional and _bind_oracle_fails(lhs, g, mid)
 
 
 def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
@@ -510,19 +556,21 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
 
     # Law (ii), exhaustive: every grid valuation on every poset.
     for X in posets:
+        eta = _unit_kernel(X)
         for nu in all_grid_valuations(X):
             total += 1
-            if _law_ii_fails(nu, functional=True):
+            if _law_ii_fails(eta, nu):
                 return LawResult("monad-laws", total, 1, f"unit extension fails on {nu!r}")
 
     # Law (i), exhaustive: scaled-dirac and constant kernels over all pairs.
     for X in posets:
+        units = [(x, unit(X, x)) for x in X.points]
         for Y in posets:
             kernels = _dirac_kernels(X, Y, COEFF_GRID) + _const_kernels(X, Y, COEFF_GRID)
             for f in kernels:
-                for x in X.points:
+                for x, dirac_x in units:
                     total += 1
-                    if _law_i_fails(f, x):
+                    if _law_i_fails(f, x, dirac_x):
                         return LawResult(
                             "monad-laws",
                             total,
@@ -531,20 +579,24 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
                         )
 
     # Law (iii), exhaustive core: unit/bottom coefficients over all triples,
-    # Dirac arguments; structural equality (functional on diagonal triples).
+    # Dirac arguments; structural equality, plus the functional oracle on
+    # the diagonal triples.  The composite is built once per (f, g) and
+    # bind(f, nu) once per (f, nu).
     core = (IONE, ival(0, "inf"))
     for X in posets:
+        nus = [dirac(X, x) for x in X.points]
         for Y in posets:
             fs = _dirac_kernels(X, Y, (IONE,)) + _const_kernels(X, Y, core)
             for Z in posets:
                 gs = _dirac_kernels(Y, Z, core)
                 functional = X is Y and Y is Z
-                nus = [dirac(X, x) for x in X.points]
                 for f in fs:
+                    mids = [bind(f, nu) for nu in nus]
                     for g in gs:
-                        for nu in nus:
+                        gf = kleisli_compose(g, f)
+                        for nu, mid in zip(nus, mids):
                             total += 1
-                            if _law_iii_fails(f, g, nu, functional):
+                            if _law_iii_fails(gf, g, nu, mid, functional):
                                 return LawResult(
                                     "monad-laws",
                                     total,
@@ -560,10 +612,12 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
             ElementaryValuation(X, [(ival(0, "inf"), X.points[0])], validate=False)
         ]
         for f in fs:
+            mids = [bind(f, nu) for nu in nus]
             for g in fs:
-                for nu in nus:
+                gf = kleisli_compose(g, f)
+                for nu, mid in zip(nus, mids):
                     total += 1
-                    if _law_iii_fails(f, g, nu, functional=False):
+                    if _law_iii_fails(gf, g, nu, mid, functional=False):
                         return LawResult(
                             "monad-laws",
                             total,

@@ -11,9 +11,10 @@ Five literal forms are accepted:
 Scalars are written 'p', 'p/q' or 'inf'; intervals '[lo,hi]'.  Piecewise
 segments carry a declared monotone direction and a polynomial expression
 in x over the rationals (+, -, *, / by a constant, ^ with an integer
-exponent, parentheses).  Degrees and exponents are capped at MAX_DEGREE,
-so a short literal cannot expand into a huge polynomial.  All parse
-failures raise ParseError with a 1-based line/column position.
+exponent, parentheses).  Degrees and exponents are capped at MAX_DEGREE
+and coefficient sizes at MAX_COEFF_BITS, so a short literal cannot expand
+into a huge polynomial or a huge number.  All parse failures raise
+ParseError with a 1-based line/column position.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ from .spaces import FinitePoset
 # Largest polynomial degree, and largest exponent, a piecewise literal may
 # use.  Without it x^8000 alone takes minutes to expand.
 MAX_DEGREE = 64
+
+# Largest coefficient size, in bits, a piecewise literal may build.  The
+# degree cap alone lets nested powers of constants grow doubly
+# exponentially: ((((2^64)^64)^64)^64)^64 stays at degree 0 but would
+# build a 2^30-bit integer.  Products, quotients and powers are checked
+# against a bound on their result's size (see _size_bound) before they
+# are computed.
+MAX_COEFF_BITS = 1 << 16
 
 
 class Token(NamedTuple):
@@ -212,6 +221,7 @@ class _Parser:
             rhs = self.poly_unary()
             if op_tok.kind == "*":
                 self.check_degree(node.degree + rhs.degree, op_tok)
+                self.check_size(_size_bound(node) + _size_bound(rhs), op_tok)
                 node = node * rhs
             else:
                 if not rhs.is_constant or rhs.coeffs[0] == 0:
@@ -220,6 +230,7 @@ class _Parser:
                         op_tok.line,
                         op_tok.col,
                     )
+                self.check_size(_size_bound(node) + _size_bound(rhs), op_tok)
                 node = node.scaled(rational(1) / rhs.coeffs[0])
         return node
 
@@ -242,6 +253,7 @@ class _Parser:
                     exp_tok.col,
                 )
             self.check_degree(base.degree * exp, caret)
+            self.check_size(_size_bound(base) * exp, caret)
             return base ** exp
         return base
 
@@ -250,6 +262,15 @@ class _Parser:
         if degree > MAX_DEGREE:
             raise ParseError(
                 f"polynomial degree {degree} exceeds the cap {MAX_DEGREE}",
+                tok.line,
+                tok.col,
+            )
+
+    @staticmethod
+    def check_size(bits: int, tok: Token) -> None:
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(
+                f"coefficients of up to {bits} bits exceed the cap {MAX_COEFF_BITS}",
                 tok.line,
                 tok.col,
             )
@@ -271,6 +292,37 @@ class _Parser:
             tok.line,
             tok.col,
         )
+
+
+def _size_bound(poly: Polynomial) -> int:
+    """An upper bound, in bits, on poly's coefficients that adds over products.
+
+    Write poly = A / D with D the least common denominator and A an
+    integer polynomial, and let E(p) be the bit length of D * ||A||_1.
+    Every reduced coefficient's numerator and denominator are at most
+    D * ||A||_1, and E(p * q) <= E(p) + E(q), so E(p^e) <= e * E(p).  This
+    returns a cheap upper bound on E(poly) (D is at most the product of
+    the denominators, each |A_i| at most |num_i| * D), so the sum of two
+    operands' bounds, or e times a base's, bounds the result's coefficients.
+    """
+    cs = poly.coeffs
+    bits = len(cs).bit_length()
+    for c in cs:
+        bits += c.numerator.bit_length() + 2 * c.denominator.bit_length()
+    return bits
+
+
+def parse_rational(text: str):
+    """Parse a bare nonnegative rational, written 'p' or 'p/q'.
+
+    This is the rational grammar of the literals (no sign, no decimal point,
+    no exponent, nonzero denominator), used for numeric CLI options so
+    they read the same on every rational backend.
+    """
+    p = _Parser(text)
+    value = p.rat()
+    p.finish()
+    return value
 
 
 def parse_poset(text: str) -> FinitePoset:

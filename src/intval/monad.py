@@ -9,7 +9,8 @@ elementary valuation by the closed form
 (scale each image valuation and add), which agrees with the functional
 description bind(f, nu)(k) = nu(x -> f(x)(k)) on every test function k.
 The closed form is primary because it returns a value in normal form; the
-functional description is kept by the test suites as an oracle.
+functional description is kept as an oracle by the monad-law suite
+(laws.functional_bind) and by the tests.
 
 With unit and bind come the derived operations: the pushforward along a
 monotone point map, the two tensorial strengths pairing a point with a

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
+from fractions import Fraction
+from itertools import product as iproduct
+
 from intval.algebra import (
     BOTTOM,
     INFINITY,
     IONE,
     IZERO,
     ONE,
+    SCALARS,
     ZERO,
     ExtNonNeg,
     IntervalValue,
@@ -28,7 +32,7 @@ from intval.algebra import (
     width,
 )
 from intval.errors import NotAChain
-from intval.laws import random_interval, random_scalar
+from intval.laws import AXIOM_GRID, random_interval, random_scalar
 
 
 class TestScalars:
@@ -165,6 +169,56 @@ class TestAxioms:
                 x, y = (y, x) if ival_leq(y, x) else (x, x)
             assert ival_leq(ival_add(x, z), ival_add(y, z))
             assert ival_leq(ival_mul(x, z), ival_mul(y, z))
+
+
+def _reference_product(a, b, zero_times_inf):
+    """Plain rational product of two scalars given as Fraction or None (inf).
+
+    zero_times_inf is the result of 0 * inf: Fraction(0) for the
+    lower-endpoint product, None for the upper-endpoint product.
+    """
+    if a is None or b is None:
+        finite = b if a is None else a
+        return zero_times_inf if finite == 0 else None
+    return a * b
+
+
+def _as_reference(v):
+    return None if v.is_infinite else Fraction(v.value)
+
+
+class TestProductsAgainstReference:
+    """mul_left/mul_right (with their unit and zero shortcuts) against
+    an independent product over every pair of a value grid."""
+
+    VALUES = ("0", "1", "1/2", "2", "7/3", "inf")
+
+    def _check(self, a, b):
+        ra, rb = _as_reference(a), _as_reference(b)
+        assert _as_reference(mul_left(a, b)) == _reference_product(ra, rb, Fraction(0))
+        assert _as_reference(mul_right(a, b)) == _reference_product(ra, rb, None)
+        assert _as_reference(SCALARS.mul(a, b)) == _reference_product(ra, rb, Fraction(0))
+
+    def test_scalar_pairs(self):
+        for a, b in iproduct(self.VALUES, repeat=2):
+            self._check(ext(a), ext(b))
+
+    def test_unit_and_zero_compare_by_value(self):
+        # 1 and 0 built as 2/2 and 0/5 are new objects, not ONE and ZERO
+        one, zero = ext(rational(2, 2)), ext(rational(0, 5))
+        assert one is not ONE and zero is not ZERO
+        for v in self.VALUES:
+            for special in (one, zero):
+                self._check(special, ext(v))
+                self._check(ext(v), special)
+
+    def test_interval_product_over_axiom_grid(self):
+        for x, y in iproduct(AXIOM_GRID, repeat=2):
+            lo = _reference_product(_as_reference(x.lo), _as_reference(y.lo), Fraction(0))
+            hi = _reference_product(_as_reference(x.hi), _as_reference(y.hi), None)
+            got = x * y
+            assert (_as_reference(got.lo), _as_reference(got.hi)) == (lo, hi)
+            assert ival_mul(x, y) == got
 
 
 class TestChainSup:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,6 +141,41 @@ class TestIntegrate:
         assert code == 1
         assert err.startswith("error: line 1") and "cap" in err
 
+    def test_nested_constant_powers_exit_1_fast(self, capsys):
+        # would build a 2^30-bit integer; the size bound rejects it first
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            ["integrate", "--fn",
+             "piecewise { [0,1] inc: ((((2^64)^64)^64)^64)^64 }"],
+            capsys=capsys,
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1") and "cap" in err
+
+    @pytest.mark.parametrize("eps", ["0.25", "1e-2", "1/0", "-1/4", "inf", "1/4x", ""])
+    def test_eps_outside_the_rational_grammar_exits_1(self, eps, capsys):
+        code, out, err = run_cli(
+            ["integrate", "--fn", "piecewise { [0,1] inc: x }", f"--eps={eps}"],
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: --eps must be a positive rational written p or p/q, got {eps!r}\n"
+        )
+
+    @pytest.mark.parametrize("eps, last", [("1", "0,0,1,1"), (" 1 / 4 ", "2,3/8,5/8,1/4")])
+    def test_eps_in_the_rational_grammar(self, eps, last, capsys):
+        code, out, _ = run_cli(
+            ["integrate", "--fn", "piecewise { [0,1] inc: x }", "--eps", eps,
+             "--format", "csv"],
+            capsys=capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == last
+
 
 class TestEval:
     def test_worked_example(self, capsys):
@@ -252,6 +288,17 @@ class TestLaws:
         _, first, _ = run_cli(["laws", "--seed", "7", "--cases", "50"], capsys=capsys)
         _, second, _ = run_cli(["laws", "--seed", "7", "--cases", "50"], capsys=capsys)
         assert first == second
+
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_cases_below_1_exits_1(self, cases, monkeypatch, capsys):
+        def must_not_run(seed=0, cases=None):
+            raise AssertionError("law suites ran")
+
+        monkeypatch.setattr(cli.law_suites, "run_all", must_not_run)
+        code, out, err = run_cli(["laws", "--cases", cases], capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --cases must be >= 1\n"
 
     def test_violation_exits_3_with_counterexample(self, monkeypatch, capsys):
         broken = LawResult(

@@ -5,6 +5,7 @@ from intval.laws import (
     FAMILIES,
     all_grid_valuations,
     choquet_oracle,
+    functional_bind,
     interval_axioms,
     fubini_exchange,
     lebesgue_chain,
@@ -13,8 +14,10 @@ from intval.laws import (
     strength_identities,
     _shrink_valuation,
 )
+from intval import laws, monad
+from intval.monad import Kernel, bind
 from intval.spaces import antichain, chain
-from intval.valuations import ElementaryValuation
+from intval.valuations import ElementaryValuation, eq_on, evaluate, exhaustive_tests
 
 
 class TestFamilies:
@@ -59,6 +62,53 @@ class TestEnumerators:
         # one grid coefficient per chosen point over every nonempty subset
         space = antichain(["a", "b", "c"])
         assert len(all_grid_valuations(space)) == 3 * 5 + 3 * 25 + 125
+
+
+def _first_wins_bind(f, nu):
+    """A planted bug: like bind, but when two terms land on the same target
+    point it keeps the first coefficient instead of adding them."""
+    kept = {}
+    for r, x in nu.terms:
+        for c, y in f(x).terms:
+            kept.setdefault(y, r * c)
+    return ElementaryValuation(f.target, [(c, y) for y, c in kept.items()])
+
+
+class TestBindOracle:
+    """functional_bind computes bind(f, nu)(k) as nu(x -> f(x)(k))."""
+
+    def setup_method(self):
+        X, Y = antichain(["a", "b"]), chain(["u", "v"])
+        # both source points send mass to u
+        self.f = Kernel(
+            X,
+            Y,
+            {
+                "a": ElementaryValuation(Y, [(IONE, "u")]),
+                "b": ElementaryValuation(Y, [(ival("1/2", "1/2"), "u"), (IONE, "v")]),
+            },
+        )
+        self.nu = ElementaryValuation(X, [(IONE, "a"), (ival(1, 2), "b")])
+        self.tests = exhaustive_tests(Y)
+
+    def test_flags_planted_bind(self, monkeypatch):
+        real = bind(self.f, self.nu)
+        assert all(
+            evaluate(real, k) == functional_bind(self.f, self.nu, k) for k in self.tests
+        )
+        # the oracle does not go through bind, so it stays right while
+        # every bind the law suites can reach is the planted one
+        monkeypatch.setattr(monad, "bind", _first_wins_bind)
+        monkeypatch.setattr(laws, "bind", _first_wins_bind)
+        planted = _first_wins_bind(self.f, self.nu)
+        assert planted != real
+        assert any(
+            evaluate(planted, k) != functional_bind(self.f, self.nu, k)
+            for k in self.tests
+        )
+        # comparing a bind result with itself, as a re-check after
+        # structural equality does, cannot tell the planted bind apart
+        assert eq_on(planted, planted, self.tests)
 
 
 class TestShrinking:

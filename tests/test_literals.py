@@ -3,6 +3,7 @@ import pytest
 from intval.algebra import INTERVALS, SCALARS, ext, ival, rational
 from intval.errors import NonEvaluablePiece, ParseError
 from intval.literals import (
+    MAX_COEFF_BITS,
     MAX_DEGREE,
     parse_fn,
     parse_measure,
@@ -129,6 +130,20 @@ class TestPiecewiseLiterals:
             "(x^2 + 1)^40",
         ):
             with pytest.raises(ParseError):
+                parse_piecewise(f"piecewise {{ [0,1] inc: {text} }}")
+
+    def test_coefficient_size_cap(self):
+        # (2^64)^64 has 4097 bits and stays under the cap
+        top = parse_piecewise("piecewise { [0,1] inc: (2^64)^64 * x }")
+        assert top.pieces[0][1].coeffs[1] == 2 ** 4096
+        for text in (
+            "(((2^64)^64)^64) * x",
+            "((((2^64)^64)^64)^64)^64",
+            " * ".join(["(2^64)^64"] * 17),
+            " * ".join(["(2^64)^64"] * 15) + " / (2^64)^64",
+            f"(x / 3 + 1)^{MAX_DEGREE} * 2^{MAX_COEFF_BITS}",
+        ):
+            with pytest.raises(ParseError, match="cap"):
                 parse_piecewise(f"piecewise {{ [0,1] inc: {text} }}")
 
     def test_must_cover_unit_interval(self):

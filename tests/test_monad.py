@@ -5,6 +5,7 @@ import pytest
 from intval.algebra import BOTTOM, INTERVALS, IONE, ival
 from intval.errors import NotMonotone, SpaceMismatch
 from intval.laws import (
+    functional_bind,
     random_monotone_kernel,
     random_monotone_map,
     random_poset,
@@ -28,20 +29,6 @@ from intval.valuations import (
     exhaustive_tests,
     scale,
 )
-
-
-def functional_bind(f, nu, k):
-    """The defining description of bind, used as an oracle.
-
-    bind(f, nu) applied to k equals nu applied to x -> f(x)(k).
-    """
-    inner = MonotoneMap(
-        f.source,
-        {x: evaluate(f(x), k) for x in f.source.points},
-        f.algebra,
-        validate=False,
-    )
-    return evaluate(nu, inner)
 
 
 @pytest.fixture
