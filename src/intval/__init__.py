@@ -41,6 +41,7 @@ from .errors import (
     DepthCapExceeded,
     EmptySupport,
     IntvalError,
+    LiteralTooLarge,
     NonEvaluablePiece,
     NotAChain,
     NotMonotone,
@@ -114,6 +115,7 @@ from .lebesgue import (
     is_dyadic,
     lebesgue_integrate,
     lebesgue_n,
+    refine,
 )
 from .literals import (
     parse_fn,

@@ -4,7 +4,7 @@ Three subcommands:
 
     integrate   refine a piecewise function's unit-interval integral until
                 the enclosure width reaches a target, emitting one row per
-                depth (n, lo, hi, width) as JSON or CSV
+                level of lebesgue.refine (n, lo, hi, width) as JSON or CSV
     eval        evaluate a valuation literal against a test function
     laws        run the law suites and print a pass/fail table
 
@@ -13,7 +13,7 @@ All numbers in reports are exact rational strings; an optional
 Output is deterministic given the inputs and seed, byte for byte.
 
 Exit codes: 0 success; 1 parse/validation failure (with a line/column
-diagnostic where available); 2 width target not reached by the depth cap
+diagnostic where available, as one 'error:' line from main); 2 width target not reached by the depth cap
 (the partial table is still emitted); 3 law violation (the counterexample
 is printed).
 """
@@ -25,11 +25,12 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 from .algebra import ZERO, ExtNonNeg, render_scalar, width
-from .errors import IntvalError, ParseError
-from .lebesgue import DEFAULT_DEPTH_CAP, canonical_extension, lebesgue_n
+from .errors import DepthCapExceeded, IntvalError, LiteralTooLarge, ParseError
+from .lebesgue import DEFAULT_DEPTH_CAP, canonical_extension, refine
 from .literals import (
     parse_fn,
     parse_piecewise,
@@ -40,6 +41,10 @@ from .literals import (
 from .spaces import MonotoneMap
 from .valuations import ElementaryValuation, evaluate
 from . import laws as law_suites
+
+# Largest --depth-cap accepted; canonical extensions take closed-form levels
+# at any depth, so it bounds the table's length rather than the work.
+MAX_DEPTH_CAP = 30
 
 
 def _read_spec(arg: str, keyword: str) -> str:
@@ -68,23 +73,18 @@ def _approx(value: ExtNonNeg, decimals: int) -> str:
     return f"{text[:-decimals]}.{text[-decimals:]}"
 
 
-def _emit_rows(rows: List[dict], columns: List[str], fmt: str, extra: dict) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
-        return buf.getvalue()
-    doc = {"rows": rows}
-    doc.update(extra)
-    return json.dumps(doc) + "\n"
+def _csv(rows: List[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _parse_eps(text: str) -> ExtNonNeg:
     """A positive rational written p or p/q, as in the literals."""
     try:
         eps = ExtNonNeg(parse_rational(text))
+    except LiteralTooLarge as exc:
+        raise IntvalError(f"--eps: {exc}") from None
     except ParseError:
         eps = ZERO
     if eps.is_zero:
@@ -95,65 +95,48 @@ def _parse_eps(text: str) -> ExtNonNeg:
 
 
 def cmd_integrate(args) -> int:
-    try:
-        fn = parse_piecewise(_read_spec(args.fn, "piecewise"))
-        eps = _parse_eps(args.eps)
-        if not 0 <= args.depth_cap <= 30:
-            raise IntvalError("--depth-cap must lie in [0, 30]")
-        if args.approx_decimals is not None and args.approx_decimals < 0:
-            raise IntvalError("--approx-decimals must be >= 0")
-    except (IntvalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    h = canonical_extension(fn)
+    fn = parse_piecewise(_read_spec(args.fn, "piecewise"))
+    eps = _parse_eps(args.eps)
+    if not 0 <= args.depth_cap <= MAX_DEPTH_CAP:
+        raise IntvalError(f"--depth-cap must lie in [0, {MAX_DEPTH_CAP}]")
+    decimals = args.approx_decimals
+    if decimals is not None and decimals < 0:
+        raise IntvalError("--approx-decimals must be >= 0")
     rows = []
-    converged = False
-    depth = args.depth_cap
-    for n in range(args.depth_cap + 1):
-        enclosure = lebesgue_n(n, h, cap=args.depth_cap)
-        w = width(enclosure)
-        row = {
-            "n": n,
-            "lo": render_scalar(enclosure.lo),
-            "hi": render_scalar(enclosure.hi),
-            "width": render_scalar(w),
-        }
-        if args.approx_decimals is not None:
-            row["lo_approx"] = _approx(enclosure.lo, args.approx_decimals)
-            row["hi_approx"] = _approx(enclosure.hi, args.approx_decimals)
-        rows.append(row)
-        if w <= eps:
-            converged = True
-            depth = n
-            break
-    columns = list(rows[0].keys())
-    sys.stdout.write(
-        _emit_rows(rows, columns, args.format, {"converged": converged, "depth": depth})
-    )
+    try:
+        for n, enclosure in refine(canonical_extension(fn), eps, cap=args.depth_cap):
+            row = {
+                "n": n,
+                "lo": render_scalar(enclosure.lo),
+                "hi": render_scalar(enclosure.hi),
+                "width": render_scalar(width(enclosure)),
+            }
+            if decimals is not None:
+                row["lo_approx"] = _approx(enclosure.lo, decimals)
+                row["hi_approx"] = _approx(enclosure.hi, decimals)
+            rows.append(row)
+        converged, depth = True, n
+    except DepthCapExceeded as exc:
+        converged, depth = False, exc.depth
+    if args.format == "csv":
+        sys.stdout.write(_csv([list(rows[0])] + [list(row.values()) for row in rows]))
+    else:
+        sys.stdout.write(json.dumps({"rows": rows, "converged": converged, "depth": depth}) + "\n")
     return 0 if converged else 2
 
 
 def cmd_eval(args) -> int:
-    try:
-        space = parse_poset(_read_spec(args.poset, "poset"))
-        terms, val_algebra = parse_valuation(_read_spec(args.val, "val"))
-        _, table, fn_algebra = parse_fn(_read_spec(args.fn, "fn"))
-        if val_algebra is not fn_algebra:
-            raise IntvalError(
-                "valuation coefficients and function values use different algebras"
-            )
-        nu = ElementaryValuation(space, terms, val_algebra)
-        h = MonotoneMap(space, table, fn_algebra)
-        value = evaluate(nu, h)
-    except IntvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rendered = val_algebra.render(value)
+    space = parse_poset(_read_spec(args.poset, "poset"))
+    terms, val_algebra = parse_valuation(_read_spec(args.val, "val"))
+    _, table, fn_algebra = parse_fn(_read_spec(args.fn, "fn"))
+    if val_algebra is not fn_algebra:
+        raise IntvalError(
+            "valuation coefficients and function values use different algebras"
+        )
+    nu = ElementaryValuation(space, terms, val_algebra)
+    rendered = val_algebra.render(evaluate(nu, MonotoneMap(space, table, fn_algebra)))
     if args.format == "csv":
-        sys.stdout.write("value\n" + rendered + "\n")
+        sys.stdout.write(_csv([["value"], [rendered]]))
     else:
         sys.stdout.write(json.dumps({"value": rendered}) + "\n")
     return 0
@@ -165,25 +148,10 @@ def cmd_laws(args) -> int:
     results = law_suites.run_all(seed=args.seed, cases=args.cases)
     failed = [r for r in results if not r.passed]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["family", "cases", "failures", "passed"])
-        for r in results:
-            writer.writerow([r.family, r.cases, r.failures, "yes" if r.passed else "no"])
-        sys.stdout.write(buf.getvalue())
+        table = [[r.family, r.cases, r.failures, "yes" if r.passed else "no"] for r in results]
+        sys.stdout.write(_csv([["family", "cases", "failures", "passed"]] + table))
     elif args.format == "json":
-        doc = {
-            "families": [
-                {
-                    "family": r.family,
-                    "cases": r.cases,
-                    "failures": r.failures,
-                    "counterexample": r.counterexample,
-                }
-                for r in results
-            ],
-            "passed": not failed,
-        }
+        doc = {"families": [asdict(r) for r in results], "passed": not failed}
         sys.stdout.write(json.dumps(doc) + "\n")
     else:
         name_w = max(len(r.family) for r in results)
@@ -206,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="enclose a unit-interval integral")
     p_int.add_argument("--fn", required=True, help="piecewise literal or path to one")
     p_int.add_argument("--eps", default="1/1024", help="target enclosure width (rational)")
-    p_int.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
+    cap_help = f"deepest refinement level, 0 to {MAX_DEPTH_CAP} (default {DEFAULT_DEPTH_CAP})"
+    p_int.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, help=cap_help)
     p_int.add_argument("--format", choices=("json", "csv"), default="json")
     p_int.add_argument("--approx-decimals", type=int, default=None)
     p_int.set_defaults(run=cmd_integrate)
@@ -232,10 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IntvalError as exc:
+    except (IntvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

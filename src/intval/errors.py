@@ -67,3 +67,7 @@ class ParseError(IntvalError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+
+class LiteralTooLarge(ParseError):
+    """A literal exceeds one of the parsers' size caps (see literals)."""

@@ -64,9 +64,9 @@ from .algebra import (
 from .lebesgue import (
     PiecewiseMonotoneFn,
     Polynomial,
+    ascends,
     canonical_extension,
-    chain_check,
-    lebesgue_n,
+    refine,
 )
 from .monad import Kernel, bind, dual_strength, kleisli_compose, map_valuation, product, strength, unit
 from .spaces import (
@@ -637,9 +637,7 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
         x = rng.choice(X.points)
         total += 3
         if bind(f, unit(X, x)) != f(x):
-            return LawResult(
-                "monad-laws", total, 1, _minimized_law_i(f, x)
-            )
+            return LawResult("monad-laws", total, 1, f"unit law fails at x={x!r} for kernel {f!r}")
         if bind(_unit_kernel(X), nu) != nu:
             return LawResult(
                 "monad-laws", total, 1, f"unit extension fails on {_shrink_valuation(nu, lambda v: bind(_unit_kernel(X), v) != v)!r}"
@@ -657,48 +655,34 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
     return LawResult("monad-laws", total, 0)
 
 
-def _minimized_law_i(f: Kernel, x) -> str:
-    return f"unit law fails at x={x!r} for kernel {f!r}"
-
-
 def _shrink_valuation(
     nu: ElementaryValuation, fails: Callable[[ElementaryValuation], bool]
 ) -> ElementaryValuation:
-    """Drop terms and simplify coefficients while the failure persists."""
-    current = nu
-    changed = True
-    while changed:
-        changed = False
-        terms = list(current.terms)
+    """Drop terms and simplify coefficients while the failure persists.
+
+    Takes the first failing candidate (term drops first, then coefficients
+    set to IONE or IZERO) and starts over, until no candidate fails.
+    """
+    simple = (IONE, IZERO)
+
+    def candidates(terms):
         if len(terms) > 1:
             for i in range(len(terms)):
-                trial_terms = terms[:i] + terms[i + 1 :]
-                trial = ElementaryValuation(
-                    current.space, trial_terms, current.algebra, validate=False
-                )
-                if fails(trial):
-                    current = trial
-                    changed = True
-                    break
-            if changed:
-                continue
-        simple = (IONE, IZERO)
+                yield terms[:i] + terms[i + 1 :]
         for i, (c, p) in enumerate(terms):
-            if c in simple:
-                continue
-            for simpler in simple:
-                trial_terms = list(terms)
-                trial_terms[i] = (simpler, p)
-                trial = ElementaryValuation(
-                    current.space, trial_terms, current.algebra, validate=False
-                )
-                if fails(trial):
-                    current = trial
-                    changed = True
-                    break
-            if changed:
+            if c not in simple:
+                for simpler in simple:
+                    yield terms[:i] + [(simpler, p)] + terms[i + 1 :]
+
+    current = nu
+    while True:
+        for trial_terms in candidates(list(current.terms)):
+            trial = ElementaryValuation(current.space, trial_terms, current.algebra, validate=False)
+            if fails(trial):
+                current = trial
                 break
-    return current
+        else:
+            return current
 
 
 # ---------------------------------------------------------------------------
@@ -897,22 +881,22 @@ def _square_level(n: int) -> IntervalValue:
 def lebesgue_chain(seed: int = 0, cases: int = 12) -> LawResult:
     """Levels ascend on every fixture; closed forms match where known.
 
-    `cases` is the maximum depth checked, capped at 12.
+    `cases` is the maximum depth checked, capped at 12.  Each fixture's
+    levels are computed once and both checks read that one list.
     """
     n_max = max(1, min(12, cases))
     total = 0
     for name, fn in fixture_functions().items():
-        h = canonical_extension(fn)
+        levels = [level for _, level in refine(canonical_extension(fn), None, cap=n_max)]
         total += 1
-        if not chain_check(h, n_max):
+        if not ascends(levels):
             return LawResult(
                 "lebesgue-chain", total, 1, f"levels fail to ascend for fixture {name}"
             )
         closed = {"id": _identity_level, "square": _square_level}.get(name)
         if closed is not None:
-            for n in range(n_max + 1):
+            for n, got in enumerate(levels):
                 total += 1
-                got = lebesgue_n(n, h)
                 if got != closed(n):
                     return LawResult(
                         "lebesgue-chain",

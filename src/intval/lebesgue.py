@@ -42,6 +42,10 @@ evaluated directly, since they take both pieces' values there; the cost
 of a level no longer depends on the depth.  Hand-written test functions
 keep the per-cell sum, which is also the oracle for the closed form.
 
+``refine`` is the one walk up the chain: it yields the levels from depth
+0 until one is narrow enough, or up to the depth cap, and the
+integrator, the chain check, the CLI and the law suites all read it.
+
 ``dyadic_round`` is the grid-rounding companion: it sends a number
 x in [0, 1] to the depth-n dyadic interval [round_down(x), round_up(x)],
 an ascending (in n) chain of enclosures of the precise point [x, x].
@@ -52,7 +56,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil, comb, floor
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .algebra import (
     IZERO,
@@ -520,6 +524,28 @@ def lebesgue_n(
     return acc
 
 
+def refine(
+    h: IntervalTestFn, eps, *, cap: int = DEFAULT_DEPTH_CAP
+) -> Iterator[Tuple[int, IntervalValue]]:
+    """Yield (n, level n) from depth 0 until a level's width is at most eps.
+
+    If the cap comes first, the cap level is still yielded and then
+    DepthCapExceeded is raised, carrying that level and the cap.  With eps
+    None there is no width target, and the walk ends at the cap.  This is
+    the one loop over refinement depths in the library.
+    """
+    eps = None if eps is None else ext(eps)
+    level = None
+    for n in range(cap + 1):
+        level = lebesgue_n(n, h, cap=cap)
+        yield n, level
+        if eps is not None and width(level) <= eps:
+            return
+    if eps is not None:
+        message = f"width target {eps} not reached by depth {cap}"
+        raise DepthCapExceeded(message, enclosure=level, depth=cap)
+
+
 def lebesgue_integrate(
     h: IntervalTestFn,
     eps,
@@ -537,29 +563,20 @@ def lebesgue_integrate(
     eps = ext(eps)
     if eps.is_infinite or eps.is_zero:
         raise ValueError("eps must be a positive rational width target")
-    best = None
-    for n in range(cap + 1):
-        best = lebesgue_n(n, h, cap=cap)
-        if width(best) <= eps:
-            return best, n
-    raise DepthCapExceeded(
-        f"width target {eps} not reached by depth {cap}",
-        enclosure=best,
-        depth=cap,
-    )
+    *_, (depth, enclosure) = refine(h, eps, cap=cap)
+    return enclosure, depth
+
+
+def ascends(levels: Sequence[IntervalValue]) -> bool:
+    """Exact check that each level lies below the next in the refinement order."""
+    return all(ival_leq(a, b) for a, b in zip(levels, levels[1:]))
 
 
 def chain_check(h: IntervalTestFn, n_max: int, *, cap: int = DEFAULT_DEPTH_CAP) -> bool:
     """Exact check that the dyadic levels ascend up to depth n_max."""
     if n_max > cap:
         raise DepthCapExceeded(f"depth {n_max} exceeds the cap {cap}", depth=cap)
-    previous = None
-    for n in range(n_max + 1):
-        current = lebesgue_n(n, h, cap=cap)
-        if previous is not None and not ival_leq(previous, current):
-            return False
-        previous = current
-    return True
+    return ascends([level for _, level in refine(h, None, cap=n_max)])
 
 
 def dyadic_round(n: int, x) -> DyadicInterval:

@@ -13,8 +13,10 @@ segments carry a declared monotone direction and a polynomial expression
 in x over the rationals (+, -, *, / by a constant, ^ with an integer
 exponent, parentheses).  Degrees and exponents are capped at MAX_DEGREE
 and coefficient sizes at MAX_COEFF_BITS, so a short literal cannot expand
-into a huge polynomial or a huge number.  All parse failures raise
-ParseError with a 1-based line/column position.
+into a huge polynomial or a huge number; integer literals are capped at
+MAX_DIGITS digits and parentheses at MAX_NESTING levels.  All parse
+failures raise ParseError with a 1-based line/column position, and a
+literal over a cap raises its subclass LiteralTooLarge.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .algebra import (
     ValueAlgebra,
     rational,
 )
-from .errors import ParseError
+from .errors import LiteralTooLarge, ParseError
 from .lebesgue import PiecewiseMonotoneFn, Polynomial
 from .spaces import FinitePoset
 
@@ -45,6 +47,14 @@ MAX_DEGREE = 64
 # against a bound on their result's size (see _size_bound) before they
 # are computed.
 MAX_COEFF_BITS = 1 << 16
+
+# Longest run of digits an integer literal may have: CPython's default
+# limit on int() of a decimal string, which the library does not raise.
+MAX_DIGITS = 4300
+
+# Deepest nesting of parentheses in a polynomial expression; each level
+# costs a few stack frames of the recursive-descent parser.
+MAX_NESTING = 64
 
 
 class Token(NamedTuple):
@@ -88,6 +98,9 @@ def _tokenize(text: str) -> List[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                message = f"{j - i} digits exceed the cap {MAX_DIGITS}"
+                raise LiteralTooLarge(message, line, col)
             tokens.append(Token("INT", text[i:j], line, col))
             col += j - i
             i = j
@@ -109,6 +122,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -235,10 +249,12 @@ class _Parser:
         return node
 
     def poly_unary(self) -> Polynomial:
-        if self.peek().kind == "-":
+        negate = False
+        while self.peek().kind == "-":
             self.next()
-            return -self.poly_unary()
-        return self.poly_power()
+            negate = not negate
+        node = self.poly_power()
+        return -node if negate else node
 
     def poly_power(self) -> Polynomial:
         base = self.poly_atom()
@@ -247,7 +263,7 @@ class _Parser:
             exp_tok = self.expect("INT", "an integer exponent")
             exp = int(exp_tok.text)
             if exp > MAX_DEGREE:
-                raise ParseError(
+                raise LiteralTooLarge(
                     f"exponent {exp} exceeds the cap {MAX_DEGREE}",
                     exp_tok.line,
                     exp_tok.col,
@@ -260,7 +276,7 @@ class _Parser:
     @staticmethod
     def check_degree(degree: int, tok: Token) -> None:
         if degree > MAX_DEGREE:
-            raise ParseError(
+            raise LiteralTooLarge(
                 f"polynomial degree {degree} exceeds the cap {MAX_DEGREE}",
                 tok.line,
                 tok.col,
@@ -269,7 +285,7 @@ class _Parser:
     @staticmethod
     def check_size(bits: int, tok: Token) -> None:
         if bits > MAX_COEFF_BITS:
-            raise ParseError(
+            raise LiteralTooLarge(
                 f"coefficients of up to {bits} bits exceed the cap {MAX_COEFF_BITS}",
                 tok.line,
                 tok.col,
@@ -284,8 +300,13 @@ class _Parser:
             return Polynomial.identity()
         if tok.kind == "(":
             self.next()
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                message = f"nesting exceeds the cap {MAX_NESTING}"
+                raise LiteralTooLarge(message, tok.line, tok.col)
             node = self.poly_expr()
             self.expect(")", "')'")
+            self.nesting -= 1
             return node
         raise ParseError(
             f"expected a number, 'x' or '(', found {tok.text or 'end of input'!r}",

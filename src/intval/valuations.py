@@ -90,7 +90,7 @@ class ElementaryValuation:
         if not isinstance(other, ElementaryValuation):
             return NotImplemented
         return (
-            self.space == other.space
+            (self.space is other.space or self.space == other.space)
             and self.algebra is other.algebra
             and self.terms == other.terms
         )
@@ -129,7 +129,7 @@ def dirac(space: FinitePoset, point: Point, algebra: ValueAlgebra = INTERVALS) -
 
 def evaluate(nu: ElementaryValuation, h: MonotoneMap):
     """Evaluate sum_i r_i * h(p_i) exactly in the coefficient algebra."""
-    if h.space != nu.space:
+    if h.space is not nu.space and h.space != nu.space:
         raise SpaceMismatch("test function lives on a different space")
     if h.algebra is not nu.algebra:
         raise SpaceMismatch(

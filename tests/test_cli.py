@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +7,7 @@ import time
 
 import pytest
 
-from intval import cli
+from intval import cli, lebesgue
 from intval.laws import LawResult
 
 
@@ -62,6 +64,22 @@ class TestIntegrate:
         assert doc["converged"] is False
         assert doc["depth"] == 3
         assert len(doc["rows"]) == 4
+
+    def test_rows_are_the_levels_of_refine(self, monkeypatch, capsys):
+        # levels go through lebesgue.lebesgue_n, so a wrapper there sees them
+        depths = []
+        real = lebesgue.lebesgue_n
+        monkeypatch.setattr(
+            lebesgue, "lebesgue_n", lambda n, h, **kw: depths.append(n) or real(n, h, **kw)
+        )
+        code, out, _ = run_cli(
+            ["integrate", "--fn", "piecewise { [0,1] inc: x }", "--eps", "1/1024",
+             "--depth-cap", "3", "--format", "csv"],
+            capsys=capsys,
+        )
+        assert code == 2
+        assert depths == [0, 1, 2, 3]
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "1", "2", "3"]
 
     def test_malformed_spec_exits_1(self, capsys):
         code, out, err = run_cli(
@@ -177,6 +195,54 @@ class TestIntegrate:
         assert out.splitlines()[-1] == last
 
 
+    @pytest.mark.parametrize(
+        "args, col",
+        [
+            (["--fn", "piecewise { [0,1] inc: " + "1" * 5000 + "*x }"], 24),
+            (["--fn", "piecewise { [0,1] inc: x^" + "1" * 5000 + " }"], 26),
+            (["--fn", "piecewise { [0,1] inc: x }", "--eps", "1" * 5000], 1),
+        ],
+        ids=["coefficient", "exponent", "eps"],
+    )
+    def test_5000_digit_literal_exits_1_with_position(self, args, col, capsys):
+        code, out, err = run_cli(["integrate"] + args, capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and f"line 1, col {col}: 5000 digits exceed the cap" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_5000_digit_coefficient_in_eval_exits_1_with_position(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "--poset", "poset { x }", "--val", "val { " + "1" * 5000 + " @ x }",
+             "--fn", "fn h { x -> 1 }"],
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1, col 7: 5000 digits exceed the cap")
+
+    def test_deep_parentheses_exit_1(self, capsys):
+        code, out, err = run_cli(
+            ["integrate", "--fn", "piecewise { [0,1] inc: " + "(" * 300 + "x" + ")" * 300 + " }"],
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1, col ") and "nesting exceeds the cap" in err
+
+    def test_depth_cap_bound_is_stated_and_enforced(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["integrate", "--help"])
+        assert f"0 to {cli.MAX_DEPTH_CAP}" in capsys.readouterr().out
+        fn = ["integrate", "--fn", "piecewise { [0,1] inc: 0 }"]
+        code, _, _ = run_cli(fn + ["--depth-cap", str(cli.MAX_DEPTH_CAP)], capsys=capsys)
+        assert code == 0
+        code, out, err = run_cli(fn + ["--depth-cap", str(cli.MAX_DEPTH_CAP + 1)], capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --depth-cap must lie in [0, {cli.MAX_DEPTH_CAP}]\n"
+
+
 class TestEval:
     def test_worked_example(self, capsys):
         code, out, _ = run_cli(
@@ -203,7 +269,21 @@ class TestEval:
             capsys=capsys,
         )
         assert code == 0
-        assert out == "value\n[1,4]\n"
+        assert out == 'value\n"[1,4]"\n'
+        assert list(csv.reader(io.StringIO(out))) == [["value"], ["[1,4]"]]
+
+    @pytest.mark.parametrize(
+        "val, fn, line",
+        [("val { 1/2 @ x }", "fn h { x -> 1 }", "1/2"), ("val { inf @ x }", "fn h { x -> 1 }", "inf")],
+    )
+    def test_csv_scalar_values_stay_unquoted(self, val, fn, line, capsys):
+        code, out, _ = run_cli(
+            ["eval", "--poset", "poset { x }", "--val", val, "--fn", fn, "--format", "csv"],
+            capsys=capsys,
+        )
+        assert code == 0
+        assert out == f"value\n{line}\n"
+        assert list(csv.reader(io.StringIO(out))) == [["value"], [line]]
 
     def test_scalar_valued_evaluation(self, capsys):
         code, out, _ = run_cli(

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from intval.algebra import IONE, ival
 from intval.laws import (
+    COEFF_GRID,
     FAMILIES,
     all_grid_valuations,
     choquet_oracle,
@@ -16,7 +19,7 @@ from intval.laws import (
 )
 from intval import laws, monad
 from intval.monad import Kernel, bind
-from intval.spaces import antichain, chain
+from intval.spaces import all_monotone_point_maps, antichain, chain, enumerate_posets
 from intval.valuations import ElementaryValuation, eq_on, evaluate, exhaustive_tests
 
 
@@ -109,6 +112,73 @@ class TestBindOracle:
         # comparing a bind result with itself, as a re-check after
         # structural equality does, cannot tell the planted bind apart
         assert eq_on(planted, planted, self.tests)
+
+
+# coefficient pairs (first Dirac, second Dirac) that between them use
+# every value of COEFF_GRID
+_PAIRS = ((IONE, ival("1/2", "1/2")), (ival(1, 2), ival(0, "inf")), (ival(0, 0), ival(1, 2)))
+
+
+def _two_dirac_cases():
+    """(f, nu, tests) on every diagonal poset of enumerate_posets(3) with two
+    or more points, tests being the exhaustive family on it.
+
+    f(x) = c1 . delta_{g(x)} + c2 . delta_y for every monotone point map g,
+    every point y and every pair (c1, c2) in _PAIRS; f is monotone since g
+    and the constant map to y are.  nu puts a term with a different grid
+    coefficient on every point, so the images of different source points
+    merge at y (and wherever g collides) with different coefficients.
+    """
+    cases = []
+    for X in enumerate_posets(3)[1:]:
+        tests = exhaustive_tests(X)
+        nu = ElementaryValuation(X, list(zip(COEFF_GRID[1:], X.points)))
+        for g in all_monotone_point_maps(X, X):
+            for y in X.points:
+                for c1, c2 in _PAIRS:
+                    table = {
+                        x: ElementaryValuation(X, [(c1, g[x]), (c2, y)]) for x in X.points
+                    }
+                    f = Kernel(X, X, table, declared_monotone=True, validate=False)
+                    cases.append((f, nu, tests))
+    return cases
+
+
+def _oracle_mismatches(bind_fn, cases):
+    """Cases (f, nu) where bind_fn(f, nu) and functional_bind differ on some k."""
+    bad = []
+    for f, nu, tests in cases:
+        got = bind_fn(f, nu)
+        if any(evaluate(got, k) != functional_bind(f, nu, k) for k in tests):
+            bad.append((f, nu))
+    return bad
+
+
+@pytest.fixture(scope="module")
+def two_dirac_cases():
+    return _two_dirac_cases()
+
+
+class TestBindOracleOnMergedTerms:
+    """The oracle on multi-term kernels, where bind must add merged terms."""
+
+    def test_terms_do_merge(self, two_dirac_cases):
+        # bind leaves fewer terms than the images carry in total
+        assert all(
+            len(bind(f, nu).terms) < sum(len(f(x).terms) for _, x in nu.terms)
+            for f, nu, _ in two_dirac_cases
+        )
+
+    def test_bind_matches_the_functional_description(self, two_dirac_cases):
+        assert _oracle_mismatches(bind, two_dirac_cases) == []
+
+    def test_flags_planted_first_wins_bind(self, two_dirac_cases, monkeypatch):
+        # functional_bind never goes through bind, so it stays right while
+        # every bind the law suites can reach is the planted one
+        monkeypatch.setattr(monad, "bind", _first_wins_bind)
+        monkeypatch.setattr(laws, "bind", _first_wins_bind)
+        bad = _oracle_mismatches(_first_wins_bind, two_dirac_cases)
+        assert len(bad) > len(two_dirac_cases) // 2
 
 
 class TestShrinking:

@@ -23,7 +23,9 @@ from intval.lebesgue import (
     lebesgue_integrate,
     lebesgue_n,
     nonnegative_on,
+    refine,
 )
+from intval import laws, lebesgue
 from intval.literals import parse_piecewise
 
 EXAMPLES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -426,7 +428,53 @@ class TestIntegrate:
                 lebesgue_integrate(h, bad)
 
 
+class TestRefine:
+    def _id(self):
+        return canonical_extension(fixture_functions()["id"])
+
+    def test_yields_levels_until_the_first_narrow_enough(self):
+        h = self._id()
+        # id has width 1/2^n at depth n, so 1/8 is first met at depth 3
+        assert list(refine(h, "1/8")) == [(n, lebesgue_n(n, h)) for n in range(4)]
+
+    def test_cap_level_is_yielded_before_the_cap_is_reported(self):
+        h = self._id()
+        seen = []
+        with pytest.raises(DepthCapExceeded) as info:
+            for pair in refine(h, "1/1024", cap=3):
+                seen.append(pair)
+        assert seen == [(n, lebesgue_n(n, h)) for n in range(4)]
+        assert info.value.depth == 3
+        assert info.value.enclosure == seen[-1][1]
+
+    def test_no_target_walks_every_depth_to_the_cap(self):
+        # the constant half has width 0 at once; without a target the walk
+        # still goes to the cap, and reaching it is not an error
+        h = canonical_extension(fixture_functions()["half"])
+        assert [n for n, _ in refine(h, None, cap=5)] == list(range(6))
+
+    def test_levels_are_computed_once_through_the_module_global(self, monkeypatch):
+        depths = []
+        real = lebesgue.lebesgue_n
+        monkeypatch.setattr(
+            lebesgue, "lebesgue_n", lambda n, h, **kw: depths.append(n) or real(n, h, **kw)
+        )
+        assert lebesgue_integrate(self._id(), "1/8")[1] == 3
+        assert depths == [0, 1, 2, 3]
+
+
 class TestChainAndSqueeze:
+    def test_lebesgue_chain_computes_each_level_once(self, monkeypatch):
+        calls = []
+        real = lebesgue.lebesgue_n
+        monkeypatch.setattr(
+            lebesgue, "lebesgue_n", lambda n, h, **kw: calls.append(n) or real(n, h, **kw)
+        )
+        result = laws.lebesgue_chain()
+        assert (result.cases, result.failures) == (30, 0)
+        # four fixtures at depths 0..12, each level once
+        assert sorted(calls) == sorted(list(range(13)) * 4)
+
     def test_chain_check_fixtures(self):
         for name, fn in fixture_functions().items():
             assert chain_check(canonical_extension(fn), 10), name
