@@ -79,6 +79,7 @@ from .valuations import (
     exhaustive_tests,
     leq_on,
     scale,
+    valuation_leq,
 )
 from .monad import (
     Kernel,

@@ -319,13 +319,34 @@ def chain_sup(xs: Sequence[IntervalValue]) -> IntervalValue:
 # ---------------------------------------------------------------------------
 
 
+_SHORT = 1 << 2000  # under 640 digits, the least limit Python allows
+
+
+def decimal_str(n: int) -> str:
+    """An integer in decimal, at any length.
+
+    str() refuses integers of more than 4300 digits (Python's int/str
+    conversion limit), so long ones are split in halves at a power of ten
+    and each half is rendered on its own.  Shorter ones take str() as is.
+    """
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_str(-n)
+    half = n.bit_length() * 3 // 20  # about half the digit count
+    high, low = divmod(n, 10**half)
+    return decimal_str(high) + decimal_str(low).rjust(half, "0")
+
+
+def rational_str(q) -> str:
+    """A rational as 'p/q', or 'p' when q == 1, like str(Fraction) at any length."""
+    if q.denominator == 1:
+        return decimal_str(q.numerator)
+    return f"{decimal_str(q.numerator)}/{decimal_str(q.denominator)}"
+
+
 def render_scalar(v: ExtNonNeg) -> str:
-    if v._num is None:
-        return "inf"
-    num = v._num
-    if num.denominator == 1:
-        return str(num.numerator)
-    return f"{num.numerator}/{num.denominator}"
+    return "inf" if v._num is None else rational_str(v._num)
 
 
 def render_interval(v: IntervalValue) -> str:

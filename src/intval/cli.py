@@ -8,8 +8,10 @@ Three subcommands:
     eval        evaluate a valuation literal against a test function
     laws        run the law suites and print a pass/fail table
 
-All numbers in reports are exact rational strings; an optional
---approx-decimals column adds clearly-labeled decimal approximations.
+All numbers in reports are exact rational strings, past Python's 4300-digit
+str() limit too (algebra.decimal_str); an optional --approx-decimals
+column, with at most literals.MAX_DIGITS digits after the point, adds
+clearly-labeled decimal approximations.
 Output is deterministic given the inputs and seed, byte for byte.
 
 Exit codes: 0 success; 1 parse/validation failure (with a line/column
@@ -28,10 +30,11 @@ import sys
 from dataclasses import asdict
 from typing import List, Optional
 
-from .algebra import ZERO, ExtNonNeg, render_scalar, width
+from .algebra import ZERO, ExtNonNeg, decimal_str, render_scalar, width
 from .errors import DepthCapExceeded, IntvalError, LiteralTooLarge, ParseError
 from .lebesgue import DEFAULT_DEPTH_CAP, canonical_extension, refine
 from .literals import (
+    MAX_DIGITS,
     parse_fn,
     parse_piecewise,
     parse_poset,
@@ -67,7 +70,7 @@ def _approx(value: ExtNonNeg, decimals: int) -> str:
     q, r = divmod(num, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
-    text = str(q).rjust(decimals + 1, "0")
+    text = decimal_str(q).rjust(decimals + 1, "0")
     if decimals == 0:
         return text
     return f"{text[:-decimals]}.{text[-decimals:]}"
@@ -102,6 +105,8 @@ def cmd_integrate(args) -> int:
     decimals = args.approx_decimals
     if decimals is not None and decimals < 0:
         raise IntvalError("--approx-decimals must be >= 0")
+    if decimals is not None and decimals > MAX_DIGITS:
+        raise IntvalError(f"--approx-decimals must be <= {MAX_DIGITS}")
     rows = []
     try:
         for n, enclosure in refine(canonical_extension(fn), eps, cap=args.depth_cap):
@@ -177,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     cap_help = f"deepest refinement level, 0 to {MAX_DEPTH_CAP} (default {DEFAULT_DEPTH_CAP})"
     p_int.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, help=cap_help)
     p_int.add_argument("--format", choices=("json", "csv"), default="json")
-    p_int.add_argument("--approx-decimals", type=int, default=None)
+    p_int.add_argument(
+        "--approx-decimals", type=int, default=None,
+        help=f"add decimal columns with 0 to {MAX_DIGITS} digits after the point",
+    )
     p_int.set_defaults(run=cmd_integrate)
 
     p_eval = sub.add_parser("eval", help="evaluate a valuation on a test function")

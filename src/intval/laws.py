@@ -77,21 +77,17 @@ from .spaces import (
     product_poset,
 )
 from .valuations import (
+    DEFAULT_TEST_GRID,
     ElementaryValuation,
     dirac,
     evaluate,
     exhaustive_tests,
 )
 
-# Coefficient grid for the exhaustive monad suite: both units, a precise
-# non-unit, a wide interval, and the absorbing bottom.
-COEFF_GRID: Tuple[IntervalValue, ...] = (
-    ival(0, 0),
-    ival(1, 1),
-    ival("1/2", "1/2"),
-    ival(1, 2),
-    ival(0, "inf"),
-)
+# Coefficient grid for the exhaustive monad suite: the test-function grid,
+# in its order (both units, a precise non-unit, a wide interval, and the
+# absorbing bottom).
+COEFF_GRID: Tuple[IntervalValue, ...] = DEFAULT_TEST_GRID
 
 # Grid for the interval-algebra axiom suite; includes the precise infinity.
 AXIOM_GRID: Tuple[IntervalValue, ...] = (

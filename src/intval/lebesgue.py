@@ -64,6 +64,7 @@ from .algebra import (
     ext,
     ival_leq,
     rational,
+    rational_str,
     width,
 )
 from .errors import DepthCapExceeded, NonEvaluablePiece, OutOfRange
@@ -214,9 +215,9 @@ class Polynomial:
     def __repr__(self) -> str:
         def term(i, c):
             if i == 0:
-                return str(c)
+                return rational_str(c)
             pow_part = "x" if i == 1 else f"x^{i}"
-            return pow_part if c == 1 else f"{c}*{pow_part}"
+            return pow_part if c == 1 else f"{rational_str(c)}*{pow_part}"
 
         parts = [term(i, c) for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(parts) if parts else "0"
@@ -359,7 +360,7 @@ class PiecewiseMonotoneFn:
         for (direction, poly), lo, hi in zip(
             self.pieces, self.breakpoints, self.breakpoints[1:]
         ):
-            segs.append(f"[{lo},{hi}] {direction}: {poly!r}")
+            segs.append(f"[{rational_str(lo)},{rational_str(hi)}] {direction}: {poly!r}")
         return "piecewise { " + "; ".join(segs) + " }"
 
 

@@ -16,23 +16,30 @@ endpoint, and dropping it would change the functional.  The empty sum is
 rejected: the constant-zero functional fails homogeneity (it would force
 a * 0 = 0, which fails for intervals) and is deliberately unrepresentable.
 
-Equality of valuations as functionals is not decidable from terms alone;
-structural equality of normal forms is sound but incomplete (for example
-[0,0] x delta_x and [0,0] x delta_y act identically unless some test
-function has an infinite upper endpoint at exactly one of the points).
+The order is decided exactly.  ``valuation_leq(mu, nu)`` decides
+mu(h) <= nu(h) for every monotone test function h from the terms alone,
+by comparing masses on upper and down sets (see its docstring for the
+proof); the kernels of the monad are validated with it.  Functional
+equality is the order in both directions; ``==`` is structural equality
+of normal forms, which is sound but incomplete (on the chain q <= p,
+[inf,inf] x delta_p + [1,inf] x delta_q and [inf,inf] x delta_p +
+[2,inf] x delta_q are different normal forms of one functional).
 ``leq_on``/``eq_on`` compare relative to an explicit family of test
 functions, and ``exhaustive_tests`` builds the family of *all* monotone
-maps into a fixed coefficient grid, which is affordable on small posets.
-Whether that family separates all pairs of interval-valued valuations on
-finite posets is not settled; treat these as sound checks, not decision
-procedures.
+maps into a fixed coefficient grid.  They are kept as independent
+oracles, not decision procedures: the grid family does not separate
+interval-valued valuations.  On the chain a <= b, the pair
+mu = [0,0] x delta_a + [1,2] x delta_b and
+nu = [1/2,1/2] x delta_a + [1,1] x delta_b passes ``leq_on`` over the
+grid family, yet h = {a -> [0,1], b -> [0,0]} gives mu(h) = [0,0],
+which is not below nu(h) = [0,1/2].
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-from .algebra import INTERVALS, IntervalValue, ValueAlgebra, ext, ival
+from .algebra import INTERVALS, ZERO, IntervalValue, ValueAlgebra, ext, ival
 from .errors import SpaceMismatch
 from .spaces import FinitePoset, MonotoneMap, Point, all_monotone_maps
 
@@ -195,6 +202,96 @@ def eq_on(
     if not tests:
         raise ValueError("eq_on needs at least one test function")
     return all(evaluate(mu, h) == evaluate(nu, h) for h in tests)
+
+
+def valuation_leq(mu: ElementaryValuation, nu: ElementaryValuation) -> bool:
+    """Decide mu <= nu: evaluate(mu, h) <= evaluate(nu, h) for every monotone h.
+
+    Write a_i, b_i for the lower and upper endpoints of mu's coefficients
+    at its points p_i, and c_j, d_j for nu's at q_j; at SCALARS a
+    coefficient is its own lower endpoint and there is no upper side.
+
+    Decoupling.  The lower endpoint of mu(h) is L_mu(f) = sum_i a_i *l f(p_i)
+    with f = lo(h) monotone, the upper endpoint is H_mu(g) =
+    sum_i b_i *r g(p_i) with g = hi(h) antitone, and mu(h) <= nu(h) means
+    L_mu(f) <= L_nu(f) and H_nu(g) <= H_mu(g).  Every monotone f into
+    [0, inf] gives the test function [f, inf], and every antitone g the
+    test function [0, g], so the order holds iff L_mu <= L_nu on all
+    monotone f and H_nu <= H_mu on all antitone g, separately.
+
+    Lower side.  Let 0 < v_1 < ... < v_m be the nonzero values of f (v_m
+    may be inf) and U_k = {f >= v_k}, upper sets.  Then f =
+    sum_k (v_k - v_(k-1)) 1_(U_k) with v_0 = 0, and since *l (0 * inf = 0)
+    distributes over sums on [0, inf], L_mu(f) =
+    sum_k (v_k - v_(k-1)) *l mu_lo(U_k) with mu_lo(U) = sum of the a_i at
+    p_i in U.  The product is monotone, so mu_lo(U) <= nu_lo(U) for every
+    upper set U gives L_mu <= L_nu; conversely f = 1_U gives that
+    inequality.  So the lower side holds iff mu_lo(U) <= nu_lo(U) on every
+    upper set U.
+
+    Upper side.  If some b_i is inf, H_mu(g) = inf for every g (*r lets
+    inf absorb even 0), and the side holds.  Otherwise it holds iff
+      (1) every q_j lies above some p_i: else g = inf . 1_D with D the
+          complement of the up-closure of mu's points (a down-set) gives
+          H_mu(g) = 0 and H_nu(g) = inf;
+      (2) nu_hi(D) <= mu_hi(D) on every down-set D: g = 1_D.  With D the
+          whole poset, (2) also makes every d_j finite.
+    These suffice.  Take an antitone g.  If g(p_i) = inf for some i, then
+    H_mu(g) = inf.  Otherwise, by (1) and antitonicity, g is finite at
+    every q_j too, so both sums are finite, and the layer cake over the
+    down-sets {g >= v_k} reduces H_nu(g) <= H_mu(g) to (2).
+
+    Traces.  Every mass above depends only on the trace of U (or D) on
+    the k distinct term points of the pair.  A subset T of those points
+    is such a trace iff the up-closure of T meets them in T exactly, and
+    the down-set traces are the complements of the upper-set traces.  So
+    the decision enumerates the 2^k subsets once, with no cap on the
+    poset's size.
+    """
+    if mu.space is not nu.space and mu.space != nu.space:
+        raise SpaceMismatch("cannot compare valuations on different spaces")
+    if mu.algebra is not nu.algebra:
+        raise SpaceMismatch("cannot compare valuations over different algebras")
+    space, intervals = mu.space, mu.algebra is INTERVALS
+    # mu's points come first, so mu's support is the low len(mu.terms) bits
+    points = list(dict.fromkeys(p for _, p in mu.terms + nu.terms))
+    above = [
+        sum(1 << j for j, q in enumerate(points) if space.leq(p, q)) for p in points
+    ]
+    full = (1 << len(points)) - 1
+    uppers = [t for t in range(full + 1) if _up_closure(above, t) == t]
+
+    def masses(val, endpoint):
+        at = {p: endpoint(c) for c, p in val.terms}
+        return [at.get(p, ZERO) for p in points]
+
+    lower = (lambda c: c.lo) if intervals else (lambda c: c)
+    mu_lo, nu_lo = masses(mu, lower), masses(nu, lower)
+    if not all(_mass(mu_lo, t) <= _mass(nu_lo, t) for t in uppers):
+        return False
+    if not intervals or any(c.hi.is_infinite for c, _ in mu.terms):
+        return True
+    nu_support = sum(1 << points.index(p) for _, p in nu.terms)
+    if nu_support & ~_up_closure(above, (1 << len(mu.terms)) - 1):
+        return False
+    mu_hi, nu_hi = masses(mu, lambda c: c.hi), masses(nu, lambda c: c.hi)
+    return all(_mass(nu_hi, full ^ t) <= _mass(mu_hi, full ^ t) for t in uppers)
+
+
+def _up_closure(above: List[int], subset: int) -> int:
+    closure = 0
+    for i, mask in enumerate(above):
+        if subset >> i & 1:
+            closure |= mask
+    return closure
+
+
+def _mass(masses: List[object], subset: int):
+    total = ZERO
+    for i, m in enumerate(masses):
+        if subset >> i & 1:
+            total = total + m
+    return total
 
 
 def exhaustive_tests(

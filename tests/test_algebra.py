@@ -16,6 +16,7 @@ from intval.algebra import (
     ExtNonNeg,
     IntervalValue,
     chain_sup,
+    decimal_str,
     ext,
     ext_add,
     ival,
@@ -27,6 +28,7 @@ from intval.algebra import (
     parse_interval,
     parse_scalar,
     rational,
+    rational_str,
     render_interval,
     render_scalar,
     width,
@@ -258,3 +260,33 @@ class TestRendering:
             assert parse_scalar(render_scalar(s)) == s
             v = random_interval(rng)
             assert parse_interval(render_interval(v)) == v
+
+    def test_decimal_str_matches_str_below_the_conversion_limit(self):
+        rng = random.Random(5)
+        for bits in (0, 1, 64, 1999, 2000, 2001, 8000, 14000):
+            for n in (rng.getrandbits(bits), (1 << bits) - 1, 1 << bits):
+                if n < 10**4300:
+                    assert decimal_str(n) == str(n)
+                    assert decimal_str(-n) == str(-n)
+
+    @pytest.mark.parametrize("digits", [4301, 5000, 20000])
+    def test_decimal_str_beyond_the_conversion_limit(self, digits):
+        # str() raises past 4300 digits; compare against 1000-digit chunks
+        assert decimal_str(10**digits) == "1" + "0" * digits
+        assert decimal_str(10**digits - 1) == "9" * digits
+        n = random.Random(digits).randrange(10 ** (digits - 1), 10**digits)
+        text = decimal_str(n)
+        assert len(text) == digits
+        value = 0
+        for i in range(0, digits, 1000):
+            chunk = text[i : i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == n
+        assert decimal_str(-n) == "-" + text
+
+    def test_rational_str_matches_fraction_str(self):
+        for q in (Fraction(0), Fraction(7), Fraction(-3, 4), Fraction(5, 12)):
+            assert rational_str(q) == str(q)
+        big = Fraction(1, 2**16384)
+        assert rational_str(big) == "1/" + decimal_str(2**16384)
+        assert render_scalar(ExtNonNeg(big)) == rational_str(big)

@@ -11,6 +11,15 @@ from intval import cli, lebesgue
 from intval.laws import LawResult
 
 
+def _from_decimal(text):
+    """int(text) in chunks short enough for Python's conversion limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def run_cli(args, monkeypatch=None, capsys=None):
     code = cli.main(args)
     out, err = capsys.readouterr()
@@ -151,6 +160,35 @@ class TestIntegrate:
         assert code == 1
         assert out == ""
         assert err == "error: --approx-decimals must be >= 0\n"
+
+    def test_approx_decimals_above_digit_cap_exits_1_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["integrate", "--fn", "piecewise { [0,1] inc: x }",
+             "--approx-decimals", "4301"],
+            capsys=capsys,
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert out == ""
+        assert err == "error: --approx-decimals must be <= 4300\n"
+
+    def test_rationals_over_4300_digits_print_exactly(self, capsys):
+        # a 4933-digit constant: Python's str() refuses ints over 4300 digits
+        big = "(2^64)^64*(2^64)^64*(2^64)^64*(2^64)^64"
+        code, out, err = run_cli(
+            ["integrate", "--fn", f"piecewise {{ [0,1] inc: {big} }}", "--eps", "1",
+             "--format", "csv", "--approx-decimals", "4300"],
+            capsys=capsys,
+        )
+        assert code == 0, err
+        header, row = out.splitlines()
+        assert header == "n,lo,hi,width,lo_approx,hi_approx"
+        n, lo, hi, w, lo_approx, hi_approx = row.split(",")
+        assert (n, w) == ("0", "0") and lo == hi
+        assert len(lo) == 4933 and lo.startswith("1189731495357231765") and lo.endswith("6816")
+        assert _from_decimal(lo) == 2**16384
+        assert lo_approx == hi_approx == lo + "." + "0" * 4300
 
     def test_degree_above_cap_exits_1(self, capsys):
         code, _, err = run_cli(

@@ -65,13 +65,35 @@ class TestKernel:
                 {"a": dirac(p, "b"), "b": dirac(p, "a")},
             )
 
-    def test_large_targets_need_declaration(self):
-        big = antichain([f"t{i}" for i in range(5)])
-        src = chain(["a"])
-        table = {"a": dirac(big, "t0")}
+    def test_rejects_images_the_test_grid_cannot_separate(self):
+        ab = chain(["a", "b"])
+        xy = chain(["x", "y"])
+        table = {
+            "x": ElementaryValuation(ab, [(ival(0, 0), "a"), (ival(1, 2), "b")]),
+            "y": ElementaryValuation(ab, [(ival("1/2", "1/2"), "a"), (IONE, "b")]),
+        }
         with pytest.raises(NotMonotone):
-            Kernel(src, big, table)
-        Kernel(src, big, table, declared_monotone=True)
+            Kernel(xy, ab, table)
+
+    def test_large_targets_are_validated_exactly(self):
+        big = antichain([f"t{i}" for i in range(5)])
+        src = chain(["a", "b"])
+        coarse = ElementaryValuation(big, [(ival(0, 2), p) for p in big.points])
+        fine = ElementaryValuation(big, [(ival(1, 1), p) for p in big.points])
+        Kernel(src, big, {"a": coarse, "b": fine})
+        Kernel(src, big, {"a": dirac(big, "t0"), "b": dirac(big, "t0")})
+        with pytest.raises(NotMonotone):
+            Kernel(src, big, {"a": dirac(big, "t0"), "b": dirac(big, "t4")})
+        with pytest.raises(NotMonotone):
+            Kernel(src, big, {"a": fine, "b": coarse})
+        Kernel(src, big, {"a": fine, "b": coarse}, declared_monotone=True)
+
+    def test_accepts_random_monotone_kernels(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            X, Y = random_poset(rng, 6), random_poset(rng, 6)
+            f = random_monotone_kernel(rng, X, Y, max_terms=3)
+            Kernel(X, Y, {x: f(x) for x in X.points})
 
     def test_space_mismatch(self, spaces, kernel):
         X, Y = spaces

@@ -1,12 +1,22 @@
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intval.algebra import BOTTOM, INTERVALS, IONE, IZERO, SCALARS, ext, ival
 from intval.errors import PointNotInSpace, SpaceMismatch
-from intval.laws import random_interval, random_monotone_map, random_poset, random_valuation
-from intval.spaces import MonotoneMap, antichain, chain, singleton
+from intval.laws import (
+    random_interval,
+    random_monotone_kernel,
+    random_monotone_map,
+    random_poset,
+    random_valuation,
+)
+from intval.spaces import MonotoneMap, antichain, chain, enumerate_posets, singleton
 from intval.valuations import (
+    DEFAULT_TEST_GRID,
+    SCALAR_TEST_GRID,
     ElementaryValuation,
     add,
     bottom_valuation,
@@ -16,6 +26,7 @@ from intval.valuations import (
     exhaustive_tests,
     leq_on,
     scale,
+    valuation_leq,
 )
 
 
@@ -206,3 +217,124 @@ class TestComparisons:
     def test_needs_tests(self, xy):
         with pytest.raises(ValueError):
             leq_on(dirac(xy, "x"), dirac(xy, "x"), [])
+
+
+def grid_valuations(space, algebra):
+    """Every valuation with one test-grid coefficient per chosen point."""
+    grid = DEFAULT_TEST_GRID if algebra is INTERVALS else SCALAR_TEST_GRID
+    pts = space.points
+    return [
+        ElementaryValuation(space, list(zip(coeffs, subset)), algebra)
+        for r in range(1, len(pts) + 1)
+        for subset in combinations(pts, r)
+        for coeffs in product(grid, repeat=r)
+    ]
+
+
+def proof_family(space, algebra):
+    """The test functions that valuation_leq's proof reduces the order to.
+
+    [1_U, inf] per upper set U, [0, 1_D] and [0, inf . 1_D] per down-set D,
+    and [0, 0]; at SCALARS, 1_U per upper set.  Built from the poset's
+    closures, with no code shared with valuation_leq.
+    """
+    pts = space.points
+    subsets = [frozenset(c) for r in range(len(pts) + 1) for c in combinations(pts, r)]
+    uppers = [u for u in subsets if space.up_closure(u) == u]
+    downs = [d for d in subsets if space.down_closure(d) == d]
+    if algebra is SCALARS:
+        tables = [{p: ext(int(p in u)) for p in pts} for u in uppers]
+    else:
+        tables = [{p: ival(int(p in u), "inf") for p in pts} for u in uppers]
+        tables += [{p: ival(0, int(p in d)) for p in pts} for d in downs]
+        tables += [{p: ival(0, "inf" if p in d else 0) for p in pts} for d in downs]
+        tables.append({p: IZERO for p in pts})
+    return [MonotoneMap(space, t, algebra) for t in tables]
+
+
+def _differential(space, pairs, algebra):
+    """Check (a) exact => grid family and (b) exact == proof family.
+
+    Returns the number of pairs the grid family orders but the decision
+    does not.
+    """
+    grid_tests = exhaustive_tests(space, algebra=algebra)
+    family = proof_family(space, algebra)
+    grid_only = 0
+    for mu, nu in pairs:
+        exact = valuation_leq(mu, nu)
+        grid = leq_on(mu, nu, grid_tests)
+        assert grid or not exact, (mu, nu)
+        assert exact == leq_on(mu, nu, family), (mu, nu)
+        grid_only += grid and not exact
+    return grid_only
+
+
+class TestValuationLeq:
+    def test_grid_accepted_pair_on_the_two_chain_is_not_ordered(self):
+        ab = chain(["a", "b"])
+        mu = ElementaryValuation(ab, [(IZERO, "a"), (ival(1, 2), "b")])
+        nu = ElementaryValuation(ab, [(ival("1/2", "1/2"), "a"), (IONE, "b")])
+        assert leq_on(mu, nu, exhaustive_tests(ab))
+        assert not valuation_leq(mu, nu)
+        h = MonotoneMap(ab, {"a": ival(0, 1), "b": IZERO})
+        assert (evaluate(mu, h), evaluate(nu, h)) == (IZERO, ival(0, "1/2"))
+
+    def test_complete_where_equality_is_not(self):
+        qp = chain(["q", "p"])
+        top = ival("inf", "inf")
+        mu = ElementaryValuation(qp, [(top, "p"), (ival(1, "inf"), "q")])
+        nu = ElementaryValuation(qp, [(top, "p"), (ival(2, "inf"), "q")])
+        assert mu != nu
+        assert valuation_leq(mu, nu) and valuation_leq(nu, mu)
+
+    def test_kept_zero_terms_matter(self):
+        xy = antichain(["x", "y"])
+        zx = ElementaryValuation(xy, [(IZERO, "x")])
+        zxy = ElementaryValuation(xy, [(IZERO, "x"), (IZERO, "y")])
+        assert valuation_leq(zxy, zx)
+        assert not valuation_leq(zx, zxy)
+
+    def test_mismatches_raise(self, xy):
+        with pytest.raises(SpaceMismatch):
+            valuation_leq(dirac(xy, "x"), dirac(chain(["x", "y"]), "x"))
+        with pytest.raises(SpaceMismatch):
+            valuation_leq(dirac(xy, "x"), dirac(xy, "x", SCALARS))
+
+    @pytest.mark.parametrize("algebra", [INTERVALS, SCALARS], ids=["interval", "scalar"])
+    def test_every_grid_pair_on_posets_up_to_two_points(self, algebra):
+        grid_only = 0
+        for space in enumerate_posets(2):
+            vals = grid_valuations(space, algebra)
+            grid_only += _differential(space, [(m, n) for m in vals for n in vals], algebra)
+        # the grid family contains every 1_U at SCALARS, so there it decides
+        # the order; on intervals it misses exactly two pairs, on the 2-chain
+        assert grid_only == (2 if algebra is INTERVALS else 0)
+
+    @pytest.mark.parametrize("algebra", [INTERVALS, SCALARS], ids=["interval", "scalar"])
+    def test_seeded_grid_pairs_on_three_point_posets(self, algebra):
+        rng = random.Random(6)
+        three_point = [p for p in enumerate_posets(3) if len(p) == 3]
+        assert len(three_point) == 5
+        for space in three_point:
+            vals = grid_valuations(space, algebra)
+            pairs = [(rng.choice(vals), rng.choice(vals)) for _ in range(1000)]
+            _differential(space, pairs, algebra)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([INTERVALS, SCALARS]))
+    def test_ordered_pairs_agree_on_random_test_functions(self, seed, algebra):
+        rng = random.Random(seed)
+        space = random_poset(rng, 6)
+        if algebra is INTERVALS and rng.random() < 0.5:
+            # images along a 2-chain of a monotone kernel are ordered
+            f = random_monotone_kernel(rng, chain(["s", "t"]), space, max_terms=4)
+            mu, nu = f("s"), f("t")
+            assert valuation_leq(mu, nu)
+        else:
+            mu = random_valuation(rng, space, 4, algebra)
+            nu = random_valuation(rng, space, 4, algebra)
+        if valuation_leq(mu, nu):
+            for _ in range(20):
+                h = random_monotone_map(rng, space, algebra)
+                assert algebra.leq(evaluate(mu, h), evaluate(nu, h))
