@@ -21,28 +21,39 @@ additive unit but not multiplicatively absorbing ([0, 0] * [inf, inf] =
 associative and commutative with units [0, 0] and [1, 1], and * distributes
 over +, but 0 * x = 0 fails.
 
-Everything here is immutable and pure; values are safe to share across
-threads.  Endpoints are arbitrary-precision rationals in reduced form,
-never floats, so every algebraic identity in this library can be checked
-with exact equality.  ``gmpy2.mpq`` is used when available (same semantics,
-much faster); otherwise ``fractions.Fraction``.
+Representation.  A scalar is a pair of Python ints: a finite value n/d is
+stored reduced, with n >= 0, d >= 1 and gcd(n, d) = 1, and infinity is the
+pair (1, 0).  Reduced pairs are canonical, so equality is two int
+comparisons, the unit and zero tests are n == d and n == 0, products cancel
+across with math.gcd, sums take one gcd and the order cross-multiplies.
+``ExtNonNeg.value`` builds the exact ``fractions.Fraction`` on demand for
+callers that compute with rationals, and ``rational`` builds Fractions.
+
+There is one arithmetic path.  The law suites spend their time in these
+few int operations, not in a rational type, so a faster rational library
+would not speed them up, and a second backend would be a second path whose
+output bytes nothing here could check.
+
+Everything is immutable and pure; values are safe to share across
+threads.  No value is ever a float, so every algebraic identity in this
+library can be checked with exact equality.
 """
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 from .errors import NotAChain
 
-try:  # pragma: no cover - exercised indirectly by the whole suite
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _ratio
+RatLike = Union[int, str, Fraction, "ExtNonNeg"]
 
-RatLike = Union[int, str, "ExtNonNeg"]
+_new = object.__new__
 
 
-def rational(value, denominator=None):
+def rational(value, denominator=None) -> Fraction:
     """Build an exact rational (reduced form) from ints, strings or rationals.
 
     Floats are rejected outright: a binary float smuggled in would carry
@@ -51,76 +62,97 @@ def rational(value, denominator=None):
     if isinstance(value, float) or isinstance(denominator, float):
         raise TypeError("floats are not exact; pass a rational, int or string")
     if denominator is None:
-        return _ratio(value)
-    return _ratio(value, denominator)
+        return Fraction(value)
+    return Fraction(value, denominator)
 
 
 class ExtNonNeg:
     """An exact nonnegative rational, or the distinguished value infinity.
 
     Infinity is a tag, not a large sentinel number: it compares strictly
-    greater than every finite value and absorbs addition.  Finite values
-    are stored in canonical reduced form.
+    greater than every finite value and absorbs addition.  Stored as the
+    reduced pair (numerator, denominator), with denominator 0 for infinity;
+    see the module docstring.
     """
 
-    __slots__ = ("_num",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, value: RatLike = 0):
-        if isinstance(value, ExtNonNeg):
-            self._num = value._num
+        if type(value) is int:
+            n, d = value, 1
+        elif isinstance(value, ExtNonNeg):
+            self._n, self._d = value._n, value._d
             return
-        if isinstance(value, str) and value.strip() == "inf":
-            self._num = None
+        elif isinstance(value, Fraction):
+            n, d = value.numerator, value.denominator
+        elif isinstance(value, str) and value.strip() == "inf":
+            self._n, self._d = 1, 0
             return
-        num = rational(value)
-        if num < 0:
-            raise ValueError(f"extended nonnegative value must be >= 0, got {num}")
-        self._num = num
+        else:
+            q = rational(value)
+            n, d = q.numerator, q.denominator
+        if n < 0:
+            raise ValueError(
+                f"extended nonnegative value must be >= 0, got {_pair_str(n, d)}"
+            )
+        self._n, self._d = n, d
 
     @classmethod
-    def _make(cls, num) -> "ExtNonNeg":
-        # internal fast path: num is a reduced nonnegative rational or None
-        obj = object.__new__(cls)
-        obj._num = num
+    def _make(cls, n: int, d: int) -> "ExtNonNeg":
+        # internal fast path: (n, d) is already a reduced pair, d == 0 for inf
+        obj = _new(cls)
+        obj._n = n
+        obj._d = d
         return obj
 
     @property
     def is_infinite(self) -> bool:
-        return self._num is None
+        return not self._d
 
     @property
     def is_zero(self) -> bool:
-        return self._num is not None and self._num == 0
+        return not self._n
 
     @property
-    def value(self):
-        """The underlying rational; raises on infinity."""
-        if self._num is None:
+    def value(self) -> Fraction:
+        """The exact rational value; raises on infinity."""
+        if not self._d:
             raise ValueError("infinity has no finite rational value")
-        return self._num
+        return Fraction(self._n, self._d)
 
     def __add__(self, other: "ExtNonNeg") -> "ExtNonNeg":
-        if self._num is None or other._num is None:
+        ad, bd = self._d, other._d
+        if not ad or not bd:
             return INFINITY
-        return ExtNonNeg._make(self._num + other._num)
+        n = self._n * bd + other._n * ad
+        d = ad * bd
+        g = gcd(n, d)
+        obj = _new(ExtNonNeg)
+        obj._n = n // g
+        obj._d = d // g
+        return obj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtNonNeg):
             return NotImplemented
-        return self._num == other._num
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(self._num) if self._num is not None else hash("inf-tag")
+        return hash((self._n, self._d))
 
     def __le__(self, other: "ExtNonNeg") -> bool:
-        if other._num is None:
+        if not other._d:
             return True
-        if self._num is None:
+        if not self._d:
             return False
-        return self._num <= other._num
+        return self._n * other._d <= other._n * self._d
 
     def __lt__(self, other: "ExtNonNeg") -> bool:
-        return self <= other and self != other
+        if not self._d:
+            return False
+        if not other._d:
+            return True
+        return self._n * other._d < other._n * self._d
 
     def __ge__(self, other: "ExtNonNeg") -> bool:
         return other <= self
@@ -135,9 +167,9 @@ class ExtNonNeg:
         return render_scalar(self)
 
 
-INFINITY = ExtNonNeg._make(None)
-ZERO = ExtNonNeg(0)
-ONE = ExtNonNeg(1)
+INFINITY = ExtNonNeg._make(1, 0)
+ZERO = ExtNonNeg._make(0, 1)
+ONE = ExtNonNeg._make(1, 1)
 
 
 def ext(value: RatLike) -> ExtNonNeg:
@@ -158,22 +190,27 @@ def mul_left(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
     the product continuous in each argument from below.
 
     After the infinity rules, a unit factor returns the other operand and
-    a zero factor returns ZERO.  Both are exact identities (compared by
-    value, so any rational 1 or 0 qualifies) that skip the rational
-    product most law-suite products would otherwise pay for.
+    a zero factor returns ZERO.  Both are exact identities on reduced
+    pairs (n == d is 1, n == 0 is 0) that skip the product most law-suite
+    products would otherwise pay for.
     """
-    an, bn = a._num, b._num
-    if an is None:
-        return ZERO if bn == 0 else INFINITY
-    if bn is None:
-        return ZERO if an == 0 else INFINITY
-    if an == 1:
+    an, ad, bn, bd = a._n, a._d, b._n, b._d
+    if not ad:
+        return INFINITY if bn else ZERO
+    if not bd:
+        return INFINITY if an else ZERO
+    if an == ad:
         return b
-    if bn == 1:
+    if bn == bd:
         return a
-    if an == 0 or bn == 0:
+    if not an or not bn:
         return ZERO
-    return ExtNonNeg._make(an * bn)
+    g = gcd(an, bd)
+    h = gcd(bn, ad)
+    obj = _new(ExtNonNeg)
+    obj._n = (an // g) * (bn // h)
+    obj._d = (ad // h) * (bd // g)
+    return obj
 
 
 def mul_right(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
@@ -181,18 +218,25 @@ def mul_right(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
 
     Infinity absorbs outright, making the product continuous in each
     argument from above.  Finite unit and zero factors take the same
-    exact shortcuts as in mul_left.
+    exact shortcuts as in mul_left, and the finite product is mul_left's,
+    written out again rather than called: interval products run both, and
+    a shared helper would add a call to every one of them.
     """
-    an, bn = a._num, b._num
-    if an is None or bn is None:
+    an, ad, bn, bd = a._n, a._d, b._n, b._d
+    if not ad or not bd:
         return INFINITY
-    if an == 1:
+    if an == ad:
         return b
-    if bn == 1:
+    if bn == bd:
         return a
-    if an == 0 or bn == 0:
+    if not an or not bn:
         return ZERO
-    return ExtNonNeg._make(an * bn)
+    g = gcd(an, bd)
+    h = gcd(bn, ad)
+    obj = _new(ExtNonNeg)
+    obj._n = (an // g) * (bn // h)
+    obj._d = (ad // h) * (bd // g)
+    return obj
 
 
 class IntervalValue:
@@ -210,29 +254,36 @@ class IntervalValue:
         hi = ext(hi)
         if not lo <= hi:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     @classmethod
     def _make(cls, lo: ExtNonNeg, hi: ExtNonNeg) -> "IntervalValue":
         # internal fast path: endpoints already known to satisfy lo <= hi
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "lo", lo)
-        object.__setattr__(obj, "hi", hi)
+        obj = _new(cls)
+        _set_lo(obj, lo)
+        _set_hi(obj, hi)
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalValue is immutable")
 
+    # The two operations build their result in place, through the slot
+    # descriptors, so each costs one call per endpoint and no more.
+
     def __add__(self, other: "IntervalValue") -> "IntervalValue":
-        return IntervalValue._make(self.lo + other.lo, self.hi + other.hi)
+        obj = _new(IntervalValue)
+        _set_lo(obj, self.lo + other.lo)
+        _set_hi(obj, self.hi + other.hi)
+        return obj
 
     def __mul__(self, other: "IntervalValue") -> "IntervalValue":
         # lo <= hi is preserved: mul_left <= mul_right pointwise and both
         # are monotone in each argument.
-        return IntervalValue._make(
-            mul_left(self.lo, other.lo), mul_right(self.hi, other.hi)
-        )
+        obj = _new(IntervalValue)
+        _set_lo(obj, mul_left(self.lo, other.lo))
+        _set_hi(obj, mul_right(self.hi, other.hi))
+        return obj
 
     def leq(self, other: "IntervalValue") -> bool:
         """Reverse-inclusion order: self <= other iff other refines self."""
@@ -256,6 +307,9 @@ class IntervalValue:
     def __repr__(self) -> str:
         return render_interval(self)
 
+
+_set_lo = IntervalValue.lo.__set__
+_set_hi = IntervalValue.hi.__set__
 
 IZERO = IntervalValue(0, 0)
 IONE = IntervalValue(1, 1)
@@ -288,9 +342,13 @@ def width(x: IntervalValue) -> ExtNonNeg:
     The precise point [inf, inf] has width 0; any interval with a finite
     lower endpoint and infinite upper endpoint has width inf.
     """
-    if x.hi._num is None:
-        return ZERO if x.lo._num is None else INFINITY
-    return ExtNonNeg._make(x.hi._num - x.lo._num)
+    lo, hi = x.lo, x.hi
+    if not hi._d:
+        return ZERO if not lo._d else INFINITY
+    n = hi._n * lo._d - lo._n * hi._d
+    d = hi._d * lo._d
+    g = gcd(n, d)
+    return ExtNonNeg._make(n // g, d // g)
 
 
 def chain_sup(xs: Sequence[IntervalValue]) -> IntervalValue:
@@ -319,7 +377,9 @@ def chain_sup(xs: Sequence[IntervalValue]) -> IntervalValue:
 # ---------------------------------------------------------------------------
 
 
-_SHORT = 1 << 2000  # under 640 digits, the least limit Python allows
+# int() and str() take this many digits under any limit Python allows (640)
+_SHORT_DIGITS = 600
+_SHORT = 10**_SHORT_DIGITS
 
 
 def decimal_str(n: int) -> str:
@@ -338,15 +398,32 @@ def decimal_str(n: int) -> str:
     return decimal_str(high) + decimal_str(low).rjust(half, "0")
 
 
+def decimal_int(text: str) -> int:
+    """The inverse of decimal_str on a run of ASCII digits, at any length.
+
+    Runs longer than _SHORT_DIGITS are split in halves, each half parsed
+    on its own and the two joined at a power of ten, so int()'s 4300-digit
+    limit never applies.  Anything but ASCII digits raises ValueError.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a run of decimal digits: {text!r}")
+    if len(text) <= _SHORT_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return decimal_int(text[:-half]) * 10**half + decimal_int(text[-half:])
+
+
+def _pair_str(n: int, d: int) -> str:
+    return decimal_str(n) if d == 1 else f"{decimal_str(n)}/{decimal_str(d)}"
+
+
 def rational_str(q) -> str:
     """A rational as 'p/q', or 'p' when q == 1, like str(Fraction) at any length."""
-    if q.denominator == 1:
-        return decimal_str(q.numerator)
-    return f"{decimal_str(q.numerator)}/{decimal_str(q.denominator)}"
+    return _pair_str(q.numerator, q.denominator)
 
 
 def render_scalar(v: ExtNonNeg) -> str:
-    return "inf" if v._num is None else rational_str(v._num)
+    return _pair_str(v._n, v._d) if v._d else "inf"
 
 
 def render_interval(v: IntervalValue) -> str:
@@ -354,14 +431,21 @@ def render_interval(v: IntervalValue) -> str:
 
 
 def parse_scalar(text: str) -> ExtNonNeg:
-    """Parse 'inf', 'p' or 'p/q' back into a scalar; inverse of render_scalar."""
+    """Parse 'inf', 'p' or 'p/q' back into a scalar; inverse of render_scalar.
+
+    p and q are runs of ASCII digits of any length, q nonzero; surrounding
+    whitespace is ignored.  Anything else raises ValueError.
+    """
     text = text.strip()
     if text == "inf":
         return INFINITY
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return ExtNonNeg(rational(int(num), int(den)))
-    return ExtNonNeg(int(text))
+    num, sep, den = text.partition("/")
+    n = decimal_int(num)
+    d = decimal_int(den) if sep else 1
+    if not d:
+        raise ValueError(f"zero denominator in scalar literal {text!r}")
+    g = gcd(n, d)
+    return ExtNonNeg._make(n // g, d // g)
 
 
 def parse_interval(text: str) -> IntervalValue:
@@ -442,14 +526,9 @@ class _ScalarAlgebra(ValueAlgebra):
     def bottom(self):
         return ZERO
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return mul_left(a, b)
-
-    def leq(self, a, b):
-        return a <= b
+    add = staticmethod(operator.add)
+    mul = staticmethod(mul_left)
+    leq = staticmethod(operator.le)
 
     def contains(self, v):
         return isinstance(v, ExtNonNeg)
@@ -475,14 +554,11 @@ class _IntervalAlgebra(ValueAlgebra):
     def bottom(self):
         return BOTTOM
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def leq(self, a, b):
-        return ival_leq(a, b)
+    # operator.add/mul dispatch through IntervalValue.__add__/__mul__,
+    # whatever those are bound to at call time
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    leq = staticmethod(ival_leq)
 
     def contains(self, v):
         return isinstance(v, IntervalValue)

@@ -338,7 +338,7 @@ def parse_rational(text: str):
 
     This is the rational grammar of the literals (no sign, no decimal point,
     no exponent, nonzero denominator), used for numeric CLI options so
-    they read the same on every rational backend.
+    that they accept exactly what a literal does.
     """
     p = _Parser(text)
     value = p.rat()

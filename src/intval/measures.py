@@ -179,7 +179,7 @@ def choquet_integral(f: Table, mu: FiniteSupportMeasure) -> ExtNonNeg:
         for point, m in mu.items():
             if v <= _lookup(f, point):
                 level_mass = level_mass + m
-        rect_width = ExtNonNeg._make(v.value - prev.value)
+        rect_width = ExtNonNeg(v.value - prev.value)
         total = total + mul_left(rect_width, level_mass)
         prev = v
     if infinite_tail:

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 from itertools import product as iproduct
 
 from intval.algebra import (
     BOTTOM,
     INFINITY,
+    INTERVALS,
     IONE,
     IZERO,
     ONE,
@@ -35,6 +37,9 @@ from intval.algebra import (
 )
 from intval.errors import NotAChain
 from intval.laws import AXIOM_GRID, random_interval, random_scalar
+from intval.monad import Kernel, bind, product
+from intval.spaces import MonotoneMap, antichain, chain
+from intval.valuations import ElementaryValuation, dirac, evaluate
 
 
 class TestScalars:
@@ -185,34 +190,183 @@ def _reference_product(a, b, zero_times_inf):
     return a * b
 
 
+def _reference_sum(a, b):
+    return None if a is None or b is None else a + b
+
+
+def _reference_le(a, b):
+    return b is None or (a is not None and a <= b)
+
+
+def _reference_width(lo, hi):
+    if hi is None:
+        return Fraction(0) if lo is None else None
+    return hi - lo
+
+
+def _reference_digits(n):
+    """Decimal digits of n >= 0 in 1000-digit chunks, independent of decimal_str."""
+    chunks = []
+    while True:
+        n, low = divmod(n, 10**1000)
+        if not n:
+            chunks.append(str(low))
+            return "".join(reversed(chunks))
+        chunks.append(str(low).rjust(1000, "0"))
+
+
+def _reference_render(a):
+    if a is None:
+        return "inf"
+    if a.denominator == 1:
+        return _reference_digits(a.numerator)
+    return f"{_reference_digits(a.numerator)}/{_reference_digits(a.denominator)}"
+
+
 def _as_reference(v):
     return None if v.is_infinite else Fraction(v.value)
 
 
+def _scalar(a):
+    return INFINITY if a is None else ExtNonNeg(a)
+
+
+def _agrees(v, a):
+    """v is the scalar a: the same value, and the same reduced pair, which
+    equality, hashing and the rendered text all read."""
+    return (
+        _as_reference(v) == a
+        and v == _scalar(a)
+        and hash(v) == hash(_scalar(a))
+        and render_scalar(v) == _reference_render(a)
+    )
+
+
+def _check_single(x, a):
+    """The queries on the scalar x, which must be the reference value a."""
+    assert x.is_infinite == (a is None)
+    assert x.is_zero == (a == 0)
+    assert render_scalar(x) == _reference_render(a)
+    if a is None:
+        with pytest.raises(ValueError):
+            x.value
+    else:
+        assert type(x.value) is Fraction and x.value == a
+
+
+def _check_pair(x, y):
+    """Every binary scalar operation on x and y against the reference."""
+    a, b = _as_reference(x), _as_reference(y)
+    assert _agrees(x + y, _reference_sum(a, b))
+    assert _agrees(SCALARS.add(x, y), _reference_sum(a, b))
+    assert _agrees(mul_left(x, y), _reference_product(a, b, Fraction(0)))
+    assert _agrees(SCALARS.mul(x, y), _reference_product(a, b, Fraction(0)))
+    assert _agrees(mul_right(x, y), _reference_product(a, b, None))
+    assert (x <= y) == SCALARS.leq(x, y) == _reference_le(a, b)
+    assert (x < y) == (_reference_le(a, b) and a != b)
+    assert (x >= y) == _reference_le(b, a)
+    assert (x > y) == (_reference_le(b, a) and a != b)
+    assert (x == y) == (a == b)
+    assert (x != y) == (a != b)
+    if a == b:
+        assert hash(x) == hash(y)
+    if _reference_le(a, b):
+        assert _agrees(width(IntervalValue(x, y)), _reference_width(a, b))
+
+
+def _fresh_builds(value):
+    """0 or 1 built afresh in each way a caller can build it: from ints,
+    strings and Fractions, by parsing, and as arithmetic results."""
+    half, third = ext("1/2"), ext("1/3")
+    if value == 1:
+        return [
+            ExtNonNeg(1),
+            ext("1"),
+            ext(" 2/2 "),
+            ext(Fraction(2, 2)),
+            ext(rational(5, 5)),
+            parse_scalar("3/3"),
+            half + half,
+            mul_left(ext(3), third),
+            mul_right(ext(2), half),
+            width(ival("1/2", "3/2")),
+        ]
+    return [
+        ExtNonNeg(0),
+        ext("0"),
+        ext("0/7"),
+        ext(Fraction(0, 5)),
+        parse_scalar("0/4"),
+        ZERO + ZERO,
+        width(ival("2/3", "2/3")),
+    ]
+
+
+class _Long(Fraction):
+    """A rational that reprs by size: hypothesis reports its examples with
+    repr(), which str()'s 4300-digit limit would turn into an error."""
+
+    def __repr__(self):
+        return f"<rational of {len(_reference_digits(self.numerator))} digits / {self.denominator}>"
+
+
+_VALUES = ("0", "1", "1/2", "2", "7/3", "inf")
+
+_operands = st.one_of(
+    st.sampled_from([None if v == "inf" else Fraction(v) for v in _VALUES]),
+    st.fractions(min_value=0, max_denominator=10**6),
+    st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40)),
+    # numerators past int()/str()'s 4300-digit limit, drawn from small
+    # ints so that hypothesis never has to print a long one
+    st.builds(
+        lambda k, m, d: _Long(k * 10**4300 + m, d),
+        st.integers(1, 10**10),
+        st.integers(0, 10**40),
+        st.integers(1, 10**6),
+    ),
+)
+
+
 class TestProductsAgainstReference:
-    """mul_left/mul_right (with their unit and zero shortcuts) against
-    an independent product over every pair of a value grid."""
-
-    VALUES = ("0", "1", "1/2", "2", "7/3", "inf")
-
-    def _check(self, a, b):
-        ra, rb = _as_reference(a), _as_reference(b)
-        assert _as_reference(mul_left(a, b)) == _reference_product(ra, rb, Fraction(0))
-        assert _as_reference(mul_right(a, b)) == _reference_product(ra, rb, None)
-        assert _as_reference(SCALARS.mul(a, b)) == _reference_product(ra, rb, Fraction(0))
+    """The scalar core against a reference built from Fraction, with None
+    for inf: sums, both products with their unit and zero shortcuts, the
+    order, equality, hashing, width, value and rendering."""
 
     def test_scalar_pairs(self):
-        for a, b in iproduct(self.VALUES, repeat=2):
-            self._check(ext(a), ext(b))
+        for v in _VALUES:
+            _check_single(ext(v), None if v == "inf" else Fraction(v))
+        for a, b in iproduct(_VALUES, repeat=2):
+            _check_pair(ext(a), ext(b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_operands, _operands)
+    @example(_Long(10**4301 + 1, 3), None)
+    def test_drawn_pairs(self, a, b):
+        x, y = _scalar(a), _scalar(b)
+        _check_single(x, a)
+        _check_single(y, b)
+        _check_pair(x, y)
 
     def test_unit_and_zero_compare_by_value(self):
-        # 1 and 0 built as 2/2 and 0/5 are new objects, not ONE and ZERO
-        one, zero = ext(rational(2, 2)), ext(rational(0, 5))
-        assert one is not ONE and zero is not ZERO
-        for v in self.VALUES:
-            for special in (one, zero):
-                self._check(special, ext(v))
-                self._check(ext(v), special)
+        # every build is a new object, not ONE or ZERO
+        for value, canonical in ((0, ZERO), (1, ONE)):
+            for special in _fresh_builds(value):
+                assert special is not canonical
+                assert special == canonical and hash(special) == hash(canonical)
+                _check_single(special, Fraction(value))
+                for v in _VALUES:
+                    _check_pair(special, ext(v))
+                    _check_pair(ext(v), special)
+
+    def test_equal_intervals_hash_equal(self):
+        ones, zeros = _fresh_builds(1), _fresh_builds(0)
+        for lo, hi in zip(zeros, ones):
+            assert IntervalValue(lo, hi) == ival(0, 1)
+            assert hash(IntervalValue(lo, hi)) == hash(ival(0, 1))
+        for one in ones:
+            assert IntervalValue(one, one) == IONE
+            assert hash(IntervalValue(one, one)) == hash(IONE)
+        assert hash(IZERO * ival("inf", "inf")) == hash(BOTTOM)
 
     def test_interval_product_over_axiom_grid(self):
         for x, y in iproduct(AXIOM_GRID, repeat=2):
@@ -284,9 +438,115 @@ class TestRendering:
         assert value == n
         assert decimal_str(-n) == "-" + text
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(2**16384),  # 4,933 digits
+            Fraction(3, 10**4999 + 7),  # a 5,000-digit denominator
+            Fraction(10**5000 - 1, 10**4400 + 3),
+            None,
+        ],
+        ids=["4933-digit-numerator", "5000-digit-denominator", "both-long", "inf"],
+    )
+    def test_round_trip_at_any_length(self, value):
+        s = INFINITY if value is None else ExtNonNeg(value)
+        text = render_scalar(s)
+        assert text == _reference_render(value)
+        assert parse_scalar(text) == s
+        v = IntervalValue(ZERO, s)
+        assert parse_interval(render_interval(v)) == v
+
+    @pytest.mark.parametrize(
+        "text", ["", "-1", "+1", "1_000", "1.5", "1/0", "1/", "/2", "1/2/3", "0x10", "\u0663"]
+    )
+    def test_parse_rejects_what_render_never_prints(self, text):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+    def test_parse_reduces_and_strips(self):
+        assert parse_scalar(" 4/6 ") == ext("2/3")
+        assert parse_scalar("0/9") == ZERO
+        assert parse_scalar("007") == ext(7)
+        long = "9" * 4301 + "/" + "3" * 5000
+        assert parse_scalar(long) == ExtNonNeg(Fraction(10**4301 - 1, (10**5000 - 1) // 3))
+
     def test_rational_str_matches_fraction_str(self):
         for q in (Fraction(0), Fraction(7), Fraction(-3, 4), Fraction(5, 12)):
             assert rational_str(q) == str(q)
         big = Fraction(1, 2**16384)
         assert rational_str(big) == "1/" + decimal_str(2**16384)
         assert render_scalar(ExtNonNeg(big)) == rational_str(big)
+
+
+# ---------------------------------------------------------------------------
+# The interval operations build their results in place; they must stay
+# immutable and must still dispatch through IntervalValue.__mul__/__add__.
+# ---------------------------------------------------------------------------
+
+
+class TestFlattenedIntervalOps:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ival(1, 2) * ival("1/2", 3),
+            lambda: ival(1, 2) + ival(0, "inf"),
+            lambda: IntervalValue._make(ONE, INFINITY),
+            lambda: INTERVALS.mul(IONE, BOTTOM),
+            lambda: INTERVALS.add(IONE, IZERO),
+            lambda: ival(1, 2),
+        ],
+        ids=["mul", "add", "_make", "INTERVALS.mul", "INTERVALS.add", "ival"],
+    )
+    def test_results_are_immutable(self, make):
+        v = make()
+        for name in ("lo", "hi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, ONE)
+        assert v.lo <= v.hi
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"mul": 0, "add": 0}
+        mul, add = IntervalValue.__mul__, IntervalValue.__add__
+
+        def counting_mul(x, y):
+            counts["mul"] += 1
+            return mul(x, y)
+
+        def counting_add(x, y):
+            counts["add"] += 1
+            return add(x, y)
+
+        monkeypatch.setattr(IntervalValue, "__mul__", counting_mul)
+        monkeypatch.setattr(IntervalValue, "__add__", counting_add)
+        return counts
+
+    def test_patched_operations_are_counted(self, counts):
+        x, y = ival(1, 2), ival("1/2", 3)
+        assert INTERVALS.mul(x, y) == ival("1/2", 6)
+        assert INTERVALS.add(x, y) == ival("3/2", 5)
+        assert x * y == ival("1/2", 6) and x + y == ival("3/2", 5)
+        assert counts == {"mul": 2, "add": 2}
+
+        X, Y = antichain(["x", "y"]), chain(["u", "v"])
+        half = ival("1/2", "1/2")
+        nu = ElementaryValuation(X, [(ival(1, 2), "x"), (ival(0, 1), "y")])
+        h = MonotoneMap(X, {"x": ival(1, 1), "y": ival(2, 3)})
+        counts.update(mul=0, add=0)
+        assert evaluate(nu, h) == ival(1, 5)
+        assert counts == {"mul": 2, "add": 1}
+
+        f = Kernel(
+            X, Y, {"x": dirac(Y, "u"), "y": ElementaryValuation(Y, [(half, "u"), (half, "v")])}
+        )
+        counts.update(mul=0, add=0)
+        assert bind(f, nu) == ElementaryValuation(
+            Y, [(ival(1, "5/2"), "u"), (ival(0, "1/2"), "v")]
+        )
+        # one product per term of f(x) and f(y); one sum merges the masses at u
+        assert counts == {"mul": 3, "add": 1}
+
+        counts.update(mul=0, add=0)
+        prod = product(nu, f("y"))
+        assert len(prod.terms) == 4
+        assert counts == {"mul": 4, "add": 0}
