@@ -28,11 +28,18 @@ comparisons, the unit and zero tests are n == d and n == 0, products cancel
 across with math.gcd, sums take one gcd and the order cross-multiplies.
 ``ExtNonNeg.value`` builds the exact ``fractions.Fraction`` on demand for
 callers that compute with rationals, and ``rational`` builds Fractions.
+Text has one grammar, 'inf', 'p' or 'p/q' at any length: the constructor
+reads strings through ``parse_scalar``, the inverse of ``render_scalar``.
 
 There is one arithmetic path.  The law suites spend their time in these
 few int operations, not in a rational type, so a faster rational library
 would not speed them up, and a second backend would be a second path whose
 output bytes nothing here could check.
+
+The algebra R of the paper is a set with +, * and an order and nothing
+else, so each of the two is one ``ValueAlgebra`` record of exactly that:
+``SCALARS`` and ``INTERVALS``.  Code that runs at either takes the record
+as its ``algebra`` parameter.
 
 Everything is immutable and pure; values are safe to share across
 threads.  No value is ever a float, so every algebraic identity in this
@@ -85,8 +92,9 @@ class ExtNonNeg:
             return
         elif isinstance(value, Fraction):
             n, d = value.numerator, value.denominator
-        elif isinstance(value, str) and value.strip() == "inf":
-            self._n, self._d = 1, 0
+        elif isinstance(value, str):
+            value = parse_scalar(value)
+            self._n, self._d = value._n, value._d
             return
         else:
             q = rational(value)
@@ -173,7 +181,7 @@ ONE = ExtNonNeg._make(1, 1)
 
 
 def ext(value: RatLike) -> ExtNonNeg:
-    """Coerce ints, rationals, 'inf' or ExtNonNeg into an ExtNonNeg."""
+    """Coerce ints, rationals, scalar text (see parse_scalar) or ExtNonNeg."""
     return value if isinstance(value, ExtNonNeg) else ExtNonNeg(value)
 
 
@@ -284,14 +292,6 @@ class IntervalValue:
         _set_lo(obj, mul_left(self.lo, other.lo))
         _set_hi(obj, mul_right(self.hi, other.hi))
         return obj
-
-    def leq(self, other: "IntervalValue") -> bool:
-        """Reverse-inclusion order: self <= other iff other refines self."""
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    @property
-    def is_precise(self) -> bool:
-        return self.lo == self.hi
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalValue):
@@ -460,112 +460,44 @@ def parse_interval(text: str) -> IntervalValue:
 
 
 # ---------------------------------------------------------------------------
-# The shared algebra interface.  Scalars and intervals both carry an Abelian
+# The coefficient algebra R.  Scalars and intervals both carry an Abelian
 # additive monoid, a commutative multiplicative monoid distributing over +,
 # and a partial order under which both operations are monotone.  Test
 # functions, valuations and the law suites are parameterized by one of the
-# two instances below so the same code runs at both value types.
+# two records below so the same code runs at both value types.
 # ---------------------------------------------------------------------------
 
 
 class ValueAlgebra:
-    """Interface shared by the scalar and interval coefficient algebras."""
+    """A coefficient algebra: its elements, units, operations and order.
 
-    name: str
+    An immutable record; ``bottom`` is the least element of the order.
+    """
 
-    @property
-    def zero(self):
-        raise NotImplementedError
+    __slots__ = ("name", "element", "one", "bottom", "add", "mul", "leq", "render")
 
-    @property
-    def one(self):
-        raise NotImplementedError
+    def __init__(self, name, element, one, bottom, add, mul, leq, render):
+        fields = (name, element, one, bottom, add, mul, leq, render)
+        for slot, value in zip(self.__slots__, fields):
+            object.__setattr__(self, slot, value)
 
-    @property
-    def bottom(self):
-        """Least element of the order (equals zero for scalars)."""
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def leq(self, a, b) -> bool:
-        raise NotImplementedError
+    def __setattr__(self, name, value):
+        raise AttributeError("ValueAlgebra is immutable")
 
     def contains(self, v) -> bool:
-        raise NotImplementedError
-
-    def render(self, v) -> str:
-        raise NotImplementedError
+        return isinstance(v, self.element)
 
     def __repr__(self):
         return f"<algebra {self.name}>"
 
 
-class _ScalarAlgebra(ValueAlgebra):
-    """Extended nonnegative rationals with the lower-endpoint product.
-
-    The product is mul_left (0 * inf = 0), which is the standard convention
-    for measure-theoretic scalars and is continuous from below.
-    """
-
-    name = "scalar"
-
-    @property
-    def zero(self):
-        return ZERO
-
-    @property
-    def one(self):
-        return ONE
-
-    @property
-    def bottom(self):
-        return ZERO
-
-    add = staticmethod(operator.add)
-    mul = staticmethod(mul_left)
-    leq = staticmethod(operator.le)
-
-    def contains(self, v):
-        return isinstance(v, ExtNonNeg)
-
-    def render(self, v):
-        return render_scalar(v)
-
-
-class _IntervalAlgebra(ValueAlgebra):
-    """Interval values under reverse inclusion."""
-
-    name = "interval"
-
-    @property
-    def zero(self):
-        return IZERO
-
-    @property
-    def one(self):
-        return IONE
-
-    @property
-    def bottom(self):
-        return BOTTOM
-
-    # operator.add/mul dispatch through IntervalValue.__add__/__mul__,
-    # whatever those are bound to at call time
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-    leq = staticmethod(ival_leq)
-
-    def contains(self, v):
-        return isinstance(v, IntervalValue)
-
-    def render(self, v):
-        return render_interval(v)
-
-
-SCALARS = _ScalarAlgebra()
-INTERVALS = _IntervalAlgebra()
+# The scalar product is mul_left (0 * inf = 0), the measure-theoretic
+# convention, continuous from below.  The interval add/mul are the
+# operators, so they dispatch through IntervalValue.__add__/__mul__,
+# whatever those are bound to at call time.
+SCALARS = ValueAlgebra(
+    "scalar", ExtNonNeg, ONE, ZERO, operator.add, mul_left, operator.le, render_scalar
+)
+INTERVALS = ValueAlgebra(
+    "interval", IntervalValue, IONE, BOTTOM, operator.add, operator.mul, ival_leq, render_interval
+)

@@ -316,7 +316,7 @@ def random_monotone_kernel(
         chain.append(ElementaryValuation(target, terms, prev.algebra, validate=False))
     levels = _levels(rng, source, depth)
     table = {x: chain[levels[x]] for x in source.points}
-    return Kernel(source, target, table, declared_monotone=True, validate=False)
+    return Kernel(source, target, table, validate=False)
 
 
 def random_measure(
@@ -445,7 +445,7 @@ def _point_maps(source: FinitePoset, target: FinitePoset) -> List[dict]:
 
 def _unit_kernel(space: FinitePoset) -> Kernel:
     table = {x: dirac(space, x) for x in space.points}
-    return Kernel(space, space, table, declared_monotone=True, validate=False)
+    return Kernel(space, space, table, validate=False)
 
 
 def all_grid_valuations(space: FinitePoset, grid=COEFF_GRID) -> List[ElementaryValuation]:
@@ -471,9 +471,7 @@ def _dirac_kernels(source: FinitePoset, target: FinitePoset, coeffs) -> List[Ker
                 x: ElementaryValuation(target, [(c, g[x])], validate=False)
                 for x in source.points
             }
-            kernels.append(
-                Kernel(source, target, table, declared_monotone=True, validate=False)
-            )
+            kernels.append(Kernel(source, target, table, validate=False))
     return kernels
 
 
@@ -483,9 +481,7 @@ def _const_kernels(source: FinitePoset, target: FinitePoset, coeffs) -> List[Ker
         for c in coeffs:
             nu = ElementaryValuation(target, [(c, y)], validate=False)
             table = {x: nu for x in source.points}
-            kernels.append(
-                Kernel(source, target, table, declared_monotone=True, validate=False)
-            )
+            kernels.append(Kernel(source, target, table, validate=False))
     return kernels
 
 

@@ -8,11 +8,13 @@ elementary valuation by the closed form
 
     bind(f, sum_i r_i x delta_{x_i}) = sum_i r_i . f(x_i)
 
-(scale each image valuation and add), which agrees with the functional
-description bind(f, nu)(k) = nu(x -> f(x)(k)) on every test function k.
-The closed form is primary because it returns a value in normal form; the
-functional description is kept as an oracle by the monad-law suite
-(laws.functional_bind) and by the tests.
+(one product per pair of terms, then a single normalization that merges
+equal target points by +), which agrees with the functional description
+bind(f, nu)(k) = nu(x -> f(x)(k)) on every test function k.  Exact + is
+associative and commutative, so this is the normal form that scaling each
+image and adding would give.  The closed form is primary because it
+returns a value in normal form; the functional description is kept as an
+oracle by the monad-law suite (laws.functional_bind) and by the tests.
 
 With unit and bind come the derived operations: the pushforward along a
 monotone point map, the two tensorial strengths pairing a point with a
@@ -33,7 +35,7 @@ from typing import Callable, Mapping, Union
 from .algebra import INTERVALS, ValueAlgebra
 from .errors import NotMonotone, PointNotInSpace, SpaceMismatch
 from .spaces import FinitePoset, Point, product_poset
-from .valuations import ElementaryValuation, add, dirac, scale, valuation_leq
+from .valuations import ElementaryValuation, dirac, valuation_leq
 
 PointFn = Union[Mapping[Point, Point], Callable[[Point], Point]]
 
@@ -48,8 +50,8 @@ class Kernel:
     Monotonicity in the pointwise order on valuations is exactly Scott
     continuity on a finite poset.  It is decided with ``valuation_leq`` on
     the source's covering pairs (the order is transitive), for targets of
-    any size.  ``validate=False`` or ``declared_monotone=True`` skips the
-    check for kernels that are monotone by construction.
+    any size.  ``validate=False`` skips the check for kernels that are
+    monotone by construction.
     """
 
     __slots__ = ("source", "target", "algebra", "_table")
@@ -60,7 +62,6 @@ class Kernel:
         target: FinitePoset,
         table: Mapping[Point, ElementaryValuation],
         *,
-        declared_monotone: bool = False,
         validate: bool = True,
     ):
         self.source = source
@@ -81,7 +82,7 @@ class Kernel:
             extra = set(self._table) - set(source.points)
             raise PointNotInSpace(f"kernel defined at unknown points {extra!r}")
         self.algebra = algebra if algebra is not None else INTERVALS
-        if validate and not declared_monotone:
+        if validate:
             for a, b in source.cover_pairs():
                 if not valuation_leq(self._table[a], self._table[b]):
                     raise NotMonotone(
@@ -106,16 +107,14 @@ def unit(space: FinitePoset, x: Point, algebra: ValueAlgebra = INTERVALS) -> Ele
 
 
 def bind(f: Kernel, nu: ElementaryValuation) -> ElementaryValuation:
-    """Extend a kernel to valuations: sum_i scale(r_i, f(x_i))."""
+    """Extend a kernel to valuations: sum_i r_i . f(x_i), normalized once."""
     if nu.space is not f.source and nu.space != f.source:
         raise SpaceMismatch("valuation lives off the kernel source")
-    if nu.algebra is not f.algebra:
+    alg = nu.algebra
+    if alg is not f.algebra:
         raise SpaceMismatch("valuation and kernel use different algebras")
-    acc = None
-    for coeff, point in nu.terms:
-        part = scale(coeff, f(point))
-        acc = part if acc is None else add(acc, part)
-    return acc
+    terms = [(alg.mul(r, c), y) for r, x in nu.terms for c, y in f(x).terms]
+    return ElementaryValuation(f.target, terms, alg, validate=False)
 
 
 def kleisli_compose(g: Kernel, f: Kernel) -> Kernel:
@@ -124,9 +123,7 @@ def kleisli_compose(g: Kernel, f: Kernel) -> Kernel:
         raise SpaceMismatch("kernels do not compose: target/source mismatch")
     table = {x: bind(g, f(x)) for x in f.source.points}
     # monotone as a composite of monotone maps; skip the recheck
-    return Kernel(
-        f.source, g.target, table, declared_monotone=True, validate=False
-    )
+    return Kernel(f.source, g.target, table, validate=False)
 
 
 def map_valuation(

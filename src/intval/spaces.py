@@ -136,13 +136,17 @@ def antichain(labels: Sequence[Point]) -> FinitePoset:
 
 
 def product_poset(x: FinitePoset, y: FinitePoset) -> FinitePoset:
-    """Componentwise-ordered product; points are (x_point, y_point) pairs."""
+    """Componentwise-ordered product; points are (x_point, y_point) pairs.
+
+    The comparable pairs are read off the factors' up-sets: (a, b) <= (c, d)
+    exactly when c is above a and d above b.
+    """
     pts = [(a, b) for a in x.points for b in y.points]
     rel = [
         ((a, b), (c, d))
         for (a, b) in pts
-        for (c, d) in pts
-        if x.leq(a, c) and y.leq(b, d)
+        for c in x._up[a]
+        for d in y._up[b]
     ]
     return FinitePoset(pts, rel)
 

@@ -103,6 +103,20 @@ class TestScalars:
         with pytest.raises(ValueError):
             INFINITY.value
 
+    def test_strings_are_read_at_any_length(self):
+        big = ExtNonNeg(10**5000)
+        text = render_scalar(big)  # 5,001 digits, past int()'s limit
+        assert ext(text) == big
+        assert ival(0, text) == IntervalValue(ZERO, big)
+        assert ival(" 0 ", " inf ") == BOTTOM
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", "+1", "1_000", "-1"])
+    def test_strings_outside_the_scalar_grammar_are_rejected(self, text):
+        with pytest.raises(ValueError):
+            ext(text)
+        with pytest.raises(ValueError):
+            ival(0, text)
+
 
 class TestIntervals:
     def test_add_componentwise(self):
@@ -375,6 +389,23 @@ class TestProductsAgainstReference:
             got = x * y
             assert (_as_reference(got.lo), _as_reference(got.hi)) == (lo, hi)
             assert ival_mul(x, y) == got
+
+
+class TestValueAlgebra:
+    def test_the_two_records(self):
+        assert (SCALARS.one, SCALARS.bottom) == (ONE, ZERO)
+        assert (INTERVALS.one, INTERVALS.bottom) == (IONE, BOTTOM)
+        assert SCALARS.contains(ONE) and not SCALARS.contains(IONE)
+        assert INTERVALS.contains(IONE) and not INTERVALS.contains(ONE)
+        assert SCALARS.render(INFINITY) == "inf"
+        assert INTERVALS.render(BOTTOM) == "[0,inf]"
+        assert repr(SCALARS) == "<algebra scalar>"
+        assert repr(INTERVALS) == "<algebra interval>"
+
+    def test_records_are_immutable(self):
+        for alg in (SCALARS, INTERVALS):
+            with pytest.raises(AttributeError):
+                alg.mul = mul_right
 
 
 class TestChainSup:

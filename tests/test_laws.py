@@ -139,7 +139,7 @@ def _two_dirac_cases():
                     table = {
                         x: ElementaryValuation(X, [(c1, g[x]), (c2, y)]) for x in X.points
                     }
-                    f = Kernel(X, X, table, declared_monotone=True, validate=False)
+                    f = Kernel(X, X, table, validate=False)
                     cases.append((f, nu, tests))
     return cases
 

@@ -86,7 +86,7 @@ class TestKernel:
             Kernel(src, big, {"a": dirac(big, "t0"), "b": dirac(big, "t4")})
         with pytest.raises(NotMonotone):
             Kernel(src, big, {"a": fine, "b": coarse})
-        Kernel(src, big, {"a": fine, "b": coarse}, declared_monotone=True)
+        Kernel(src, big, {"a": fine, "b": coarse}, validate=False)
 
     def test_accepts_random_monotone_kernels(self):
         rng = random.Random(7)
@@ -208,7 +208,6 @@ class TestMap:
                 X,
                 Y,
                 {x: dirac(Y, g[x]) for x in X.points},
-                declared_monotone=True,
                 validate=False,
             )
             assert map_valuation(g, nu, Y) == bind(eta_after_g, nu)

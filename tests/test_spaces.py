@@ -68,6 +68,19 @@ class TestProductPoset:
         assert len(prod) == 4
         assert not list(prod.strict_pairs())
 
+    def test_matches_the_all_pairs_definition(self):
+        # the componentwise order, written out over every pair of points
+        posets = enumerate_posets(3)
+        for x in posets:
+            for y in posets:
+                prod = product_poset(x, y)
+                pts = [(a, b) for a in x.points for b in y.points]
+                assert prod.points == tuple(pts)
+                for a, b in pts:
+                    for c, d in pts:
+                        want = x.leq(a, c) and y.leq(b, d)
+                        assert prod.leq((a, b), (c, d)) == want
+
 
 class TestMonotoneMap:
     def test_requires_totality(self):
