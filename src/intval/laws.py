@@ -38,17 +38,29 @@ randomized pass, which compares normal forms.
 Randomized scope.  Generators below produce posets, monotone/antitone
 tables, valuations, kernels and measures from fixed seeds; all randomness
 flows through one random.Random instance per family, so a (seed, cases)
-pair reproduces a run bit for bit.  On failure, a small greedy minimizer
-shrinks the counterexample (dropping terms, simplifying coefficients)
-before it is reported.
+pair reproduces a run bit for bit.
+
+Runner.  Each family is a stream of cases, and each case is None when it
+holds or its counterexample text when it fails; a draw that bundles
+several identities (strength's three) is one case and reports the first
+that fails.  `_run` counts the cases, stops at the first text and is the
+only place that builds a LawResult.  Randomized counterexamples are
+shrunk before they are reported, by a greedy minimizer that is handed the
+case's own predicate: interval-axioms replaces the components of a random
+triple by grid values, and monad-laws (unit extension and composition on
+the randomized pass), strength (the strength identity) and fubini drop
+terms of a valuation and simplify its coefficients.  Exhaustive cases,
+the dual strength and naturality identities, choquet and lebesgue-chain
+report their case unshrunk.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product as iproduct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import (
     INFINITY,
@@ -72,6 +84,8 @@ from .monad import Kernel, bind, dual_strength, kleisli_compose, map_valuation, 
 from .spaces import (
     FinitePoset,
     MonotoneMap,
+    Point,
+    _linear_extension,
     all_monotone_point_maps,
     enumerate_posets,
     product_poset,
@@ -150,10 +164,7 @@ def random_poset(rng: random.Random, max_points: int) -> FinitePoset:
 def _levels(rng: random.Random, space: FinitePoset, max_level: int) -> Dict:
     """A monotone assignment of chain levels to poset points."""
     levels: Dict = {}
-    pts = sorted(
-        space.points, key=lambda p: sum(1 for q in space.points if space.leq(q, p))
-    )
-    for p in pts:
+    for p in _linear_extension(space):
         base = max(
             (levels[q] for q in levels if space.leq(q, p)),
             default=0,
@@ -232,24 +243,26 @@ def random_monotone_table(
     rng: random.Random, space: FinitePoset, allow_inf: bool = True
 ) -> Dict:
     """A random monotone scalar table (dict form)."""
-    depth = 3
-    levels = _levels(rng, space, depth)
-    chain = _scalar_chain(rng, depth + 1)
-    if not allow_inf:
-        chain = [c if not c.is_infinite else ExtNonNeg(rational(100)) for c in chain]
-    return {p: chain[levels[p]] for p in space.points}
+    return _chain_table(rng, space, allow_inf, ascending=True)
 
 
 def random_antitone_table(
     rng: random.Random, space: FinitePoset, allow_inf: bool = True
 ) -> Dict:
     """A random antitone scalar table: higher points get smaller values."""
+    return _chain_table(rng, space, allow_inf, ascending=False)
+
+
+def _chain_table(rng: random.Random, space: FinitePoset, allow_inf: bool, ascending: bool) -> Dict:
+    """Chain levels on the points, read up a scalar chain or down it."""
     depth = 3
     levels = _levels(rng, space, depth)
     chain = _scalar_chain(rng, depth + 1)
     if not allow_inf:
         chain = [c if not c.is_infinite else ExtNonNeg(rational(100)) for c in chain]
-    return {p: chain[depth - levels[p]] for p in space.points}
+    if not ascending:
+        chain.reverse()
+    return {p: chain[levels[p]] for p in space.points}
 
 
 def random_table(rng: random.Random, space: FinitePoset, allow_inf: bool = True) -> Dict:
@@ -354,6 +367,21 @@ def random_monotone_point_map(
 
 
 # ---------------------------------------------------------------------------
+# The runner (see the module docstring).
+# ---------------------------------------------------------------------------
+
+
+def _run(family: str, checks: Iterable[Optional[str]]) -> LawResult:
+    """Count the cases `checks` yields, stopping at the first counterexample."""
+    total = 0
+    for failure in checks:
+        total += 1
+        if failure is not None:
+            return LawResult(family, total, 1, failure)
+    return LawResult(family, total, 0)
+
+
+# ---------------------------------------------------------------------------
 # Family 1: interval-algebra axioms.
 # ---------------------------------------------------------------------------
 
@@ -382,65 +410,50 @@ def _axiom_violations(x: IntervalValue, y: IntervalValue, z: IntervalValue) -> L
     return bad
 
 
+def _axiom_text(x: IntervalValue, y: IntervalValue, z: IntervalValue) -> Optional[str]:
+    bad = _axiom_violations(x, y, z)
+    return f"{bad[0]} at x={x}, y={y}, z={z}" if bad else None
+
+
 def interval_axioms(seed: int = 0, cases: int = 10_000) -> LawResult:
     """Units, associativity, commutativity, distributivity, monotonicity.
 
     Runs the full cross product of AXIOM_GRID plus `cases` random triples.
     """
+    return _run("interval-axioms", _axiom_cases(seed, cases))
+
+
+def _axiom_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
+    for triple in iproduct(AXIOM_GRID, repeat=3):
+        yield _axiom_text(*triple)
     rng = random.Random(seed)
-    total = 0
-    for x, y, z in iproduct(AXIOM_GRID, repeat=3):
-        total += 1
-        bad = _axiom_violations(x, y, z)
-        if bad:
-            return LawResult(
-                "interval-axioms", total, 1, f"{bad[0]} at x={x}, y={y}, z={z}"
-            )
     for _ in range(cases):
-        total += 1
-        x, y, z = (random_interval(rng) for _ in range(3))
-        bad = _axiom_violations(x, y, z)
-        if bad:
-            x, y, z = _shrink_triple(x, y, z)
-            bad = _axiom_violations(x, y, z)
-            return LawResult(
-                "interval-axioms", total, 1, f"{bad[0]} at x={x}, y={y}, z={z}"
-            )
-    return LawResult("interval-axioms", total, 0)
+        triple = tuple(random_interval(rng) for _ in range(3))
+        if _axiom_violations(*triple):
+            yield _axiom_text(*_shrink_triple(triple, _axiom_violations))
+        else:
+            yield None
 
 
-def _shrink_triple(x, y, z):
-    """Greedy shrink: replace components with simpler grid values while failing."""
-    triple = [x, y, z]
-    for i in range(3):
+def _shrink_triple(triple: tuple, fails: Callable[..., object]) -> tuple:
+    """Greedy shrink: replace components with AXIOM_GRID values while `fails` holds."""
+    current = list(triple)
+    for i in range(len(current)):
         for candidate in AXIOM_GRID:
-            trial = list(triple)
-            trial[i] = candidate
-            if _axiom_violations(*trial):
-                triple = trial
+            trial = current[:i] + [candidate] + current[i + 1 :]
+            if fails(*trial):
+                current = trial
                 break
-    return tuple(triple)
+    return tuple(current)
 
 
 # ---------------------------------------------------------------------------
 # Family 2: monad laws.
 # ---------------------------------------------------------------------------
 
-_tests_cache: Dict[FinitePoset, List[MonotoneMap]] = {}
-_point_maps_cache: Dict[Tuple[FinitePoset, FinitePoset], List[dict]] = {}
-
-
-def _tests_for(space: FinitePoset) -> List[MonotoneMap]:
-    if space not in _tests_cache:
-        _tests_cache[space] = exhaustive_tests(space)
-    return _tests_cache[space]
-
-
-def _point_maps(source: FinitePoset, target: FinitePoset) -> List[dict]:
-    key = (source, target)
-    if key not in _point_maps_cache:
-        _point_maps_cache[key] = all_monotone_point_maps(source, target)
-    return _point_maps_cache[key]
+# The exhaustive families are asked for on the same few posets many times.
+_tests_for = cache(exhaustive_tests)
+_point_maps = cache(all_monotone_point_maps)
 
 
 def _unit_kernel(space: FinitePoset) -> Kernel:
@@ -538,21 +551,28 @@ def _law_iii_fails(
     return functional and _bind_oracle_fails(lhs, g, mid)
 
 
+# Counterexample texts, filled in with repr of their arguments.
+_UNIT_LAW = "unit law fails at x={!r} for kernel {!r}"
+_UNIT_EXTENSION = "unit extension fails on {!r}"
+_COMPOSITION = "composition law fails for nu={!r}, f={!r}, g={!r}"
+
+
 def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
     """Unit/extension/composition laws, exhaustive small scale + randomized.
 
     See the module docstring for the precise exhaustive scope.
     """
-    total = 0
+    return _run("monad-laws", _monad_cases(seed, cases))
+
+
+def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
     posets = enumerate_posets(3)
 
     # Law (ii), exhaustive: every grid valuation on every poset.
     for X in posets:
         eta = _unit_kernel(X)
         for nu in all_grid_valuations(X):
-            total += 1
-            if _law_ii_fails(eta, nu):
-                return LawResult("monad-laws", total, 1, f"unit extension fails on {nu!r}")
+            yield _UNIT_EXTENSION.format(nu) if _law_ii_fails(eta, nu) else None
 
     # Law (i), exhaustive: scaled-dirac and constant kernels over all pairs.
     for X in posets:
@@ -561,14 +581,7 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
             kernels = _dirac_kernels(X, Y, COEFF_GRID) + _const_kernels(X, Y, COEFF_GRID)
             for f in kernels:
                 for x, dirac_x in units:
-                    total += 1
-                    if _law_i_fails(f, x, dirac_x):
-                        return LawResult(
-                            "monad-laws",
-                            total,
-                            1,
-                            f"unit law fails at x={x!r} for kernel {f!r}",
-                        )
+                    yield _UNIT_LAW.format(x, f) if _law_i_fails(f, x, dirac_x) else None
 
     # Law (iii), exhaustive core: unit/bottom coefficients over all triples,
     # Dirac arguments; structural equality, plus the functional oracle on
@@ -587,15 +600,8 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
                     for g in gs:
                         gf = kleisli_compose(g, f)
                         for nu, mid in zip(nus, mids):
-                            total += 1
-                            if _law_iii_fails(gf, g, nu, mid, functional):
-                                return LawResult(
-                                    "monad-laws",
-                                    total,
-                                    1,
-                                    f"composition law fails for nu={nu!r}, "
-                                    f"f={f!r}, g={g!r}",
-                                )
+                            failed = _law_iii_fails(gf, g, nu, mid, functional)
+                            yield _COMPOSITION.format(nu, f, g) if failed else None
 
     # Law (iii), diagonal enrichment: full grid coefficients, richer arguments.
     for X in posets:
@@ -608,16 +614,11 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
             for g in fs:
                 gf = kleisli_compose(g, f)
                 for nu, mid in zip(nus, mids):
-                    total += 1
-                    if _law_iii_fails(gf, g, nu, mid, functional=False):
-                        return LawResult(
-                            "monad-laws",
-                            total,
-                            1,
-                            f"composition law fails for nu={nu!r}, f={f!r}, g={g!r}",
-                        )
+                    failed = _law_iii_fails(gf, g, nu, mid, functional=False)
+                    yield _COMPOSITION.format(nu, f, g) if failed else None
 
-    # Randomized pass: multi-term kernels and valuations on posets <= 6.
+    # Randomized pass: multi-term kernels and valuations on posets <= 6,
+    # three cases per draw.
     rng = random.Random(seed)
     for _ in range(cases):
         X = random_poset(rng, 6)
@@ -627,24 +628,23 @@ def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
         g = random_monotone_kernel(rng, Y, Z)
         nu = random_valuation(rng, X)
         x = rng.choice(X.points)
-        total += 3
-        if bind(f, unit(X, x)) != f(x):
-            return LawResult("monad-laws", total, 1, f"unit law fails at x={x!r} for kernel {f!r}")
-        if bind(_unit_kernel(X), nu) != nu:
-            return LawResult(
-                "monad-laws", total, 1, f"unit extension fails on {_shrink_valuation(nu, lambda v: bind(_unit_kernel(X), v) != v)!r}"
-            )
-        if bind(kleisli_compose(g, f), nu) != bind(g, bind(f, nu)):
-            nu_min = _shrink_valuation(
-                nu, lambda v: bind(kleisli_compose(g, f), v) != bind(g, bind(f, v))
-            )
-            return LawResult(
-                "monad-laws",
-                total,
-                1,
-                f"composition law fails for nu={nu_min!r}, f={f!r}, g={g!r}",
-            )
-    return LawResult("monad-laws", total, 0)
+        eta = _unit_kernel(X)
+
+        def extension_fails(v: ElementaryValuation) -> bool:
+            return bind(eta, v) != v
+
+        def composition_fails(v: ElementaryValuation) -> bool:
+            return bind(kleisli_compose(g, f), v) != bind(g, bind(f, v))
+
+        yield _UNIT_LAW.format(x, f) if bind(f, unit(X, x)) != f(x) else None
+        if extension_fails(nu):
+            yield _UNIT_EXTENSION.format(_shrink_valuation(nu, extension_fails))
+        else:
+            yield None
+        if composition_fails(nu):
+            yield _COMPOSITION.format(_shrink_valuation(nu, composition_fails), f, g)
+        else:
+            yield None
 
 
 def _shrink_valuation(
@@ -682,60 +682,44 @@ def _shrink_valuation(
 # ---------------------------------------------------------------------------
 
 
-def _section_right(k: MonotoneMap, prod: FinitePoset, space_y: FinitePoset, x) -> MonotoneMap:
-    return MonotoneMap(
-        space_y, {y: k((x, y)) for y in space_y.points}, k.algebra, validate=False
-    )
-
-
-def _section_left(k: MonotoneMap, prod: FinitePoset, space_x: FinitePoset, y) -> MonotoneMap:
-    return MonotoneMap(
-        space_x, {x: k((x, y)) for x in space_x.points}, k.algebra, validate=False
-    )
+def _section(k: MonotoneMap, space: FinitePoset, at: Callable[[Point], Point]) -> MonotoneMap:
+    """The map p -> k(at(p)) on `space`: k with one product coordinate fixed."""
+    return MonotoneMap(space, {p: k(at(p)) for p in space.points}, k.algebra, validate=False)
 
 
 def strength_identities(seed: int = 0, cases: int = 300) -> LawResult:
     """Defining identities of both strengths plus a naturality spot check."""
     rng = random.Random(seed)
-    total = 0
-    for _ in range(cases):
-        X = random_poset(rng, 3)
-        Y = random_poset(rng, 3)
-        x = rng.choice(X.points)
-        y = rng.choice(Y.points)
-        nu = random_valuation(rng, Y)
-        mu = random_valuation(rng, X)
-        prod = product_poset(X, Y)
-        h = random_monotone_map(rng, prod)
-        total += 1
-        left = evaluate(strength(X, x, nu), h)
-        right = evaluate(nu, _section_right(h, prod, Y, x))
-        if left != right:
-            return LawResult(
-                "strength",
-                total,
-                1,
-                f"strength identity fails at x={x!r}, nu={_shrink_valuation(nu, lambda v: evaluate(strength(X, x, v), h) != evaluate(v, _section_right(h, prod, Y, x)))!r}",
-            )
-        left = evaluate(dual_strength(mu, Y, y), h)
-        right = evaluate(mu, _section_left(h, prod, X, y))
-        if left != right:
-            return LawResult(
-                "strength", total, 1, f"dual strength identity fails at y={y!r}, mu={mu!r}"
-            )
-        # naturality in the left component: push x through a monotone map
-        X2 = random_poset(rng, 3)
-        g = random_monotone_point_map(rng, X, X2)
-        prod2 = product_poset(X2, Y)
-        pushed = map_valuation(
-            lambda pq: (g[pq[0]], pq[1]), strength(X, x, nu), prod2, validate=False
-        )
-        direct = strength(X2, g[x], nu)
-        if pushed != direct:
-            return LawResult(
-                "strength", total, 1, f"strength naturality fails at x={x!r}, g={g!r}"
-            )
-    return LawResult("strength", total, 0)
+    return _run("strength", (_strength_case(rng) for _ in range(cases)))
+
+
+def _strength_case(rng: random.Random) -> Optional[str]:
+    """The first of the three identities to fail on one draw, else None."""
+    X = random_poset(rng, 3)
+    Y = random_poset(rng, 3)
+    x = rng.choice(X.points)
+    y = rng.choice(Y.points)
+    nu = random_valuation(rng, Y)
+    mu = random_valuation(rng, X)
+    h = random_monotone_map(rng, product_poset(X, Y))
+
+    def strength_fails(v: ElementaryValuation) -> bool:
+        return evaluate(strength(X, x, v), h) != evaluate(v, _section(h, Y, lambda b: (x, b)))
+
+    if strength_fails(nu):
+        nu_min = _shrink_valuation(nu, strength_fails)
+        return f"strength identity fails at x={x!r}, nu={nu_min!r}"
+    if evaluate(dual_strength(mu, Y, y), h) != evaluate(mu, _section(h, X, lambda a: (a, y))):
+        return f"dual strength identity fails at y={y!r}, mu={mu!r}"
+    # naturality in the left component: push x through a monotone map
+    X2 = random_poset(rng, 3)
+    g = random_monotone_point_map(rng, X, X2)
+    pushed = map_valuation(
+        lambda pq: (g[pq[0]], pq[1]), strength(X, x, nu), product_poset(X2, Y), validate=False
+    )
+    if pushed != strength(X2, g[x], nu):
+        return f"strength naturality fails at x={x!r}, g={g!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -743,57 +727,38 @@ def strength_identities(seed: int = 0, cases: int = 300) -> LawResult:
 # ---------------------------------------------------------------------------
 
 
-def iterated_x_first(mu, nu, k: MonotoneMap, prod, X, Y) -> IntervalValue:
-    inner = MonotoneMap(
-        X,
-        {x: evaluate(nu, _section_right(k, prod, Y, x)) for x in X.points},
-        k.algebra,
-        validate=False,
-    )
-    return evaluate(mu, inner)
-
-
-def iterated_y_first(mu, nu, k: MonotoneMap, prod, X, Y) -> IntervalValue:
-    inner = MonotoneMap(
-        Y,
-        {y: evaluate(mu, _section_left(k, prod, X, y)) for y in Y.points},
-        k.algebra,
-        validate=False,
-    )
-    return evaluate(nu, inner)
+def _iterated(outer, inner, k: MonotoneMap, pair: Callable[[Point, Point], Point]) -> IntervalValue:
+    """outer(a -> inner(b -> k(pair(a, b)))): one order of iterated evaluation."""
+    table = {
+        a: evaluate(inner, _section(k, inner.space, lambda b: pair(a, b)))
+        for a in outer.space.points
+    }
+    return evaluate(outer, MonotoneMap(outer.space, table, k.algebra, validate=False))
 
 
 def fubini_exchange(seed: int = 0, cases: int = 500) -> LawResult:
     """Product valuation versus both iterated evaluation orders, exactly."""
     rng = random.Random(seed)
-    total = 0
-    for _ in range(cases):
-        X = random_poset(rng, 4)
-        Y = random_poset(rng, 4)
-        mu = random_valuation(rng, X)
-        nu = random_valuation(rng, Y)
-        prod = product_poset(X, Y)
-        k = random_monotone_map(rng, prod)
-        total += 1
-        direct = evaluate(product(mu, nu), k)
-        xfirst = iterated_x_first(mu, nu, k, prod, X, Y)
-        yfirst = iterated_y_first(mu, nu, k, prod, X, Y)
-        if not (direct == xfirst == yfirst):
-            mu_min = _shrink_valuation(
-                mu,
-                lambda v: not (
-                    evaluate(product(v, nu), k)
-                    == iterated_x_first(v, nu, k, prod, X, Y)
-                    == iterated_y_first(v, nu, k, prod, X, Y)
-                ),
-            )
-            return LawResult(
-                "fubini",
-                total,
-                1,
-                f"iterated orders disagree: mu={mu_min!r}, nu={nu!r}, k={k!r}",
-            )
-    return LawResult("fubini", total, 0)
+    return _run("fubini", (_fubini_case(rng) for _ in range(cases)))
+
+
+def _fubini_case(rng: random.Random) -> Optional[str]:
+    X = random_poset(rng, 4)
+    Y = random_poset(rng, 4)
+    mu = random_valuation(rng, X)
+    nu = random_valuation(rng, Y)
+    k = random_monotone_map(rng, product_poset(X, Y))
+
+    def orders_disagree(v: ElementaryValuation) -> bool:
+        direct = evaluate(product(v, nu), k)
+        x_first = _iterated(v, nu, k, lambda a, b: (a, b))
+        y_first = _iterated(nu, v, k, lambda b, a: (a, b))
+        return not direct == x_first == y_first
+
+    if not orders_disagree(mu):
+        return None
+    mu_min = _shrink_valuation(mu, orders_disagree)
+    return f"iterated orders disagree: mu={mu_min!r}, nu={nu!r}, k={k!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -803,26 +768,24 @@ def fubini_exchange(seed: int = 0, cases: int = 500) -> LawResult:
 
 def choquet_oracle(seed: int = 0, cases: int = 2000) -> LawResult:
     """lower_integral against the layer-cake formula, with 0/inf corners."""
+    rng = random.Random(seed)
+    return _run("choquet", (_choquet_case(rng) for _ in range(cases)))
+
+
+def _choquet_case(rng: random.Random) -> Optional[str]:
     from .measures import choquet_integral, lower_integral
 
-    rng = random.Random(seed)
-    total = 0
-    for _ in range(cases):
-        space = random_poset(rng, 5)
-        mu = random_measure(rng, space, max_points=5)
-        f = random_table(rng, space)
-        total += 1
-        direct = lower_integral(f, mu)
-        layered = choquet_integral(f, mu)
-        if direct != layered:
-            return LawResult(
-                "choquet",
-                total,
-                1,
-                f"lower integral {direct} != layer-cake {layered} for mu={mu!r}, "
-                f"f={ {p: str(v) for p, v in f.items()} }",
-            )
-    return LawResult("choquet", total, 0)
+    space = random_poset(rng, 5)
+    mu = random_measure(rng, space, max_points=5)
+    f = random_table(rng, space)
+    direct = lower_integral(f, mu)
+    layered = choquet_integral(f, mu)
+    if direct == layered:
+        return None
+    return (
+        f"lower integral {direct} != layer-cake {layered} for mu={mu!r}, "
+        f"f={ {p: str(v) for p, v in f.items()} }"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -876,27 +839,18 @@ def lebesgue_chain(seed: int = 0, cases: int = 12) -> LawResult:
     `cases` is the maximum depth checked, capped at 12.  Each fixture's
     levels are computed once and both checks read that one list.
     """
-    n_max = max(1, min(12, cases))
-    total = 0
+    return _run("lebesgue-chain", _chain_cases(max(1, min(12, cases))))
+
+
+def _chain_cases(n_max: int) -> Iterator[Optional[str]]:
     for name, fn in fixture_functions().items():
         levels = [level for _, level in refine(canonical_extension(fn), None, cap=n_max)]
-        total += 1
-        if not ascends(levels):
-            return LawResult(
-                "lebesgue-chain", total, 1, f"levels fail to ascend for fixture {name}"
-            )
+        yield None if ascends(levels) else f"levels fail to ascend for fixture {name}"
         closed = {"id": _identity_level, "square": _square_level}.get(name)
         if closed is not None:
             for n, got in enumerate(levels):
-                total += 1
-                if got != closed(n):
-                    return LawResult(
-                        "lebesgue-chain",
-                        total,
-                        1,
-                        f"fixture {name} at depth {n}: {got} != {closed(n)}",
-                    )
-    return LawResult("lebesgue-chain", total, 0)
+                want = closed(n)
+                yield None if got == want else f"fixture {name} at depth {n}: {got} != {want}"
 
 
 # ---------------------------------------------------------------------------
@@ -912,20 +866,7 @@ FAMILIES: Dict[str, Callable[[int, int], LawResult]] = {
     "lebesgue-chain": lebesgue_chain,
 }
 
-_DEFAULT_CASES = {
-    "interval-axioms": 10_000,
-    "monad-laws": 500,
-    "strength": 300,
-    "fubini": 500,
-    "choquet": 2000,
-    "lebesgue-chain": 12,
-}
-
 
 def run_all(seed: int = 0, cases: Optional[int] = None) -> List[LawResult]:
-    """Run every family; `cases` overrides each family's default count."""
-    results = []
-    for name, fn in FAMILIES.items():
-        n = cases if cases is not None else _DEFAULT_CASES[name]
-        results.append(fn(seed, n))
-    return results
+    """Run every family; `cases`, when given, overrides each family's default count."""
+    return [fn(seed) if cases is None else fn(seed, cases) for fn in FAMILIES.values()]

@@ -52,13 +52,16 @@ class FinitePoset:
                 if not extra <= up[a]:
                     up[a] |= extra
                     changed = True
-        for a, b in combinations(pts, 2):
-            if b in up[a] and a in up[b]:
+        for a in pts:
+            twins = [b for b in up[a] if b != a and a in up[b]]
+            if twins:
+                b = min(twins, key=index.__getitem__)
                 raise ValueError(f"antisymmetry fails: {a!r} and {b!r} are equivalent")
         self._points = pts
         self._index = index
         self._up = {p: frozenset(s) for p, s in up.items()}
-        self._key = (frozenset(pts), frozenset((a, b) for a in pts for b in self._up[a]))
+        # the points with their up-sets determine the order
+        self._key = frozenset(self._up.items())
 
     @property
     def points(self) -> Tuple[Point, ...]:
@@ -90,7 +93,7 @@ class FinitePoset:
         """The covering pairs (a, b): a < b with nothing strictly between."""
         covers = []
         for a, b in self.strict_pairs():
-            if not any(c != a and c != b and self.leq(c, b) for c in self._up[a]):
+            if not any(c != a and c != b and b in self._up[c] for c in self._up[a]):
                 covers.append((a, b))
         return covers
 
@@ -301,40 +304,36 @@ def all_monotone_maps(
     algebra: ValueAlgebra = INTERVALS,
 ) -> List[MonotoneMap]:
     """Every monotone map from the poset into the given finite value grid."""
-    pts = _linear_extension(space)
-    out: List[MonotoneMap] = []
-    table: Dict[Point, object] = {}
-
-    def fill(i: int):
-        if i == len(pts):
-            out.append(MonotoneMap(space, dict(table), algebra, validate=False))
-            return
-        p = pts[i]
-        below = [q for q in pts[:i] if space.leq(q, p)]
-        for v in values:
-            if all(algebra.leq(table[q], v) for q in below):
-                table[p] = v
-                fill(i + 1)
-        table.pop(p, None)
-
-    fill(0)
-    return out
+    return [
+        MonotoneMap(space, table, algebra, validate=False)
+        for table in _monotone_tables(space, values, algebra.leq)
+    ]
 
 
 def all_monotone_point_maps(source: FinitePoset, target: FinitePoset) -> List[dict]:
     """Every monotone function between two posets, as point tables."""
-    pts = _linear_extension(source)
+    return _monotone_tables(source, target.points, target.leq)
+
+
+def _monotone_tables(space: FinitePoset, values: Sequence[object], leq) -> List[dict]:
+    """Every table p -> value on the poset that `leq` orders monotonically.
+
+    Fills the points along a linear extension, trying the values in their
+    given order at each point, so the tables come out in that
+    lexicographic order.
+    """
+    pts = _linear_extension(space)
     out: List[dict] = []
-    table: Dict[Point, Point] = {}
+    table: Dict[Point, object] = {}
 
     def fill(i: int):
         if i == len(pts):
             out.append(dict(table))
             return
         p = pts[i]
-        below = [q for q in pts[:i] if source.leq(q, p)]
-        for v in target.points:
-            if all(target.leq(table[q], v) for q in below):
+        below = [q for q in pts[:i] if p in space._up[q]]
+        for v in values:
+            if all(leq(table[q], v) for q in below):
                 table[p] = v
                 fill(i + 1)
         table.pop(p, None)
@@ -344,8 +343,9 @@ def all_monotone_point_maps(source: FinitePoset, target: FinitePoset) -> List[di
 
 
 def _linear_extension(space: FinitePoset) -> List[Point]:
+    """The points sorted by how many points lie below them (stable)."""
     pts = list(space.points)
-    pts.sort(key=lambda p: sum(1 for q in space.points if space.leq(q, p)))
+    pts.sort(key=lambda p: sum(1 for q in space.points if p in space._up[q]))
     return pts
 
 

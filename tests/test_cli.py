@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -430,6 +431,19 @@ class TestLaws:
         assert "FAIL" in out
         assert "counterexample" in out
         assert "distributivity" in out
+
+
+class TestLawsDigest:
+    """The byte-identity gate for `intval laws`: the full run at seed 1."""
+
+    def test_seed_1_json_digest_and_case_counts(self, capsys):
+        code, out, _ = run_cli(["laws", "--seed", "1", "--format", "json"], capsys=capsys)
+        assert code == 0
+        counts = [f["cases"] for f in json.loads(out)["families"]]
+        assert counts == [10216, 404260, 300, 500, 2000, 30]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f351111bbe62603b82eb3a7644a916d140288fc36e799322bb1b03ff16ff68d2"
+        )
 
 
 class TestGoldenFixtures:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from intval.algebra import IONE, ival
+from intval.algebra import IONE, ZERO, IntervalValue, ival
 from intval.laws import (
     COEFF_GRID,
     FAMILIES,
@@ -17,10 +17,10 @@ from intval.laws import (
     strength_identities,
     _shrink_valuation,
 )
-from intval import laws, monad
+from intval import laws, measures, monad
 from intval.monad import Kernel, bind
 from intval.spaces import all_monotone_point_maps, antichain, chain, enumerate_posets
-from intval.valuations import ElementaryValuation, eq_on, evaluate, exhaustive_tests
+from intval.valuations import ElementaryValuation, eq_on, evaluate, exhaustive_tests, scale
 
 
 class TestFamilies:
@@ -58,6 +58,63 @@ class TestFamilies:
             b.failures,
             b.counterexample,
         )
+
+
+class TestPlantedDefects:
+    """Each family reports a planted defect as one failure naming its law."""
+
+    def test_interval_axioms(self, monkeypatch):
+        # the upper endpoint of a sum takes the second operand's twice
+        monkeypatch.setattr(
+            IntervalValue, "__add__", lambda a, b: IntervalValue._make(a.lo, a.hi + b.hi)
+        )
+        r = interval_axioms(seed=1)
+        assert r.failures == 1
+        assert r.counterexample.startswith("+ commutativity at ")
+
+    def test_monad_laws(self, monkeypatch):
+        # bind that drops the valuation's coefficients: law (ii) fails at once
+        real = laws.bind
+
+        def unit_coefficients_bind(f, nu):
+            terms = [(IONE, p) for _, p in nu.terms]
+            return real(f, ElementaryValuation(nu.space, terms, validate=False))
+
+        monkeypatch.setattr(laws, "bind", unit_coefficients_bind)
+        r = laws.monad_laws(seed=1)
+        assert (r.cases, r.failures) == (1, 1)
+        assert r.counterexample == "unit extension fails on val { [0,0] @ a }"
+
+    def test_strength(self, monkeypatch):
+        real = laws.strength
+        monkeypatch.setattr(
+            laws, "strength", lambda X, x, nu: real(X, x, scale(ival(2, 2), nu))
+        )
+        r = strength_identities(seed=1)
+        assert r.failures == 1
+        assert r.counterexample.startswith("strength identity fails at ")
+
+    def test_fubini(self, monkeypatch):
+        real = laws.product
+        monkeypatch.setattr(laws, "product", lambda mu, nu: real(scale(ival(2, 2), mu), nu))
+        r = fubini_exchange(seed=1)
+        assert r.failures == 1
+        assert r.counterexample.startswith("iterated orders disagree: mu=val { ")
+        # the reported mu is shrunk to a single term
+        mu_text = r.counterexample.split("mu=", 1)[1].split(", nu=", 1)[0]
+        assert ";" not in mu_text
+
+    def test_choquet(self, monkeypatch):
+        monkeypatch.setattr(measures, "lower_integral", lambda f, mu: ZERO)
+        r = choquet_oracle(seed=1)
+        assert r.failures == 1
+        assert r.counterexample.startswith("lower integral 0 != layer-cake ")
+
+    def test_lebesgue_chain(self, monkeypatch):
+        monkeypatch.setattr(laws, "_square_level", laws._identity_level)
+        r = lebesgue_chain(seed=1)
+        assert r.failures == 1
+        assert r.counterexample.startswith("fixture square at depth 1: ")
 
 
 class TestEnumerators:

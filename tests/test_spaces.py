@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from intval.algebra import INTERVALS, SCALARS, ext, ival
@@ -6,6 +8,7 @@ from intval.spaces import (
     FinitePoset,
     MonotoneMap,
     UpperSet,
+    _linear_extension,
     all_monotone_maps,
     all_monotone_point_maps,
     antichain,
@@ -41,6 +44,30 @@ class TestFinitePoset:
         p = FinitePoset(["a", "b"], [("a", "b")])
         q = FinitePoset(["b", "a"], [("a", "b")])
         assert p == q and hash(p) == hash(q)
+
+    def test_same_points_in_different_orders_are_unequal(self):
+        pts = ["a", "b", "c"]
+        posets = [
+            FinitePoset(pts, []),
+            FinitePoset(pts, [("a", "b")]),
+            FinitePoset(pts, [("b", "a")]),
+            FinitePoset(pts, [("a", "c")]),
+            FinitePoset(pts, [("a", "b"), ("b", "c")]),
+        ]
+        for i, p in enumerate(posets):
+            for j, q in enumerate(posets):
+                assert (p == q) == (i == j)
+
+    def test_equal_posets_hash_equal(self):
+        covers = FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        closed = FinitePoset(["c", "b", "a"], [("a", "b"), ("b", "c"), ("a", "c"), ("b", "b")])
+        assert covers == closed and hash(covers) == hash(closed)
+        x, y = chain(["a", "b"]), antichain(["u", "v"])
+        assert hash(product_poset(x, y)) == hash(product_poset(x, y))
+
+    def test_rejects_a_three_cycle(self):
+        with pytest.raises(ValueError, match="antisymmetry fails: 'a' and 'b' are equivalent"):
+            FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
     def test_repr_round_trips(self):
         from intval.literals import parse_poset
@@ -188,6 +215,28 @@ class TestEnumeration:
             assert INTERVALS.leq(h("a"), h("b"))
         # pairs must be comparable-in-order, strictly fewer than all pairs
         assert len(maps) < len(DEFAULT_TEST_GRID) ** 2
+
+    def test_tables_come_out_in_lexicographic_order(self):
+        # along the linear extension, values tried in their given order
+        posets = enumerate_posets(3)
+        for x in posets:
+            pts = _linear_extension(x)
+            for y in posets:
+                expected = [
+                    dict(zip(pts, images))
+                    for images in product(y.points, repeat=len(pts))
+                    if all(y.leq(images[i], images[j])
+                           for i, a in enumerate(pts) for j, b in enumerate(pts) if x.leq(a, b))
+                ]
+                assert all_monotone_point_maps(x, y) == expected
+            grid = DEFAULT_TEST_GRID
+            expected = [
+                dict(zip(pts, values))
+                for values in product(grid, repeat=len(pts))
+                if all(INTERVALS.leq(values[i], values[j])
+                       for i, a in enumerate(pts) for j, b in enumerate(pts) if x.leq(a, b))
+            ]
+            assert [h.table() for h in all_monotone_maps(x, grid)] == expected
 
     def test_monotone_point_maps(self):
         maps = all_monotone_point_maps(chain(["a", "b"]), chain(["u", "v"]))
