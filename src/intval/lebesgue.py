@@ -42,6 +42,14 @@ evaluated directly, since they take both pieces' values there; the cost
 of a level no longer depends on the depth.  Hand-written test functions
 keep the per-cell sum, which is also the oracle for the closed form.
 
+A ``Polynomial`` is stored as integer coefficients over one positive
+common denominator, in lowest terms (the layout of FLINT's fmpq_poly);
+its rational ``coeffs`` are a view built on request.  Evaluation at p/q
+is integer Horner on q^deg * f(p/q), so a value costs one rational, a
+Sturm sign costs none, the power sums above take forward differences of
+integers, and the Sturm chain is built by pseudo-division on primitive
+integer parts.
+
 ``refine`` is the one walk up the chain: it yields the levels from depth
 0 until one is narrow enough, or up to the depth cap, and the
 integrator, the chain check, the CLI and the law suites all read it.
@@ -55,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import ceil, comb, floor
+from math import ceil, comb, floor, gcd, lcm
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .algebra import (
@@ -111,106 +119,201 @@ class DyadicInterval:
         return f"[{self.lo},{self.hi}]"
 
 
-class Polynomial:
-    """A polynomial with exact rational coefficients, low degree first."""
+def _horner(num: Sequence[int], p: int, q: int) -> int:
+    """q^deg * A(p/q) for the integer polynomial A = num, in ints.
 
-    __slots__ = ("coeffs",)
+    With q > 0 its sign is the sign of A(p/q).
+    """
+    acc = num[-1]
+    qk = 1
+    for i in range(len(num) - 2, -1, -1):
+        qk *= q
+        acc = acc * p + num[i] * qk
+    return acc
+
+
+def _mul_ints(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The product of two integer polynomials, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _trimmed(num: List[int]) -> List[int]:
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return num
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[int, List[int], List[int]]:
+    """(m, Q, R) with m * a == Q * b + R, m > 0 and deg R < deg b, in ints.
+
+    Each step cancels the top term of the running remainder against b after
+    scaling it by |lead(b)|, so the multiplier m stays positive and R keeps
+    the sign of the exact remainder a mod b.
+    """
+    d = len(b) - 1
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    r = list(a)
+    q = [0] * max(1, len(r) - d)
+    m = 1
+    for k in range(len(r) - 1 - d, -1, -1):
+        c = r[k + d]
+        if not c:
+            continue
+        if scale != 1:
+            r = [scale * v for v in r[: k + d]]
+            q = [scale * v for v in q]
+            m *= scale
+        c *= sign
+        q[k] = c
+        for j in range(d):
+            r[k + j] -= c * b[j]
+    return m, q, _trimmed(r[:d] or [0])
+
+
+def _primitive(num: Sequence[int]) -> List[int]:
+    """num divided by the gcd of its entries (a positive scaling)."""
+    g = gcd(*num)
+    return [v // g for v in num]
+
+
+def _canonical(num: List[int], den: int) -> Tuple[Tuple[int, ...], int]:
+    """(num, den) with trailing zeros trimmed and the common factor removed."""
+    num = _trimmed(num)
+    g = gcd(den, *num)
+    if g != 1:
+        num = [v // g for v in num]
+        den //= g
+    return tuple(num), den
+
+
+class Polynomial:
+    """A polynomial with exact rational coefficients, low degree first.
+
+    Stored as integer coefficients ``num`` over one positive common
+    denominator ``den``, in canonical form: ``num`` has no trailing zeros,
+    the gcd of its entries and ``den`` is 1, and zero is ``((0,), 1)``.
+    Equal polynomials therefore have equal ``(num, den)``, which ``==`` and
+    ``hash`` read.  ``coeffs``, the reduced rational coefficients, is a
+    read-only view built on request.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Sequence[object]):
-        cs = [rational(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs) if cs else (_ZERO_RAT,)
+        cs = [rational(c) for c in coeffs] or [_ZERO_RAT]
+        den = lcm(*(c.denominator for c in cs))
+        self.num, self.den = _canonical(
+            [c.numerator * (den // c.denominator) for c in cs], den
+        )
+
+    @classmethod
+    def _of(cls, num: List[int], den: int) -> "Polynomial":
+        """The polynomial num / den, for den > 0, brought to canonical form."""
+        poly = object.__new__(cls)
+        poly.num, poly.den = _canonical(num, den)
+        return poly
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls([c])
+        c = rational(c)
+        return cls._of([c.numerator], c.denominator)
 
     @classmethod
     def identity(cls) -> "Polynomial":
-        return cls([0, 1])
+        return cls._of([0, 1], 1)
+
+    @property
+    def coeffs(self) -> Tuple[object, ...]:
+        return tuple(rational(a, self.den) for a in self.num)
 
     def __call__(self, x):
-        acc = _ZERO_RAT
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
+        q = x.denominator
+        return rational(
+            _horner(self.num, x.numerator, q), self.den * q ** (len(self.num) - 1)
         )
 
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        a, b = self.num, other.num
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        den = self.den * fa
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        out = [fa * v for v in a]
+        for i, v in enumerate(b):
+            out[i] += fb * v
+        return Polynomial._of(out, den)
+
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._of([-v for v in self.num], self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out = [_ZERO_RAT] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._of(_mul_ints(self.num, other.num), self.den * other.den)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.constant(1)
-        base = self
+        den = self.den ** n
+        result = [1]
+        base = self.num
         while n:
             if n & 1:
-                result = result * base
+                result = _mul_ints(result, base)
             n >>= 1
             if n:
-                base = base * base
-        return result
+                base = _mul_ints(base, base)
+        return Polynomial._of(result, den)
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder of division by a nonzero polynomial."""
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        quot = [_ZERO_RAT] * max(1, len(rem) - d)
-        for k in range(len(rem) - 1 - d, -1, -1):
-            c = rem[k + d] / lead
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-        return Polynomial(quot), Polynomial(rem[:d] or [0])
+        # m * A = Q * B + R gives A/a = (Q b / (m a)) * (B/b) + R / (m a)
+        m, q, r = _pseudo_divmod(self.num, other.num)
+        den = m * self.den
+        return (
+            Polynomial._of([v * other.den for v in q], den),
+            Polynomial._of(r, den),
+        )
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:] or [0])
+        return Polynomial._of(
+            [k * v for k, v in enumerate(self.num)][1:] or [0], self.den
+        )
 
     def monic(self) -> "Polynomial":
         """Scaled by a positive constant to leading coefficient +-1."""
-        return self.scaled(1 / abs(self.coeffs[-1]))
+        return Polynomial._of(list(self.num), abs(self.num[-1]))
 
     @property
     def degree(self) -> int:
         """Degree, counting the zero polynomial as degree 0."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.num) == 1
 
     def scaled(self, c) -> "Polynomial":
-        return Polynomial([rational(c) * a for a in self.coeffs])
+        c = rational(c)
+        return Polynomial._of(
+            [c.numerator * v for v in self.num], c.denominator * self.den
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         def term(i, c):
@@ -224,18 +327,29 @@ class Polynomial:
 
 
 def _sturm_chain(g: Polynomial) -> List[Polynomial]:
-    """g, g', then negated remainders until the last nonzero one."""
-    chain = [g, g.derivative().monic()]
+    """g, g', then negated remainders until the last nonzero one.
+
+    Every member after g is a primitive integer polynomial, a positive
+    multiple of the exact remainder (see ``_pseudo_divmod``), so the signs
+    at any point, and with them the Sturm counts, are the exact chain's.
+    """
+    chain = [g, Polynomial._of(_primitive(g.derivative().num), 1)]
     while not chain[-1].is_constant:
-        rem = divmod(chain[-2], chain[-1])[1]
-        if rem.coeffs == (_ZERO_RAT,):
+        rem = _pseudo_divmod(chain[-2].num, chain[-1].num)[2]
+        if rem == [0]:
             break
-        chain.append((-rem).monic())
+        chain.append(Polynomial._of([-v for v in _primitive(rem)], 1))
     return chain
 
 
+def _sign(poly: Polynomial, x) -> int:
+    """The sign of poly(x), read off the integer Horner value."""
+    v = _horner(poly.num, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
 def _sign_changes(chain: Sequence[Polynomial], x) -> int:
-    signs = [v > 0 for v in (p(x) for p in chain) if v != 0]
+    signs = [v > 0 for v in (_sign(c, x) for c in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -249,7 +363,7 @@ def nonnegative_on(g: Polynomial, lo, hi) -> bool:
     evaluation at a non-root point of the gap.
     """
     if g.is_constant:
-        return g.coeffs[0] >= 0
+        return g.num[0] >= 0
     chain = _sturm_chain(g)
     if not chain[-1].is_constant:
         # the last remainder is gcd(g, g'): divide the repeated roots out
@@ -258,7 +372,7 @@ def nonnegative_on(g: Polynomial, lo, hi) -> bool:
 
     def roots_inside(u, v) -> int:
         # Sturm: for square-free s, V(u) - V(v) counts the roots in (u, v]
-        return _sign_changes(chain, u) - _sign_changes(chain, v) - (s(v) == 0)
+        return _sign_changes(chain, u) - _sign_changes(chain, v) - (_sign(s, v) == 0)
 
     # (u, v, u_pos, v_pos): x_pos says g(x) > 0 was seen at that endpoint
     # (never for lo and hi, which may be roots); such an endpoint fixes the
@@ -270,7 +384,7 @@ def nonnegative_on(g: Polynomial, lo, hi) -> bool:
         if count == 0 and (u_pos or v_pos) or count == 1 and u_pos and v_pos:
             continue
         mid = (u + v) / 2
-        g_mid = g(mid)
+        g_mid = _sign(g, mid)
         if g_mid < 0:
             return False
         if count:
@@ -455,15 +569,20 @@ def _power_sums(poly: Polynomial, size: int, a: int, b: int) -> Tuple[object, ob
     Newton's forward differences: the sum is sum_j (Delta^j q)(a) *
     C(b - a + 1, j + 1), and Delta^j q vanishes beyond the degree.  With
     fewer cells than coefficients the same formula sums them directly.
+    The differences are taken of the integers den * size^deg * q(i), so
+    only the two returned sums are rationals.
     """
+    num = poly.num
     count = b - a + 1
-    diffs = [poly(rational(a + j, size)) for j in range(min(count, len(poly.coeffs)))]
+    diffs = [_horner(num, a + j, size) for j in range(min(count, len(num)))]
     q_a = diffs[0]
-    total = _ZERO_RAT
+    total = 0
     for j in range(len(diffs)):
         total += diffs[0] * comb(count, j + 1)
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    return total, total - q_a + poly(rational(b + 1, size))
+    scale = poly.den * size ** poly.degree
+    shifted = total - q_a + _horner(num, b + 1, size)
+    return rational(total, scale), rational(shifted, scale)
 
 
 def _cells_touching(b, size: int) -> Tuple[int, ...]:

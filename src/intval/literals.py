@@ -21,6 +21,7 @@ literal over a cap raises its subclass LiteralTooLarge.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import List, NamedTuple, Optional, Tuple
 
 from .algebra import (
@@ -238,14 +239,14 @@ class _Parser:
                 self.check_size(_size_bound(node) + _size_bound(rhs), op_tok)
                 node = node * rhs
             else:
-                if not rhs.is_constant or rhs.coeffs[0] == 0:
+                if not rhs.is_constant or rhs.num[0] == 0:
                     raise ParseError(
                         "division is only defined by a nonzero constant",
                         op_tok.line,
                         op_tok.col,
                     )
                 self.check_size(_size_bound(node) + _size_bound(rhs), op_tok)
-                node = node.scaled(rational(1) / rhs.coeffs[0])
+                node = node.scaled(rational(rhs.den, rhs.num[0]))
         return node
 
     def poly_unary(self) -> Polynomial:
@@ -323,13 +324,17 @@ def _size_bound(poly: Polynomial) -> int:
     Every reduced coefficient's numerator and denominator are at most
     D * ||A||_1, and E(p * q) <= E(p) + E(q), so E(p^e) <= e * E(p).  This
     returns a cheap upper bound on E(poly) (D is at most the product of
-    the denominators, each |A_i| at most |num_i| * D), so the sum of two
-    operands' bounds, or e times a base's, bounds the result's coefficients.
+    the coefficients' reduced denominators d_i, each |A_i| at most |n_i| * D
+    for the reduced numerators n_i), so the sum of two operands' bounds, or
+    e times a base's, bounds the result's coefficients.  Coefficient i is
+    read off poly's integer form as n_i / d_i = (num_i / g) / (den / g)
+    with g = gcd(num_i, den), so no rational is built.
     """
-    cs = poly.coeffs
-    bits = len(cs).bit_length()
-    for c in cs:
-        bits += c.numerator.bit_length() + 2 * c.denominator.bit_length()
+    den = poly.den
+    bits = len(poly.num).bit_length()
+    for a in poly.num:
+        g = gcd(a, den)
+        bits += (a // g).bit_length() + 2 * (den // g).bit_length()
     return bits
 
 

@@ -67,6 +67,7 @@ from intval.lebesgue import (
     chain_check,
     lebesgue_n,
 )
+from intval.literals import parse_piecewise
 from intval.measures import (
     FiniteSupportMeasure,
     interval_integral,
@@ -428,3 +429,20 @@ def test_c11_cli_determinism():
         ok = True
     finally:
         _report(11, "CLI output byte-identical across runs", t0, ok)
+
+
+def test_c12_worst_short_literal():
+    """A short literal whose monotonicity check runs a degree-63 Sturm chain."""
+    t0 = time.perf_counter()
+    ok = False
+    try:
+        fn = parse_piecewise(
+            "piecewise { [0,1] inc: (x + 1/3)^64 + (x + 1/7)^63 + (x + 1/11)^61 }"
+        )
+        (direction, poly), = fn.pieces
+        assert direction == "inc" and poly.degree == 64
+        assert fn(0) == rational(1, 3 ** 64) + rational(1, 7 ** 63) + rational(1, 11 ** 61)
+        _budget(t0, 30.0)
+        ok = True
+    finally:
+        _report(12, "degree-64 literal accepted, its Sturm check within budget", t0, ok)

@@ -1,9 +1,10 @@
+import math
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracle_dyadic import brute_force_level
 
@@ -253,6 +254,179 @@ class TestExactMonotonicity:
             except NonEvaluablePiece:
                 accepted = False
             assert accepted == monotone, (direction, p)
+
+
+X = sympy.Symbol("x")
+
+
+def _sym(poly: Polynomial) -> sympy.Poly:
+    """The same polynomial as a sympy.Poly over QQ, built from ``coeffs``."""
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)]
+    return sympy.Poly(cs, X, domain=sympy.QQ)
+
+
+def _sym_value(g: sympy.Poly, x: Fraction):
+    v = g.eval(sympy.Rational(x.numerator, x.denominator))
+    return rational(int(v.p), int(v.q))
+
+
+_small_rationals = st.fractions(-5, 5, max_denominator=12)
+
+# coefficient lists, low degree first: degree 0 and negative leading
+# coefficients included
+polys = st.lists(_small_rationals, min_size=1, max_size=7).map(
+    lambda cs: Polynomial([_rat(c) for c in cs])
+)
+
+
+class TestIntegerForm:
+    def test_canonical_pair(self):
+        x = Polynomial.identity()
+        built = (x + Polynomial.constant(rational(1, 3))) ** 2
+        parsed = parse_piecewise("piecewise { [0,1] inc: x^2 + 2/3*x + 1/9 }").pieces[0][1]
+        listed = Polynomial([rational(1, 9), rational(2, 3), 1, 0, 0])
+        assert built.num == parsed.num == listed.num == (1, 6, 9)
+        assert built.den == parsed.den == listed.den == 9
+        assert hash(built) == hash(parsed) == hash(listed)
+        assert built.coeffs == (rational(1, 9), rational(2, 3), rational(1))
+
+    def test_zero(self):
+        zero = Polynomial([0, 0, 0])
+        assert (zero.num, zero.den) == ((0,), 1)
+        assert Polynomial([rational(1, 3)]) - Polynomial([rational(1, 3)]) == zero
+        assert Polynomial([rational(1, 3), 2]).scaled(0) == zero
+
+    def test_coeffs_is_a_read_only_view(self):
+        p = Polynomial([rational(1, 2), rational(1, 3)])
+        with pytest.raises(AttributeError):
+            p.coeffs = (rational(1),)
+
+    @EXAMPLES
+    @given(polys, polys)
+    def test_results_are_canonical(self, f, g):
+        for p in (f + g, f - g, f * g, f ** 3, f.derivative(), f.scaled(rational(-6, 35))):
+            # gcd(den, 0) == den, so zero must be ((0,), 1)
+            assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+            assert p.num[-1] != 0 or p.num == (0,)
+            for c in p.coeffs:
+                assert type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
+            assert p.coeffs[-1] != 0 or p.coeffs == (0,)
+
+
+class TestArithmeticOracle:
+    """Every operation against sympy.Poly over QQ, which shares no code."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(polys, polys, st.integers(0, 5), _small_rationals, _small_rationals)
+    @example(
+        Polynomial([rational(1, 3), -2, rational(-7, 4)]),
+        Polynomial([rational(-5, 2)]),
+        3,
+        Fraction(-1, 3),
+        Fraction(0),
+    )
+    def test_agrees_with_sympy(self, f, g, k, c, x):
+        sf, sg = _sym(f), _sym(g)
+        assert _sym(f + g) == sf + sg
+        assert _sym(f - g) == sf - sg
+        assert _sym(-f) == -sf
+        assert _sym(f * g) == sf * sg
+        assert _sym(f ** k) == sf ** k
+        assert _sym(f.derivative()) == sf.diff(X)
+        assert _sym(f.scaled(_rat(c))) == sf * sympy.Rational(c.numerator, c.denominator)
+        if not sg.is_zero:
+            quot, rem = divmod(f, g)
+            squot, srem = sympy.div(sf, sg)
+            assert (_sym(quot), _sym(rem)) == (squot, srem)
+        if not sf.is_zero:
+            sign = 1 if sf.LC() > 0 else -1
+            assert _sym(f.monic()) == sf.monic() * sign
+        assert f(_rat(x)) == _sym_value(sf, x)
+        assert f(x.numerator) == _sym_value(sf, Fraction(x.numerator))
+
+
+def _direct_sums(poly: Polynomial, size: int, a: int, b: int):
+    return (
+        sum((poly(rational(i, size)) for i in range(a, b + 1)), rational(0)),
+        sum((poly(rational(i + 1, size)) for i in range(a, b + 1)), rational(0)),
+    )
+
+
+class TestPowerSums:
+    @EXAMPLES
+    @given(polys, st.sampled_from((1, 2, 3, 12, 64, 1024)), st.data())
+    def test_matches_the_direct_sum(self, poly, size, data):
+        a = data.draw(st.integers(0, size - 1))
+        b = data.draw(st.integers(a, min(size - 1, a + 40)))
+        assert lebesgue._power_sums(poly, size, a, b) == _direct_sums(poly, size, a, b)
+
+    @pytest.mark.parametrize(
+        "size, a, b",
+        [
+            (64, 10, 11),  # a run shorter than degree + 1
+            (64, 5, 5),  # a == b
+            (64, 60, 63),  # b + 1 == size
+            (8, 0, 7),  # the whole interval
+            (1, 0, 0),
+        ],
+    )
+    def test_edge_runs(self, size, a, b):
+        poly = Polynomial([rational(1, 3), -2, 0, rational(5, 7), 0, 0, rational(-1, 9)])
+        assert lebesgue._power_sums(poly, size, a, b) == _direct_sums(poly, size, a, b)
+
+
+_roots = st.fractions(-2, 2, max_denominator=8)
+
+
+@st.composite
+def square_free_polys(draw):
+    """lead * prod (x - r) over distinct rational r, times x^2 - 2, x^2 + 1 or 1."""
+    roots = draw(st.lists(_roots, min_size=0, max_size=5, unique=True))
+    poly = Polynomial.constant(draw(st.sampled_from((1, -1, rational(-3, 7), 5))))
+    for r in roots:
+        poly = poly * Polynomial([-_rat(r), 1])
+    extra = draw(st.sampled_from(((-2, 0, 1), (1, 0, 1), (1,))))
+    poly = poly * Polynomial(extra)
+    assume(poly.degree >= 1)
+    return poly
+
+
+@st.composite
+def repeated_root_polys(draw):
+    """A polynomial with at least one rational root of multiplicity 2 or 3."""
+    roots = draw(st.lists(_roots, min_size=1, max_size=3, unique=True))
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    mults[0] = draw(st.integers(2, 3))
+    poly = Polynomial.constant(draw(st.sampled_from((1, -1, rational(2, 9)))))
+    for r, m in zip(roots, mults):
+        poly = poly * Polynomial([-_rat(r), 1]) ** m
+    return poly * Polynomial(draw(st.sampled_from(((1, 0, 1), (1,)))))
+
+
+class TestSturmCounts:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(square_free_polys(), _roots, _roots)
+    def test_counts_agree_with_sympy(self, poly, u, v):
+        assume(u < v)
+        chain = lebesgue._sturm_chain(poly)
+        assert chain[-1].is_constant
+        u, v = _rat(u), _rat(v)
+        su, sv = (sympy.Rational(w.numerator, w.denominator) for w in (u, v))
+        g = _sym(poly)
+        # Sturm counts the roots in (u, v]; count_roots counts [u, v]
+        expected = g.count_roots(su, sv) - (g.eval(su) == 0)
+        got = lebesgue._sign_changes(chain, u) - lebesgue._sign_changes(chain, v)
+        assert got == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(repeated_root_polys(), _roots, _roots)
+    def test_repeated_roots_agree_with_sympy(self, poly, lo, hi):
+        assume(lo < hi)
+        assert not lebesgue._sturm_chain(poly)[-1].is_constant
+        for g in (poly, -poly):
+            assert nonnegative_on(g, _rat(lo), _rat(hi)) == _sympy_nonnegative(
+                g, _rat(lo), _rat(hi)
+            )
 
 
 class TestCanonicalExtension:

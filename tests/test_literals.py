@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from intval.algebra import INTERVALS, SCALARS, ext, ival, rational
 from intval.errors import LiteralTooLarge, NonEvaluablePiece, ParseError
-from intval.lebesgue import PiecewiseMonotoneFn
+from intval.lebesgue import PiecewiseMonotoneFn, Polynomial
 from intval.literals import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_NESTING,
+    _size_bound,
     parse_fn,
     parse_measure,
     parse_piecewise,
@@ -204,6 +205,68 @@ class TestSizeCaps:
         for text in ("x^65", "x^40 * x^40", "((((2^64)^64)^64)^64)^64"):
             with pytest.raises(LiteralTooLarge):
                 parse_piecewise(f"piecewise {{ [0,1] inc: {text} }}")
+
+    # every case of TestPiecewiseLiterals' degree and coefficient-size cap
+    # tests, with its verdict: accepted (None), or the cap message and column
+    @pytest.mark.parametrize(
+        "text, verdict",
+        [
+            (f"(x + 1)^{MAX_DEGREE}", None),
+            (f"x^{MAX_DEGREE + 1}", ("exponent 65 exceeds the cap 64", 26)),
+            ("x^8000", ("exponent 8000 exceeds the cap 64", 26)),
+            ("2^100000", ("exponent 100000 exceeds the cap 64", 26)),
+            ("x^40 * x^40", ("polynomial degree 80 exceeds the cap 64", 29)),
+            ("(x^2 + 1)^40", ("polynomial degree 80 exceeds the cap 64", 33)),
+            ("(2^64)^64 * x", None),
+            (
+                "(((2^64)^64)^64) * x",
+                ("coefficients of up to 262400 bits exceed the cap 65536", 36),
+            ),
+            (
+                "((((2^64)^64)^64)^64)^64",
+                ("coefficients of up to 262400 bits exceed the cap 65536", 37),
+            ),
+            (
+                " * ".join(["(2^64)^64"] * 17),
+                ("coefficients of up to 65544 bits exceed the cap 65536", 202),
+            ),
+            (
+                " * ".join(["(2^64)^64"] * 15) + " / (2^64)^64",
+                ("coefficients of up to 65544 bits exceed the cap 65536", 202),
+            ),
+            (
+                f"(x / 3 + 1)^{MAX_DEGREE} * 2^{MAX_COEFF_BITS}",
+                ("exponent 65536 exceeds the cap 64", 43),
+            ),
+        ],
+    )
+    def test_cap_verdicts_are_pinned(self, text, verdict):
+        literal = f"piecewise {{ [0,1] inc: {text} }}"
+        if verdict is None:
+            parse_piecewise(literal)
+            return
+        message, col = verdict
+        with pytest.raises(LiteralTooLarge) as info:
+            parse_piecewise(literal)
+        assert str(info.value) == f"line 1, col {col}: {message}"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.fractions(-(10 ** 30), 10 ** 30, max_denominator=10 ** 12),
+            min_size=1,
+            max_size=9,
+        ),
+        st.integers(0, 4),
+    )
+    def test_size_bound_matches_the_rational_formula(self, coeffs, power):
+        poly = Polynomial([rational(c.numerator, c.denominator) for c in coeffs])
+        for p in (poly, poly ** power, poly * poly.derivative()):
+            cs = p.coeffs
+            expected = len(cs).bit_length() + sum(
+                c.numerator.bit_length() + 2 * c.denominator.bit_length() for c in cs
+            )
+            assert _size_bound(p) == expected
 
 
 # One valid literal of each form; the fuzz test mutates them.
