@@ -40,7 +40,9 @@ differences give exactly from degree + 1 values:
 Only the at most two cells per interior breakpoint that touch it are
 evaluated directly, since they take both pieces' values there; the cost
 of a level no longer depends on the depth.  Hand-written test functions
-keep the per-cell sum, which is also the oracle for the closed form.
+keep the per-cell sum, which is also the oracle for the closed form and
+checks every cell against its parent, so each level it returns ascends
+from the one before; canonical extensions are monotone by construction.
 
 A ``Polynomial`` is stored as integer coefficients over one positive
 common denominator, in lowest terms (the layout of FLINT's fmpq_poly);
@@ -75,12 +77,11 @@ from .algebra import (
     rational_str,
     width,
 )
-from .errors import DepthCapExceeded, NonEvaluablePiece, OutOfRange
+from .errors import DepthCapExceeded, NonEvaluablePiece, NotMonotone, OutOfRange
 
 DEFAULT_DEPTH_CAP = 24
 
 _ZERO_RAT = rational(0)
-_ONE_RAT = rational(1)
 
 
 def is_dyadic(r) -> bool:
@@ -482,8 +483,9 @@ class IntervalTestFn:
     """An interval-valued test function on dyadic intervals.
 
     The evaluator must be monotone under reverse inclusion: shrinking the
-    argument interval may only refine the result.  That is spot-validated
-    on nested dyadic pairs at construction.
+    argument interval may only refine the result.  Construction evaluates
+    nothing; ``lebesgue_n`` checks each cell it sums against its parent
+    cell and raises NotMonotone where the order fails.
     """
 
     __slots__ = ("_evaluator", "name")
@@ -492,30 +494,10 @@ class IntervalTestFn:
         self,
         evaluator: Callable[[DyadicInterval], IntervalValue],
         *,
-        validate: bool = True,
         name: str = "",
     ):
         self._evaluator = evaluator
         self.name = name
-        if validate:
-            self._spot_check()
-
-    def _spot_check(self) -> None:
-        for n in range(3):
-            step = rational(1, 2 ** n)
-            half = step / 2
-            for i in range(2 ** n):
-                parent = DyadicInterval(i * step, (i + 1) * step)
-                for child in (
-                    DyadicInterval(i * step, i * step + half),
-                    DyadicInterval(i * step + half, (i + 1) * step),
-                    DyadicInterval(i * step + half, i * step + half),
-                ):
-                    if not ival_leq(self(parent), self(child)):
-                        raise ValueError(
-                            f"evaluator is not monotone under refinement at "
-                            f"{parent} -> {child}"
-                        )
 
     def __call__(self, interval: DyadicInterval) -> IntervalValue:
         value = self._evaluator(interval)
@@ -536,15 +518,14 @@ class CanonicalExtension(IntervalTestFn):
     __slots__ = ("fn",)
 
     def __init__(self, fn: PiecewiseMonotoneFn):
-        super().__init__(self._range, validate=False, name=repr(fn))
+        super().__init__(self._range)
         self.fn = fn
 
     def _range(self, interval: DyadicInterval) -> IntervalValue:
-        lo = max(_ZERO_RAT, interval.lo)
-        hi = min(_ONE_RAT, interval.hi)
-        if lo > hi:
-            raise OutOfRange(f"{interval} misses [0, 1]")
-        return IntervalValue(*self.fn.range_over(lo, hi))
+        return IntervalValue(*self.fn.range_over(interval.lo, interval.hi))
+
+    def __repr__(self) -> str:
+        return f"<test fn {self.fn!r}>"
 
 
 def canonical_extension(f: PiecewiseMonotoneFn) -> CanonicalExtension:
@@ -608,11 +589,10 @@ def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[object, object]:
             low, high = high, low
         lo_sum += low
         hi_sum += high
-    step = rational(1, size)
     for i in {i for bp in bps[1:-1] for i in _cells_touching(bp, size)}:
-        value = h(DyadicInterval(i * step, (i + 1) * step))
-        lo_sum += value.lo.value
-        hi_sum += value.hi.value
+        low, high = h.fn.range_over(rational(i, size), rational(i + 1, size))
+        lo_sum += low
+        hi_sum += high
     return lo_sum, hi_sum
 
 
@@ -628,7 +608,9 @@ def lebesgue_n(
     sums (weighted lower endpoints, weighted upper endpoints) because the
     cell weight is finite and positive.  A canonical extension's endpoint
     sums are taken in closed form (see the module docstring), with a
-    number of operations independent of n.
+    number of operations independent of n.  Any other h is summed cell
+    by cell, each value checked against its parent cell's (evaluated once
+    per two cells); NotMonotone names both where the order fails.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -637,10 +619,21 @@ def lebesgue_n(
     if isinstance(h, CanonicalExtension):
         lo_sum, hi_sum = _closed_form_sums(h, n)
         return IntervalValue(lo_sum / 2 ** n, hi_sum / 2 ** n)
-    w = IntervalValue(rational(1, 2 ** n), rational(1, 2 ** n))
+    step = rational(1, 2 ** n)
+    w = IntervalValue(step, step)
     acc = IZERO
-    for cell in dyadic_grid(n):
-        acc = acc + w * h(cell)
+    for i, cell in enumerate(dyadic_grid(n)):
+        value = h(cell)
+        if n:
+            if not i & 1:
+                parent = DyadicInterval(cell.lo, cell.lo + 2 * step)
+                bound = h(parent)
+            if not ival_leq(bound, value):
+                raise NotMonotone(
+                    f"evaluator is not monotone under refinement at "
+                    f"{parent} -> {cell}"
+                )
+        acc = acc + w * value
     return acc
 
 
@@ -652,7 +645,8 @@ def refine(
     If the cap comes first, the cap level is still yielded and then
     DepthCapExceeded is raised, carrying that level and the cap.  With eps
     None there is no width target, and the walk ends at the cap.  This is
-    the one loop over refinement depths in the library.
+    the one loop over refinement depths in the library.  NotMonotone
+    propagates from the first level of a hand-written h that shows it.
     """
     eps = None if eps is None else ext(eps)
     level = None
@@ -693,7 +687,10 @@ def ascends(levels: Sequence[IntervalValue]) -> bool:
 
 
 def chain_check(h: IntervalTestFn, n_max: int, *, cap: int = DEFAULT_DEPTH_CAP) -> bool:
-    """Exact check that the dyadic levels ascend up to depth n_max."""
+    """Exact check that the dyadic levels ascend up to depth n_max.
+
+    NotMonotone propagates from a hand-written h (see ``lebesgue_n``).
+    """
     if n_max > cap:
         raise DepthCapExceeded(f"depth {n_max} exceeds the cap {cap}", depth=cap)
     return ascends([level for _, level in refine(h, None, cap=n_max)])

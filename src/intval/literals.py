@@ -95,9 +95,9 @@ def _tokenize(text: str) -> List[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_DIGITS:
                 message = f"{j - i} digits exceed the cap {MAX_DIGITS}"

@@ -250,6 +250,22 @@ class TestIntegrate:
         assert err.startswith("error: ") and f"line 1, col {col}: 5000 digits exceed the cap" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "fn, col",
+        [
+            ("piecewise { [0,1] inc: x^\u00b2 }", 26),
+            ("piecewise { [0,\u0661] inc: x }", 16),
+            ("piecewise { [0,1] inc: \uff12*x }", 24),
+        ],
+        ids=["superscript-two", "arabic-indic-one", "fullwidth-two"],
+    )
+    def test_non_ascii_digits_exit_1_with_position(self, fn, col, capsys):
+        code, out, err = run_cli(["integrate", "--fn", fn], capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: line 1, col {col}: unexpected character ")
+        assert len(err.splitlines()) == 1
+
     def test_5000_digit_coefficient_in_eval_exits_1_with_position(self, capsys):
         code, out, err = run_cli(
             ["eval", "--poset", "poset { x }", "--val", "val { " + "1" * 5000 + " @ x }",

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracle_dyadic import brute_force_level
 
 from intval.algebra import INFINITY, IntervalValue, ext, ival, ival_leq, rational, width
-from intval.errors import DepthCapExceeded, NonEvaluablePiece, OutOfRange
+from intval.errors import DepthCapExceeded, NonEvaluablePiece, NotMonotone, OutOfRange
 from intval.laws import FIXTURE_INTEGRALS, fixture_functions
 from intval.lebesgue import (
     DyadicInterval,
@@ -38,7 +38,7 @@ def _rat(q: Fraction):
 
 def _grid(h: IntervalTestFn) -> IntervalTestFn:
     """The same test function, summed cell by cell by lebesgue_n."""
-    return IntervalTestFn(lambda c: h(c), validate=False)
+    return IntervalTestFn(lambda c: h(c))
 
 
 # interior breakpoints: dyadic (jumps land on cell edges from some depth
@@ -446,8 +446,22 @@ class TestCanonicalExtension:
 
     def test_misses_domain(self):
         h = canonical_extension(fixture_functions()["id"])
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=r"^\[2,3\] misses \[0, 1\]$"):
             h(DyadicInterval(2, 3))
+
+    def test_repr_names_the_function(self):
+        assert repr(canonical_extension(fixture_functions()["id"])) == (
+            "<test fn piecewise { [0,1] inc: x }>"
+        )
+
+    def test_construction_does_not_render_the_function(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("repr built at construction")
+
+        fn = fixture_functions()["tent"]
+        monkeypatch.setattr(PiecewiseMonotoneFn, "__repr__", fail)
+        h = canonical_extension(fn)
+        assert h.fn is fn
 
     def test_jump_at_breakpoint_takes_both_sides(self):
         step = PiecewiseMonotoneFn(
@@ -692,7 +706,9 @@ class TestInfinityBranch:
         return IntervalTestFn(evaluator, name="spike at 1/2")
 
     def test_spot_validation_accepts_it(self):
-        self.spike()
+        # every cell refines its parent, so the walk to the cap succeeds
+        levels = list(refine(self.spike(), None, cap=8))
+        assert [n for n, _ in levels] == list(range(9))
 
     def test_upper_endpoint_pinned_at_infinity(self):
         h = self.spike()
@@ -744,10 +760,43 @@ class TestDyadicRound:
 
 class TestEvaluatorValidation:
     def test_non_monotone_evaluator_rejected(self):
+        calls = []
+
         def bad(cell: DyadicInterval) -> IntervalValue:
             # wider intervals get tighter values: wrong way around
+            calls.append(cell)
             w = cell.hi - cell.lo
-            return ival(0, str(w)) if w > 0 else ival(0, 1)
+            return ival(0, str(1 / w)) if w > 0 else ival(0, "inf")
 
-        with pytest.raises(ValueError):
-            IntervalTestFn(bad)
+        h = IntervalTestFn(bad)
+        assert calls == []
+        with pytest.raises(NotMonotone, match=r"at \[0,1\] -> \[0,1/2\]$"):
+            lebesgue_n(1, h)
+
+    @staticmethod
+    def _late_failure() -> IntervalTestFn:
+        """[0,1] on cells of width >= 1/8 or 0, [0,2] on the rest.
+
+        Monotone on every cell of depth below 4, so the first level that
+        can show the failure is depth 4.
+        """
+
+        def evaluator(cell: DyadicInterval) -> IntervalValue:
+            w = cell.hi - cell.lo
+            return ival(0, 1) if w >= rational(1, 8) or w == 0 else ival(0, 2)
+
+        return IntervalTestFn(evaluator)
+
+    def test_failure_below_the_sampled_depths_is_caught(self):
+        h = self._late_failure()
+        message = r"refinement at \[0,1/8\] -> \[0,1/16\]$"
+        seen = []
+        with pytest.raises(NotMonotone, match=message):
+            for n, level in refine(h, None, cap=5):
+                seen.append((n, level))
+        assert seen == [(n, ival(0, 1)) for n in range(4)]
+        with pytest.raises(NotMonotone, match=message):
+            lebesgue_integrate(h, "1/2", cap=5)
+        with pytest.raises(NotMonotone, match=message):
+            chain_check(h, 5)
+        assert chain_check(h, 3)

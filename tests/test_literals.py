@@ -166,6 +166,26 @@ class TestPiecewiseLiterals:
         assert info.value.col == 19
 
 
+class TestDigits:
+    @pytest.mark.parametrize(
+        "parse, text, col",
+        [
+            (parse_piecewise, "piecewise { [0,1] inc: x^\u00b2 }", 26),
+            (parse_piecewise, "piecewise { [0,\u0661] inc: x }", 16),
+            (parse_piecewise, "piecewise { [0,1] inc: \uff12*x }", 24),
+            (parse_valuation, "val { \u0661 @ x }", 7),
+            (parse_rational, "1\u0662", 2),
+        ],
+        ids=["superscript-two", "arabic-indic-one", "fullwidth-two", "val", "rational"],
+    )
+    def test_integers_are_ascii_digit_runs(self, parse, text, col):
+        # str.isdigit() holds for these characters, which
+        # algebra.parse_scalar rejects; the grammar takes 0-9 only
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse(text)
+        assert (info.value.line, info.value.col) == (1, col)
+
+
 class TestSizeCaps:
     @pytest.mark.parametrize(
         "parse, text, col",
