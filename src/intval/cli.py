@@ -197,7 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_laws = sub.add_parser("laws", help="run the algebraic law suites")
     p_laws.add_argument("--seed", type=int, default=0)
-    p_laws.add_argument("--cases", type=int, default=None)
+    p_laws.add_argument(
+        "--cases", type=int, default=None,
+        help="randomized draws per law family (default: each family's own count); "
+        "lebesgue-chain reads it as its depth, capped at 12. "
+        "The exhaustive cases always run",
+    )
     p_laws.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p_laws.set_defaults(run=cmd_laws)
 

@@ -35,6 +35,18 @@ single-term kernels with Dirac or unit-kernel arguments, so no two terms
 ever merge at one target point there; merged terms are exercised by the
 randomized pass, which compares normal forms.
 
+The oracle works on value vectors: a valuation's vector is its values on
+the whole test family, in family order.  It forms functional_bind's
+vector as the elementwise sum of r_i * vec(f(x_i)), still from evaluate
+and coefficient arithmetic alone, and compares it with vec(bind(f, nu)).
+Since evaluate is a pure function of the terms, each distinct valuation's
+vector is computed once and memoized in a dict that lives for one poset
+loop: one per (X, Y) in law (i), one per diagonal (X, X, X) in the law
+(iii) core, so it holds at most one family's kernel images and results.
+Law (ii) gets a fresh memo per case: every nu there is distinct, so a
+memo spanning its cases would keep one vector per grid valuation that is
+never read again, and save only the unit kernel's few Dirac vectors.
+
 Randomized scope.  Generators below produce posets, monotone/antitone
 tables, valuations, kernels and measures from fixed seeds; all randomness
 flows through one random.Random instance per family, so a (seed, cases)
@@ -514,23 +526,42 @@ def functional_bind(f: Kernel, nu: ElementaryValuation, k: MonotoneMap):
     return acc
 
 
+# A valuation's values on the exhaustive tests of its space, in family order.
+Vectors = Dict[ElementaryValuation, Tuple[IntervalValue, ...]]
+
+
+def _vector(v: ElementaryValuation, vectors: Vectors) -> Tuple[IntervalValue, ...]:
+    """v's value vector, computed on the first request and memoized in `vectors`."""
+    vec = vectors.get(v)
+    if vec is None:
+        vec = vectors[v] = tuple(evaluate(v, k) for k in _tests_for(v.space))
+    return vec
+
+
 def _bind_oracle_fails(
-    got: ElementaryValuation, f: Kernel, nu: ElementaryValuation
+    got: ElementaryValuation, f: Kernel, nu: ElementaryValuation, vectors: Vectors
 ) -> bool:
-    """True iff got differs from functional_bind(f, nu, k) on some exhaustive k."""
-    return any(
-        evaluate(got, k) != functional_bind(f, nu, k) for k in _tests_for(f.target)
-    )
+    """True iff got differs from functional_bind(f, nu, k) on some exhaustive k.
+
+    Forms functional_bind's value vector as the elementwise sum of
+    r_i * vec(f(x_i)), with every vec read through `vectors`.
+    """
+    alg = nu.algebra
+    want = None
+    for coeff, point in nu.terms:
+        term = [alg.mul(coeff, e) for e in _vector(f(point), vectors)]
+        want = term if want is None else list(map(alg.add, want, term))
+    return _vector(got, vectors) != tuple(want)
 
 
-def _law_i_fails(f: Kernel, x, dirac_x: ElementaryValuation) -> bool:
+def _law_i_fails(f: Kernel, x, dirac_x: ElementaryValuation, vectors: Vectors) -> bool:
     got = bind(f, dirac_x)
-    return got != f(x) or _bind_oracle_fails(got, f, dirac_x)
+    return got != f(x) or _bind_oracle_fails(got, f, dirac_x, vectors)
 
 
 def _law_ii_fails(eta: Kernel, nu: ElementaryValuation) -> bool:
     got = bind(eta, nu)
-    return got != nu or _bind_oracle_fails(got, eta, nu)
+    return got != nu or _bind_oracle_fails(got, eta, nu, {})
 
 
 def _law_iii_fails(
@@ -538,17 +569,17 @@ def _law_iii_fails(
     g: Kernel,
     nu: ElementaryValuation,
     mid: ElementaryValuation,
-    functional: bool,
+    vectors: Optional[Vectors],
 ) -> bool:
     """Law (iii) at nu, given gf = kleisli_compose(g, f) and mid = bind(f, nu).
 
-    With `functional`, also checks the law in functional form,
+    With a `vectors` memo, also checks the law in functional form,
     bind(gf, nu)(k) == mid(y -> g(y)(k)), on every exhaustive k.
     """
     lhs = bind(gf, nu)
     if lhs != bind(g, mid):
         return True
-    return functional and _bind_oracle_fails(lhs, g, mid)
+    return vectors is not None and _bind_oracle_fails(lhs, g, mid, vectors)
 
 
 # Counterexample texts, filled in with repr of their arguments.
@@ -579,9 +610,11 @@ def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
         units = [(x, unit(X, x)) for x in X.points]
         for Y in posets:
             kernels = _dirac_kernels(X, Y, COEFF_GRID) + _const_kernels(X, Y, COEFF_GRID)
+            vectors: Vectors = {}
             for f in kernels:
                 for x, dirac_x in units:
-                    yield _UNIT_LAW.format(x, f) if _law_i_fails(f, x, dirac_x) else None
+                    failed = _law_i_fails(f, x, dirac_x, vectors)
+                    yield _UNIT_LAW.format(x, f) if failed else None
 
     # Law (iii), exhaustive core: unit/bottom coefficients over all triples,
     # Dirac arguments; structural equality, plus the functional oracle on
@@ -594,13 +627,13 @@ def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
             fs = _dirac_kernels(X, Y, (IONE,)) + _const_kernels(X, Y, core)
             for Z in posets:
                 gs = _dirac_kernels(Y, Z, core)
-                functional = X is Y and Y is Z
+                vectors = {} if X is Y and Y is Z else None
                 for f in fs:
                     mids = [bind(f, nu) for nu in nus]
                     for g in gs:
                         gf = kleisli_compose(g, f)
                         for nu, mid in zip(nus, mids):
-                            failed = _law_iii_fails(gf, g, nu, mid, functional)
+                            failed = _law_iii_fails(gf, g, nu, mid, vectors)
                             yield _COMPOSITION.format(nu, f, g) if failed else None
 
     # Law (iii), diagonal enrichment: full grid coefficients, richer arguments.
@@ -614,7 +647,7 @@ def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
             for g in fs:
                 gf = kleisli_compose(g, f)
                 for nu, mid in zip(nus, mids):
-                    failed = _law_iii_fails(gf, g, nu, mid, functional=False)
+                    failed = _law_iii_fails(gf, g, nu, mid, vectors=None)
                     yield _COMPOSITION.format(nu, f, g) if failed else None
 
     # Randomized pass: multi-term kernels and valuations on posets <= 6,

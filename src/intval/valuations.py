@@ -9,7 +9,9 @@ computed in the coefficient algebra.  Evaluation is linear (additive and
 homogeneous) and monotone in h, with exact equality throughout.
 
 Terms are kept in normal form: sorted by point, one term per point, equal
-points merged by coefficient addition.  Zero coefficients are *kept*: in
+points merged by coefficient addition.  A single term is already in normal
+form, so the constructor takes it as it is, with no merge or sort; bind
+builds most of its results that way.  Zero coefficients are *kept*: in
 the interval algebra [0, 0] * [inf, inf] = [0, inf], so a [0, 0]-weighted
 term still contributes wherever the test function has an infinite upper
 endpoint, and dropping it would change the functional.  The empty sum is
@@ -69,14 +71,24 @@ class ElementaryValuation:
         algebra: ValueAlgebra = INTERVALS,
         validate: bool = True,
     ):
-        merged = {}
-        for coeff, point in terms:
-            if validate:
+        if not isinstance(terms, (list, tuple)):
+            terms = list(terms)
+        if validate:
+            for coeff, point in terms:
                 space.require(point)
                 if not algebra.contains(coeff):
                     raise ValueError(
                         f"coefficient {coeff!r} is not a {algebra.name} element"
                     )
+        self.space = space
+        self.algebra = algebra
+        if len(terms) == 1:
+            # one term is already merged and sorted
+            ((coeff, point),) = terms
+            self.terms = ((coeff, point),)
+            return
+        merged = {}
+        for coeff, point in terms:
             if point in merged:
                 merged[point] = algebra.add(merged[point], coeff)
             else:
@@ -86,8 +98,6 @@ class ElementaryValuation:
                 "an elementary valuation needs at least one term; "
                 "the empty sum is not a valuation"
             )
-        self.space = space
-        self.algebra = algebra
         self.terms = tuple(
             (coeff, point)
             for point, coeff in sorted(merged.items(), key=lambda kv: _point_key(kv[0]))

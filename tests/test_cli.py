@@ -435,6 +435,14 @@ class TestLaws:
         assert out == ""
         assert err == "error: --cases must be >= 1\n"
 
+    def test_cases_help_says_what_it_scales(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["laws", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "randomized draws per law family" in text
+        assert "lebesgue-chain reads it as its depth, capped at 12" in text
+        assert "The exhaustive cases always run" in text
+
     def test_violation_exits_3_with_counterexample(self, monkeypatch, capsys):
         broken = LawResult(
             "interval-axioms", 12, 1, "distributivity at x=[0,0], y=[1,1], z=[0,inf]"

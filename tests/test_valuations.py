@@ -11,6 +11,7 @@ from intval.laws import (
     random_monotone_kernel,
     random_monotone_map,
     random_poset,
+    random_scalar,
     random_valuation,
 )
 from intval.spaces import MonotoneMap, antichain, chain, enumerate_posets, singleton
@@ -191,6 +192,45 @@ class TestNormalForm:
                 {"coeff": "[1/4,1/3]", "point": "y"},
             ]
         }
+
+
+def _coefficient(rng, algebra):
+    return random_interval(rng) if algebra is INTERVALS else random_scalar(rng)
+
+
+class TestOneTermNormalForm:
+    """A one-term sum is taken as its own normal form, without merging."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([INTERVALS, SCALARS]))
+    def test_matches_the_merging_path(self, seed, algebra):
+        rng = random.Random(seed)
+        space = random_poset(rng, 4)
+        a, b = _coefficient(rng, algebra), _coefficient(rng, algebra)
+        p = rng.choice(space.points)
+        one = ElementaryValuation(space, [(algebra.add(a, b), p)], algebra)
+        merged = ElementaryValuation(space, [(a, p), (b, p)], algebra)
+        assert one.terms == merged.terms == ((algebra.add(a, b), p),)
+        assert one == merged and hash(one) == hash(merged)
+        from_generator = ElementaryValuation(
+            space, ((c, q) for c, q in [(algebra.add(a, b), p)]), algebra
+        )
+        assert from_generator.terms == one.terms
+        # a term given as a list still lands in the terms as a tuple
+        assert ElementaryValuation(space, [[a, p]], algebra).terms == ((a, p),)
+
+    @pytest.mark.parametrize("algebra", [INTERVALS, SCALARS], ids=["interval", "scalar"])
+    def test_validation_still_runs(self, xy, algebra):
+        with pytest.raises(PointNotInSpace):
+            ElementaryValuation(xy, [(algebra.one, "nope")], algebra)
+        wrong = IONE if algebra is SCALARS else ext(1)
+        with pytest.raises(ValueError) as err:
+            ElementaryValuation(xy, [(wrong, "x")], algebra)
+        assert str(err.value) == f"coefficient {wrong!r} is not a {algebra.name} element"
+        # unvalidated, the term is taken as given
+        assert ElementaryValuation(xy, [(wrong, "x")], algebra, validate=False).terms == (
+            (wrong, "x"),
+        )
 
 
 class TestComparisons:
