@@ -26,6 +26,11 @@ stored reduced, with n >= 0, d >= 1 and gcd(n, d) = 1, and infinity is the
 pair (1, 0).  Reduced pairs are canonical, so equality is two int
 comparisons, the unit and zero tests are n == d and n == 0, products cancel
 across with math.gcd, sums take one gcd and the order cross-multiplies.
+An interval product with a [1, 1] factor returns the other operand itself
+rather than a copy, as a scalar product with a finite unit factor does.
+Values are immutable, so sharing one is safe, and results that share their
+inputs' coefficients compare equal at the identity test, which makes == on
+normal forms (tuples of terms) cheap.
 ``ExtNonNeg.value`` builds the exact ``fractions.Fraction`` on demand for
 callers that compute with rationals, and ``rational`` builds Fractions.
 Text has one grammar, 'inf', 'p' or 'p/q' at any length: the constructor
@@ -34,7 +39,10 @@ reads strings through ``parse_scalar``, the inverse of ``render_scalar``.
 There is one arithmetic path.  The law suites spend their time in these
 few int operations, not in a rational type, so a faster rational library
 would not speed them up, and a second backend would be a second path whose
-output bytes nothing here could check.
+output bytes nothing here could check.  The unit shortcut is not a second
+path: every interval product still dispatches through
+``IntervalValue.__mul__``, which tests for [1, 1] on the reduced pairs
+before it calls mul_left and mul_right.
 
 The algebra R of the paper is a set with +, * and an order and nothing
 else, so each of the two is one ``ValueAlgebra`` record of exactly that:
@@ -286,11 +294,22 @@ class IntervalValue:
         return obj
 
     def __mul__(self, other: "IntervalValue") -> "IntervalValue":
+        # A [1, 1] factor (n == d at both endpoints; infinity is (1, 0), so
+        # [1, inf] is not one) returns the other operand itself: exact,
+        # since mul_left(1, a) = a and mul_right(1, b) = b, infinity
+        # included.  Sharing is safe because values are immutable, and it
+        # lets == on normal forms stop at the identity test.
+        lo, hi = self.lo, self.hi
+        if lo._n == lo._d and hi._n == hi._d:
+            return other
+        olo, ohi = other.lo, other.hi
+        if olo._n == olo._d and ohi._n == ohi._d:
+            return self
         # lo <= hi is preserved: mul_left <= mul_right pointwise and both
         # are monotone in each argument.
         obj = _new(IntervalValue)
-        _set_lo(obj, mul_left(self.lo, other.lo))
-        _set_hi(obj, mul_right(self.hi, other.hi))
+        _set_lo(obj, mul_left(lo, olo))
+        _set_hi(obj, mul_right(hi, ohi))
         return obj
 
     def __eq__(self, other) -> bool:

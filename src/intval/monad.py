@@ -109,13 +109,24 @@ def unit(space: FinitePoset, x: Point, algebra: ValueAlgebra = INTERVALS) -> Ele
 
 
 def bind(f: Kernel, nu: ElementaryValuation) -> ElementaryValuation:
-    """Extend a kernel to valuations: sum_i r_i . f(x_i), normalized once."""
+    """Extend a kernel to valuations: sum_i r_i . f(x_i), normalized once.
+
+    One product per pair of terms, read straight off the kernel's table; a
+    [1, 1] coefficient (a Dirac term) returns the image's coefficient
+    itself, so the result shares it (see ``IntervalValue.__mul__``).
+    """
     if nu.space is not f.source and nu.space != f.source:
         raise SpaceMismatch("valuation lives off the kernel source")
     alg = nu.algebra
     if alg is not f.algebra:
         raise SpaceMismatch("valuation and kernel use different algebras")
-    terms = [(alg.mul(r, c), y) for r, x in nu.terms for c, y in f(x).terms]
+    mul, table = alg.mul, f._table
+    try:
+        terms = [(mul(r, c), y) for r, x in nu.terms for c, y in table[x].terms]
+    except KeyError as exc:
+        raise PointNotInSpace(
+            f"point {exc.args[0]!r} is not in the kernel source"
+        ) from None
     return ElementaryValuation(f.target, terms, alg, validate=False)
 
 

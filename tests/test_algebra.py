@@ -391,6 +391,58 @@ class TestProductsAgainstReference:
             assert ival_mul(x, y) == got
 
 
+def _interval_of(a, b):
+    lo, hi = sorted((_scalar(a), _scalar(b)))
+    return IntervalValue(lo, hi)
+
+
+_UNIT_CORNERS = [ival(0, 0), ival(0, "inf"), ival("inf", "inf"), ival(1, "inf")]
+
+
+class TestUnitFactor:
+    """A [1, 1] factor returns the other operand itself, and that operand is
+    the full product's value; near-units take the full product."""
+
+    @staticmethod
+    def _check(one, x):
+        assert one * x is x
+        # a unit x is itself the first factor to be tested, and returns one
+        assert x * one is (one if x == IONE else x)
+        full = IntervalValue._make(mul_left(ONE, x.lo), mul_right(ONE, x.hi))
+        assert one * x == full and x * one == full
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operands, _operands)
+    def test_unit_returns_the_other_operand(self, a, b):
+        x = _interval_of(a, b)
+        self._check(IONE, x)
+        self._check(parse_interval("[1,1]"), x)
+
+    @pytest.mark.parametrize("x", _UNIT_CORNERS + [IONE, ival(1, 2), ival(0, 1)], ids=str)
+    def test_corners(self, x):
+        self._check(IONE, x)
+
+    def test_parsed_unit_is_a_different_object(self):
+        one = parse_interval("[1,1]")
+        assert one is not IONE and one == IONE
+        for x in _UNIT_CORNERS:
+            self._check(one, x)
+        # a [1,1] built from fresh unit scalars takes the same path
+        for fresh in _fresh_builds(1):
+            self._check(IntervalValue(fresh, fresh), ival("1/2", 3))
+
+    @pytest.mark.parametrize("near", ["[1,inf]", "[1,2]", "[0,1]"])
+    def test_near_units_take_the_full_product(self, near):
+        u = parse_interval(near)
+        for x in _UNIT_CORNERS + [IONE, ival("1/2", 3)]:
+            got = u * x
+            assert got == IntervalValue._make(mul_left(u.lo, x.lo), mul_right(u.hi, x.hi))
+            if x is not IONE:
+                assert got is not x and got is not u
+        assert parse_interval("[1,inf]") * IZERO == ival(0, "inf")
+        assert IZERO * parse_interval("[1,inf]") == ival(0, "inf")
+
+
 class TestValueAlgebra:
     def test_the_two_records(self):
         assert (SCALARS.one, SCALARS.bottom) == (ONE, ZERO)
@@ -581,3 +633,12 @@ class TestFlattenedIntervalOps:
         prod = product(nu, f("y"))
         assert len(prod.terms) == 4
         assert counts == {"mul": 4, "add": 0}
+
+        # unit products return an operand, but still go through __mul__
+        counts.update(mul=0, add=0)
+        assert INTERVALS.mul(IONE, x) is x and INTERVALS.mul(x, IONE) is x
+        assert counts == {"mul": 2, "add": 0}
+        counts.update(mul=0, add=0)
+        got = bind(f, dirac(X, "y"))
+        assert got == f("y") and got.terms[0][0] is half
+        assert counts == {"mul": 2, "add": 0}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from intval.algebra import BOTTOM, INTERVALS, IONE, ival
-from intval.errors import NotMonotone, SpaceMismatch
+from intval.errors import NotMonotone, PointNotInSpace, SpaceMismatch
 from intval.laws import (
     functional_bind,
     random_monotone_kernel,
@@ -99,6 +99,15 @@ class TestKernel:
         X, Y = spaces
         with pytest.raises(SpaceMismatch):
             bind(kernel, dirac(Y, "u"))
+
+    def test_point_outside_the_kernel_source(self, spaces, kernel):
+        X, _ = spaces
+        for terms in ([(IONE, "z")], [(IONE, "x"), (ival(1, 2), "z")]):
+            nu = ElementaryValuation(X, terms, INTERVALS, validate=False)
+            with pytest.raises(PointNotInSpace) as caught:
+                bind(kernel, nu)
+            assert str(caught.value) == "point 'z' is not in the kernel source"
+            assert caught.value.__cause__ is None
 
 
 class TestMonadLaws:
