@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import ceil, comb, floor, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .algebra import (
@@ -404,10 +404,12 @@ class PiecewiseMonotoneFn:
     at piece endpoints, which bound the range once monotonicity holds.
     Adjacent pieces may disagree at a shared breakpoint; ranges then
     include both one-sided values, which is the tight enclosure of the
-    jump.
+    jump.  Construction stores each piece's (min, max) over its whole
+    segment, its two end values ordered by the declared direction, for
+    ``range_over`` to read.
     """
 
-    __slots__ = ("breakpoints", "pieces")
+    __slots__ = ("breakpoints", "pieces", "_ranges")
 
     def __init__(
         self,
@@ -422,24 +424,31 @@ class PiecewiseMonotoneFn:
         if any(not a < b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly ascending")
         checked = []
+        ranges = []
         for (direction, poly), lo, hi in zip(pieces, bps, bps[1:]):
             if direction not in ("inc", "dec"):
                 raise ValueError(f"unknown direction {direction!r}")
-            self._check_piece(direction, poly, lo, hi)
+            ranges.append(self._check_piece(direction, poly, lo, hi))
             checked.append((direction, poly))
         self.breakpoints = tuple(bps)
         self.pieces = tuple(checked)
+        self._ranges = tuple(ranges)
 
     @staticmethod
-    def _check_piece(direction: str, poly: Polynomial, lo, hi) -> None:
+    def _check_piece(direction: str, poly: Polynomial, lo, hi) -> Tuple[object, object]:
+        """The piece's (min, max) on [lo, hi], once its direction is decided."""
         slope = poly.derivative()
         if not nonnegative_on(slope if direction == "inc" else -slope, lo, hi):
             raise NonEvaluablePiece(
                 f"piece on [{lo},{hi}] is not {direction}; "
                 f"split the segment at the turning point"
             )
-        if poly(lo if direction == "inc" else hi) < 0:
+        low, high = poly(lo), poly(hi)
+        if direction == "dec":
+            low, high = high, low
+        if low < 0:
             raise ValueError(f"piece on [{lo},{hi}] takes negative values")
+        return low, high
 
     def __call__(self, x):
         """Pointwise value; at interior breakpoints the left piece wins."""
@@ -449,26 +458,42 @@ class PiecewiseMonotoneFn:
         return self.pieces[bisect_left(self.breakpoints, x, 1) - 1][1](x)
 
     def range_over(self, lo, hi) -> Tuple[object, object]:
-        """Exact (min, max) of the function over [lo, hi] within [0, 1]."""
+        """Exact (min, max) of the function over [lo, hi] within [0, 1].
+
+        Each piece that [lo, hi] covers whole contributes its stored (min,
+        max).  A piece that lo or hi cuts is evaluated at the cut end or
+        ends only, and its direction orders the two end values: an inc
+        piece is least at its left end, a dec piece at its right.  Raises
+        OutOfRange when lo > hi or [lo, hi] misses [0, 1].
+        """
+        if lo > hi:
+            raise OutOfRange(f"endpoints out of order: [{lo},{hi}]")
         bps = self.breakpoints
         # pieces k with bps[k] <= hi and lo <= bps[k + 1]
         first = bisect_left(bps, lo, 1) - 1
         last = min(bisect_right(bps, hi), len(self.pieces)) - 1
-        best_lo = None
-        best_hi = None
-        for k in range(first, last + 1):
-            a = max(bps[k], lo)
-            b = min(bps[k + 1], hi)
-            if a > b:
-                continue
-            poly = self.pieces[k][1]
-            va, vb = poly(a), poly(b)
-            lo_k, hi_k = (va, vb) if va <= vb else (vb, va)
-            best_lo = lo_k if best_lo is None else min(best_lo, lo_k)
-            best_hi = hi_k if best_hi is None else max(best_hi, hi_k)
-        if best_lo is None:
+        if first > last:
             raise OutOfRange(f"[{lo},{hi}] misses [0, 1]")
-        return best_lo, best_hi
+        left = lo if lo > bps[first] else None
+        right = hi if hi < bps[last + 1] else None
+        if first == last:
+            return self._clipped(first, left, right)
+        ranges = (
+            self._clipped(first, left, None),
+            *self._ranges[first + 1 : last],
+            self._clipped(last, None, right),
+        )
+        lows, highs = zip(*ranges)
+        return min(lows), max(highs)
+
+    def _clipped(self, k: int, a, b) -> Tuple[object, object]:
+        """(min, max) of piece k over [a, b], where None stands for the
+        piece's own end, whose value is stored."""
+        direction, poly = self.pieces[k]
+        low, high = self._ranges[k]
+        if direction == "inc":
+            return (low if a is None else poly(a)), (high if b is None else poly(b))
+        return (low if b is None else poly(b)), (high if a is None else poly(a))
 
     def __repr__(self) -> str:
         segs = []
@@ -568,9 +593,8 @@ def _power_sums(poly: Polynomial, size: int, a: int, b: int) -> Tuple[object, ob
 
 def _cells_touching(b, size: int) -> Tuple[int, ...]:
     """Indices of the depth cells [i/size, (i+1)/size] that contain b."""
-    x = b * size
-    i = int(floor(x))
-    return (i - 1, i) if x == i else (i,)
+    i, r = divmod(b.numerator * size, b.denominator)
+    return (i - 1, i) if r == 0 else (i,)
 
 
 def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[object, object]:
@@ -580,8 +604,8 @@ def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[object, object]:
     lo_sum = hi_sum = _ZERO_RAT
     for (direction, poly), s, t in zip(h.fn.pieces, bps, bps[1:]):
         # cells i with s < i/size and (i+1)/size < t, except at 0 and 1
-        a = 0 if s == 0 else int(floor(s * size)) + 1
-        b = size - 1 if t == 1 else int(ceil(t * size)) - 2
+        a = 0 if s == 0 else s.numerator * size // s.denominator + 1
+        b = size - 1 if t == 1 else -(-t.numerator * size // t.denominator) - 2
         if a > b:
             continue
         low, high = _power_sums(poly, size, a, b)

@@ -17,10 +17,18 @@ into a huge polynomial or a huge number; integer literals are capped at
 MAX_DIGITS digits and parentheses at MAX_NESTING levels.  All parse
 failures raise ParseError with a 1-based line/column position, and a
 literal over a cap raises its subclass LiteralTooLarge.
+
+One compiled regular expression scans the text: each match skips spaces,
+tabs and line breaks and takes one token, a symbol, an ASCII digit run, a
+word run or a single unexpected character.  A token keeps only its offset
+into the text; its line and column are computed from that offset when an
+error reports them, and the end of input sits one column past the last
+character.
 """
 
 from __future__ import annotations
 
+import re
 from math import gcd
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -58,64 +66,62 @@ MAX_DIGITS = 4300
 MAX_NESTING = 64
 
 
+def _position(source: str, offset: int) -> Tuple[int, int]:
+    """The 1-based (line, column) of an offset into source."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
 class Token(NamedTuple):
+    """A token and its offset into the source; the position is computed
+    from the offset when an error reads it."""
+
     kind: str
     text: str
-    line: int
-    col: int
+    offset: int
+    source: str
+
+    @property
+    def line(self) -> int:
+        return _position(self.source, self.offset)[0]
+
+    @property
+    def col(self) -> int:
+        return _position(self.source, self.offset)[1]
 
 
-_SYMBOLS = ("->", "<=", "{", "}", "[", "]", "(", ")", ";", ",", "@", ":", "+", "-", "*", "/", "^")
+# After optional spaces, tabs and line breaks, one token: a symbol (group
+# 1), an ASCII digit run (2), a run of \w (3; \w is exactly str.isalnum()
+# or '_'), which is an identifier if it starts with a letter or '_', any
+# other single character (4), or the end of the text (no group).  The last
+# alternative lets trailing whitespace end a match; without it the match
+# would backtrack and take a whitespace character as group 4.  re compiles
+# it on the first parse and caches it, so importing this module does not.
+_TOKEN = r"[ \t\r\n]*(?:(->|<=|[{}\[\]();,@:+\-*/^])|([0-9]+)|(\w+)|(.)|\Z)"
+# builds a Token without the Python-level NamedTuple constructor
+_token = tuple.__new__
 
 
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        two = text[i : i + 2]
-        if two in _SYMBOLS:
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > MAX_DIGITS:
-                message = f"{j - i} digits exceed the cap {MAX_DIGITS}"
-                raise LiteralTooLarge(message, line, col)
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    append = tokens.append
+    for m in re.finditer(_TOKEN, text, re.DOTALL):
+        group = m.lastindex
+        if group is None:
+            break
+        word = m.group(group)
+        start = m.start(group)
+        if group == 1:
+            append(_token(Token, (word, word, start, text)))
+        elif group == 2:
+            if len(word) > MAX_DIGITS:
+                message = f"{len(word)} digits exceed the cap {MAX_DIGITS}"
+                raise LiteralTooLarge(message, *_position(text, start))
+            append(_token(Token, ("INT", word, start, text)))
+        elif group == 3 and (word[0].isalpha() or word[0] == "_"):
+            append(_token(Token, ("IDENT", word, start, text)))
+        else:
+            raise ParseError(f"unexpected character {word[0]!r}", *_position(text, start))
+    append(Token("EOF", "", len(text), text))
     return tokens
 
 

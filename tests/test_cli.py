@@ -387,6 +387,8 @@ class TestEval:
             capsys=capsys,
         )
         assert code == 1
+        # the end of input is one column past the trailing '{'
+        assert err == "error: line 1, col 8: expected a point name, found 'end of input'\n"
 
 
 class TestLaws:

@@ -485,6 +485,90 @@ class TestCanonicalExtension:
                         assert ival_leq(h(cell), h(sub))
 
 
+def _range_oracle(fn: PiecewiseMonotoneFn, lo, hi):
+    """(min, max) of fn over [lo, hi] n [0, 1], from the values at the
+    clipped ends and both one-sided values at every breakpoint inside.
+
+    Monotone pieces take their extrema at the ends of each overlap, and
+    those ends are exactly these points; every piece whose closed segment
+    holds a point contributes its value there, so a jump gives both sides.
+    """
+    bps = fn.breakpoints
+    a, b = max(lo, Fraction(0)), min(hi, Fraction(1))
+    points = {a, b} | {x for x in bps if a <= x <= b}
+    values = []
+    for k, (_, poly) in enumerate(fn.pieces):
+        for x in points:
+            if bps[k] <= x <= bps[k + 1]:
+                acc = Fraction(0)
+                for c in reversed(poly.coeffs):
+                    acc = acc * x + c
+                values.append(acc)
+    return min(values), max(values)
+
+
+# inc, dec, inc, dec, with a jump at each interior breakpoint
+_JUMPY = PiecewiseMonotoneFn(
+    [0, rational(1, 3), rational(1, 2), rational(5, 7), 1],
+    [
+        ("inc", Polynomial([1, 0, 1])),
+        ("dec", Polynomial([3, -2])),
+        ("inc", Polynomial([0, rational(1, 2)])),
+        ("dec", Polynomial([5, 0, 0, -4])),
+    ],
+)
+
+
+class TestRangeOver:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ("1/10", "1/5"),  # inside one piece
+            ("2/5", "9/20"),  # inside a dec piece
+            ("1/7", "6/7"),  # spanning every interior breakpoint
+            ("0", "1"),  # every piece whole
+            ("1/3", "1/2"),  # one piece whole, closed at both jumps
+            ("1/2", "1/2"),  # degenerate at a jump
+            ("3/5", "3/5"),  # degenerate inside a piece
+            ("-1", "0"),  # touches [0, 1] at 0 only
+            ("1", "3/2"),  # touches [0, 1] at 1 only
+            ("-1", "2"),  # covers [0, 1]
+        ],
+    )
+    def test_agrees_with_the_oracle(self, lo, hi):
+        lo, hi = rational(lo), rational(hi)
+        assert _JUMPY.range_over(lo, hi) == _range_oracle(_JUMPY, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [("2", "3"), ("-2", "-1/3"), ("11/10", "11/10")])
+    def test_misses_domain(self, lo, hi):
+        with pytest.raises(OutOfRange, match=r"misses \[0, 1\]$"):
+            _JUMPY.range_over(rational(lo), rational(hi))
+
+    @pytest.mark.parametrize("lo, hi", [("1/3", "1/4"), ("2/5", "7/20"), ("1", "0"), ("3", "2")])
+    def test_endpoints_out_of_order(self, lo, hi):
+        with pytest.raises(OutOfRange, match=rf"^endpoints out of order: \[{lo},{hi}\]$"):
+            _JUMPY.range_over(rational(lo), rational(hi))
+
+    @settings(EXAMPLES, max_examples=200)
+    @given(piecewise_fns(), st.data())
+    def test_hypothesis_intervals_agree_with_the_oracle(self, fn, data):
+        # rational, mostly non-dyadic ends, with breakpoints drawn often
+        end = st.one_of(
+            st.fractions(Fraction(-1, 2), Fraction(3, 2), max_denominator=60),
+            st.sampled_from(fn.breakpoints),
+        )
+        lo, hi = sorted((data.draw(end), data.draw(end)))
+        lo, hi = _rat(lo), _rat(hi)
+        if hi < 0 or lo > 1:
+            with pytest.raises(OutOfRange, match="misses"):
+                fn.range_over(lo, hi)
+        else:
+            assert fn.range_over(lo, hi) == _range_oracle(fn, lo, hi)
+        if lo < hi:
+            with pytest.raises(OutOfRange, match="out of order"):
+                fn.range_over(hi, lo)
+
+
 class TestLevels:
     def test_identity_levels(self):
         h = canonical_extension(fixture_functions()["id"])

@@ -1,7 +1,9 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import oracle_scanner
 
 from intval.algebra import INTERVALS, SCALARS, ext, ival, rational
 from intval.errors import LiteralTooLarge, NonEvaluablePiece, ParseError
@@ -12,6 +14,7 @@ from intval.literals import (
     MAX_DIGITS,
     MAX_NESTING,
     _size_bound,
+    _tokenize,
     parse_fn,
     parse_measure,
     parse_piecewise,
@@ -164,6 +167,48 @@ class TestPiecewiseLiterals:
             parse_piecewise("piecewise { [0,1] up: x }")
         assert info.value.line == 1
         assert info.value.col == 19
+
+
+class TestScanner:
+    def test_end_of_input_after_a_trailing_symbol(self):
+        # the end of input sits one column past the last character
+        with pytest.raises(ParseError) as info:
+            parse_poset("poset {")
+        assert str(info.value) == "line 1, col 8: expected a point name, found 'end of input'"
+        with pytest.raises(ParseError) as info:
+            parse_rational("1/")
+        assert str(info.value) == "line 1, col 3: expected a denominator, found 'end of input'"
+
+    def test_trailing_whitespace_is_scanned_once(self):
+        t0 = time.perf_counter()
+        assert parse_poset("poset { a }" + " " * 200_000).points == ("a",)
+        assert time.perf_counter() - t0 < 1.0
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                list("abx_0123456789\u00e9\u00b2\u0663\u00bd \t\r\f\n<>")
+                + list(oracle_scanner.SYMBOLS)
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    @example("1" * (MAX_DIGITS + 1))
+    @example("a\n  b " + "7" * (MAX_DIGITS + 1) + "\u00b2")
+    @example("x" + "7" * (MAX_DIGITS + 1))
+    def test_matches_the_character_scanner(self, text):
+        try:
+            expected = oracle_scanner.scan(text)
+        except ParseError as exc:
+            with pytest.raises(type(exc)) as info:
+                _tokenize(text)
+            assert type(info.value) is type(exc)
+            assert (str(info.value), info.value.line, info.value.col) == (
+                str(exc), exc.line, exc.col
+            )
+        else:
+            assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == expected
 
 
 class TestDigits:
