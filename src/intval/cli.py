@@ -14,10 +14,10 @@ column, with at most literals.MAX_DIGITS digits after the point, adds
 clearly-labeled decimal approximations.
 Output is deterministic given the inputs and seed, byte for byte.
 
-Exit codes: 0 success; 1 parse/validation failure (with a line/column
-diagnostic where available, as one 'error:' line from main); 2 width target not reached by the depth cap
-(the partial table is still emitted); 3 law violation (the counterexample
-is printed).
+Exit codes: 0 success; 1 parse/validation failure (one 'error:' line
+from main, with a line/column diagnostic where available); 2 width target
+not reached by the depth cap (the partial table is still emitted); 3 law
+violation (the counterexample is printed).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import asdict
 from typing import List, Optional
@@ -51,8 +52,9 @@ MAX_DEPTH_CAP = 30
 
 
 def _read_spec(arg: str, keyword: str) -> str:
-    """Accept either an inline literal or a path to a file holding one."""
-    if arg.lstrip().startswith(keyword):
+    """The argument if it is an inline literal (after leading whitespace, the
+    keyword then whitespace or '{'), else the contents of the file it names."""
+    if re.match(rf"\s*{keyword}[\s{{]", arg):
         return arg
     try:
         with open(arg, "r", encoding="utf-8") as fh:

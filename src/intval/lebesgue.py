@@ -289,10 +289,6 @@ class Polynomial:
             [k * v for k, v in enumerate(self.num)][1:] or [0], self.den
         )
 
-    def monic(self) -> "Polynomial":
-        """Scaled by a positive constant to leading coefficient +-1."""
-        return Polynomial._of(list(self.num), abs(self.num[-1]))
-
     @property
     def degree(self) -> int:
         """Degree, counting the zero polynomial as degree 0."""
@@ -301,12 +297,6 @@ class Polynomial:
     @property
     def is_constant(self) -> bool:
         return len(self.num) == 1
-
-    def scaled(self, c) -> "Polynomial":
-        c = rational(c)
-        return Polynomial._of(
-            [c.numerator * v for v in self.num], c.denominator * self.den
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -1,6 +1,8 @@
 """Parsers for the small text formats used by the CLI and test fixtures.
 
-Five literal forms are accepted:
+Five literal forms are accepted, each a keyword (and, for fn, a name)
+before a braced list of items separated by ';', with an optional ';'
+before the closing brace:
 
     poset { a; b; a <= b }
     fn h { a -> [0,3]; b -> [1,2] }
@@ -8,29 +10,34 @@ Five literal forms are accepted:
     measure { 1/2 @ x; 1/2 @ y }
     piecewise { [0,1/2] inc: x; [1/2,1] dec: 1 - x }
 
-Scalars are written 'p', 'p/q' or 'inf'; intervals '[lo,hi]'.  Piecewise
-segments carry a declared monotone direction and a polynomial expression
-in x over the rationals (+, -, *, / by a constant, ^ with an integer
-exponent, parentheses).  Degrees and exponents are capped at MAX_DEGREE
-and coefficient sizes at MAX_COEFF_BITS, so a short literal cannot expand
-into a huge polynomial or a huge number; integer literals are capped at
-MAX_DIGITS digits and parentheses at MAX_NESTING levels.  All parse
-failures raise ParseError with a 1-based line/column position, and a
-literal over a cap raises its subclass LiteralTooLarge.
+Scalars and breakpoints are written 'p', 'p/q' or (scalars only) 'inf';
+intervals '[lo,hi]'.  Piecewise segments carry a declared monotone
+direction and a polynomial expression in x over the rationals: integers,
+x, +, -, *, ^ with an integer exponent (binding tighter than * and /),
+/ by a nonzero constant expression, and parentheses, so 3/2^2 is 3/4.
+Degrees and exponents are capped at MAX_DEGREE and coefficient sizes at
+MAX_COEFF_BITS, so a short literal cannot expand into a huge polynomial
+or a huge number; integer literals are capped at MAX_DIGITS digits and
+parentheses at MAX_NESTING levels.
+
+All parse failures raise ParseError with a 1-based line/column position,
+and a literal over a cap raises its subclass LiteralTooLarge.  The first
+error in reading order is reported.  A literal that reads through to the
+end may still fail, in this order: an empty body (at line 1, column 1),
+values of both algebras, then a gap between piecewise segments.
 
 One compiled regular expression scans the text: each match skips spaces,
 tabs and line breaks and takes one token, a symbol, an ASCII digit run, a
-word run or a single unexpected character.  A token keeps only its offset
-into the text; its line and column are computed from that offset when an
-error reports them, and the end of input sits one column past the last
-character.
+word run or a single unexpected character.  A token is its kind, its text
+and its offset into the text; an error computes its line and column from
+that offset, and the end of input sits one column past the last character.
 """
 
 from __future__ import annotations
 
 import re
 from math import gcd
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Tuple
 
 from .algebra import (
     INFINITY,
@@ -72,21 +79,11 @@ def _position(source: str, offset: int) -> Tuple[int, int]:
 
 
 class Token(NamedTuple):
-    """A token and its offset into the source; the position is computed
-    from the offset when an error reads it."""
+    """A token: its kind, its text and its offset into the source."""
 
     kind: str
     text: str
     offset: int
-    source: str
-
-    @property
-    def line(self) -> int:
-        return _position(self.source, self.offset)[0]
-
-    @property
-    def col(self) -> int:
-        return _position(self.source, self.offset)[1]
 
 
 # After optional spaces, tabs and line breaks, one token: a symbol (group
@@ -111,25 +108,30 @@ def _tokenize(text: str) -> List[Token]:
         word = m.group(group)
         start = m.start(group)
         if group == 1:
-            append(_token(Token, (word, word, start, text)))
+            append(_token(Token, (word, word, start)))
         elif group == 2:
             if len(word) > MAX_DIGITS:
                 message = f"{len(word)} digits exceed the cap {MAX_DIGITS}"
                 raise LiteralTooLarge(message, *_position(text, start))
-            append(_token(Token, ("INT", word, start, text)))
+            append(_token(Token, ("INT", word, start)))
         elif group == 3 and (word[0].isalpha() or word[0] == "_"):
-            append(_token(Token, ("IDENT", word, start, text)))
+            append(_token(Token, ("IDENT", word, start)))
         else:
             raise ParseError(f"unexpected character {word[0]!r}", *_position(text, start))
-    append(Token("EOF", "", len(text), text))
+    append(Token("EOF", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
+
+    def fail(self, offset: int, message: str, error=ParseError) -> NoReturn:
+        """Raise error(message) at the line and column of offset."""
+        raise error(message, *_position(self.text, offset))
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -139,35 +141,49 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            label = what if what is not None else repr(kind)
-            raise ParseError(
-                f"expected {label}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise ParseError(
-                f"expected {word!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.next()
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+    def expect(self, kind: str, what: str, word: Optional[str] = None) -> Token:
+        """The next token, which must be of kind and, if word is given, read word."""
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (word is not None and tok.text != word):
+            self.fail(tok.offset, f"expected {what}, found {tok.text or 'end of input'!r}")
+        self.pos += 1
+        return tok
 
     def finish(self) -> None:
         tok = self.peek()
         if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+            self.fail(tok.offset, f"unexpected trailing input {tok.text!r}")
+
+    def block(self, keyword: str, parse_item, empty=None, name=None) -> list:
+        """keyword [name] '{' item (';' item)* [';'] '}', then the end of input.
+
+        Returns the items' results.  A name is read when `name` describes
+        one; with `empty` set, a literal without items fails with that
+        message at line 1, column 1.
+        """
+        self.expect("IDENT", repr(keyword), keyword)
+        if name is not None:
+            self.expect("IDENT", name)
+        self.expect("{", "'{'")
+        items = []
+        while self.peek().kind != "}":
+            items.append(parse_item())
+            if self.peek().kind != ";":
+                break
+            self.next()
+        self.expect("}", "';' or '}'")
+        self.finish()
+        if empty is not None and not items:
+            self.fail(0, empty)
+        return items
+
+    def one_algebra(self, valued, noun: str) -> ValueAlgebra:
+        """The algebra of every (algebra, token) pair, which must agree."""
+        algebra = valued[0][0]
+        for alg, tok in valued:
+            if alg is not algebra:
+                self.fail(tok.offset, f"cannot mix interval and scalar {noun}")
+        return algebra
 
     # ---- shared small pieces -------------------------------------------
 
@@ -179,15 +195,15 @@ class _Parser:
             den_tok = self.expect("INT", "a denominator")
             den = int(den_tok.text)
             if den == 0:
-                raise ParseError("denominator must be nonzero", den_tok.line, den_tok.col)
+                self.fail(den_tok.offset, "denominator must be nonzero")
             return rational(num, den)
         return rational(num)
 
     def scalar(self) -> ExtNonNeg:
-        if self.at_keyword("inf"):
-            self.next()
-            return INFINITY
-        return ExtNonNeg(self.rat())
+        if self.peek().kind == "INT":
+            return ExtNonNeg(self.rat())
+        self.expect("IDENT", "a rational number", "inf")
+        return INFINITY
 
     def interval(self) -> IntervalValue:
         open_tok = self.expect("[", "'['")
@@ -196,9 +212,7 @@ class _Parser:
         hi = self.scalar()
         self.expect("]", "']'")
         if not lo <= hi:
-            raise ParseError(
-                f"interval endpoints out of order: {lo} > {hi}", open_tok.line, open_tok.col
-            )
+            self.fail(open_tok.offset, f"interval endpoints out of order: {lo} > {hi}")
         return IntervalValue(lo, hi)
 
     def value(self):
@@ -206,24 +220,6 @@ class _Parser:
         if self.peek().kind == "[":
             return self.interval(), INTERVALS
         return self.scalar(), SCALARS
-
-    def semicolon_items(self, parse_item):
-        """item (';' item)* with an optional trailing ';' before '}'."""
-        items = []
-        self.expect("{", "'{'")
-        while self.peek().kind != "}":
-            items.append(parse_item())
-            if self.peek().kind == ";":
-                self.next()
-            elif self.peek().kind != "}":
-                tok = self.peek()
-                raise ParseError(
-                    f"expected ';' or '}}', found {tok.text or 'end of input'!r}",
-                    tok.line,
-                    tok.col,
-                )
-        self.expect("}", "'}'")
-        return items
 
     # ---- polynomial expressions ----------------------------------------
 
@@ -245,14 +241,14 @@ class _Parser:
                 self.check_size(_size_bound(node) + _size_bound(rhs), op_tok)
                 node = node * rhs
             else:
-                if not rhs.is_constant or rhs.num[0] == 0:
-                    raise ParseError(
-                        "division is only defined by a nonzero constant",
-                        op_tok.line,
-                        op_tok.col,
-                    )
+                n, d = rhs.num[0], rhs.den
+                if not rhs.is_constant or n == 0:
+                    self.fail(op_tok.offset, "division is only defined by a nonzero constant")
                 self.check_size(_size_bound(node) + _size_bound(rhs), op_tok)
-                node = node.scaled(rational(rhs.den, rhs.num[0]))
+                if n < 0:
+                    n, d = -n, -d
+                # node * d / n, keeping the denominator positive
+                node = Polynomial._of([d * v for v in node.num], node.den * n)
         return node
 
     def poly_unary(self) -> Polynomial:
@@ -270,56 +266,39 @@ class _Parser:
             exp_tok = self.expect("INT", "an integer exponent")
             exp = int(exp_tok.text)
             if exp > MAX_DEGREE:
-                raise LiteralTooLarge(
-                    f"exponent {exp} exceeds the cap {MAX_DEGREE}",
-                    exp_tok.line,
-                    exp_tok.col,
-                )
+                message = f"exponent {exp} exceeds the cap {MAX_DEGREE}"
+                self.fail(exp_tok.offset, message, LiteralTooLarge)
             self.check_degree(base.degree * exp, caret)
             self.check_size(_size_bound(base) * exp, caret)
             return base ** exp
         return base
 
-    @staticmethod
-    def check_degree(degree: int, tok: Token) -> None:
+    def check_degree(self, degree: int, tok: Token) -> None:
         if degree > MAX_DEGREE:
-            raise LiteralTooLarge(
-                f"polynomial degree {degree} exceeds the cap {MAX_DEGREE}",
-                tok.line,
-                tok.col,
-            )
+            message = f"polynomial degree {degree} exceeds the cap {MAX_DEGREE}"
+            self.fail(tok.offset, message, LiteralTooLarge)
 
-    @staticmethod
-    def check_size(bits: int, tok: Token) -> None:
+    def check_size(self, bits: int, tok: Token) -> None:
         if bits > MAX_COEFF_BITS:
-            raise LiteralTooLarge(
-                f"coefficients of up to {bits} bits exceed the cap {MAX_COEFF_BITS}",
-                tok.line,
-                tok.col,
-            )
+            message = f"coefficients of up to {bits} bits exceed the cap {MAX_COEFF_BITS}"
+            self.fail(tok.offset, message, LiteralTooLarge)
 
     def poly_atom(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "INT":
-            return Polynomial.constant(self.rat())
-        if tok.kind == "IDENT" and tok.text == "x":
             self.next()
-            return Polynomial.identity()
+            return Polynomial._of([int(tok.text)], 1)
         if tok.kind == "(":
             self.next()
             self.nesting += 1
             if self.nesting > MAX_NESTING:
-                message = f"nesting exceeds the cap {MAX_NESTING}"
-                raise LiteralTooLarge(message, tok.line, tok.col)
+                self.fail(tok.offset, f"nesting exceeds the cap {MAX_NESTING}", LiteralTooLarge)
             node = self.poly_expr()
             self.expect(")", "')'")
             self.nesting -= 1
             return node
-        raise ParseError(
-            f"expected a number, 'x' or '(', found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
+        self.expect("IDENT", "a number, 'x' or '('", "x")
+        return Polynomial.identity()
 
 
 def _size_bound(poly: Polynomial) -> int:
@@ -360,63 +339,46 @@ def parse_rational(text: str):
 def parse_poset(text: str) -> FinitePoset:
     """Parse ``poset { a; b; a <= b }``; names are declared on first mention."""
     p = _Parser(text)
-    p.expect_keyword("poset")
-    names: List[str] = []
+    names: Dict[str, None] = {}  # in order of first mention
     relation: List[Tuple[str, str]] = []
 
     def item():
         a = p.expect("IDENT", "a point name").text
-        if a not in names:
-            names.append(a)
+        names[a] = None
         if p.peek().kind == "<=":
             p.next()
             b = p.expect("IDENT", "a point name").text
-            if b not in names:
-                names.append(b)
+            names[b] = None
             relation.append((a, b))
 
-    p.semicolon_items(item)
-    p.finish()
-    if not names:
-        raise ParseError("a poset needs at least one point", 1, 1)
-    return FinitePoset(names, relation)
+    p.block("poset", item, "a poset needs at least one point")
+    return FinitePoset(list(names), relation)
 
 
 def parse_fn(text: str) -> Tuple[str, dict, ValueAlgebra]:
     """Parse ``fn h { a -> [0,3]; ... }`` into (name, table, algebra)."""
     p = _Parser(text)
-    p.expect_keyword("fn")
-    name = p.expect("IDENT", "a function name").text
     table = {}
-    algebras = []
 
     def item():
-        point_tok = p.expect("IDENT", "a point name")
-        point = point_tok.text
+        point = p.expect("IDENT", "a point name")
         p.expect("->", "'->'")
         v, alg = p.value()
-        if point in table:
-            raise ParseError(f"duplicate value for {point!r}", point_tok.line, point_tok.col)
-        table[point] = v
-        algebras.append((alg, point_tok))
+        if point.text in table:
+            p.fail(point.offset, f"duplicate value for {point.text!r}")
+        table[point.text] = v
+        return alg, point
 
-    p.semicolon_items(item)
-    p.finish()
-    if not table:
-        raise ParseError("a function literal needs at least one value", 1, 1)
-    algebra = algebras[0][0]
-    for alg, tok in algebras:
-        if alg is not algebra:
-            raise ParseError("cannot mix interval and scalar values", tok.line, tok.col)
-    return name, table, algebra
+    empty = "a function literal needs at least one value"
+    algebras = p.block("fn", item, empty, "a function name")
+    # the name is the token after the keyword
+    return p.tokens[1].text, table, p.one_algebra(algebras, "values")
 
 
 def parse_valuation(text: str) -> Tuple[list, ValueAlgebra]:
     """Parse ``val { [1/2,1/2] @ x; ... }`` into ([(coeff, point)], algebra)."""
     p = _Parser(text)
-    p.expect_keyword("val")
     terms = []
-    algebras = []
 
     def item():
         start = p.peek()
@@ -424,23 +386,15 @@ def parse_valuation(text: str) -> Tuple[list, ValueAlgebra]:
         p.expect("@", "'@'")
         point = p.expect("IDENT", "a point name").text
         terms.append((coeff, point))
-        algebras.append((alg, start))
+        return alg, start
 
-    p.semicolon_items(item)
-    p.finish()
-    if not terms:
-        raise ParseError("a valuation needs at least one term", 1, 1)
-    algebra = algebras[0][0]
-    for alg, tok in algebras:
-        if alg is not algebra:
-            raise ParseError("cannot mix interval and scalar coefficients", tok.line, tok.col)
-    return terms, algebra
+    algebras = p.block("val", item, "a valuation needs at least one term")
+    return terms, p.one_algebra(algebras, "coefficients")
 
 
 def parse_measure(text: str) -> dict:
     """Parse ``measure { 1/2 @ x; ... }`` into a mass table."""
     p = _Parser(text)
-    p.expect_keyword("measure")
     masses = {}
 
     def item():
@@ -449,19 +403,16 @@ def parse_measure(text: str) -> dict:
         p.expect("@", "'@'")
         point = p.expect("IDENT", "a point name").text
         if point in masses:
-            raise ParseError(f"duplicate mass for {point!r}", start.line, start.col)
+            p.fail(start.offset, f"duplicate mass for {point!r}")
         masses[point] = m
 
-    p.semicolon_items(item)
-    p.finish()
+    p.block("measure", item)
     return masses
 
 
 def parse_piecewise(text: str) -> PiecewiseMonotoneFn:
     """Parse ``piecewise { [0,1/2] inc: x; ... }`` into a function."""
     p = _Parser(text)
-    p.expect_keyword("piecewise")
-    segments = []
 
     def item():
         open_tok = p.expect("[", "'['")
@@ -469,30 +420,18 @@ def parse_piecewise(text: str) -> PiecewiseMonotoneFn:
         p.expect(",", "','")
         hi = p.rat()
         p.expect("]", "']'")
-        dir_tok = p.expect("IDENT", "'inc' or 'dec'")
-        if dir_tok.text not in ("inc", "dec"):
-            raise ParseError(
-                f"expected 'inc' or 'dec', found {dir_tok.text!r}",
-                dir_tok.line,
-                dir_tok.col,
-            )
+        word = "dec" if p.peek().text == "dec" else "inc"
+        direction = p.expect("IDENT", "'inc' or 'dec'", word).text
         p.expect(":", "':'")
-        poly = p.poly_expr()
-        segments.append((lo, hi, dir_tok.text, poly, open_tok))
+        return lo, hi, direction, p.poly_expr(), open_tok
 
-    p.semicolon_items(item)
-    p.finish()
-    if not segments:
-        raise ParseError("a piecewise function needs at least one segment", 1, 1)
+    segments = p.block("piecewise", item, "a piecewise function needs at least one segment")
     breakpoints = [segments[0][0]]
     pieces = []
     for lo, hi, direction, poly, tok in segments:
         if lo != breakpoints[-1]:
-            raise ParseError(
-                f"segment [{lo},{hi}] does not start where the previous one ended",
-                tok.line,
-                tok.col,
-            )
+            message = f"segment [{lo},{hi}] does not start where the previous one ended"
+            p.fail(tok.offset, message)
         breakpoints.append(hi)
         pieces.append((direction, poly))
     return PiecewiseMonotoneFn(breakpoints, pieces)

@@ -141,6 +141,14 @@ class TestIntegrate:
         assert code == 0
         assert out.splitlines()[-1] == "1,1/4,3/4,1/2"
 
+    def test_power_binds_before_division(self, capsys):
+        code, out, _ = run_cli(
+            ["integrate", "--fn", "piecewise { [0,1] inc: 3/2^2 }", "--eps", "1"],
+            capsys=capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["rows"] == [{"n": 0, "lo": "3/4", "hi": "3/4", "width": "0"}]
+
     def test_approx_decimals_column(self, capsys):
         code, out, _ = run_cli(
             ["integrate", "--fn", "piecewise { [0,1] inc: x }", "--eps", "1/4",
@@ -389,6 +397,64 @@ class TestEval:
         assert code == 1
         # the end of input is one column past the trailing '{'
         assert err == "error: line 1, col 8: expected a point name, found 'end of input'\n"
+
+
+class TestSpecArguments:
+    """An argument is an inline literal when its keyword is followed by
+    whitespace or '{'; anything else is a path, even one that starts with
+    the keyword."""
+
+    def test_eval_files_named_after_their_keywords(self, tmp_path, monkeypatch, capsys):
+        for name, text in (
+            ("poset.txt", "poset { x; y }"),
+            ("val.txt", "val { [1/2,1/2] @ x; [1/4,1/3] @ y }"),
+            ("fn.txt", "fn h { x -> [1,2]; y -> [0,3] }"),
+        ):
+            (tmp_path / name).write_text(text + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["eval", "--poset", "poset.txt", "--val", "val.txt", "--fn", "fn.txt"],
+            capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"value": "[1/2,2]"}
+
+    def test_integrate_file_named_after_its_keyword(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "piecewise.txt").write_text("piecewise { [0,1] inc: x }\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["integrate", "--fn", "piecewise.txt", "--eps", "1/2", "--format", "csv"],
+            capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "1,1/4,3/4,1/2"
+
+    @pytest.mark.parametrize("spec", ["poset{ x }", " \n\tposet { x }", "poset\n{ x }"])
+    def test_inline_literals(self, spec, capsys):
+        code, out, _ = run_cli(
+            ["eval", "--poset", spec, "--val", "val { 1 @ x }", "--fn", "fn h { x -> 3 }"],
+            capsys=capsys,
+        )
+        assert (code, json.loads(out)) == (0, {"value": "3"})
+
+    def test_keyword_then_a_space_is_a_literal(self, capsys):
+        code, _, err = run_cli(
+            ["eval", "--poset", "poset a; b }", "--val", "val { 1 @ a }",
+             "--fn", "fn h { a -> 1 }"],
+            capsys=capsys,
+        )
+        assert code == 1
+        assert err == "error: line 1, col 7: expected '{', found 'a'\n"
+
+    def test_missing_file_named_after_the_keyword(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            ["eval", "--poset", "poset.txt", "--val", "val { 1 @ a }",
+             "--fn", "fn h { a -> 1 }"],
+            capsys=capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: cannot read 'poset.txt'")
 
 
 class TestLaws:

@@ -13,6 +13,8 @@ from intval.literals import (
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_NESTING,
+    _Parser,
+    _position,
     _size_bound,
     _tokenize,
     parse_fn,
@@ -38,6 +40,12 @@ class TestPosetLiterals:
     def test_multiline_and_trailing_semicolon(self):
         p = parse_poset("poset {\n  a;\n  b;\n  a <= b;\n}")
         assert p.leq("a", "b")
+
+    def test_points_are_collected_in_linear_time(self):
+        names = [f"p{i}" for i in range(20_000)]
+        t0 = time.perf_counter()
+        assert parse_poset("poset { " + "; ".join(names) + " }").points == tuple(names)
+        assert time.perf_counter() - t0 < 2.0
 
     def test_cycle_reported(self):
         with pytest.raises(ValueError):
@@ -169,6 +177,37 @@ class TestPiecewiseLiterals:
         assert info.value.col == 19
 
 
+def _poly(text):
+    p = _Parser(text)
+    poly = p.poly_expr()
+    p.finish()
+    return poly
+
+
+class TestDivision:
+    """An integer is an atom and '/' the only division, so '^' binds first."""
+
+    @pytest.mark.parametrize(
+        "text, coeffs",
+        [
+            ("3/2^2", [rational(3, 4)]),
+            ("3/(2^2)", [rational(3, 4)]),
+            ("6/(2)*x", [0, 3]),
+            ("3/-4*x", [0, rational(-3, 4)]),
+            ("2/3*x", [0, rational(2, 3)]),
+            ("x - 1/3", [rational(-1, 3), 1]),
+            ("(x + 1)^2 / 3", [rational(1, 3), rational(2, 3), rational(1, 3)]),
+            ("1/2/2", [rational(1, 4)]),
+        ],
+    )
+    def test_quotients(self, text, coeffs):
+        assert _poly(text) == Polynomial(coeffs)
+
+    def test_constant_expression_denominator(self):
+        fn = parse_piecewise("piecewise { [0,1] inc: x / (1 + 1)^2 }")
+        assert fn(rational(1)) == rational(1, 4)
+
+
 class TestScanner:
     def test_end_of_input_after_a_trailing_symbol(self):
         # the end of input sits one column past the last character
@@ -208,7 +247,9 @@ class TestScanner:
                 str(exc), exc.line, exc.col
             )
         else:
-            assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == expected
+            assert [
+                (t.kind, t.text, *_position(text, t.offset)) for t in _tokenize(text)
+            ] == expected
 
 
 class TestDigits:
@@ -332,6 +373,148 @@ class TestSizeCaps:
                 c.numerator.bit_length() + 2 * c.denominator.bit_length() for c in cs
             )
             assert _size_bound(p) == expected
+
+
+
+_NESTED = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+
+# One input per raise site in literals, with the error class and the full
+# message; None marks an input that parses.  The last rows pin which error
+# is reported when an input has several.
+_DIAGNOSTICS = [
+    (parse_rational, "", ParseError,
+     "line 1, col 1: expected a rational number, found 'end of input'"),
+    (parse_rational, "1/", ParseError,
+     "line 1, col 3: expected a denominator, found 'end of input'"),
+    (parse_rational, "1/0", ParseError, "line 1, col 3: denominator must be nonzero"),
+    (parse_rational, "1/2 x", ParseError, "line 1, col 5: unexpected trailing input 'x'"),
+    (parse_rational, "1.5", ParseError, "line 1, col 2: unexpected character '.'"),
+    (parse_rational, "inf", ParseError,
+     "line 1, col 1: expected a rational number, found 'inf'"),
+    (parse_rational, "1" * 5000, LiteralTooLarge,
+     "line 1, col 1: 5000 digits exceed the cap 4300"),
+    (parse_poset, "", ParseError, "line 1, col 1: expected 'poset', found 'end of input'"),
+    (parse_poset, "pose { a }", ParseError, "line 1, col 1: expected 'poset', found 'pose'"),
+    (parse_poset, "poset a; b }", ParseError, "line 1, col 7: expected '{', found 'a'"),
+    (parse_poset, "  poset { }", ParseError,
+     "line 1, col 1: a poset needs at least one point"),
+    (parse_poset, "poset { a b }", ParseError,
+     "line 1, col 11: expected ';' or '}', found 'b'"),
+    (parse_poset, "poset { a <= }", ParseError,
+     "line 1, col 14: expected a point name, found '}'"),
+    (parse_poset, "poset { 1 }", ParseError,
+     "line 1, col 9: expected a point name, found '1'"),
+    (parse_poset, "poset { a;\n b <= }", ParseError,
+     "line 2, col 7: expected a point name, found '}'"),
+    (parse_poset, "poset { a } extra", ParseError,
+     "line 1, col 13: unexpected trailing input 'extra'"),
+    (parse_poset, "poset { a # }", ParseError, "line 1, col 11: unexpected character '#'"),
+    (parse_fn, "fn { a -> 1 }", ParseError,
+     "line 1, col 4: expected a function name, found '{'"),
+    (parse_fn, "fn h { a 1 }", ParseError, "line 1, col 10: expected '->', found '1'"),
+    (parse_fn, "fn h { a -> }", ParseError,
+     "line 1, col 13: expected a rational number, found '}'"),
+    (parse_fn, "fn h { a -> [0 1] }", ParseError, "line 1, col 16: expected ',', found '1'"),
+    (parse_fn, "fn h { a -> [0,1 }", ParseError, "line 1, col 18: expected ']', found '}'"),
+    (parse_fn, "fn h { a -> [2,1] }", ParseError,
+     "line 1, col 13: interval endpoints out of order: 2 > 1"),
+    (parse_fn, "fn h { a -> inf; b -> infinity }", ParseError,
+     "line 1, col 23: expected a rational number, found 'infinity'"),
+    (parse_fn, "fn h { a -> 1; a -> 2 }", ParseError,
+     "line 1, col 16: duplicate value for 'a'"),
+    (parse_fn, "fn h { }", ParseError,
+     "line 1, col 1: a function literal needs at least one value"),
+    (parse_fn, "fn h { a -> 1; b -> [0,1] }", ParseError,
+     "line 1, col 16: cannot mix interval and scalar values"),
+    (parse_valuation, "val { [1/2,1/2] x }", ParseError,
+     "line 1, col 17: expected '@', found 'x'"),
+    (parse_valuation, "val { [1,1] @ 2 }", ParseError,
+     "line 1, col 15: expected a point name, found '2'"),
+    (parse_valuation, "val { [1/0,1] @ x }", ParseError,
+     "line 1, col 10: denominator must be nonzero"),
+    (parse_valuation, "val { }", ParseError,
+     "line 1, col 1: a valuation needs at least one term"),
+    (parse_valuation, "val { 1 @ x; [1,1] @ y }", ParseError,
+     "line 1, col 14: cannot mix interval and scalar coefficients"),
+    (parse_valuation, "val { ١ @ x }", ParseError,
+     "line 1, col 7: unexpected character '١'"),
+    (parse_measure, "measure 1 @ x }", ParseError, "line 1, col 9: expected '{', found '1'"),
+    (parse_measure, "measure { [0,1] @ x }", ParseError,
+     "line 1, col 11: expected a rational number, found '['"),
+    (parse_measure, "measure { 1/2 @ x; 1/3 @ x }", ParseError,
+     "line 1, col 20: duplicate mass for 'x'"),
+    (parse_measure, "measure { 1/" + "3" * 5000 + " @ x }", LiteralTooLarge,
+     "line 1, col 13: 5000 digits exceed the cap 4300"),
+    (parse_piecewise, "piecewise { 0,1] inc: x }", ParseError,
+     "line 1, col 13: expected '[', found '0'"),
+    (parse_piecewise, "piecewise { [0;1] inc: x }", ParseError,
+     "line 1, col 15: expected ',', found ';'"),
+    (parse_piecewise, "piecewise { [0,1) inc: x }", ParseError,
+     "line 1, col 17: expected ']', found ')'"),
+    (parse_piecewise, "piecewise { [0,1/0] inc: x }", ParseError,
+     "line 1, col 18: denominator must be nonzero"),
+    (parse_piecewise, "piecewise { [0,1] 3: x }", ParseError,
+     "line 1, col 19: expected 'inc' or 'dec', found '3'"),
+    (parse_piecewise, "piecewise { [0,1] up: x }", ParseError,
+     "line 1, col 19: expected 'inc' or 'dec', found 'up'"),
+    (parse_piecewise, "piecewise { [0,1] inc x }", ParseError,
+     "line 1, col 23: expected ':', found 'x'"),
+    (parse_piecewise, "piecewise { [0,1] inc: }", ParseError,
+     "line 1, col 24: expected a number, 'x' or '(', found '}'"),
+    (parse_piecewise, "piecewise { [0,1] inc: y }", ParseError,
+     "line 1, col 24: expected a number, 'x' or '(', found 'y'"),
+    (parse_piecewise, "piecewise { [0,1] inc: (x }", ParseError,
+     "line 1, col 27: expected ')', found '}'"),
+    (parse_piecewise, "piecewise { [0,1] inc: x / (1 - 1) }", ParseError,
+     "line 1, col 26: division is only defined by a nonzero constant"),
+    (parse_piecewise, "piecewise { [0,1] inc: x^y }", ParseError,
+     "line 1, col 26: expected an integer exponent, found 'y'"),
+    (parse_piecewise, "piecewise { [0,1] inc: x^65 }", LiteralTooLarge,
+     "line 1, col 26: exponent 65 exceeds the cap 64"),
+    (parse_piecewise, "piecewise { [0,1] inc: x^40 * x^40 }", LiteralTooLarge,
+     "line 1, col 29: polynomial degree 80 exceeds the cap 64"),
+    (parse_piecewise, "piecewise { [0,1] inc: (((2^64)^64)^64) * x }", LiteralTooLarge,
+     "line 1, col 36: coefficients of up to 262400 bits exceed the cap 65536"),
+    (parse_piecewise, f"piecewise {{ [0,1] inc: {_NESTED} }}", LiteralTooLarge,
+     "line 1, col 88: nesting exceeds the cap 64"),
+    (parse_piecewise, "piecewise { [0,1] inc: x x }", ParseError,
+     "line 1, col 26: expected ';' or '}', found 'x'"),
+    (parse_piecewise, "piecewise { }", ParseError,
+     "line 1, col 1: a piecewise function needs at least one segment"),
+    (parse_piecewise, "piecewise { [0,1/4] inc: x; [1/2,1] inc: x }", ParseError,
+     "line 1, col 29: segment [1/2,1] does not start where the previous one ended"),
+    # rationals inside polynomials
+    (parse_piecewise, "piecewise { [0,1] inc: 1 / x }", ParseError,
+     "line 1, col 26: division is only defined by a nonzero constant"),
+    (parse_piecewise, "piecewise { [0,1] inc: 1/0 + x }", ParseError,
+     "line 1, col 25: division is only defined by a nonzero constant"),
+    (parse_piecewise, "piecewise { [0,1] inc: 2/ + x }", ParseError,
+     "line 1, col 27: expected a number, 'x' or '(', found '+'"),
+    (parse_piecewise, "piecewise { [0,1] inc: 3/(2^2) }", None, None),
+    (parse_piecewise, "piecewise { [0,1] dec: 1 + 3/-4*x }", None, None),
+    # which error wins: syntax over a mixed algebra, trailing input over an
+    # empty body, syntax over a segment gap
+    (parse_fn, "fn h { a -> 1; b -> [0,1]; c }", ParseError,
+     "line 1, col 30: expected '->', found '}'"),
+    (parse_valuation, "val { } x", ParseError, "line 1, col 9: unexpected trailing input 'x'"),
+    (parse_piecewise, "piecewise { [0,1/4] inc: x; [1/2,1] inc: x; [1,1] }", ParseError,
+     "line 1, col 51: expected 'inc' or 'dec', found '}'"),
+]
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize(
+        "parse, text, error, message",
+        _DIAGNOSTICS,
+        ids=[f"{row[0].__name__[6:]}:{row[1][:40]}" for row in _DIAGNOSTICS],
+    )
+    def test_every_raise_site_is_pinned(self, parse, text, error, message):
+        if error is None:
+            parse(text)
+            return
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (type(info.value), str(info.value)) == (error, message)
 
 
 # One valid literal of each form; the fuzz test mutates them.
