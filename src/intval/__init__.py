@@ -39,7 +39,6 @@ from .algebra import (
 )
 from .errors import (
     DepthCapExceeded,
-    EmptySupport,
     IntvalError,
     LiteralTooLarge,
     NonEvaluablePiece,
@@ -55,15 +54,12 @@ from .errors import (
 from .spaces import (
     FinitePoset,
     MonotoneMap,
-    UpperSet,
     all_monotone_maps,
     all_monotone_point_maps,
     antichain,
     chain,
-    closed_support,
     endpoint_maps,
     enumerate_posets,
-    min_upper_support,
     product_poset,
     singleton,
 )
@@ -92,11 +88,9 @@ from .monad import (
     unit,
 )
 from .measures import (
-    BoundednessWitness,
     FiniteSupportMeasure,
     choquet_integral,
     interval_integral,
-    is_mu_bounded,
     least_interval_extension,
     lower_integral,
     pushforward,

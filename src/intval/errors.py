@@ -23,10 +23,6 @@ class NotMonotone(IntvalError):
     """A map required to be monotone (or antitone) fails the order check."""
 
 
-class EmptySupport(IntvalError):
-    """An operation that needs at least one mass point received none."""
-
-
 class ZeroMeasure(IntvalError):
     """Upper integrals and derived functionals require a non-zero measure."""
 

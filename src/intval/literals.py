@@ -23,7 +23,7 @@ parentheses at MAX_NESTING levels.
 All parse failures raise ParseError with a 1-based line/column position,
 and a literal over a cap raises its subclass LiteralTooLarge.  The first
 error in reading order is reported.  A literal that reads through to the
-end may still fail, in this order: an empty body (at line 1, column 1),
+end may still fail, in this order: an empty body (at its keyword),
 values of both algebras, then a gap between piecewise segments.
 
 One compiled regular expression scans the text: each match skips spaces,
@@ -159,9 +159,9 @@ class _Parser:
 
         Returns the items' results.  A name is read when `name` describes
         one; with `empty` set, a literal without items fails with that
-        message at line 1, column 1.
+        message at its keyword.
         """
-        self.expect("IDENT", repr(keyword), keyword)
+        start = self.expect("IDENT", repr(keyword), keyword).offset
         if name is not None:
             self.expect("IDENT", name)
         self.expect("{", "'{'")
@@ -174,7 +174,7 @@ class _Parser:
         self.expect("}", "';' or '}'")
         self.finish()
         if empty is not None and not items:
-            self.fail(0, empty)
+            self.fail(start, empty)
         return items
 
     def one_algebra(self, valued, noun: str) -> ValueAlgebra:

@@ -19,14 +19,23 @@ and serves as the oracle for it.
 The *upper* integral of an antitone (= upper semicontinuous) integrand is
 the lower integral when the integrand is bounded on Q n Supp(mu) for some
 compact saturated support Q of mu, and inf otherwise.  On a finite poset
-the minimal such Q is the upward closure of the mass points and Supp(mu)
-is their downward closure, so boundedness is decided by inspecting the
-intersection of the two closures; the witness set is returned so tests can
-inspect the decision.
+that definition needs no supports.  The least such Q is the upward
+closure of the mass points, so every point c of Q n Supp(mu) lies above
+some mass point x, where an antitone integrand takes a value >= f(c);
+and the mass points lie in Q n Supp(mu).  So the integrand is unbounded
+there exactly when it is inf at a mass point, and the upper integral is
+the interval algebra's upper product
+
+    upper_integral(f, mu) = sum_x mass(x) *r f(x)
+
+and a non-zero bounded measure acts as the valuation sum_x [m_x, m_x] . d_x,
+the most precise interval valuation approximating it (the paper's result
+(2)).
 
 A measure then induces the interval-valued functional
 
-    interval_integral(mu, h) = [ lower_integral(h_lo, mu),
+    interval_integral(mu, h) = evaluate(sum_x [m_x, m_x] . d_x, h)
+                             = [ lower_integral(h_lo, mu),
                                  upper_integral(h_hi, mu) ]
 
 which is linear and monotone in h, and encloses lower_integral(f, mu) for
@@ -39,7 +48,7 @@ h -> [nu(h_lo), inf] (``least_interval_extension``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, NamedTuple, Union
+from typing import Callable, Dict, Mapping, Union
 
 from .algebra import (
     INFINITY,
@@ -50,17 +59,11 @@ from .algebra import (
     IntervalValue,
     ext,
     mul_left,
+    mul_right,
 )
 from .errors import NotMonotone, SpaceMismatch, UnboundedMeasure, ZeroMeasure
-from .spaces import (
-    FinitePoset,
-    MonotoneMap,
-    Point,
-    UpperSet,
-    closed_support,
-    endpoint_maps,
-    min_upper_support,
-)
+from .spaces import FinitePoset, MonotoneMap, Point, endpoint_maps
+from .valuations import ElementaryValuation, _point_key, evaluate
 
 Table = Union[Mapping[Point, ExtNonNeg], Callable[[Point], ExtNonNeg]]
 
@@ -120,8 +123,6 @@ class FiniteSupportMeasure:
         return hash((self.space, frozenset(self._masses.items())))
 
     def __repr__(self) -> str:
-        from .valuations import _point_key
-
         body = "; ".join(
             f"{m} @ {p}"
             for p, m in sorted(self._masses.items(), key=lambda kv: _point_key(kv[0]))
@@ -201,11 +202,6 @@ def pushforward(g, mu: FiniteSupportMeasure, target: FinitePoset) -> FiniteSuppo
     return FiniteSupportMeasure(target, out)
 
 
-class BoundednessWitness(NamedTuple):
-    bounded: bool
-    witness: UpperSet
-
-
 def _check_antitone(f: Table, space: FinitePoset) -> None:
     for a, b in space.strict_pairs():
         if not _lookup(f, b) <= _lookup(f, a):
@@ -214,49 +210,32 @@ def _check_antitone(f: Table, space: FinitePoset) -> None:
             )
 
 
-def is_mu_bounded(fplus: Table, mu: FiniteSupportMeasure) -> BoundednessWitness:
-    """Decide boundedness of an antitone integrand over the measure.
-
-    Returns whether fplus is finite on the intersection of the minimal
-    compact saturated support (the upward closure of the mass points) with
-    the closed support (their downward closure), together with that
-    minimal witness.  Because every compact saturated support contains all
-    mass points, the minimal witness decides the existential definition.
-    """
-    if mu.is_zero:
-        raise ZeroMeasure("the zero measure has no support witness")
-    _require_total(fplus, mu.space)
-    _check_antitone(fplus, mu.space)
-    witness = min_upper_support(mu.space, mu.mass_points)
-    closed = closed_support(mu.space, mu.mass_points)
-    core = witness.members & closed
-    bounded = all(not _lookup(fplus, p).is_infinite for p in core)
-    return BoundednessWitness(bounded, witness)
-
-
 def upper_integral(fplus: Table, mu: FiniteSupportMeasure) -> ExtNonNeg:
     """Upper integral of an antitone integrand against a bounded measure.
 
-    Equals the lower integral when the integrand is bounded on the witness
-    intersection (where it restricts to a plain finite sum), and inf
-    otherwise.
+    Equals sum over mass points of mass *r f: the lower integral when f is
+    finite at every mass point, and inf otherwise (see the module notes
+    for why no support needs to be built).
     """
     if mu.is_zero:
         raise ZeroMeasure("upper integrals need a non-zero measure")
     if not mu.is_bounded:
         raise UnboundedMeasure("upper integrals need a bounded measure")
-    bounded, _ = is_mu_bounded(fplus, mu)
-    if not bounded:
-        return INFINITY
-    return lower_integral(fplus, mu)
+    _require_total(fplus, mu.space)
+    _check_antitone(fplus, mu.space)
+    total = ZERO
+    for point, m in mu.items():
+        total = total + mul_right(m, _lookup(fplus, point))
+    return total
 
 
 def interval_integral(mu: FiniteSupportMeasure, h: MonotoneMap) -> IntervalValue:
     """The interval enclosing all integrals compatible with h.
 
-    Lower endpoint: the lower integral of h's lower endpoints.  Upper
-    endpoint: the upper integral of h's upper endpoints.  The result is a
-    well-formed interval (lo <= hi) for every non-zero bounded measure.
+    The value of h under the precise valuation sum_x [m_x, m_x] . d_x:
+    its lower endpoint is the lower integral of h's lower endpoints and
+    its upper endpoint the upper integral of h's upper endpoints.  h must
+    be interval-valued with monotone lower and antitone upper endpoints.
     """
     if h.space != mu.space:
         raise SpaceMismatch("test function lives on a different space")
@@ -264,8 +243,14 @@ def interval_integral(mu: FiniteSupportMeasure, h: MonotoneMap) -> IntervalValue
         raise ZeroMeasure("interval integration needs a non-zero measure")
     if not mu.is_bounded:
         raise UnboundedMeasure("interval integration needs a bounded measure")
-    lower, upper = endpoint_maps(h)
-    return IntervalValue(lower_integral(lower, mu), upper_integral(upper, mu))
+    endpoint_maps(h)  # raises for a scalar h or endpoints out of order
+    precise = ElementaryValuation(
+        mu.space,
+        [(IntervalValue._make(m, m), p) for p, m in mu.items()],
+        INTERVALS,
+        validate=False,
+    )
+    return evaluate(precise, h)
 
 
 def scalar_view(F, f: MonotoneMap) -> ExtNonNeg:

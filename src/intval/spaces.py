@@ -21,7 +21,7 @@ from itertools import combinations, permutations, product
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .algebra import INTERVALS, ExtNonNeg, ValueAlgebra
-from .errors import EmptySupport, NotMonotone, PointNotInSpace
+from .errors import NotMonotone, PointNotInSpace
 
 Point = Hashable
 
@@ -241,54 +241,6 @@ def endpoint_maps(h: MonotoneMap) -> Tuple[Dict[Point, ExtNonNeg], Dict[Point, E
         if not upper[b] <= upper[a]:
             raise NotMonotone(f"upper endpoint map fails antitonicity at {a!r} <= {b!r}")
     return lower, upper
-
-
-class UpperSet:
-    """An upward-closed subset of a finite poset."""
-
-    __slots__ = ("poset", "members")
-
-    def __init__(self, poset: FinitePoset, members: Iterable[Point]):
-        mem = frozenset(members)
-        for p in mem:
-            poset.require(p)
-        if poset.up_closure(mem) != mem:
-            raise ValueError("set is not upward closed")
-        self.poset = poset
-        self.members = mem
-
-    def __contains__(self, point: Point) -> bool:
-        return point in self.members
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UpperSet):
-            return NotImplemented
-        return self.poset == other.poset and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash((self.poset, self.members))
-
-    def __repr__(self) -> str:
-        return "upper{" + ", ".join(sorted(map(str, self.members))) + "}"
-
-
-def min_upper_support(poset: FinitePoset, mass_points: Iterable[Point]) -> UpperSet:
-    """The least upper set supporting a measure with the given mass points.
-
-    Any upward-closed support must contain every positive-mass point (a
-    point outside it could be swapped for the empty set without changing
-    intersections), hence must contain the whole upward closure; and the
-    upward closure itself is a support.
-    """
-    pts = list(mass_points)
-    if not pts:
-        raise EmptySupport("no mass points: the minimal upper support is undefined")
-    return UpperSet(poset, poset.up_closure(pts))
-
-
-def closed_support(poset: FinitePoset, mass_points: Iterable[Point]) -> frozenset:
-    """The smallest closed (= downward-closed) set containing the mass points."""
-    return poset.down_closure(mass_points)
 
 
 # ---------------------------------------------------------------------------

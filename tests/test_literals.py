@@ -397,7 +397,7 @@ _DIAGNOSTICS = [
     (parse_poset, "pose { a }", ParseError, "line 1, col 1: expected 'poset', found 'pose'"),
     (parse_poset, "poset a; b }", ParseError, "line 1, col 7: expected '{', found 'a'"),
     (parse_poset, "  poset { }", ParseError,
-     "line 1, col 1: a poset needs at least one point"),
+     "line 1, col 3: a poset needs at least one point"),
     (parse_poset, "poset { a b }", ParseError,
      "line 1, col 11: expected ';' or '}', found 'b'"),
     (parse_poset, "poset { a <= }", ParseError,
@@ -434,6 +434,8 @@ _DIAGNOSTICS = [
      "line 1, col 10: denominator must be nonzero"),
     (parse_valuation, "val { }", ParseError,
      "line 1, col 1: a valuation needs at least one term"),
+    (parse_valuation, "\n\n  val { }", ParseError,
+     "line 3, col 3: a valuation needs at least one term"),
     (parse_valuation, "val { 1 @ x; [1,1] @ y }", ParseError,
      "line 1, col 14: cannot mix interval and scalar coefficients"),
     (parse_valuation, "val { ١ @ x }", ParseError,

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intval.algebra import (
     INFINITY,
     INTERVALS,
+    IONE,
     SCALARS,
     ZERO,
     ExtNonNeg,
@@ -16,7 +18,13 @@ from intval.algebra import (
     mul_left,
     mul_right,
 )
-from intval.errors import NotMonotone, UnboundedMeasure, ZeroMeasure
+from intval.errors import (
+    NotMonotone,
+    PointNotInSpace,
+    SpaceMismatch,
+    UnboundedMeasure,
+    ZeroMeasure,
+)
 from intval.laws import (
     random_antitone_table,
     random_measure,
@@ -30,7 +38,6 @@ from intval.measures import (
     FiniteSupportMeasure,
     choquet_integral,
     interval_integral,
-    is_mu_bounded,
     least_interval_extension,
     lower_integral,
     pushforward,
@@ -39,6 +46,7 @@ from intval.measures import (
 )
 from intval.spaces import MonotoneMap, antichain, chain, singleton
 from intval.valuations import dirac, evaluate, exhaustive_tests
+from oracle_support import is_mu_bounded
 
 
 class TestMeasureBasics:
@@ -376,6 +384,121 @@ class TestIntervalIntegral:
                 for h in tests:
                     assert ival_leq(evaluate(nu, h), interval_integral(mu, h))
         assert passers >= 2  # at least the bottom valuation and the Dirac
+
+
+_X = chain(["p", "q"])
+_Y = antichain(["x"])
+
+
+def _h(table):
+    return MonotoneMap(_X, table, INTERVALS, validate=False)
+
+
+_MU = FiniteSupportMeasure(_X, {"q": 1})
+_ZERO_MU = FiniteSupportMeasure(_X, {})
+_INF_MU = FiniteSupportMeasure(_X, {"p": "inf"})
+_H = _h({"p": ival(0, 2), "q": ival(1, 2)})
+_SCALAR_H = MonotoneMap(_X, {"p": ext(0), "q": ext(1)}, SCALARS)
+_RISING = {"p": ext(0), "q": ext(5)}
+
+# One input per raise of the two integrals, with the error class and the
+# full message; the rows that break two preconditions pin which is checked
+# first.
+_RAISES = [
+    ("interval:other space", interval_integral, (_MU, MonotoneMap(_Y, {"x": IONE})),
+     SpaceMismatch, "test function lives on a different space"),
+    ("interval:other space, zero", interval_integral, (_ZERO_MU, MonotoneMap(_Y, {"x": IONE})),
+     SpaceMismatch, "test function lives on a different space"),
+    ("interval:scalar h", interval_integral, (_MU, _SCALAR_H),
+     ValueError, "endpoint_maps needs an interval-valued map"),
+    ("interval:zero", interval_integral, (_ZERO_MU, _H),
+     ZeroMeasure, "interval integration needs a non-zero measure"),
+    ("interval:zero, scalar h", interval_integral, (_ZERO_MU, _SCALAR_H),
+     ZeroMeasure, "interval integration needs a non-zero measure"),
+    ("interval:unbounded", interval_integral, (_INF_MU, _H),
+     UnboundedMeasure, "interval integration needs a bounded measure"),
+    ("interval:unbounded, scalar h", interval_integral, (_INF_MU, _SCALAR_H),
+     UnboundedMeasure, "interval integration needs a bounded measure"),
+    ("interval:lower falls", interval_integral, (_MU, _h({"p": ival(2, 3), "q": ival(1, 3)})),
+     NotMonotone, "lower endpoint map fails monotonicity at 'p' <= 'q'"),
+    ("interval:upper rises", interval_integral, (_MU, _h({"p": ival(0, 1), "q": ival(0, 2)})),
+     NotMonotone, "upper endpoint map fails antitonicity at 'p' <= 'q'"),
+    ("interval:not total", interval_integral, (_MU, _h({"p": ival(0, 1)})),
+     PointNotInSpace, "point 'q' is not in the space"),
+    ("upper:other space", upper_integral, ({"x": ext(1)}, _MU),
+     ValueError, "integrand not total: missing ['p', 'q']"),
+    ("upper:zero", upper_integral, ({"p": ext(1), "q": ext(1)}, _ZERO_MU),
+     ZeroMeasure, "upper integrals need a non-zero measure"),
+    ("upper:zero, rising", upper_integral, (_RISING, _ZERO_MU),
+     ZeroMeasure, "upper integrals need a non-zero measure"),
+    ("upper:unbounded", upper_integral, ({"p": ext(1), "q": ext(1)}, _INF_MU),
+     UnboundedMeasure, "upper integrals need a bounded measure"),
+    ("upper:unbounded, rising", upper_integral, (_RISING, _INF_MU),
+     UnboundedMeasure, "upper integrals need a bounded measure"),
+    ("upper:rising", upper_integral, (_RISING, _MU),
+     NotMonotone, "integrand not antitone: 'p' <= 'q' but values increase"),
+    ("upper:not total", upper_integral, ({"q": ext(1)}, _MU),
+     ValueError, "integrand not total: missing ['p']"),
+    ("upper:not total, rising", upper_integral, ({"p": ext(0)}, _MU),
+     ValueError, "integrand not total: missing ['q']"),
+]
+
+
+class TestRaises:
+    @pytest.mark.parametrize(
+        "integral, args, error, message",
+        [row[1:] for row in _RAISES],
+        ids=[row[0] for row in _RAISES],
+    )
+    def test_every_raise_is_pinned(self, integral, args, error, message):
+        with pytest.raises(Exception) as info:
+            integral(*args)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
+def _oracle_interval(mu, h):
+    """[lower integral of h_lo, upper endpoint by the support witness]."""
+    lo = {p: h(p).lo for p in mu.space.points}
+    hi = {p: h(p).hi for p in mu.space.points}
+    upper = lower_integral(hi, mu) if is_mu_bounded(hi, mu).bounded else INFINITY
+    return IntervalValue(lower_integral(lo, mu), upper)
+
+
+class TestSupportOracleAgreement:
+    """interval_integral reads h at the mass points only; the oracle
+    decides boundedness on the support core, as the definition does."""
+
+    @pytest.mark.parametrize(
+        "space, masses, table, upper",
+        [
+            # hi = inf at the mass point, which is on the core
+            (chain(["p", "q"]), {"p": 1}, {"p": ival(1, "inf"), "q": ival(2, 3)}, INFINITY),
+            # hi = inf only below the mass point, off the core
+            (chain(["p", "q"]), {"q": 2}, {"p": ival(0, "inf"), "q": ival(1, 3)}, ext(6)),
+            # on an antichain the core is just the mass points
+            (
+                antichain(["a", "b", "c"]),
+                {"a": 1, "b": "1/2"},
+                {"a": ival(1, 3), "b": ival(0, 2), "c": ival(0, "inf")},
+                ext(4),
+            ),
+        ],
+        ids=["inf on core", "inf off core", "antichain"],
+    )
+    def test_examples(self, space, masses, table, upper):
+        mu = FiniteSupportMeasure(space, masses)
+        h = MonotoneMap(space, table)
+        assert interval_integral(mu, h) == _oracle_interval(mu, h)
+        assert interval_integral(mu, h).hi == upper
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_agrees_on_drawn_measures(self, seed):
+        rng = random.Random(seed)
+        space = random_poset(rng, 5)
+        mu = random_measure(rng, space, bounded=True, nonzero=True, max_points=5)
+        h = random_monotone_map(rng, space)
+        assert interval_integral(mu, h) == _oracle_interval(mu, h)
 
 
 class TestScalarView:
