@@ -211,9 +211,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main reuses, built on its first call rather than at import.
+# parse_args keeps nothing between calls: each returns a fresh Namespace
+# filled from the defaults fixed in build_parser.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.run(args)
     except (IntvalError, ValueError) as exc:

@@ -38,8 +38,9 @@ differences give exactly from degree + 1 values:
     sum_{i=a}^{b} q(i) = sum_j (Delta^j q)(a) * C(b - a + 1, j + 1).
 
 Only the at most two cells per interior breakpoint that touch it are
-evaluated directly, since they take both pieces' values there; the cost
-of a level no longer depends on the depth.  Hand-written test functions
+evaluated directly, since they take both pieces' values there; the
+pieces each one meets are found by integer index, and the cost of a
+level does not depend on the depth.  Hand-written test functions
 keep the per-cell sum, which is also the oracle for the closed form and
 checks every cell against its parent, so each level it returns ascends
 from the one before; canonical extensions are monotone by construction.
@@ -143,6 +144,22 @@ def _mul_ints(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def _sum_ints(
+    a: Sequence[int], da: int, b: Sequence[int], db: int
+) -> Tuple[List[int], int]:
+    """a/da + b/db as integer coefficients over lcm(da, db), untrimmed and
+    with any common factor left in."""
+    g = gcd(da, db)
+    fa, fb = db // g, da // g
+    den = da * fa
+    if len(a) < len(b):
+        a, b, fa, fb = b, a, fb, fa
+    out = [fa * v for v in a]
+    for i, v in enumerate(b):
+        out[i] += fb * v
+    return out, den
+
+
 def _trimmed(num: List[int]) -> List[int]:
     while len(num) > 1 and not num[-1]:
         num.pop()
@@ -234,22 +251,14 @@ class Polynomial:
         return tuple(rational(a, self.den) for a in self.num)
 
     def __call__(self, x):
-        q = x.denominator
-        return rational(
-            _horner(self.num, x.numerator, q), self.den * q ** (len(self.num) - 1)
-        )
+        return self._at(x.numerator, x.denominator)
+
+    def _at(self, p: int, q: int):
+        """The value at p/q, for ints p and q > 0 in any common scale."""
+        return rational(_horner(self.num, p, q), self.den * q ** (len(self.num) - 1))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.num, other.num
-        g = gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g
-        den = self.den * fa
-        if len(a) < len(b):
-            a, b, fa, fb = b, a, fb, fa
-        out = [fa * v for v in a]
-        for i, v in enumerate(b):
-            out[i] += fb * v
-        return Polynomial._of(out, den)
+        return Polynomial._of(*_sum_ints(self.num, self.den, other.num, other.den))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._of([-v for v in self.num], self.den)
@@ -396,7 +405,8 @@ class PiecewiseMonotoneFn:
     include both one-sided values, which is the tight enclosure of the
     jump.  Construction stores each piece's (min, max) over its whole
     segment, its two end values ordered by the declared direction, for
-    ``range_over`` to read.
+    ``_span`` to read; ``range_over`` and the closed-form levels both call
+    it.
     """
 
     __slots__ = ("breakpoints", "pieces", "_ranges")
@@ -450,11 +460,8 @@ class PiecewiseMonotoneFn:
     def range_over(self, lo, hi) -> Tuple[object, object]:
         """Exact (min, max) of the function over [lo, hi] within [0, 1].
 
-        Each piece that [lo, hi] covers whole contributes its stored (min,
-        max).  A piece that lo or hi cuts is evaluated at the cut end or
-        ends only, and its direction orders the two end values: an inc
-        piece is least at its left end, a dec piece at its right.  Raises
-        OutOfRange when lo > hi or [lo, hi] misses [0, 1].
+        Finds the pieces [lo, hi] meets by bisection and reads them through
+        ``_span``.  Raises OutOfRange when lo > hi or [lo, hi] misses [0, 1].
         """
         if lo > hi:
             raise OutOfRange(f"endpoints out of order: [{lo},{hi}]")
@@ -464,8 +471,20 @@ class PiecewiseMonotoneFn:
         last = min(bisect_right(bps, hi), len(self.pieces)) - 1
         if first > last:
             raise OutOfRange(f"[{lo},{hi}] misses [0, 1]")
-        left = lo if lo > bps[first] else None
-        right = hi if hi < bps[last + 1] else None
+        left = (lo.numerator, lo.denominator) if lo > bps[first] else None
+        right = (hi.numerator, hi.denominator) if hi < bps[last + 1] else None
+        return self._span(first, last, left, right)
+
+    def _span(self, first: int, last: int, left, right) -> Tuple[object, object]:
+        """(min, max) over pieces first..last, piece first cut at left and
+        piece last at right.
+
+        A cut is a point (p, q) standing for p/q with q > 0, or None for the
+        piece's own end.  Each piece between contributes its stored (min,
+        max).  A cut piece is evaluated at its cut end or ends only, and its
+        direction orders the two end values: an inc piece is least at its
+        left end, a dec piece at its right.
+        """
         if first == last:
             return self._clipped(first, left, right)
         ranges = (
@@ -477,13 +496,12 @@ class PiecewiseMonotoneFn:
         return min(lows), max(highs)
 
     def _clipped(self, k: int, a, b) -> Tuple[object, object]:
-        """(min, max) of piece k over [a, b], where None stands for the
-        piece's own end, whose value is stored."""
+        """(min, max) of piece k over [a, b], cuts as in ``_span``."""
         direction, poly = self.pieces[k]
         low, high = self._ranges[k]
-        if direction == "inc":
-            return (low if a is None else poly(a)), (high if b is None else poly(b))
-        return (low if b is None else poly(b)), (high if a is None else poly(a))
+        if direction == "dec":
+            a, b = b, a
+        return (low if a is None else poly._at(*a)), (high if b is None else poly._at(*b))
 
     def __repr__(self) -> str:
         segs = []
@@ -581,18 +599,38 @@ def _power_sums(poly: Polynomial, size: int, a: int, b: int) -> Tuple[object, ob
     return rational(total, scale), rational(shifted, scale)
 
 
-def _cells_touching(b, size: int) -> Tuple[int, ...]:
-    """Indices of the depth cells [i/size, (i+1)/size] that contain b."""
-    i, r = divmod(b.numerator * size, b.denominator)
-    return (i - 1, i) if r == 0 else (i,)
+def _cell_ranges(
+    fn: PiecewiseMonotoneFn, size: int, cells: Sequence[int]
+) -> Iterator[Tuple[object, object]]:
+    """fn.range_over(i/size, (i+1)/size) for each i of the ascending cells.
+
+    Piece k on [s, t] meets cell i iff s*size - 1 <= i <= t*size, which is
+    decided on the breakpoints' integer numerators and denominators; the
+    first and last piece a cell meets only move forward as i grows, so one
+    sweep finds them all without comparing rationals.
+    """
+    bps = [(b.numerator, b.denominator) for b in fn.breakpoints]
+    top = len(fn.pieces) - 1
+    first = 0
+    for i in cells:
+        while bps[first + 1][0] * size < i * bps[first + 1][1]:
+            first += 1
+        last = first
+        while last < top and bps[last + 1][0] * size <= (i + 1) * bps[last + 1][1]:
+            last += 1
+        (s_num, s_den), (t_num, t_den) = bps[first], bps[last + 1]
+        left = (i, size) if i * s_den > s_num * size else None
+        right = (i + 1, size) if (i + 1) * t_den < t_num * size else None
+        yield fn._span(first, last, left, right)
 
 
 def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[object, object]:
     """Sums over the 2^n cells of the lower and of the upper endpoints of h."""
     size = 2 ** n
-    bps = h.fn.breakpoints
+    fn = h.fn
+    bps = fn.breakpoints
     lo_sum = hi_sum = _ZERO_RAT
-    for (direction, poly), s, t in zip(h.fn.pieces, bps, bps[1:]):
+    for (direction, poly), s, t in zip(fn.pieces, bps, bps[1:]):
         # cells i with s < i/size and (i+1)/size < t, except at 0 and 1
         a = 0 if s == 0 else s.numerator * size // s.denominator + 1
         b = size - 1 if t == 1 else -(-t.numerator * size // t.denominator) - 2
@@ -603,8 +641,15 @@ def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[object, object]:
             low, high = high, low
         lo_sum += low
         hi_sum += high
-    for i in {i for bp in bps[1:-1] for i in _cells_touching(bp, size)}:
-        low, high = h.fn.range_over(rational(i, size), rational(i + 1, size))
+    # the cells that touch an interior breakpoint, ascending: i when b lies
+    # inside [i/size, (i+1)/size], and i - 1 and i when b = i/size
+    cells: List[int] = []
+    for bp in bps[1:-1]:
+        i, r = divmod(bp.numerator * size, bp.denominator)
+        for c in (i - 1, i) if r == 0 else (i,):
+            if not cells or cells[-1] != c:
+                cells.append(c)
+    for low, high in _cell_ranges(fn, size, cells):
         lo_sum += low
         hi_sum += high
     return lo_sum, hi_sum

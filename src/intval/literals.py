@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Dict, List, NamedTuple, NoReturn, Optional, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from .algebra import (
     INFINITY,
@@ -49,7 +49,14 @@ from .algebra import (
     rational,
 )
 from .errors import LiteralTooLarge, ParseError
-from .lebesgue import PiecewiseMonotoneFn, Polynomial
+from .lebesgue import (
+    PiecewiseMonotoneFn,
+    Polynomial,
+    _canonical,
+    _mul_ints,
+    _sum_ints,
+    _trimmed,
+)
 from .spaces import FinitePoset
 
 # Largest polynomial degree, and largest exponent, a piecewise literal may
@@ -71,6 +78,10 @@ MAX_DIGITS = 4300
 # Deepest nesting of parentheses in a polynomial expression; each level
 # costs a few stack frames of the recursive-descent parser.
 MAX_NESTING = 64
+
+# Longest denominator, in bits, a raw polynomial pair keeps before the
+# parser takes its common factor out (see _raw).
+_RAW_DEN_BITS = 256
 
 
 def _position(source: str, offset: int) -> Tuple[int, int]:
@@ -222,45 +233,58 @@ class _Parser:
         return self.scalar(), SCALARS
 
     # ---- polynomial expressions ----------------------------------------
+    #
+    # An expression is built as a raw pair (num, den): a list of integer
+    # coefficients, low degree first, without trailing zeros, over one
+    # positive denominator, with no common factor taken out.  poly_piece
+    # brings a piece's expression to canonical form once, and poly_power
+    # does so for each base (see _raw for the one other place).  Degrees
+    # and _size_bound read the same on a raw pair as on its canonical
+    # form, so the caps decide as they would on canonical operands.
 
-    def poly_expr(self) -> Polynomial:
-        node = self.poly_term()
+    def poly_piece(self) -> Polynomial:
+        return Polynomial._of(*self.poly_expr())
+
+    def poly_expr(self) -> Tuple[List[int], int]:
+        num, den = self.poly_term()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            rhs = self.poly_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            rnum, rden = self.poly_term()
+            if op == "-":
+                rnum = [-v for v in rnum]
+            num, den = _raw(*_sum_ints(num, den, rnum, rden))
+        return num, den
 
-    def poly_term(self) -> Polynomial:
-        node = self.poly_unary()
+    def poly_term(self) -> Tuple[List[int], int]:
+        num, den = self.poly_unary()
         while self.peek().kind in ("*", "/"):
             op_tok = self.next()
-            rhs = self.poly_unary()
+            rnum, rden = self.poly_unary()
             if op_tok.kind == "*":
-                self.check_degree(node.degree + rhs.degree, op_tok)
-                self.check_size(_size_bound(node) + _size_bound(rhs), op_tok)
-                node = node * rhs
+                self.check_degree(len(num) + len(rnum) - 2, op_tok)
+                self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), op_tok)
+                num, den = _raw(_mul_ints(num, rnum), den * rden)
             else:
-                n, d = rhs.num[0], rhs.den
-                if not rhs.is_constant or n == 0:
+                n = rnum[0]
+                if len(rnum) > 1 or n == 0:
                     self.fail(op_tok.offset, "division is only defined by a nonzero constant")
-                self.check_size(_size_bound(node) + _size_bound(rhs), op_tok)
+                self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), op_tok)
                 if n < 0:
-                    n, d = -n, -d
-                # node * d / n, keeping the denominator positive
-                node = Polynomial._of([d * v for v in node.num], node.den * n)
-        return node
+                    n, rden = -n, -rden
+                # num / den * rden / n, keeping the denominator positive
+                num, den = _raw([rden * v for v in num], den * n)
+        return num, den
 
-    def poly_unary(self) -> Polynomial:
+    def poly_unary(self) -> Tuple[List[int], int]:
         negate = False
         while self.peek().kind == "-":
             self.next()
             negate = not negate
-        node = self.poly_power()
-        return -node if negate else node
+        num, den = self.poly_power()
+        return ([-v for v in num], den) if negate else (num, den)
 
-    def poly_power(self) -> Polynomial:
-        base = self.poly_atom()
+    def poly_power(self) -> Tuple[List[int], int]:
+        num, den = self.poly_atom()
         if self.peek().kind == "^":
             caret = self.next()
             exp_tok = self.expect("INT", "an integer exponent")
@@ -268,10 +292,12 @@ class _Parser:
             if exp > MAX_DEGREE:
                 message = f"exponent {exp} exceeds the cap {MAX_DEGREE}"
                 self.fail(exp_tok.offset, message, LiteralTooLarge)
-            self.check_degree(base.degree * exp, caret)
-            self.check_size(_size_bound(base) * exp, caret)
-            return base ** exp
-        return base
+            self.check_degree((len(num) - 1) * exp, caret)
+            self.check_size(_size_bound(num, den) * exp, caret)
+            # a power of a canonical base is canonical (Gauss's lemma)
+            base = Polynomial._of(num, den) ** exp
+            return list(base.num), base.den
+        return num, den
 
     def check_degree(self, degree: int, tok: Token) -> None:
         if degree > MAX_DEGREE:
@@ -283,41 +309,59 @@ class _Parser:
             message = f"coefficients of up to {bits} bits exceed the cap {MAX_COEFF_BITS}"
             self.fail(tok.offset, message, LiteralTooLarge)
 
-    def poly_atom(self) -> Polynomial:
+    def poly_atom(self) -> Tuple[List[int], int]:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return Polynomial._of([int(tok.text)], 1)
+            return [int(tok.text)], 1
         if tok.kind == "(":
             self.next()
             self.nesting += 1
             if self.nesting > MAX_NESTING:
                 self.fail(tok.offset, f"nesting exceeds the cap {MAX_NESTING}", LiteralTooLarge)
-            node = self.poly_expr()
+            pair = self.poly_expr()
             self.expect(")", "')'")
             self.nesting -= 1
-            return node
+            return pair
         self.expect("IDENT", "a number, 'x' or '('", "x")
-        return Polynomial.identity()
+        return [0, 1], 1
 
 
-def _size_bound(poly: Polynomial) -> int:
-    """An upper bound, in bits, on poly's coefficients that adds over products.
+def _raw(num: List[int], den: int) -> Tuple[List[int], int]:
+    """The raw pair num / den with trailing zeros trimmed.
 
-    Write poly = A / D with D the least common denominator and A an
-    integer polynomial, and let E(p) be the bit length of D * ||A||_1.
+    A denominator longer than _RAW_DEN_BITS is brought to canonical form,
+    so a common factor that the raw pairs leave in (2/2*2/2*...) cannot
+    grow with the length of the literal: _size_bound takes a gcd with the
+    denominator, which is quadratic in its length, and without this step
+    2,000 factors (2^64)^64, alternately multiplied and divided, took over
+    30 s to parse instead of 0.1 s.
+    """
+    num = _trimmed(num)
+    if den.bit_length() > _RAW_DEN_BITS:
+        num, den = _canonical(num, den)
+        return list(num), den
+    return num, den
+
+
+def _size_bound(num: Sequence[int], den: int) -> int:
+    """An upper bound, in bits, on the coefficients of num / den that adds
+    over products.
+
+    Write the polynomial as A / D with D the least common denominator and
+    A an integer polynomial, and let E be the bit length of D * ||A||_1.
     Every reduced coefficient's numerator and denominator are at most
     D * ||A||_1, and E(p * q) <= E(p) + E(q), so E(p^e) <= e * E(p).  This
-    returns a cheap upper bound on E(poly) (D is at most the product of
-    the coefficients' reduced denominators d_i, each |A_i| at most |n_i| * D
+    returns a cheap upper bound on E (D is at most the product of the
+    coefficients' reduced denominators d_i, each |A_i| at most |n_i| * D
     for the reduced numerators n_i), so the sum of two operands' bounds, or
     e times a base's, bounds the result's coefficients.  Coefficient i is
-    read off poly's integer form as n_i / d_i = (num_i / g) / (den / g)
-    with g = gcd(num_i, den), so no rational is built.
+    read as n_i / d_i = (num_i / g) / (den / g) with g = gcd(num_i, den),
+    so no rational is built, and a raw pair with a common factor left in
+    gets the same bound as its canonical form.
     """
-    den = poly.den
-    bits = len(poly.num).bit_length()
-    for a in poly.num:
+    bits = len(num).bit_length()
+    for a in num:
         g = gcd(a, den)
         bits += (a // g).bit_length() + 2 * (den // g).bit_length()
     return bits
@@ -423,7 +467,7 @@ def parse_piecewise(text: str) -> PiecewiseMonotoneFn:
         word = "dec" if p.peek().text == "dec" else "inc"
         direction = p.expect("IDENT", "'inc' or 'dec'", word).text
         p.expect(":", "':'")
-        return lo, hi, direction, p.poly_expr(), open_tok
+        return lo, hi, direction, p.poly_piece(), open_tok
 
     segments = p.block("piecewise", item, "a piecewise function needs at least one segment")
     breakpoints = [segments[0][0]]

@@ -97,19 +97,6 @@ class FinitePoset:
                 covers.append((a, b))
         return covers
 
-    def up_closure(self, points: Iterable[Point]) -> frozenset:
-        out: set = set()
-        for p in points:
-            self.require(p)
-            out |= self._up[p]
-        return frozenset(out)
-
-    def down_closure(self, points: Iterable[Point]) -> frozenset:
-        target = set(points)
-        for p in target:
-            self.require(p)
-        return frozenset(q for q in self._points if self._up[q] & target)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePoset):
             return NotImplemented

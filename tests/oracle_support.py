@@ -16,6 +16,22 @@ from intval.errors import NotMonotone, ZeroMeasure
 from intval.spaces import FinitePoset, Point
 
 
+def up_closure(poset: FinitePoset, points: Iterable[Point]) -> frozenset:
+    """The points of poset above some point of points."""
+    pts = list(points)
+    for p in pts:
+        poset.require(p)
+    return frozenset(q for q in poset.points if any(poset.leq(p, q) for p in pts))
+
+
+def down_closure(poset: FinitePoset, points: Iterable[Point]) -> frozenset:
+    """The points of poset below some point of points."""
+    pts = list(points)
+    for p in pts:
+        poset.require(p)
+    return frozenset(q for q in poset.points if any(poset.leq(q, p) for p in pts))
+
+
 class UpperSet:
     """An upward-closed subset of a finite poset."""
 
@@ -23,7 +39,7 @@ class UpperSet:
 
     def __init__(self, poset: FinitePoset, members: Iterable[Point]):
         mem = frozenset(members)
-        if poset.up_closure(mem) != mem:
+        if up_closure(poset, mem) != mem:
             raise ValueError("set is not upward closed")
         self.poset = poset
         self.members = mem
@@ -46,12 +62,12 @@ def min_upper_support(poset: FinitePoset, mass_points: Iterable[Point]) -> Upper
     pts = list(mass_points)
     if not pts:
         raise ValueError("no mass points: the minimal upper support is undefined")
-    return UpperSet(poset, poset.up_closure(pts))
+    return UpperSet(poset, up_closure(poset, pts))
 
 
 def closed_support(poset: FinitePoset, mass_points: Iterable[Point]) -> frozenset:
     """The smallest closed (= downward-closed) set containing the mass points."""
-    return poset.down_closure(mass_points)
+    return down_closure(poset, mass_points)
 
 
 class BoundednessWitness(NamedTuple):

@@ -25,6 +25,7 @@ import time
 import pytest
 
 from oracle_dyadic import brute_force_level
+from oracle_support import down_closure
 
 from intval.algebra import (
     INFINITY,
@@ -178,7 +179,7 @@ def test_c05_integral_algebra():
             support = set(mu.mass_points) | {
                 p for p in space.points if rng.random() < 0.4
             }
-            core = support & space.down_closure(mu.mass_points)
+            core = support & down_closure(space, mu.mass_points)
             g = {
                 p: (ZERO if rng.random() < 0.5 else f[p])
                 if p in core

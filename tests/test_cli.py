@@ -566,6 +566,80 @@ class TestGoldenFixtures:
         assert json.loads(out) == {"value": "[1/4,13/6]"}
 
 
+class TestRepeatedCalls:
+    """main builds its parser once per process, and each call parses afresh:
+    no option of one call leaks into the next."""
+
+    FN = ["--fn", "piecewise { [0,1/2] inc: 2*x; [1/2,1] dec: 2 - 2*x }", "--eps", "1/8"]
+
+    @pytest.fixture
+    def echo_laws(self, monkeypatch):
+        # the law table shows the seed and case count each call passed on
+        def run_all(seed=0, cases=None):
+            return [LawResult(f"seed-{seed}", -1 if cases is None else cases, 0)]
+
+        monkeypatch.setattr(cli.law_suites, "run_all", run_all)
+
+    @staticmethod
+    def _call(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["integrate", *FN, "--format", "csv"], ["integrate", *FN]),
+            (["integrate", *FN, "--approx-decimals", "3"], ["integrate", *FN]),
+            (["laws", "--cases", "2"], ["laws"]),
+            (["laws", "--seed", "5", "--format", "csv"], ["laws"]),
+            (["integrate", "--help"], ["integrate", *FN]),
+            (["integrate", *FN, "--depth-cap", "99"], ["integrate", *FN]),
+        ],
+        ids=["format", "approx", "cases", "seed-format", "help", "error"],
+    )
+    def test_second_call_prints_what_a_fresh_parser_prints(
+        self, first, second, echo_laws, monkeypatch, capsys
+    ):
+        fresh = []
+        for argv in (first, second):
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(self._call(argv, capsys))
+        monkeypatch.setattr(cli, "_parser", None)
+        assert self._call(first, capsys) == fresh[0]
+        parser = cli._parser
+        assert self._call(second, capsys) == fresh[1]
+        assert cli._parser is parser
+        assert fresh[0] != fresh[1]
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        script = "\n".join([
+            "import argparse, contextlib, io, json",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting(self, *args, **kwargs):",
+            "    built.append(kwargs.get('prog'))",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting",
+            "import intval.cli as cli",
+            "counts = [len(built), cli._parser is None]",
+            "argv = ['integrate', '--fn', 'piecewise { [0,1] inc: x }', '--eps', '1/4']",
+            "for _ in range(3):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        cli.main(argv)",
+            "    counts.append(len(built))",
+            "print(json.dumps(counts))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True, text=True
+        )
+        # one top-level parser and one per subcommand, built on the first call
+        assert json.loads(proc.stdout) == [0, True, 4, 4, 4]
+
+
 class TestDeterminism:
     def test_byte_identical_across_runs(self):
         base = [

@@ -568,6 +568,51 @@ class TestRangeOver:
                 fn.range_over(hi, lo)
 
 
+def _cells_agree(fn, depths):
+    for n in depths:
+        size = 2 ** n
+        got = list(lebesgue._cell_ranges(fn, size, range(size)))
+        want = [fn.range_over(rational(i, size), rational(i + 1, size)) for i in range(size)]
+        assert got == want, n
+
+
+def _many_pieces(bps):
+    """Alternating inc and dec pieces on the breakpoints, with jumps."""
+    pieces = []
+    for k, (s, t) in enumerate(zip(bps, bps[1:])):
+        if k % 2:
+            pieces.append(("dec", Polynomial([_rat(t) + k, -1])))
+        else:
+            pieces.append(("inc", Polynomial([k, -_rat(s), 1]) if k % 4 else Polynomial([1, 1])))
+    return PiecewiseMonotoneFn([_rat(b) for b in bps], pieces)
+
+
+class TestCellRanges:
+    """The level loop's integer-indexed cells equal range_over on every cell."""
+
+    @settings(EXAMPLES, max_examples=60)
+    @given(piecewise_fns())
+    def test_every_cell_to_depth_8(self, fn):
+        _cells_agree(fn, range(9))
+
+    @pytest.mark.parametrize(
+        "bps",
+        [
+            # 32 pieces on grid points: at depths 0-3 a cell covers several
+            # whole pieces, and from depth 5 every breakpoint is a cell edge
+            [Fraction(k, 32) for k in range(33)],
+            # 32 pieces off the grid, and 31 short pieces in [0, 1/8]
+            # before one long one
+            [Fraction(k, 33) for k in range(32)] + [Fraction(1)],
+            [Fraction(k, 256) for k in range(32)] + [Fraction(1)],
+        ],
+        ids=["grid", "off-grid", "crowded"],
+    )
+    def test_many_pieces_per_cell(self, bps):
+        assert len(bps) == 33
+        _cells_agree(_many_pieces(bps), range(9))
+
+
 class TestLevels:
     def test_identity_levels(self):
         h = canonical_extension(fixture_functions()["id"])
@@ -632,23 +677,29 @@ class TestLevels:
         self._differential(fn, 12)
 
     def test_only_breakpoint_cells_are_evaluated(self, monkeypatch):
-        calls = []
-        original = PiecewiseMonotoneFn.range_over
+        # every cell the level loop evaluates goes through _span, and no
+        # cell through range_over
+        spans = []
+        original = PiecewiseMonotoneFn._span
 
-        def counting(self, lo, hi):
-            calls.append((lo, hi))
-            return original(self, lo, hi)
+        def counting(self, first, last, left, right):
+            spans.append((first, last, left, right))
+            return original(self, first, last, left, right)
 
-        monkeypatch.setattr(PiecewiseMonotoneFn, "range_over", counting)
+        def forbidden(self, lo, hi):
+            raise AssertionError("the level loop called range_over")
+
+        monkeypatch.setattr(PiecewiseMonotoneFn, "_span", counting)
+        monkeypatch.setattr(PiecewiseMonotoneFn, "range_over", forbidden)
         fn = fixture_functions()["tent"]  # interior breakpoints 1/2 and 3/4
         h = canonical_extension(fn)
         for n in (0, 1, 2, 12, 24):
-            calls.clear()
+            spans.clear()
             lebesgue_n(n, h)
-            assert len(calls) <= 2 * (len(fn.breakpoints) - 2), n
-        calls.clear()
+            assert 0 < len(spans) <= 2 * (len(fn.breakpoints) - 2), n
+        spans.clear()
         lebesgue_n(24, canonical_extension(fixture_functions()["square"]))
-        assert calls == []
+        assert spans == []
 
     def test_depth_24_is_fast(self):
         fixtures = fixture_functions()

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle_scanner
 
@@ -179,7 +179,7 @@ class TestPiecewiseLiterals:
 
 def _poly(text):
     p = _Parser(text)
-    poly = p.poly_expr()
+    poly = p.poly_piece()
     p.finish()
     return poly
 
@@ -270,6 +270,89 @@ class TestDigits:
         with pytest.raises(ParseError, match="unexpected character") as info:
             parse(text)
         assert (info.value.line, info.value.col) == (1, col)
+
+
+# An expression tree is a leaf (an integer or 'x') or (op, children...);
+# _render writes it fully parenthesized, so the parse follows the tree.
+_trees = st.recursive(
+    st.one_of(
+        st.integers(0, 12),
+        st.just("x"),
+        # small fractions, so sums meet denominators with common factors
+        st.tuples(st.just("/"), st.integers(0, 12), st.integers(1, 12)),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("^"), sub, st.integers(0, 3)),
+    ),
+    max_leaves=10,
+)
+
+
+def _render(tree):
+    if isinstance(tree, int):
+        return str(tree)
+    if tree == "x":
+        return "x"
+    if tree[0] == "neg":
+        return f"-({_render(tree[1])})"
+    if tree[0] == "^":
+        return f"({_render(tree[1])})^{tree[2]}"
+    op, a, b = tree
+    return f"({_render(a)}) {op} ({_render(b)})"
+
+
+def _evaluate(tree, degrees):
+    """The tree's value by the Polynomial operators, every intermediate
+    degree appended to degrees; a division by anything but a nonzero
+    constant raises ParseError, as the parser does."""
+    if isinstance(tree, int):
+        return Polynomial.constant(tree)
+    if tree == "x":
+        return Polynomial.identity()
+    if tree[0] == "neg":
+        return -_evaluate(tree[1], degrees)
+    if tree[0] == "^":
+        result = _evaluate(tree[1], degrees) ** tree[2]
+    else:
+        op, a, b = tree
+        a, b = _evaluate(a, degrees), _evaluate(b, degrees)
+        if op == "/":
+            if not b.is_constant or b == Polynomial.constant(0):
+                raise ParseError("division is only defined by a nonzero constant", 1, 1)
+            b = Polynomial.constant(1 / b.coeffs[0])
+        if op == "+":
+            result = a + b
+        elif op == "-":
+            result = a - b
+        else:
+            result = a * b
+    degrees.append(result.degree)
+    return result
+
+
+class TestExpressionTrees:
+    """Raw (num, den) building gives the Polynomial operators' canonical pair."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_trees)
+    def test_parser_matches_the_polynomial_operators(self, tree):
+        degrees = []
+        try:
+            expected = _evaluate(tree, degrees)
+        except ParseError:
+            expected = None
+        assume(max(degrees, default=0) <= MAX_DEGREE)
+        text = _render(tree)
+        if expected is None:
+            with pytest.raises(ParseError, match="division is only defined"):
+                _poly(text)
+            return
+        got = _poly(text)
+        assert (got.num, got.den) == (expected.num, expected.den)
+        raw_num, raw_den = _Parser(text).poly_expr()
+        assert Polynomial._of(raw_num, raw_den) == expected
 
 
 class TestSizeCaps:
@@ -372,7 +455,9 @@ class TestSizeCaps:
             expected = len(cs).bit_length() + sum(
                 c.numerator.bit_length() + 2 * c.denominator.bit_length() for c in cs
             )
-            assert _size_bound(p) == expected
+            assert _size_bound(p.num, p.den) == expected
+            # a raw pair with a common factor left in reads the same
+            assert _size_bound([6 * v for v in p.num], 6 * p.den) == expected
 
 
 
@@ -503,6 +588,19 @@ _DIAGNOSTICS = [
      "line 1, col 51: expected 'inc' or 'dec', found '}'"),
 ]
 
+# Literals whose raw polynomial pairs would keep a common factor through
+# every step: a raw denominator that grew with the literal would make each
+# later gcd quadratic in its length.  Each parses, within a time bound.
+_RAW_GROWTH = [
+    (parse_piecewise, "piecewise { [0,1] inc: (((2/2)^64)^64)^64 }", None, None),
+    (parse_piecewise, "piecewise { [0,1] inc: " + "*".join(["2/2"] * 1000) + " }",
+     None, None),
+    (parse_piecewise,
+     "piecewise { [0,1] inc: " + "*".join(["(2^64)^64/(2^64)^64"] * 1000) + " }",
+     None, None),
+]
+_DIAGNOSTICS += _RAW_GROWTH
+
 
 class TestDiagnostics:
     @pytest.mark.parametrize(
@@ -517,6 +615,16 @@ class TestDiagnostics:
         with pytest.raises(ParseError) as info:
             parse(text)
         assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize(
+        "parse, text, error, message",
+        _RAW_GROWTH,
+        ids=["nested-powers", "2000-factor-chain", "2000-power-chain"],
+    )
+    def test_raw_pairs_stay_small(self, parse, text, error, message):
+        t0 = time.perf_counter()
+        self.test_every_raise_site_is_pinned(parse, text, error, message)
+        assert time.perf_counter() - t0 < 1.0
 
 
 # One valid literal of each form; the fuzz test mutates them.

@@ -46,7 +46,7 @@ from intval.measures import (
 )
 from intval.spaces import MonotoneMap, antichain, chain, singleton
 from intval.valuations import dirac, evaluate, exhaustive_tests
-from oracle_support import is_mu_bounded
+from oracle_support import down_closure, is_mu_bounded
 
 
 class TestMeasureBasics:
@@ -241,7 +241,7 @@ class TestUpperIntegral:
             support = set(mu.mass_points) | {
                 p for p in space.points if rng.random() < 0.4
             }
-            core = support & space.down_closure(mu.mass_points)
+            core = support & down_closure(space, mu.mass_points)
             g = {}
             for p in space.points:
                 if p in core:

@@ -29,6 +29,7 @@ from intval.valuations import (
     scale,
     valuation_leq,
 )
+from oracle_support import down_closure, up_closure
 
 
 @pytest.fixture
@@ -280,8 +281,8 @@ def proof_family(space, algebra):
     """
     pts = space.points
     subsets = [frozenset(c) for r in range(len(pts) + 1) for c in combinations(pts, r)]
-    uppers = [u for u in subsets if space.up_closure(u) == u]
-    downs = [d for d in subsets if space.down_closure(d) == d]
+    uppers = [u for u in subsets if up_closure(space, u) == u]
+    downs = [d for d in subsets if down_closure(space, d) == d]
     if algebra is SCALARS:
         tables = [{p: ext(int(p in u)) for p in pts} for u in uppers]
     else:
