@@ -21,31 +21,21 @@ absorbing bottom to stay within its time budget, and runs the full grid on
 the diagonal triples); a seeded randomized pass over posets with up to six
 points and multi-term kernels covers what the enumeration cannot.
 
-Monad-law oracle.  Every monad-law case compares normal forms
-structurally, which is sound but incomplete (see valuations).  On all of
-law (i), all of law (ii) and the diagonal core triples of law (iii)
-(19,739 cases) the suite also checks bind against its defining
-functional description: for every k in the target's exhaustive test
-family, evaluate(bind(f, nu), k) must equal functional_bind(f, nu, k),
-the sum of r_i * f(x_i)(k) computed without bind.  For law (iii) that is
-the law in functional form, bind(g o f, nu)(k) == bind(f, nu)(y -> g(y)(k)).
-Re-evaluating a structurally equal result instead could never fail,
-since evaluate depends only on the terms.  The oracle's cases use
-single-term kernels with Dirac or unit-kernel arguments, so no two terms
-ever merge at one target point there; merged terms are exercised by the
-randomized pass, which compares normal forms.
-
-The oracle works on value vectors: a valuation's vector is its values on
-the whole test family, in family order.  It forms functional_bind's
-vector as the elementwise sum of r_i * vec(f(x_i)), still from evaluate
-and coefficient arithmetic alone, and compares it with vec(bind(f, nu)).
-Since evaluate is a pure function of the terms, each distinct valuation's
-vector is computed once and memoized in a dict that lives for one poset
-loop: one per (X, Y) in law (i), one per diagonal (X, X, X) in the law
-(iii) core, so it holds at most one family's kernel images and results.
-Law (ii) gets a fresh memo per case: every nu there is distinct, so a
-memo spanning its cases would keep one vector per grid valuation that is
-never read again, and save only the unit kernel's few Dirac vectors.
+Monad-law comparisons.  Every monad-law case compares normal forms
+structurally: bind(f, delta_x) with f(x) in law (i), bind(eta, nu) with
+nu in law (ii), and bind(g o f, nu) with bind(g, bind(f, nu)) in law
+(iii).  That is sound but incomplete (see valuations).  No functional
+re-check against functional_bind follows a structural match, because on
+the exhaustive cases it could not fail: the expected values would be
+[1,1] times f(x)'s own in law (i), the same products and sums in the
+same term order as evaluate in law (ii), and, since the law (iii) core's
+kernels are single-term, (c.d).k(z) = c.(d.k(z)) with c, d in {[1,1],
+[0,inf]}, which interval-axioms checks.  None of those cases merges two
+terms at one target point, which is where bind can part from its
+functional description; the randomized pass's multi-term kernels do
+(a bind that keeps the first coefficient at a merged point fails its
+composition law), and the tests run functional_bind on two-Dirac kernels
+whose terms merge.
 
 Randomized scope.  Generators below produce posets, monotone/antitone
 tables, valuations, kernels and measures from fixed seeds; all randomness
@@ -107,7 +97,6 @@ from .valuations import (
     ElementaryValuation,
     dirac,
     evaluate,
-    exhaustive_tests,
 )
 
 # Coefficient grid for the exhaustive monad suite: the test-function grid,
@@ -463,8 +452,7 @@ def _shrink_triple(triple: tuple, fails: Callable[..., object]) -> tuple:
 # Family 2: monad laws.
 # ---------------------------------------------------------------------------
 
-# The exhaustive families are asked for on the same few posets many times.
-_tests_for = cache(exhaustive_tests)
+# The exhaustive point maps are asked for on the same few posets many times.
 _point_maps = cache(all_monotone_point_maps)
 
 
@@ -526,62 +514,6 @@ def functional_bind(f: Kernel, nu: ElementaryValuation, k: MonotoneMap):
     return acc
 
 
-# A valuation's values on the exhaustive tests of its space, in family order.
-Vectors = Dict[ElementaryValuation, Tuple[IntervalValue, ...]]
-
-
-def _vector(v: ElementaryValuation, vectors: Vectors) -> Tuple[IntervalValue, ...]:
-    """v's value vector, computed on the first request and memoized in `vectors`."""
-    vec = vectors.get(v)
-    if vec is None:
-        vec = vectors[v] = tuple(evaluate(v, k) for k in _tests_for(v.space))
-    return vec
-
-
-def _bind_oracle_fails(
-    got: ElementaryValuation, f: Kernel, nu: ElementaryValuation, vectors: Vectors
-) -> bool:
-    """True iff got differs from functional_bind(f, nu, k) on some exhaustive k.
-
-    Forms functional_bind's value vector as the elementwise sum of
-    r_i * vec(f(x_i)), with every vec read through `vectors`.
-    """
-    alg = nu.algebra
-    want = None
-    for coeff, point in nu.terms:
-        term = [alg.mul(coeff, e) for e in _vector(f(point), vectors)]
-        want = term if want is None else list(map(alg.add, want, term))
-    return _vector(got, vectors) != tuple(want)
-
-
-def _law_i_fails(f: Kernel, x, dirac_x: ElementaryValuation, vectors: Vectors) -> bool:
-    got = bind(f, dirac_x)
-    return got != f(x) or _bind_oracle_fails(got, f, dirac_x, vectors)
-
-
-def _law_ii_fails(eta: Kernel, nu: ElementaryValuation) -> bool:
-    got = bind(eta, nu)
-    return got != nu or _bind_oracle_fails(got, eta, nu, {})
-
-
-def _law_iii_fails(
-    gf: Kernel,
-    g: Kernel,
-    nu: ElementaryValuation,
-    mid: ElementaryValuation,
-    vectors: Optional[Vectors],
-) -> bool:
-    """Law (iii) at nu, given gf = kleisli_compose(g, f) and mid = bind(f, nu).
-
-    With a `vectors` memo, also checks the law in functional form,
-    bind(gf, nu)(k) == mid(y -> g(y)(k)), on every exhaustive k.
-    """
-    lhs = bind(gf, nu)
-    if lhs != bind(g, mid):
-        return True
-    return vectors is not None and _bind_oracle_fails(lhs, g, mid, vectors)
-
-
 # Counterexample texts, filled in with repr of their arguments.
 _UNIT_LAW = "unit law fails at x={!r} for kernel {!r}"
 _UNIT_EXTENSION = "unit extension fails on {!r}"
@@ -603,22 +535,19 @@ def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
     for X in posets:
         eta = _unit_kernel(X)
         for nu in all_grid_valuations(X):
-            yield _UNIT_EXTENSION.format(nu) if _law_ii_fails(eta, nu) else None
+            yield _UNIT_EXTENSION.format(nu) if bind(eta, nu) != nu else None
 
     # Law (i), exhaustive: scaled-dirac and constant kernels over all pairs.
     for X in posets:
         units = [(x, unit(X, x)) for x in X.points]
         for Y in posets:
             kernels = _dirac_kernels(X, Y, COEFF_GRID) + _const_kernels(X, Y, COEFF_GRID)
-            vectors: Vectors = {}
             for f in kernels:
                 for x, dirac_x in units:
-                    failed = _law_i_fails(f, x, dirac_x, vectors)
-                    yield _UNIT_LAW.format(x, f) if failed else None
+                    yield _UNIT_LAW.format(x, f) if bind(f, dirac_x) != f(x) else None
 
     # Law (iii), exhaustive core: unit/bottom coefficients over all triples,
-    # Dirac arguments; structural equality, plus the functional oracle on
-    # the diagonal triples.  The composite is built once per (f, g) and
+    # Dirac arguments.  The composite is built once per (f, g) and
     # bind(f, nu) once per (f, nu).
     core = (IONE, ival(0, "inf"))
     for X in posets:
@@ -627,13 +556,12 @@ def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
             fs = _dirac_kernels(X, Y, (IONE,)) + _const_kernels(X, Y, core)
             for Z in posets:
                 gs = _dirac_kernels(Y, Z, core)
-                vectors = {} if X is Y and Y is Z else None
                 for f in fs:
                     mids = [bind(f, nu) for nu in nus]
                     for g in gs:
                         gf = kleisli_compose(g, f)
                         for nu, mid in zip(nus, mids):
-                            failed = _law_iii_fails(gf, g, nu, mid, vectors)
+                            failed = bind(gf, nu) != bind(g, mid)
                             yield _COMPOSITION.format(nu, f, g) if failed else None
 
     # Law (iii), diagonal enrichment: full grid coefficients, richer arguments.
@@ -647,7 +575,7 @@ def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
             for g in fs:
                 gf = kleisli_compose(g, f)
                 for nu, mid in zip(nus, mids):
-                    failed = _law_iii_fails(gf, g, nu, mid, vectors=None)
+                    failed = bind(gf, nu) != bind(g, mid)
                     yield _COMPOSITION.format(nu, f, g) if failed else None
 
     # Randomized pass: multi-term kernels and valuations on posets <= 6,

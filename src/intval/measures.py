@@ -48,7 +48,7 @@ h -> [nu(h_lo), inf] (``least_interval_extension``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Union
+from typing import Callable, Dict, Mapping
 
 from .algebra import (
     INFINITY,
@@ -65,7 +65,8 @@ from .errors import NotMonotone, SpaceMismatch, UnboundedMeasure, ZeroMeasure
 from .spaces import FinitePoset, MonotoneMap, Point, endpoint_maps
 from .valuations import ElementaryValuation, _point_key, evaluate
 
-Table = Union[Mapping[Point, ExtNonNeg], Callable[[Point], ExtNonNeg]]
+# An integrand: a table of values, total on the measure's space.
+Table = Mapping[Point, ExtNonNeg]
 
 
 class FiniteSupportMeasure:
@@ -131,15 +132,13 @@ class FiniteSupportMeasure:
 
 
 def _lookup(f: Table, point: Point) -> ExtNonNeg:
-    v = f[point] if isinstance(f, Mapping) else f(point)
-    return ext(v)
+    return ext(f[point])
 
 
 def _require_total(f: Table, space: FinitePoset) -> None:
-    if isinstance(f, Mapping):
-        missing = [p for p in space.points if p not in f]
-        if missing:
-            raise ValueError(f"integrand not total: missing {missing!r}")
+    missing = [p for p in space.points if p not in f]
+    if missing:
+        raise ValueError(f"integrand not total: missing {missing!r}")
 
 
 def lower_integral(f: Table, mu: FiniteSupportMeasure) -> ExtNonNeg:

@@ -14,9 +14,8 @@ bind(f, nu)(k) = nu(x -> f(x)(k)) on every test function k.  Exact + is
 associative and commutative, so this is the normal form that scaling each
 image and adding would give.  The closed form is primary because it
 returns a value in normal form; the functional description is kept as an
-oracle by the monad-law suite (laws._bind_oracle_fails, which sums the
-images' value vectors over the exhaustive tests) and by the tests
-(laws.functional_bind, one test function at a time).
+oracle by the tests (laws.functional_bind, one test function at a time,
+on kernels whose images merge terms at a target point).
 
 With unit and bind come the derived operations: the pushforward along a
 monotone point map, the two tensorial strengths pairing a point with a

@@ -12,7 +12,8 @@ spaces); they must be hashable and mutually orderable within one poset so
 normal forms can sort by point.  The order relation is stored explicitly
 and validated as reflexive, transitive and antisymmetric on construction;
 relations given to the constructor are closed under reflexivity and
-transitivity first, so callers may pass just the covering pairs.
+transitivity first, in one sweep over a topological order of the given
+pairs, so callers may pass just the covering pairs or any generating set.
 """
 
 from __future__ import annotations
@@ -36,30 +37,32 @@ class FinitePoset:
         if len(set(pts)) != len(pts):
             raise ValueError("poset points must be distinct")
         index = {p: i for i, p in enumerate(pts)}
-        up: Dict[Point, set] = {p: {p} for p in pts}
+        succ: List[set] = [set() for _ in pts]
         for a, b in relation:
             if a not in index or b not in index:
                 raise PointNotInSpace(f"relation mentions unknown point {a!r} or {b!r}")
-            up[a].add(b)
-        # transitive closure (tiny spaces; cubic is fine)
-        changed = True
-        while changed:
-            changed = False
-            for a in pts:
-                extra = set()
-                for b in up[a]:
-                    extra |= up[b]
-                if not extra <= up[a]:
-                    up[a] |= extra
-                    changed = True
-        for a in pts:
-            twins = [b for b in up[a] if b != a and a in up[b]]
-            if twins:
-                b = min(twins, key=index.__getitem__)
-                raise ValueError(f"antisymmetry fails: {a!r} and {b!r} are equivalent")
+            if a != b:
+                succ[index[a]].add(index[b])
+        # Kahn's algorithm: a topological order of the given pairs, then each
+        # up-set once, in reverse order, from its direct successors' up-sets
+        below = [0] * len(pts)
+        for js in succ:
+            for j in js:
+                below[j] += 1
+        order = [i for i, n in enumerate(below) if n == 0]
+        for i in order:
+            for j in succ[i]:
+                below[j] -= 1
+                if below[j] == 0:
+                    order.append(j)
+        if len(order) < len(pts):
+            _reject_cycle(pts, succ, set(range(len(pts))) - set(order))
+        up: List[frozenset] = [frozenset()] * len(pts)
+        for i in reversed(order):
+            up[i] = frozenset((pts[i],)).union(*(up[j] for j in succ[i]))
         self._points = pts
         self._index = index
-        self._up = {p: frozenset(s) for p, s in up.items()}
+        self._up = dict(zip(pts, up))
         # the points with their up-sets determine the order
         self._key = frozenset(self._up.items())
 
@@ -111,6 +114,36 @@ class FinitePoset:
         return "poset { " + "; ".join(items) + " }"
 
 
+def _reject_cycle(pts: Tuple[Point, ...], succ: List[set], unordered: set) -> None:
+    """Raise for the first point, in point order, that lies on a cycle.
+
+    Kahn's algorithm leaves unordered exactly the points on a cycle and
+    those above one; a point's twins are the points it reaches and is
+    reached from, and the error names the first of them in point order.
+    """
+    pred: List[list] = [[] for _ in pts]
+    for i, js in enumerate(succ):
+        for j in js:
+            pred[j].append(i)
+    for i in sorted(unordered):
+        twins = (_reach(i, succ) & _reach(i, pred)) - {i}
+        if twins:
+            a, b = pts[i], pts[min(twins)]
+            raise ValueError(f"antisymmetry fails: {a!r} and {b!r} are equivalent")
+
+
+def _reach(start: int, edges) -> set:
+    """The indices reachable from `start` along `edges`, start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in edges[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
 def singleton(label: Point = "pt") -> FinitePoset:
     return FinitePoset([label])
 
@@ -128,16 +161,13 @@ def antichain(labels: Sequence[Point]) -> FinitePoset:
 def product_poset(x: FinitePoset, y: FinitePoset) -> FinitePoset:
     """Componentwise-ordered product; points are (x_point, y_point) pairs.
 
-    The comparable pairs are read off the factors' up-sets: (a, b) <= (c, d)
-    exactly when c is above a and d above b.
+    Only the axis-aligned pairs are passed to the constructor:
+    (a, b) <= (c, b) for c above a, and (a, b) <= (a, d) for d above b.
+    Its closure adds the rest, since (a, b) <= (c, b) <= (c, d).
     """
     pts = [(a, b) for a in x.points for b in y.points]
-    rel = [
-        ((a, b), (c, d))
-        for (a, b) in pts
-        for c in x._up[a]
-        for d in y._up[b]
-    ]
+    rel = [((a, b), (c, b)) for (a, b) in pts for c in x._up[a]]
+    rel += [((a, b), (a, d)) for (a, b) in pts for d in y._up[b]]
     return FinitePoset(pts, rel)
 
 

@@ -398,6 +398,21 @@ class TestEval:
         # the end of input is one column past the trailing '{'
         assert err == "error: line 1, col 8: expected a point name, found 'end of input'\n"
 
+    def test_thousand_point_chain_is_fast(self, capsys):
+        # the order's closure is one sweep over the chain, not a fixpoint
+        pts = [f"p{i}" for i in range(1000)]
+        poset = "poset { " + "; ".join(f"{a} <= {b}" for a, b in zip(pts, pts[1:])) + " }"
+        fn = "fn h { " + "; ".join(f"{p} -> [1,1]" for p in pts) + " }"
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            ["eval", "--poset", poset, "--val", "val { [1,1] @ p0; [1/2,2] @ p999 }",
+             "--fn", fn],
+            capsys=capsys,
+        )
+        assert time.perf_counter() - t0 < 3
+        assert code == 0, err
+        assert json.loads(out) == {"value": "[3/2,3]"}
+
 
 class TestSpecArguments:
     """An argument is an inline literal when its keyword is followed by

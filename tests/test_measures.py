@@ -441,6 +441,10 @@ _RAISES = [
      ValueError, "integrand not total: missing ['p']"),
     ("upper:not total, rising", upper_integral, ({"p": ext(0)}, _MU),
      ValueError, "integrand not total: missing ['q']"),
+    ("lower:not total", lower_integral, ({"q": ext(1)}, _MU),
+     ValueError, "integrand not total: missing ['p']"),
+    ("choquet:not total", choquet_integral, ({"p": ext(1)}, _MU),
+     ValueError, "integrand not total: missing ['q']"),
 ]
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -66,6 +67,37 @@ class TestFinitePoset:
     def test_rejects_a_three_cycle(self):
         with pytest.raises(ValueError, match="antisymmetry fails: 'a' and 'b' are equivalent"):
             FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+    def test_names_the_first_point_on_a_cycle(self):
+        # 'a' and 'b' only lie above the cycle c -> d -> e -> c
+        rel = [("a", "b"), ("c", "d"), ("d", "e"), ("e", "c"), ("e", "a")]
+        with pytest.raises(ValueError, match="antisymmetry fails: 'c' and 'd' are equivalent"):
+            FinitePoset(["a", "b", "c", "d", "e"], rel)
+
+    def test_closure_matches_a_fixpoint_closure(self):
+        # random relations on five points, cycles and self-pairs included,
+        # against the closure iterated until nothing changes
+        rng = random.Random(3)
+        pts = ["a", "b", "c", "d", "e"]
+        for _ in range(500):
+            rel = [(a, b) for a in pts for b in pts if rng.random() < 0.15]
+            up = {a: {a} | {b for x, b in rel if x == a} for a in pts}
+            changed = True
+            while changed:
+                changed = False
+                for a in pts:
+                    extra = set().union(*(up[b] for b in up[a]))
+                    if not extra <= up[a]:
+                        up[a] |= extra
+                        changed = True
+            twins = [(a, b) for a in pts for b in pts if a != b and b in up[a] and a in up[b]]
+            if twins:
+                a, b = twins[0]
+                with pytest.raises(ValueError, match=f"'{a}' and '{b}' are equivalent"):
+                    FinitePoset(pts, rel)
+            else:
+                p = FinitePoset(pts, rel)
+                assert all(p.leq(a, b) == (b in up[a]) for a in pts for b in pts)
 
     def test_repr_round_trips(self):
         from intval.literals import parse_poset
