@@ -12,10 +12,15 @@ elementary valuation by the closed form
 equal target points by +), which agrees with the functional description
 bind(f, nu)(k) = nu(x -> f(x)(k)) on every test function k.  Exact + is
 associative and commutative, so this is the normal form that scaling each
-image and adding would give.  The closed form is primary because it
-returns a value in normal form; the functional description is kept as an
-oracle by the tests (laws.functional_bind, one test function at a time,
-on kernels whose images merge terms at a target point).
+image and adding would give.  A one-term argument r x delta_x needs no
+normalization: r . f(x) has f(x)'s points in f(x)'s order, one term each
+(zeros kept), so bind builds it directly in normal form.  The closed form
+is primary because it returns a value in normal form; the functional
+description is kept as an oracle by the tests (laws.functional_bind, one
+test function at a time, on kernels whose images merge terms at a target
+point).  The Kleisli composite x -> bind(g, f(x)) is assembled from bind's
+results without Kernel's checks, which cannot fail there (see
+kleisli_compose).
 
 With unit and bind come the derived operations: the pushforward along a
 monotone point map, the two tensorial strengths pairing a point with a
@@ -40,6 +45,8 @@ from .valuations import ElementaryValuation, dirac, valuation_leq
 
 PointFn = Union[Mapping[Point, Point], Callable[[Point], Point]]
 
+_new = object.__new__
+
 
 def _apply(g: PointFn, x: Point) -> Point:
     return g[x] if isinstance(g, Mapping) else g(x)
@@ -52,7 +59,10 @@ class Kernel:
     continuity on a finite poset.  It is decided with ``valuation_leq`` on
     the source's covering pairs (the order is transitive), for targets of
     any size.  ``validate=False`` skips the check for kernels that are
-    monotone by construction.
+    monotone by construction; totality, the images' space and a single
+    coefficient algebra are still checked.  ``kleisli_compose`` builds its
+    composite without this constructor, since none of these checks can
+    fail on it.
     """
 
     __slots__ = ("source", "target", "algebra", "_table")
@@ -108,34 +118,54 @@ def unit(space: FinitePoset, x: Point, algebra: ValueAlgebra = INTERVALS) -> Ele
 
 
 def bind(f: Kernel, nu: ElementaryValuation) -> ElementaryValuation:
-    """Extend a kernel to valuations: sum_i r_i . f(x_i), normalized once.
+    """Extend a kernel to valuations: sum_i r_i . f(x_i).
 
     One product per pair of terms, read straight off the kernel's table; a
     [1, 1] coefficient (a Dirac term) returns the image's coefficient
-    itself, so the result shares it (see ``IntervalValue.__mul__``).
+    itself, so the result shares it (see ``IntervalValue.__mul__``).  A
+    one-term argument r . delta_x gives r . f(x), whose terms sit at f(x)'s
+    points in f(x)'s order, so it is built in normal form; more terms are
+    normalized once.
     """
     if nu.space is not f.source and nu.space != f.source:
         raise SpaceMismatch("valuation lives off the kernel source")
     alg = nu.algebra
     if alg is not f.algebra:
         raise SpaceMismatch("valuation and kernel use different algebras")
-    mul, table = alg.mul, f._table
+    mul, table, terms = alg.mul, f._table, nu.terms
     try:
-        terms = [(mul(r, c), y) for r, x in nu.terms for c, y in table[x].terms]
+        if len(terms) == 1:
+            ((r, x),) = terms
+            out = _new(ElementaryValuation)
+            out.space = f.target
+            out.algebra = alg
+            out.terms = tuple([(mul(r, c), y) for c, y in table[x].terms])
+            return out
+        products = [(mul(r, c), y) for r, x in terms for c, y in table[x].terms]
     except KeyError as exc:
         raise PointNotInSpace(
             f"point {exc.args[0]!r} is not in the kernel source"
         ) from None
-    return ElementaryValuation(f.target, terms, alg, validate=False)
+    return ElementaryValuation(f.target, products, alg, validate=False)
 
 
 def kleisli_compose(g: Kernel, f: Kernel) -> Kernel:
     """The kernel x -> bind(g, f(x)); the composite used by the third monad law."""
     if f.target is not g.source and f.target != g.source:
         raise SpaceMismatch("kernels do not compose: target/source mismatch")
-    table = {x: bind(g, f(x)) for x in f.source.points}
-    # monotone as a composite of monotone maps; skip the recheck
-    return Kernel(f.source, g.target, table, validate=False)
+    images = f._table
+    table = {x: bind(g, images[x]) for x in f.source.points}
+    # Kernel.__init__'s checks cannot fail here, so they are skipped: the
+    # table's keys are f's checked source points, every image comes out of
+    # bind(g, .) and so lives on g.target, and bind has checked that each
+    # argument, hence each image, uses g.algebra, which is f.algebra.  The
+    # composite of monotone maps is monotone.
+    composite = _new(Kernel)
+    composite.source = f.source
+    composite.target = g.target
+    composite.algebra = f.algebra
+    composite._table = table
+    return composite
 
 
 def map_valuation(

@@ -10,8 +10,10 @@ homogeneous) and monotone in h, with exact equality throughout.
 
 Terms are kept in normal form: sorted by point, one term per point, equal
 points merged by coefficient addition.  A single term is already in normal
-form, so the constructor takes it as it is, with no merge or sort; bind
-builds most of its results that way.  Zero coefficients are *kept*: in
+form, so the constructor takes it as it is, with no merge or sort.
+Multiplying coefficients moves no point, so ``scale`` and bind on a
+one-term argument (monad.bind) build their results in normal form
+directly, without the constructor.  Zero coefficients are *kept*: in
 the interval algebra [0, 0] * [inf, inf] = [0, inf], so a [0, 0]-weighted
 term still contributes wherever the test function has an infinite upper
 endpoint, and dropping it would change the functional.  The empty sum is
@@ -57,6 +59,8 @@ DEFAULT_TEST_GRID: Tuple[IntervalValue, ...] = (
 )
 
 SCALAR_TEST_GRID = tuple(ext(v) for v in (0, "1/2", 1, 2, "inf"))
+
+_new = object.__new__
 
 
 class ElementaryValuation:
@@ -166,9 +170,13 @@ def scale(a, nu: ElementaryValuation) -> ElementaryValuation:
     alg = nu.algebra
     if not alg.contains(a):
         raise ValueError(f"scalar {a!r} is not a {alg.name} element")
-    return ElementaryValuation(
-        nu.space, [(alg.mul(a, c), p) for c, p in nu.terms], alg, validate=False
-    )
+    # scaling moves no point, so nu's normal form is the result's
+    mul = alg.mul
+    out = _new(ElementaryValuation)
+    out.space = nu.space
+    out.algebra = alg
+    out.terms = tuple([(mul(a, c), p) for c, p in nu.terms])
+    return out
 
 
 def add(mu: ElementaryValuation, nu: ElementaryValuation) -> ElementaryValuation:

@@ -100,6 +100,32 @@ class TestPlantedDefects:
         assert (r.cases, r.failures) == (402853, 1)
         assert r.counterexample.startswith("composition law fails for nu=")
 
+    def test_monad_laws_unscaled_one_term_bind(self, monkeypatch):
+        # the image comes back without its coefficient: [0,0] . delta_a
+        # under the unit kernel reads as delta_a, so law (ii) fails at once
+        planted = _one_term_bind(lambda f, r, x: f(x))
+        monkeypatch.setattr(monad, "bind", planted)
+        monkeypatch.setattr(laws, "bind", planted)
+        r = laws.monad_laws(seed=1)
+        assert (r.cases, r.failures) == (1, 1)
+        assert r.counterexample.startswith("unit extension fails on val { ")
+
+    def test_monad_laws_source_labelled_one_term_bind(self, monkeypatch):
+        # law (ii)'s unit kernels have source == target, so the first
+        # kernel between two different posets, in law (i), finds it
+        def on_source(f, r, x):
+            out = object.__new__(ElementaryValuation)
+            out.space, out.algebra = f.source, f.algebra
+            out.terms = tuple((f.algebra.mul(r, c), y) for c, y in f(x).terms)
+            return out
+
+        planted = _one_term_bind(on_source)
+        monkeypatch.setattr(monad, "bind", planted)
+        monkeypatch.setattr(laws, "bind", planted)
+        r = laws.monad_laws(seed=1)
+        assert (r.cases, r.failures) == (1161, 1)
+        assert r.counterexample.startswith("unit law fails at x='a' for kernel ")
+
     def test_strength(self, monkeypatch):
         real = laws.strength
         monkeypatch.setattr(
@@ -147,6 +173,20 @@ def _first_wins_bind(f, nu):
         for c, y in f(x).terms:
             kept.setdefault(y, r * c)
     return ElementaryValuation(f.target, [(c, y) for y, c in kept.items()])
+
+
+def _one_term_bind(closed_form):
+    """A planted bug on bind's one-term path: r . delta_x goes to
+    closed_form(f, r, x); longer arguments take the real bind."""
+    real = monad.bind
+
+    def planted(f, nu):
+        if len(nu.terms) == 1:
+            ((r, x),) = nu.terms
+            return closed_form(f, r, x)
+        return real(f, nu)
+
+    return planted
 
 
 class TestBindOracle:

@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from intval.algebra import BOTTOM, INTERVALS, IONE, ival
+from intval.algebra import BOTTOM, INTERVALS, IONE, IZERO, SCALARS, ext, ival
 from intval.errors import NotMonotone, PointNotInSpace, SpaceMismatch
 from intval.laws import (
     functional_bind,
+    random_interval,
     random_monotone_kernel,
     random_monotone_map,
     random_poset,
+    random_scalar,
     random_valuation,
 )
 from intval.monad import (
@@ -170,6 +173,78 @@ class TestMonadLaws:
             assert all(
                 leq_on(a, b, tests_Y) for a, b in zip(chain_out, chain_out[1:])
             )
+
+
+def _scalar_kernel(f: Kernel) -> Kernel:
+    """f read at its lower endpoints: the scalar order is the interval
+    order's lower side, so the result is monotone (and validated)."""
+    table = {
+        x: ElementaryValuation(f.target, [(c.lo, y) for c, y in f(x).terms], SCALARS)
+        for x in f.source.points
+    }
+    return Kernel(f.source, f.target, table)
+
+
+def _one_term_coefficient(rng, algebra, kind):
+    if algebra is INTERVALS:
+        return {"zero": IZERO, "bottom": BOTTOM, "drawn": random_interval(rng)}[kind]
+    return {"zero": ext(0), "bottom": ext("inf"), "drawn": random_scalar(rng)}[kind]
+
+
+class TestOneTermBind:
+    """bind of r . delta_x is r . f(x), built in normal form without merging."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([INTERVALS, SCALARS]),
+        st.sampled_from(["zero", "bottom", "drawn"]),
+    )
+    def test_matches_the_general_path(self, seed, algebra, kind):
+        rng = random.Random(seed)
+        X, Y = random_poset(rng, 6), random_poset(rng, 6)
+        f = random_monotone_kernel(rng, X, Y, max_terms=3)
+        if algebra is SCALARS:
+            f = _scalar_kernel(f)
+        x = rng.choice(X.points)
+        r = _one_term_coefficient(rng, algebra, kind)
+        nu = ElementaryValuation(X, [(r, x)], algebra)
+        out = bind(f, nu)
+        general = ElementaryValuation(
+            f.target, [(algebra.mul(r, c), y) for c, y in f(x).terms], algebra, validate=False
+        )
+        assert out.space is f.target and out.algebra is algebra
+        assert type(out.terms) is tuple and out.terms == general.terms
+        assert out == general and hash(out) == hash(general)
+        for _ in range(5):
+            k = random_monotone_map(rng, Y, algebra)
+            assert evaluate(out, k) == functional_bind(f, nu, k)
+
+
+class TestKleisliComposite:
+    """The composite skips Kernel's checks; full validation still passes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([INTERVALS, SCALARS]))
+    def test_passes_full_validation(self, seed, algebra):
+        rng = random.Random(seed)
+        X, Y, Z = (random_poset(rng, 4) for _ in range(3))
+        f = random_monotone_kernel(rng, X, Y)
+        g = random_monotone_kernel(rng, Y, Z)
+        if algebra is SCALARS:
+            f, g = _scalar_kernel(f), _scalar_kernel(g)
+        else:
+            f, g = Kernel(X, Y, f._table), Kernel(Y, Z, g._table)
+        gf = kleisli_compose(g, f)
+        checked = Kernel(f.source, g.target, gf._table, validate=True)
+        assert checked.source is gf.source and checked.target is gf.target
+        assert checked.algebra is gf.algebra is algebra
+        assert checked._table == gf._table
+
+    def test_mismatched_kernels(self, kernel):
+        with pytest.raises(SpaceMismatch) as caught:
+            kleisli_compose(kernel, kernel)
+        assert str(caught.value) == "kernels do not compose: target/source mismatch"
 
 
 class TestMap:

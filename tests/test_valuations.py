@@ -101,6 +101,28 @@ class TestScaleAndAdd:
         s = singleton("a")
         assert scale(ival(2, 2), dirac(s, "a")).terms == ((ival(2, 2), "a"),)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([INTERVALS, SCALARS]))
+    def test_scale_keeps_the_normal_form(self, seed, algebra):
+        rng = random.Random(seed)
+        space = random_poset(rng, 6)
+        nu = random_valuation(rng, space, 4, algebra)
+        zero = IZERO if algebra is INTERVALS else ext(0)
+        a = rng.choice((zero, algebra.bottom, _coefficient(rng, algebra)))
+        out = scale(a, nu)
+        general = ElementaryValuation(
+            space, [(algebra.mul(a, c), p) for c, p in nu.terms], algebra, validate=False
+        )
+        assert out.space is space and out.algebra is algebra
+        assert type(out.terms) is tuple and out.terms == general.terms
+
+    @pytest.mark.parametrize("algebra", [INTERVALS, SCALARS], ids=["interval", "scalar"])
+    def test_scale_rejects_a_foreign_scalar(self, xy, algebra):
+        wrong = IONE if algebra is SCALARS else ext(1)
+        with pytest.raises(ValueError) as err:
+            scale(wrong, dirac(xy, "x", algebra))
+        assert str(err.value) == f"scalar {wrong!r} is not a {algebra.name} element"
+
     def test_add_merges_equal_points(self, xy):
         d = dirac(xy, "x")
         assert add(d, d).terms == ((ival(2, 2), "x"),)
