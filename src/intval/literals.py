@@ -21,23 +21,31 @@ or a huge number; integer literals are capped at MAX_DIGITS digits and
 parentheses at MAX_NESTING levels.
 
 All parse failures raise ParseError with a 1-based line/column position,
-and a literal over a cap raises its subclass LiteralTooLarge.  The first
-error in reading order is reported.  A literal that reads through to the
-end may still fail, in this order: an empty body (at its keyword),
-values of both algebras, then a gap between piecewise segments.
+and a literal over a cap raises its subclass LiteralTooLarge.  If the
+text holds a lexical error anywhere (an unexpected character, or a digit
+run over MAX_DIGITS), the first one is reported, even when another error
+comes before it: 'poset { a <= ; } $' fails at the '$', not at the ';'.
+Otherwise the first error in reading order is reported.  A literal that reads through to the end may still
+fail, in this order: an empty body (at its keyword), values of both
+algebras, then a gap between piecewise segments.
 
 One compiled regular expression scans the text: each match skips spaces,
 tabs and line breaks and takes one token, a symbol, an ASCII digit run, a
-word run or a single unexpected character.  A token is its kind, its text
-and its offset into the text; an error computes its line and column from
-that offset, and the end of input sits one column past the last character.
+word run or a single unexpected character.  A token is the string it
+matched, and the end of input is the empty string.  A symbol stands for
+itself; a token that starts with an ASCII digit is an integer, and one
+that starts with a letter or '_' is a name.  The parser reads the tokens
+by index, and checks each lexically as it takes it; only an error
+re-scans the text, to find any lexical error and the token's offset, from
+which it computes the line and column.  The end of input sits one column
+past the last character.
 """
 
 from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NoReturn, Sequence, Tuple
 
 from .algebra import (
     INFINITY,
@@ -89,48 +97,46 @@ def _position(source: str, offset: int) -> Tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-class Token(NamedTuple):
-    """A token: its kind, its text and its offset into the source."""
-
-    kind: str
-    text: str
-    offset: int
-
-
-# After optional spaces, tabs and line breaks, one token: a symbol (group
-# 1), an ASCII digit run (2), a run of \w (3; \w is exactly str.isalnum()
-# or '_'), which is an identifier if it starts with a letter or '_', any
-# other single character (4), or the end of the text (no group).  The last
-# alternative lets trailing whitespace end a match; without it the match
-# would backtrack and take a whitespace character as group 4.  re compiles
-# it on the first parse and caches it, so importing this module does not.
-_TOKEN = r"[ \t\r\n]*(?:(->|<=|[{}\[\]();,@:+\-*/^])|([0-9]+)|(\w+)|(.)|\Z)"
-# builds a Token without the Python-level NamedTuple constructor
-_token = tuple.__new__
+# After optional spaces, tabs and line breaks, one token: a symbol, an
+# ASCII digit run, a run of \w (\w is exactly str.isalnum() or '_'), which
+# is a name if it starts with a letter or '_', any other single character,
+# or the end of the text (the empty string).  The last alternative lets
+# trailing whitespace end a match; without it the match would backtrack and
+# take a whitespace character as a token.  re compiles it on the first
+# parse and caches it, so importing this module does not.
+_TOKEN = r"[ \t\r\n]*(->|<=|[{}\[\]();,@:+\-*/^]|[0-9]+|\w+|.|\Z)"
+# the symbols _TOKEN matches, for telling them from unexpected characters
+_SYMBOLS = frozenset(("->", "<=", *"{}[]();,@:+-*/^"))
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    append = tokens.append
-    for m in re.finditer(_TOKEN, text, re.DOTALL):
-        group = m.lastindex
-        if group is None:
-            break
-        word = m.group(group)
-        start = m.start(group)
-        if group == 1:
-            append(_token(Token, (word, word, start)))
-        elif group == 2:
-            if len(word) > MAX_DIGITS:
-                message = f"{len(word)} digits exceed the cap {MAX_DIGITS}"
-                raise LiteralTooLarge(message, *_position(text, start))
-            append(_token(Token, ("INT", word, start)))
-        elif group == 3 and (word[0].isalpha() or word[0] == "_"):
-            append(_token(Token, ("IDENT", word, start)))
-        else:
-            raise ParseError(f"unexpected character {word[0]!r}", *_position(text, start))
-    append(Token("EOF", "", len(text)))
+def _tokenize(text: str) -> List[str]:
+    """The tokens of text, ending with one end of input."""
+    tokens = re.findall(_TOKEN, text, re.DOTALL)
+    if len(tokens) > 1 and not tokens[-2]:
+        # a match that ends in trailing whitespace is followed by an empty
+        # one at the very end
+        del tokens[-1]
     return tokens
+
+
+def _scan(text: str) -> Iterator[Tuple[str, int]]:
+    """Each token of text with its offset, through the end of input.
+
+    Raises the first lexical error: a token that is neither a symbol, an
+    integer nor a name, or a digit run over MAX_DIGITS.
+    """
+    for m in re.finditer(_TOKEN, text, re.DOTALL):
+        tok = m[1]
+        offset = m.start(1)
+        if "/" < tok < ":":  # starts with an ASCII digit: a digit run
+            if len(tok) > MAX_DIGITS:
+                message = f"{len(tok)} digits exceed the cap {MAX_DIGITS}"
+                raise LiteralTooLarge(message, *_position(text, offset))
+        elif tok and not (tok in _SYMBOLS or tok[0].isalpha() or tok[0] == "_"):
+            raise ParseError(f"unexpected character {tok[0]!r}", *_position(text, offset))
+        yield tok, offset
+        if not tok:
+            return
 
 
 class _Parser:
@@ -140,30 +146,61 @@ class _Parser:
         self.pos = 0
         self.nesting = 0
 
-    def fail(self, offset: int, message: str, error=ParseError) -> NoReturn:
-        """Raise error(message) at the line and column of offset."""
-        raise error(message, *_position(self.text, offset))
+    def fail(self, index: int, message: str, error=ParseError) -> NoReturn:
+        """Raise error(message) at the line and column of token index.
 
-    def peek(self) -> Token:
+        The offset comes from a rescan of the whole text, which raises the
+        text's first lexical error instead if it has one: the parser checks
+        only the tokens it takes, and a lexical error anywhere comes first.
+        """
+        for i, (_, offset) in enumerate(_scan(self.text)):
+            if i == index:
+                at = offset
+        raise error(message, *_position(self.text, at))
+
+    def unexpected(self, what: str) -> NoReturn:
+        tok = self.tokens[self.pos]
+        self.fail(self.pos, f"expected {what}, found {tok or 'end of input'!r}")
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str, word: Optional[str] = None) -> Token:
-        """The next token, which must be of kind and, if word is given, read word."""
+    def expect(self, token: str, what: str) -> int:
+        """Take the next token, which must be token; returns its index."""
+        i = self.pos
+        if self.tokens[i] != token:
+            self.unexpected(what)
+        self.pos = i + 1
+        return i
+
+    def name(self, what: str) -> str:
+        """Take the next token, which must be a name."""
         tok = self.tokens[self.pos]
-        if tok.kind != kind or (word is not None and tok.text != word):
-            self.fail(tok.offset, f"expected {what}, found {tok.text or 'end of input'!r}")
+        if not (tok[:1].isalpha() or tok[:1] == "_"):
+            self.unexpected(what)
         self.pos += 1
         return tok
+
+    def integer(self, what: str) -> int:
+        """Take the next token, which must be an integer."""
+        i = self.pos
+        tok = self.tokens[i]
+        if not "/" < tok < ":":  # a digit run is the one token that starts with 0-9
+            self.unexpected(what)
+        if len(tok) > MAX_DIGITS:
+            self.fail(i, f"{len(tok)} digits exceed the cap {MAX_DIGITS}", LiteralTooLarge)
+        self.pos = i + 1
+        return int(tok)
 
     def finish(self) -> None:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.fail(tok.offset, f"unexpected trailing input {tok.text!r}")
+        tok = self.tokens[self.pos]
+        if tok:
+            self.fail(self.pos, f"unexpected trailing input {tok!r}")
 
     def block(self, keyword: str, parse_item, empty=None, name=None) -> list:
         """keyword [name] '{' item (';' item)* [';'] '}', then the end of input.
@@ -172,14 +209,14 @@ class _Parser:
         one; with `empty` set, a literal without items fails with that
         message at its keyword.
         """
-        start = self.expect("IDENT", repr(keyword), keyword).offset
+        start = self.expect(keyword, repr(keyword))
         if name is not None:
-            self.expect("IDENT", name)
+            self.name(name)
         self.expect("{", "'{'")
         items = []
-        while self.peek().kind != "}":
+        while self.peek() != "}":
             items.append(parse_item())
-            if self.peek().kind != ";":
+            if self.peek() != ";":
                 break
             self.next()
         self.expect("}", "';' or '}'")
@@ -189,46 +226,45 @@ class _Parser:
         return items
 
     def one_algebra(self, valued, noun: str) -> ValueAlgebra:
-        """The algebra of every (algebra, token) pair, which must agree."""
+        """The algebra of every (algebra, token index) pair, which must agree."""
         algebra = valued[0][0]
-        for alg, tok in valued:
+        for alg, index in valued:
             if alg is not algebra:
-                self.fail(tok.offset, f"cannot mix interval and scalar {noun}")
+                self.fail(index, f"cannot mix interval and scalar {noun}")
         return algebra
 
     # ---- shared small pieces -------------------------------------------
 
     def rat(self):
-        tok = self.expect("INT", "a rational number")
-        num = int(tok.text)
-        if self.peek().kind == "/":
+        num = self.integer("a rational number")
+        if self.peek() == "/":
             self.next()
-            den_tok = self.expect("INT", "a denominator")
-            den = int(den_tok.text)
+            at = self.pos
+            den = self.integer("a denominator")
             if den == 0:
-                self.fail(den_tok.offset, "denominator must be nonzero")
+                self.fail(at, "denominator must be nonzero")
             return rational(num, den)
         return rational(num)
 
     def scalar(self) -> ExtNonNeg:
-        if self.peek().kind == "INT":
+        if "/" < self.peek() < ":":
             return ExtNonNeg(self.rat())
-        self.expect("IDENT", "a rational number", "inf")
+        self.expect("inf", "a rational number")
         return INFINITY
 
     def interval(self) -> IntervalValue:
-        open_tok = self.expect("[", "'['")
+        start = self.expect("[", "'['")
         lo = self.scalar()
         self.expect(",", "','")
         hi = self.scalar()
         self.expect("]", "']'")
         if not lo <= hi:
-            self.fail(open_tok.offset, f"interval endpoints out of order: {lo} > {hi}")
+            self.fail(start, f"interval endpoints out of order: {lo} > {hi}")
         return IntervalValue(lo, hi)
 
     def value(self):
         """An interval or a bare scalar, with the algebra it belongs to."""
-        if self.peek().kind == "[":
+        if self.peek() == "[":
             return self.interval(), INTERVALS
         return self.scalar(), SCALARS
 
@@ -247,8 +283,8 @@ class _Parser:
 
     def poly_expr(self) -> Tuple[List[int], int]:
         num, den = self.poly_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        while self.peek() in ("+", "-"):
+            op = self.next()
             rnum, rden = self.poly_term()
             if op == "-":
                 rnum = [-v for v in rnum]
@@ -257,18 +293,19 @@ class _Parser:
 
     def poly_term(self) -> Tuple[List[int], int]:
         num, den = self.poly_unary()
-        while self.peek().kind in ("*", "/"):
-            op_tok = self.next()
+        while self.peek() in ("*", "/"):
+            at = self.pos
+            op = self.next()
             rnum, rden = self.poly_unary()
-            if op_tok.kind == "*":
-                self.check_degree(len(num) + len(rnum) - 2, op_tok)
-                self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), op_tok)
+            if op == "*":
+                self.check_degree(len(num) + len(rnum) - 2, at)
+                self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), at)
                 num, den = _raw(_mul_ints(num, rnum), den * rden)
             else:
                 n = rnum[0]
                 if len(rnum) > 1 or n == 0:
-                    self.fail(op_tok.offset, "division is only defined by a nonzero constant")
-                self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), op_tok)
+                    self.fail(at, "division is only defined by a nonzero constant")
+                self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), at)
                 if n < 0:
                     n, rden = -n, -rden
                 # num / den * rden / n, keeping the denominator positive
@@ -277,7 +314,7 @@ class _Parser:
 
     def poly_unary(self) -> Tuple[List[int], int]:
         negate = False
-        while self.peek().kind == "-":
+        while self.peek() == "-":
             self.next()
             negate = not negate
         num, den = self.poly_power()
@@ -285,13 +322,13 @@ class _Parser:
 
     def poly_power(self) -> Tuple[List[int], int]:
         num, den = self.poly_atom()
-        if self.peek().kind == "^":
-            caret = self.next()
-            exp_tok = self.expect("INT", "an integer exponent")
-            exp = int(exp_tok.text)
+        if self.peek() == "^":
+            caret = self.pos
+            self.next()
+            exp = self.integer("an integer exponent")
             if exp > MAX_DEGREE:
                 message = f"exponent {exp} exceeds the cap {MAX_DEGREE}"
-                self.fail(exp_tok.offset, message, LiteralTooLarge)
+                self.fail(caret + 1, message, LiteralTooLarge)
             self.check_degree((len(num) - 1) * exp, caret)
             self.check_size(_size_bound(num, den) * exp, caret)
             # a power of a canonical base is canonical (Gauss's lemma)
@@ -299,31 +336,31 @@ class _Parser:
             return list(base.num), base.den
         return num, den
 
-    def check_degree(self, degree: int, tok: Token) -> None:
+    def check_degree(self, degree: int, at: int) -> None:
         if degree > MAX_DEGREE:
             message = f"polynomial degree {degree} exceeds the cap {MAX_DEGREE}"
-            self.fail(tok.offset, message, LiteralTooLarge)
+            self.fail(at, message, LiteralTooLarge)
 
-    def check_size(self, bits: int, tok: Token) -> None:
+    def check_size(self, bits: int, at: int) -> None:
         if bits > MAX_COEFF_BITS:
             message = f"coefficients of up to {bits} bits exceed the cap {MAX_COEFF_BITS}"
-            self.fail(tok.offset, message, LiteralTooLarge)
+            self.fail(at, message, LiteralTooLarge)
 
     def poly_atom(self) -> Tuple[List[int], int]:
         tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return [int(tok.text)], 1
-        if tok.kind == "(":
+        if "/" < tok < ":":
+            return [self.integer("a number, 'x' or '('")], 1
+        if tok == "(":
+            at = self.pos
             self.next()
             self.nesting += 1
             if self.nesting > MAX_NESTING:
-                self.fail(tok.offset, f"nesting exceeds the cap {MAX_NESTING}", LiteralTooLarge)
+                self.fail(at, f"nesting exceeds the cap {MAX_NESTING}", LiteralTooLarge)
             pair = self.poly_expr()
             self.expect(")", "')'")
             self.nesting -= 1
             return pair
-        self.expect("IDENT", "a number, 'x' or '('", "x")
+        self.expect("x", "a number, 'x' or '('")
         return [0, 1], 1
 
 
@@ -387,11 +424,11 @@ def parse_poset(text: str) -> FinitePoset:
     relation: List[Tuple[str, str]] = []
 
     def item():
-        a = p.expect("IDENT", "a point name").text
+        a = p.name("a point name")
         names[a] = None
-        if p.peek().kind == "<=":
+        if p.peek() == "<=":
             p.next()
-            b = p.expect("IDENT", "a point name").text
+            b = p.name("a point name")
             names[b] = None
             relation.append((a, b))
 
@@ -405,18 +442,19 @@ def parse_fn(text: str) -> Tuple[str, dict, ValueAlgebra]:
     table = {}
 
     def item():
-        point = p.expect("IDENT", "a point name")
+        at = p.pos
+        point = p.name("a point name")
         p.expect("->", "'->'")
         v, alg = p.value()
-        if point.text in table:
-            p.fail(point.offset, f"duplicate value for {point.text!r}")
-        table[point.text] = v
-        return alg, point
+        if point in table:
+            p.fail(at, f"duplicate value for {point!r}")
+        table[point] = v
+        return alg, at
 
     empty = "a function literal needs at least one value"
     algebras = p.block("fn", item, empty, "a function name")
     # the name is the token after the keyword
-    return p.tokens[1].text, table, p.one_algebra(algebras, "values")
+    return p.tokens[1], table, p.one_algebra(algebras, "values")
 
 
 def parse_valuation(text: str) -> Tuple[list, ValueAlgebra]:
@@ -425,10 +463,10 @@ def parse_valuation(text: str) -> Tuple[list, ValueAlgebra]:
     terms = []
 
     def item():
-        start = p.peek()
+        start = p.pos
         coeff, alg = p.value()
         p.expect("@", "'@'")
-        point = p.expect("IDENT", "a point name").text
+        point = p.name("a point name")
         terms.append((coeff, point))
         return alg, start
 
@@ -442,12 +480,12 @@ def parse_measure(text: str) -> dict:
     masses = {}
 
     def item():
-        start = p.peek()
+        start = p.pos
         m = p.scalar()
         p.expect("@", "'@'")
-        point = p.expect("IDENT", "a point name").text
+        point = p.name("a point name")
         if point in masses:
-            p.fail(start.offset, f"duplicate mass for {point!r}")
+            p.fail(start, f"duplicate mass for {point!r}")
         masses[point] = m
 
     p.block("measure", item)
@@ -459,23 +497,23 @@ def parse_piecewise(text: str) -> PiecewiseMonotoneFn:
     p = _Parser(text)
 
     def item():
-        open_tok = p.expect("[", "'['")
+        start = p.expect("[", "'['")
         lo = p.rat()
         p.expect(",", "','")
         hi = p.rat()
         p.expect("]", "']'")
-        word = "dec" if p.peek().text == "dec" else "inc"
-        direction = p.expect("IDENT", "'inc' or 'dec'", word).text
+        direction = "dec" if p.peek() == "dec" else "inc"
+        p.expect(direction, "'inc' or 'dec'")
         p.expect(":", "':'")
-        return lo, hi, direction, p.poly_piece(), open_tok
+        return lo, hi, direction, p.poly_piece(), start
 
     segments = p.block("piecewise", item, "a piecewise function needs at least one segment")
     breakpoints = [segments[0][0]]
     pieces = []
-    for lo, hi, direction, poly, tok in segments:
+    for lo, hi, direction, poly, start in segments:
         if lo != breakpoints[-1]:
             message = f"segment [{lo},{hi}] does not start where the previous one ended"
-            p.fail(tok.offset, message)
+            p.fail(start, message)
         breakpoints.append(hi)
         pieces.append((direction, poly))
     return PiecewiseMonotoneFn(breakpoints, pieces)

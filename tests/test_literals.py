@@ -1,3 +1,5 @@
+import json
+import pathlib
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from intval.literals import (
     MAX_NESTING,
     _Parser,
     _position,
+    _scan,
     _size_bound,
     _tokenize,
     parse_fn,
@@ -223,6 +226,24 @@ class TestScanner:
         assert parse_poset("poset { a }" + " " * 200_000).points == ("a",)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_bad_token_at_the_end_of_a_long_poset(self):
+        names = [f"p{i}" for i in range(20_000)]
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_poset("poset {\n" + ";\n".join(names) + " #\n}")
+        assert time.perf_counter() - t0 < 2.0
+        assert str(info.value) == "line 20001, col 8: unexpected character '#'"
+
+    def test_exponent_cap_in_the_last_piece_of_a_long_literal(self):
+        n = 3_000
+        segments = [f"[{i}/{n},{i + 1}/{n}] inc: x" for i in range(n)]
+        segments[-1] += "^65"
+        t0 = time.perf_counter()
+        with pytest.raises(LiteralTooLarge) as info:
+            parse_piecewise("piecewise {\n" + ";\n".join(segments) + "\n}")
+        assert time.perf_counter() - t0 < 2.0
+        assert str(info.value) == "line 3001, col 30: exponent 65 exceeds the cap 64"
+
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
         st.lists(
@@ -236,20 +257,38 @@ class TestScanner:
     @example("1" * (MAX_DIGITS + 1))
     @example("a\n  b " + "7" * (MAX_DIGITS + 1) + "\u00b2")
     @example("x" + "7" * (MAX_DIGITS + 1))
+    @example("")
+    @example(" \n\t ")  # one end of input, though the pattern matches the end twice
     def test_matches_the_character_scanner(self, text):
+        # The parser reads plain token strings, and the error path finds
+        # lexical errors and offsets by rescanning with _scan; both must
+        # agree with the character walk.
         try:
             expected = oracle_scanner.scan(text)
         except ParseError as exc:
             with pytest.raises(type(exc)) as info:
-                _tokenize(text)
+                list(_scan(text))
             assert type(info.value) is type(exc)
             assert (str(info.value), info.value.line, info.value.col) == (
                 str(exc), exc.line, exc.col
             )
         else:
+            located = list(_scan(text))
+            assert [tok for tok, _ in located] == _tokenize(text)
             assert [
-                (t.kind, t.text, *_position(text, t.offset)) for t in _tokenize(text)
+                (_kind(tok), tok, *_position(text, offset)) for tok, offset in located
             ] == expected
+
+
+def _kind(token):
+    """A token's kind as the character scanner names it: a symbol's kind is
+    its text, the empty string is the end of input, and an integer or a
+    name is told by its first character."""
+    if not token:
+        return "EOF"
+    if token in oracle_scanner.SYMBOLS:
+        return token
+    return "INT" if "0" <= token[0] <= "9" else "IDENT"
 
 
 class TestDigits:
@@ -586,6 +625,15 @@ _DIAGNOSTICS = [
     (parse_valuation, "val { } x", ParseError, "line 1, col 9: unexpected trailing input 'x'"),
     (parse_piecewise, "piecewise { [0,1/4] inc: x; [1/2,1] inc: x; [1,1] }", ParseError,
      "line 1, col 51: expected 'inc' or 'dec', found '}'"),
+    # a lexical error anywhere wins over any other error before it
+    (parse_poset, "poset { a <= ; } $", ParseError,
+     "line 1, col 18: unexpected character '$'"),
+    (parse_poset, "poset { a <= ; }\n  " + "1" * (MAX_DIGITS + 1), LiteralTooLarge,
+     "line 2, col 3: 4301 digits exceed the cap 4300"),
+    (parse_piecewise, "piecewise { [0,1] inc: x^65 } \u00b2", ParseError,
+     "line 1, col 31: unexpected character '\u00b2'"),
+    (parse_piecewise, "piecewise { [0,1/2] inc: x; [1/3,1] inc: x } #", ParseError,
+     "line 1, col 46: unexpected character '#'"),
 ]
 
 # Literals whose raw polynomial pairs would keep a common factor through
@@ -719,3 +767,27 @@ class TestFuzz:
         except Exception as exc:  # noqa: BLE001 - classified below
             assert _raised_in_a_constructor(exc), (type(exc).__name__, exc, text[:200])
         assert time.perf_counter() - t0 < 2.0, text[:200]
+
+
+# Inputs drawn from the fuzz seeds and fragments, and the integrate-wide
+# anchor literals, each with what the parsers made of it when recorded
+# (tests/data/record_literal_outcomes.py): every value, error type,
+# message, line and column must stay as it was.
+_OUTCOMES = pathlib.Path(__file__).parent / "data" / "literal_outcomes.json"
+_PARSERS = {form: parse for form, (parse, _) in _SEEDS.items()}
+_PARSERS["rational"] = parse_rational
+
+
+class TestOutcomeCorpus:
+    def test_outcomes_match_the_recording(self):
+        rows = json.loads(_OUTCOMES.read_text(encoding="ascii"))
+        assert len(rows) >= 2000
+        mismatches = []
+        for form, text, expected in rows:
+            try:
+                got = ["ok", repr(_PARSERS[form](text))]
+            except Exception as exc:  # noqa: BLE001 - every outcome is compared
+                got = [type(exc).__name__, str(exc)]
+            if got != expected:
+                mismatches.append((form, text[:80], expected, got))
+        assert not mismatches, (len(mismatches), mismatches[:3])
