@@ -675,9 +675,7 @@ def _strength_case(rng: random.Random) -> Optional[str]:
     # naturality in the left component: push x through a monotone map
     X2 = random_poset(rng, 3)
     g = random_monotone_point_map(rng, X, X2)
-    pushed = map_valuation(
-        lambda pq: (g[pq[0]], pq[1]), strength(X, x, nu), product_poset(X2, Y), validate=False
-    )
+    pushed = map_valuation(lambda pq: (g[pq[0]], pq[1]), strength(X, x, nu), product_poset(X2, Y))
     if pushed != strength(X2, g[x], nu):
         return f"strength naturality fails at x={x!r}, g={g!r}"
     return None

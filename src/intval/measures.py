@@ -202,7 +202,7 @@ def pushforward(g, mu: FiniteSupportMeasure, target: FinitePoset) -> FiniteSuppo
 
 
 def _check_antitone(f: Table, space: FinitePoset) -> None:
-    for a, b in space.strict_pairs():
+    for a, b in space.cover_pairs():
         if not _lookup(f, b) <= _lookup(f, a):
             raise NotMonotone(
                 f"integrand not antitone: {a!r} <= {b!r} but values increase"

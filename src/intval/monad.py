@@ -168,27 +168,22 @@ def kleisli_compose(g: Kernel, f: Kernel) -> Kernel:
     return composite
 
 
-def map_valuation(
-    g: PointFn,
-    nu: ElementaryValuation,
-    target: FinitePoset,
-    *,
-    validate: bool = True,
-) -> ElementaryValuation:
+def map_valuation(g: PointFn, nu: ElementaryValuation, target: FinitePoset) -> ElementaryValuation:
     """Pushforward along a monotone point map: sum_i r_i delta_{g(x_i)}.
 
     Satisfies evaluate(map_valuation(g, nu), k) = evaluate(nu, k o g) for
-    every test function k, the usual image-measure identity.
+    every test function k, the usual image-measure identity.  g must send
+    every source point into the target and be monotone, which is checked
+    on the source's covering pairs.
     """
     source = nu.space
-    if validate:
-        for x in source.points:
-            y = _apply(g, x)
-            if y not in target:
-                raise PointNotInSpace(f"image point {y!r} is not in the target")
-        for a, b in source.strict_pairs():
-            if not target.leq(_apply(g, a), _apply(g, b)):
-                raise NotMonotone(f"point map not monotone at {a!r} <= {b!r}")
+    for x in source.points:
+        y = _apply(g, x)
+        if y not in target:
+            raise PointNotInSpace(f"image point {y!r} is not in the target")
+    for a, b in source.cover_pairs():
+        if not target.leq(_apply(g, a), _apply(g, b)):
+            raise NotMonotone(f"point map not monotone at {a!r} <= {b!r}")
     terms = [(c, _apply(g, p)) for c, p in nu.terms]
     return ElementaryValuation(terms=terms, space=target, algebra=nu.algebra, validate=False)
 

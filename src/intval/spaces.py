@@ -9,17 +9,19 @@ exact checks run.
 
 Points are opaque identifiers (strings in literals, tuples for product
 spaces); they must be hashable and mutually orderable within one poset so
-normal forms can sort by point.  The order relation is stored explicitly
-and validated as reflexive, transitive and antisymmetric on construction;
-relations given to the constructor are closed under reflexivity and
-transitivity first, in one sweep over a topological order of the given
-pairs, so callers may pass just the covering pairs or any generating set.
+normal forms can sort by point.  The constructor takes any generating set
+of pairs and rejects cycles.  One sweep over a topological order of the
+pairs finds each point's up-set, an int bitmask over point indices, and
+the covering pairs (the Hasse diagram) in point order.  A finite order is
+the reflexive-transitive closure of its covers, so they key equality and
+repr, and, since value orders are transitive, every monotonicity check
+reads the covers alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import INTERVALS, ExtNonNeg, ValueAlgebra
 from .errors import NotMonotone, PointNotInSpace
@@ -30,7 +32,7 @@ Point = Hashable
 class FinitePoset:
     """A finite set of points with an explicit partial order."""
 
-    __slots__ = ("_points", "_index", "_up", "_key")
+    __slots__ = ("_points", "_index", "_up", "_covers", "_key")
 
     def __init__(self, points: Iterable[Point], relation: Iterable[Tuple[Point, Point]] = ()):
         pts = tuple(points)
@@ -57,14 +59,25 @@ class FinitePoset:
                     order.append(j)
         if len(order) < len(pts):
             _reject_cycle(pts, succ, set(range(len(pts))) - set(order))
-        up: List[frozenset] = [frozenset()] * len(pts)
+        up = [0] * len(pts)
+        covers: List[Tuple[int, int]] = []
         for i in reversed(order):
-            up[i] = frozenset((pts[i],)).union(*(up[j] for j in succ[i]))
+            above = 0
+            for j in succ[i]:
+                above |= up[j] ^ (1 << j)
+            up[i] = above | 1 << i
+            for j in succ[i]:
+                # i -> j covers unless j lies strictly above another successor
+                if not above >> j & 1:
+                    up[i] |= 1 << j
+                    covers.append((i, j))
+        covers.sort()
         self._points = pts
         self._index = index
-        self._up = dict(zip(pts, up))
-        # the points with their up-sets determine the order
-        self._key = frozenset(self._up.items())
+        self._up = up
+        self._covers = tuple([(pts[i], pts[j]) for i, j in covers])
+        # the points with their covers determine the order
+        self._key = (frozenset(pts), frozenset(self._covers))
 
     @property
     def points(self) -> Tuple[Point, ...]:
@@ -81,24 +94,15 @@ class FinitePoset:
             raise PointNotInSpace(f"point {point!r} is not in the space")
 
     def leq(self, a: Point, b: Point) -> bool:
-        self.require(a)
-        self.require(b)
-        return b in self._up[a]
+        index = self._index
+        if a not in index or b not in index:
+            self.require(a)
+            self.require(b)
+        return self._up[index[a]] >> index[b] & 1 == 1
 
-    def strict_pairs(self) -> Iterator[Tuple[Point, Point]]:
-        """All pairs (a, b) with a < b."""
-        for a in self._points:
-            for b in self._up[a]:
-                if b != a:
-                    yield a, b
-
-    def cover_pairs(self) -> List[Tuple[Point, Point]]:
-        """The covering pairs (a, b): a < b with nothing strictly between."""
-        covers = []
-        for a, b in self.strict_pairs():
-            if not any(c != a and c != b and b in self._up[c] for c in self._up[a]):
-                covers.append((a, b))
-        return covers
+    def cover_pairs(self) -> Tuple[Tuple[Point, Point], ...]:
+        """The covering pairs (a, b): a < b with nothing strictly between, in point order."""
+        return self._covers
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePoset):
@@ -110,7 +114,7 @@ class FinitePoset:
 
     def __repr__(self) -> str:
         items = [str(p) for p in self._points]
-        items += [f"{a} <= {b}" for a, b in self.cover_pairs()]
+        items += [f"{a} <= {b}" for a, b in self._covers]
         return "poset { " + "; ".join(items) + " }"
 
 
@@ -161,13 +165,14 @@ def antichain(labels: Sequence[Point]) -> FinitePoset:
 def product_poset(x: FinitePoset, y: FinitePoset) -> FinitePoset:
     """Componentwise-ordered product; points are (x_point, y_point) pairs.
 
-    Only the axis-aligned pairs are passed to the constructor:
-    (a, b) <= (c, b) for c above a, and (a, b) <= (a, d) for d above b.
-    Its closure adds the rest, since (a, b) <= (c, b) <= (c, d).
+    Only the factors' covering pairs are passed to the constructor:
+    (a, b) <= (c, b) for each cover a <= c of x, and (a, b) <= (a, d) for
+    each cover b <= d of y.  These are exactly the product's covers, and
+    its closure adds the rest, since (a, b) <= (c, b) <= (c, d).
     """
     pts = [(a, b) for a in x.points for b in y.points]
-    rel = [((a, b), (c, b)) for (a, b) in pts for c in x._up[a]]
-    rel += [((a, b), (a, d)) for (a, b) in pts for d in y._up[b]]
+    rel = [((a, b), (c, b)) for a, c in x.cover_pairs() for b in y.points]
+    rel += [((a, b), (a, d)) for a in x.points for b, d in y.cover_pairs()]
     return FinitePoset(pts, rel)
 
 
@@ -177,7 +182,8 @@ class MonotoneMap:
     Monotonicity here is exactly continuity: on a finite poset, order
     preservation is all that continuity can require.  Both interval-valued
     and scalar-valued test functions use this one class, parameterized by
-    the algebra.
+    the algebra.  Validation checks order on the covering pairs only, since
+    every value order is transitive.
     """
 
     __slots__ = ("space", "algebra", "_table")
@@ -203,7 +209,7 @@ class MonotoneMap:
             if len(self._table) != len(space.points):
                 extra = set(self._table) - set(space.points)
                 raise PointNotInSpace(f"map defined at unknown points {extra!r}")
-            for a, b in space.strict_pairs():
+            for a, b in space.cover_pairs():
                 if not algebra.leq(self._table[a], self._table[b]):
                     raise NotMonotone(
                         f"map not monotone: {a!r} <= {b!r} but "
@@ -246,13 +252,13 @@ def endpoint_maps(h: MonotoneMap) -> Tuple[Dict[Point, ExtNonNeg], Dict[Point, E
 
     The lower table is monotone and the upper table antitone; both facts
     follow from monotonicity of h under reverse inclusion and are
-    re-checked here as a guard.
+    re-checked here, on the covering pairs, as a guard.
     """
     if h.algebra is not INTERVALS:
         raise ValueError("endpoint_maps needs an interval-valued map")
     lower = {p: h(p).lo for p in h.space.points}
     upper = {p: h(p).hi for p in h.space.points}
-    for a, b in h.space.strict_pairs():
+    for a, b in h.space.cover_pairs():
         if not lower[a] <= lower[b]:
             raise NotMonotone(f"lower endpoint map fails monotonicity at {a!r} <= {b!r}")
         if not upper[b] <= upper[a]:
@@ -300,7 +306,7 @@ def _monotone_tables(space: FinitePoset, values: Sequence[object], leq) -> List[
             out.append(dict(table))
             return
         p = pts[i]
-        below = [q for q in pts[:i] if p in space._up[q]]
+        below = [q for q in pts[:i] if space.leq(q, p)]
         for v in values:
             if all(leq(table[q], v) for q in below):
                 table[p] = v
@@ -314,7 +320,7 @@ def _monotone_tables(space: FinitePoset, values: Sequence[object], leq) -> List[
 def _linear_extension(space: FinitePoset) -> List[Point]:
     """The points sorted by how many points lie below them (stable)."""
     pts = list(space.points)
-    pts.sort(key=lambda p: sum(1 for q in space.points if p in space._up[q]))
+    pts.sort(key=lambda p: sum(1 for q in space.points if space.leq(q, p)))
     return pts
 
 

@@ -2,9 +2,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intval.algebra import INTERVALS, SCALARS, ext, ival
 from intval.errors import NotMonotone, PointNotInSpace
+from intval.measures import FiniteSupportMeasure, upper_integral
+from intval.monad import Kernel, map_valuation
 from intval.spaces import (
     FinitePoset,
     MonotoneMap,
@@ -18,8 +21,8 @@ from intval.spaces import (
     product_poset,
     singleton,
 )
-from intval.valuations import DEFAULT_TEST_GRID
-from oracle_support import UpperSet, closed_support, min_upper_support
+from intval.valuations import DEFAULT_TEST_GRID, dirac
+from oracle_support import UpperSet, closed_support, min_upper_support, strict_pairs
 
 
 class TestFinitePoset:
@@ -106,6 +109,107 @@ class TestFinitePoset:
         assert parse_poset(repr(p)) == p
 
 
+@st.composite
+def generated_posets(draw, max_points=8):
+    """A poset on up to max_points points from arbitrary generating pairs.
+
+    The pairs are arbitrary: repeated, reflexive and transitive (redundant)
+    pairs all occur.  Each is oriented along a hidden linear extension, so
+    the relation has no cycle.
+    """
+    n = draw(st.integers(1, max_points))
+    pts = [f"p{i}" for i in range(n)]
+    rank = draw(st.permutations(range(n)))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    rel = [(pts[i], pts[j]) if rank[i] <= rank[j] else (pts[j], pts[i]) for i, j in pairs]
+    return FinitePoset(pts, rel)
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except NotMonotone:
+        return False
+    return True
+
+
+_EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestCovers:
+    """The stored covers and every check that reads them, against oracles
+    written over all comparable pairs (oracle_support.strict_pairs)."""
+
+    @_EXAMPLES
+    @given(generated_posets())
+    def test_covers_are_the_transitive_reduction(self, p):
+        pts = p.points
+        assert all(type(p.leq(a, b)) is bool for a in pts for b in pts)
+        reduction = tuple(
+            (a, b) for a, b in strict_pairs(p)
+            if not any(p.leq(a, c) and p.leq(c, b) for c in pts if c not in (a, b))
+        )
+        assert p.cover_pairs() == reduction
+
+    @_EXAMPLES
+    @given(generated_posets(), generated_posets(), st.randoms(use_true_random=False))
+    def test_equal_exactly_when_the_orders_are(self, p, q, rnd):
+        # the same order from its closure plus self-pairs, points reordered
+        pts = list(p.points)
+        rnd.shuffle(pts)
+        closed = strict_pairs(p) + [(a, a) for a in pts]
+        rnd.shuffle(closed)
+        same = FinitePoset(pts, closed)
+        assert same == p and hash(same) == hash(p)
+        # no cover follows from the others, so dropping one changes the order
+        for dropped in p.cover_pairs():
+            assert FinitePoset(pts, [c for c in p.cover_pairs() if c != dropped]) != p
+        equal = set(q.points) == set(pts) and set(strict_pairs(q)) == set(strict_pairs(p))
+        assert (q == p) == equal
+        if equal:
+            assert hash(q) == hash(p)
+
+    @_EXAMPLES
+    @given(generated_posets(), st.data())
+    def test_checks_accept_exactly_the_ordered_tables(self, p, data):
+        pts, less = p.points, strict_pairs(p)
+        n = len(pts)
+        values = data.draw(st.lists(st.sampled_from(DEFAULT_TEST_GRID), min_size=n, max_size=n))
+        h = dict(zip(pts, values))
+        monotone = all(INTERVALS.leq(h[a], h[b]) for a, b in less)
+        assert _accepts(lambda: MonotoneMap(p, h)) == monotone
+        loose = MonotoneMap(p, h, validate=False)
+        ends_ordered = all(h[a].lo <= h[b].lo and h[b].hi <= h[a].hi for a, b in less)
+        assert _accepts(lambda: endpoint_maps(loose)) == ends_ordered
+        # scalar tables, with their monotone and antitone hulls
+        ranks = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        f = dict(zip(pts, ranks))
+        hulls = [
+            f,
+            {q: max(f[r] for r in pts if p.leq(r, q)) for q in pts},
+            {q: min(f[r] for r in pts if p.leq(r, q)) for q in pts},
+        ]
+        mu = FiniteSupportMeasure(p, {pts[0]: 1})
+        levels = chain(["0", "1", "2"])
+        for g in hulls:
+            scalars = {q: ext(g[q]) for q in pts}
+            up = all(g[a] <= g[b] for a, b in less)
+            down = all(g[b] <= g[a] for a, b in less)
+            assert _accepts(lambda: MonotoneMap(p, scalars, SCALARS)) == up
+            assert _accepts(lambda: upper_integral(scalars, mu)) == down
+            point_map = {q: str(g[q]) for q in pts}
+            nu = dirac(p, pts[-1])
+            assert _accepts(lambda: map_valuation(point_map, nu, levels)) == up
+            images = {q: dirac(levels, point_map[q]) for q in pts}
+            assert _accepts(lambda: Kernel(p, levels, images)) == up
+        # point maps of the poset into itself
+        images = data.draw(st.lists(st.sampled_from(pts), min_size=n, max_size=n))
+        g = dict(zip(pts, images))
+        up = all(p.leq(g[a], g[b]) for a, b in less)
+        assert _accepts(lambda: map_valuation(g, dirac(p, pts[0]), p)) == up
+
+
 class TestProductPoset:
     def test_two_chains_make_a_diamond(self):
         d = product_poset(chain(["a", "b"]), chain(["u", "v"]))
@@ -123,7 +227,8 @@ class TestProductPoset:
     def test_antichains_stay_antichains(self):
         prod = product_poset(antichain(["a", "b"]), antichain(["u", "v"]))
         assert len(prod) == 4
-        assert not list(prod.strict_pairs())
+        assert not strict_pairs(prod)
+        assert prod.cover_pairs() == ()
 
     def test_matches_the_all_pairs_definition(self):
         # the componentwise order, written out over every pair of points
