@@ -21,7 +21,6 @@ from .algebra import (
     ExtNonNeg,
     IntervalValue,
     ValueAlgebra,
-    chain_sup,
     ext,
     ext_add,
     ival,
@@ -42,7 +41,6 @@ from .errors import (
     IntvalError,
     LiteralTooLarge,
     NonEvaluablePiece,
-    NotAChain,
     NotMonotone,
     OutOfRange,
     ParseError,

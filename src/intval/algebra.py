@@ -59,9 +59,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
-
-from .errors import NotAChain
+from typing import Union
 
 RatLike = Union[int, str, Fraction, "ExtNonNeg"]
 
@@ -368,25 +366,6 @@ def width(x: IntervalValue) -> ExtNonNeg:
     d = hi._d * lo._d
     g = gcd(n, d)
     return ExtNonNeg._make(n // g, d // g)
-
-
-def chain_sup(xs: Sequence[IntervalValue]) -> IntervalValue:
-    """Supremum of a finite ascending chain: [max of los, min of his].
-
-    For an ascending chain that is just its last element, but computing
-    both endpoints keeps this honest.  Raises NotAChain if a consecutive
-    pair violates the order; this function never claims to compute limits
-    of infinite families.
-    """
-    xs = list(xs)
-    if not xs:
-        raise NotAChain("chain_sup needs at least one interval")
-    for a, b in zip(xs, xs[1:]):
-        if not ival_leq(a, b):
-            raise NotAChain(f"not ascending: {a} then {b}")
-    lo = max((x.lo for x in xs), default=ZERO)
-    hi = min((x.hi for x in xs), default=INFINITY)
-    return IntervalValue._make(lo, hi)
 
 
 # ---------------------------------------------------------------------------

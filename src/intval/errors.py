@@ -7,10 +7,6 @@ class IntvalError(Exception):
     """Base class for all errors raised by this library."""
 
 
-class NotAChain(IntvalError):
-    """A sequence claimed to be ascending violates the order at some step."""
-
-
 class PointNotInSpace(IntvalError):
     """A point identifier does not belong to the poset it was used with."""
 

@@ -520,6 +520,29 @@ _UNIT_EXTENSION = "unit extension fails on {!r}"
 _COMPOSITION = "composition law fails for nu={!r}, f={!r}, g={!r}"
 
 
+def _composition_blocks(posets) -> Iterator[Tuple[list, List[Kernel], List[Kernel]]]:
+    """The (nus, fs, gs) blocks of exhaustive law (iii), built as they are asked for.
+
+    The core runs unit/bottom coefficients over all triples (X, Y, Z) with
+    Dirac arguments, building nus once per X and fs once per (X, Y); the
+    diagonal enrichment runs full grid coefficients on X = Y = Z, with a
+    bottom-weighted argument besides the Diracs.
+    """
+    core = (IONE, ival(0, "inf"))
+    for X in posets:
+        nus = [dirac(X, x) for x in X.points]
+        for Y in posets:
+            fs = _dirac_kernels(X, Y, (IONE,)) + _const_kernels(X, Y, core)
+            for Z in posets:
+                yield nus, fs, _dirac_kernels(Y, Z, core)
+    for X in posets:
+        fs = _dirac_kernels(X, X, COEFF_GRID)
+        nus = [dirac(X, x) for x in X.points] + [
+            ElementaryValuation(X, [(ival(0, "inf"), X.points[0])], validate=False)
+        ]
+        yield nus, fs, fs
+
+
 def monad_laws(seed: int = 0, cases: int = 500) -> LawResult:
     """Unit/extension/composition laws, exhaustive small scale + randomized.
 
@@ -546,33 +569,12 @@ def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
                 for x, dirac_x in units:
                     yield _UNIT_LAW.format(x, f) if bind(f, dirac_x) != f(x) else None
 
-    # Law (iii), exhaustive core: unit/bottom coefficients over all triples,
-    # Dirac arguments.  The composite is built once per (f, g) and
-    # bind(f, nu) once per (f, nu).
-    core = (IONE, ival(0, "inf"))
-    for X in posets:
-        nus = [dirac(X, x) for x in X.points]
-        for Y in posets:
-            fs = _dirac_kernels(X, Y, (IONE,)) + _const_kernels(X, Y, core)
-            for Z in posets:
-                gs = _dirac_kernels(Y, Z, core)
-                for f in fs:
-                    mids = [bind(f, nu) for nu in nus]
-                    for g in gs:
-                        gf = kleisli_compose(g, f)
-                        for nu, mid in zip(nus, mids):
-                            failed = bind(gf, nu) != bind(g, mid)
-                            yield _COMPOSITION.format(nu, f, g) if failed else None
-
-    # Law (iii), diagonal enrichment: full grid coefficients, richer arguments.
-    for X in posets:
-        fs = _dirac_kernels(X, X, COEFF_GRID)
-        nus = [dirac(X, x) for x in X.points] + [
-            ElementaryValuation(X, [(ival(0, "inf"), X.points[0])], validate=False)
-        ]
+    # Law (iii), exhaustive: the core blocks, then the diagonal ones.  The
+    # composite is built once per (f, g) and bind(f, nu) once per (f, nu).
+    for nus, fs, gs in _composition_blocks(posets):
         for f in fs:
             mids = [bind(f, nu) for nu in nus]
-            for g in fs:
+            for g in gs:
                 gf = kleisli_compose(g, f)
                 for nu, mid in zip(nus, mids):
                     failed = bind(gf, nu) != bind(g, mid)

@@ -745,11 +745,13 @@ def ascends(levels: Sequence[IntervalValue]) -> bool:
     return all(ival_leq(a, b) for a, b in zip(levels, levels[1:]))
 
 
-def chain_check(h: IntervalTestFn, n_max: int, *, cap: int = DEFAULT_DEPTH_CAP) -> bool:
+def chain_check(h: IntervalTestFn, n_max: int) -> bool:
     """Exact check that the dyadic levels ascend up to depth n_max.
 
-    NotMonotone propagates from a hand-written h (see ``lebesgue_n``).
+    n_max may not exceed DEFAULT_DEPTH_CAP.  NotMonotone propagates from a
+    hand-written h (see ``lebesgue_n``).
     """
+    cap = DEFAULT_DEPTH_CAP
     if n_max > cap:
         raise DepthCapExceeded(f"depth {n_max} exceeds the cap {cap}", depth=cap)
     return ascends([level for _, level in refine(h, None, cap=n_max)])

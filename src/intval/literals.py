@@ -44,6 +44,7 @@ past the last character.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterator, List, NoReturn, Sequence, Tuple
 
@@ -54,7 +55,6 @@ from .algebra import (
     ExtNonNeg,
     IntervalValue,
     ValueAlgebra,
-    rational,
 )
 from .errors import LiteralTooLarge, ParseError
 from .lebesgue import (
@@ -235,20 +235,26 @@ class _Parser:
 
     # ---- shared small pieces -------------------------------------------
 
-    def rat(self):
+    def ratio(self) -> Tuple[int, int]:
+        """A rational 'p' or 'p/q' as the ints (p, q), not reduced."""
         num = self.integer("a rational number")
-        if self.peek() == "/":
-            self.next()
-            at = self.pos
-            den = self.integer("a denominator")
-            if den == 0:
-                self.fail(at, "denominator must be nonzero")
-            return rational(num, den)
-        return rational(num)
+        if self.peek() != "/":
+            return num, 1
+        self.next()
+        at = self.pos
+        den = self.integer("a denominator")
+        if den == 0:
+            self.fail(at, "denominator must be nonzero")
+        return num, den
+
+    def rat(self) -> Fraction:
+        return Fraction(*self.ratio())
 
     def scalar(self) -> ExtNonNeg:
         if "/" < self.peek() < ":":
-            return ExtNonNeg(self.rat())
+            num, den = self.ratio()
+            g = gcd(num, den)
+            return ExtNonNeg._make(num // g, den // g)
         self.expect("inf", "a rational number")
         return INFINITY
 
@@ -260,7 +266,7 @@ class _Parser:
         self.expect("]", "']'")
         if not lo <= hi:
             self.fail(start, f"interval endpoints out of order: {lo} > {hi}")
-        return IntervalValue(lo, hi)
+        return IntervalValue._make(lo, hi)
 
     def value(self):
         """An interval or a bare scalar, with the algebra it belongs to."""

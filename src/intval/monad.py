@@ -23,14 +23,17 @@ results without Kernel's checks, which cannot fail there (see
 kleisli_compose).
 
 With unit and bind come the derived operations: the pushforward along a
-monotone point map, the two tensorial strengths pairing a point with a
-valuation on the other factor, and the product valuation
+monotone point map, the product valuation
 
     product(mu, nu) = sum_ij (r_i x s_j) delta_{(x_i, y_j)}
 
 whose evaluation matches both iterated orders exactly (the coefficient
 algebra is commutative and distributive, so the exchange of summation is
-an identity, not an approximation).  Ascending chains of valuations are
+an identity, not an approximation), and the two tensorial strengths,
+products with a Dirac mass: strength(x, nu) = delta_x (x) nu and
+dual_strength(mu, y) = mu (x) delta_y.  The Dirac's unit coefficient
+leaves each coefficient of the other factor equal by value (see
+IntervalValue.__mul__ and mul_left).  Ascending chains of valuations are
 pushed through bind/product element-wise; no limit objects are built.
 """
 
@@ -191,21 +194,15 @@ def map_valuation(g: PointFn, nu: ElementaryValuation, target: FinitePoset) -> E
 def strength(space_x: FinitePoset, x: Point, nu: ElementaryValuation) -> ElementaryValuation:
     """Pair a fixed left point with a valuation on the right factor.
 
-    Returns sum_i r_i delta_{(x, y_i)} on the product poset, satisfying
+    The product delta_x (x) nu = sum_i r_i delta_{(x, y_i)}, satisfying
     evaluate(strength(x, nu), h) = evaluate(nu, y -> h(x, y)).
     """
-    space_x.require(x)
-    prod = product_poset(space_x, nu.space)
-    terms = [(c, (x, y)) for c, y in nu.terms]
-    return ElementaryValuation(prod, terms, nu.algebra, validate=False)
+    return product(dirac(space_x, x, nu.algebra), nu)
 
 
 def dual_strength(mu: ElementaryValuation, space_y: FinitePoset, y: Point) -> ElementaryValuation:
-    """Mirror image of ``strength``: fix the right point, spread the left."""
-    space_y.require(y)
-    prod = product_poset(mu.space, space_y)
-    terms = [(c, (x, y)) for c, x in mu.terms]
-    return ElementaryValuation(prod, terms, mu.algebra, validate=False)
+    """Mirror image of ``strength``: the product mu (x) delta_y."""
+    return product(mu, dirac(space_y, y, mu.algebra))
 
 
 def product(mu: ElementaryValuation, nu: ElementaryValuation) -> ElementaryValuation:

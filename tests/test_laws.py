@@ -136,6 +136,22 @@ class TestPlantedDefects:
         assert r.failures == 1
         assert r.counterexample.startswith("strength identity fails at ")
 
+    def test_strength_through_product(self, monkeypatch):
+        # the strengths are products with a Dirac mass, so a product that
+        # drops its last term (while it has two) breaks the strength identity
+        real = monad.product
+
+        def drops_last_term(mu, nu):
+            out = real(mu, nu)
+            if len(out.terms) > 1:
+                out = ElementaryValuation(out.space, out.terms[:-1], out.algebra, validate=False)
+            return out
+
+        monkeypatch.setattr(monad, "product", drops_last_term)
+        r = strength_identities(seed=1)
+        assert r.failures == 1
+        assert r.counterexample.startswith("strength identity fails at ")
+
     def test_fubini(self, monkeypatch):
         real = laws.product
         monkeypatch.setattr(laws, "product", lambda mu, nu: real(scale(ival(2, 2), mu), nu))

@@ -801,6 +801,16 @@ class TestChainAndSqueeze:
         for name, fn in fixture_functions().items():
             assert chain_check(canonical_extension(fn), 10), name
 
+    def test_chain_check_stops_past_the_default_cap(self, monkeypatch):
+        # the guard raises before any level is computed
+        monkeypatch.setattr(lebesgue, "lebesgue_n", lambda n, h, **kw: pytest.fail("level"))
+        h = canonical_extension(fixture_functions()["id"])
+        with pytest.raises(DepthCapExceeded) as info:
+            chain_check(h, 25)
+        assert str(info.value) == "depth 25 exceeds the cap 24"
+        assert info.value.depth == 24
+        assert info.value.enclosure is None
+
     def test_squeeze_and_monotone_convergence(self):
         for name, fn in fixture_functions().items():
             target = ext(FIXTURE_INTEGRALS[name])

@@ -297,7 +297,41 @@ class TestMap:
             assert map_valuation(g, nu, Y) == bind(eta_after_g, nu)
 
 
+# Coefficients the strength tests draw from: both zeros, the bottom, and
+# infinite values, besides finite ones.
+_STRENGTH_COEFFS = {
+    INTERVALS: (IZERO, BOTTOM, ival(1, "inf"), ival("inf", "inf"), IONE, ival("1/2", 3)),
+    SCALARS: (ext(0), ext("inf"), ext(1), ext("2/3")),
+}
+
+
 class TestStrength:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([INTERVALS, SCALARS]))
+    def test_terms_are_the_hand_built_pairs(self, seed, algebra):
+        rng = random.Random(seed)
+        X, Y = random_poset(rng, 4), random_poset(rng, 4)
+        prod = product_poset(X, Y)
+        pool = _STRENGTH_COEFFS[algebra]
+
+        def draw(space):
+            points = rng.sample(space.points, rng.randint(1, len(space.points)))
+            return ElementaryValuation(space, [(rng.choice(pool), p) for p in points], algebra)
+
+        x, y = rng.choice(X.points), rng.choice(Y.points)
+        nu, mu = draw(Y), draw(X)
+        left = ElementaryValuation(prod, [(c, (x, q)) for c, q in nu.terms], algebra)
+        right = ElementaryValuation(prod, [(c, (p, y)) for c, p in mu.terms], algebra)
+        for got, want in ((strength(X, x, nu), left), (dual_strength(mu, Y, y), right)):
+            assert got.space == prod and got.algebra is algebra
+            assert got.terms == want.terms
+        with pytest.raises(PointNotInSpace) as caught:
+            strength(X, "q", nu)
+        assert str(caught.value) == "point 'q' is not in the space"
+        with pytest.raises(PointNotInSpace) as caught:
+            dual_strength(mu, Y, "q")
+        assert str(caught.value) == "point 'q' is not in the space"
+
     def test_on_dirac(self, spaces):
         X, Y = spaces
         prod = product_poset(X, Y)
