@@ -22,11 +22,15 @@ the canonical extension
 
 computed exactly from piece endpoints: monotone pieces attain their
 extrema at the ends of the overlap, so evaluating a cell needs no root
-finding.  Piece monotonicity is declared in the input and decided exactly: a Sturm
-sequence over the rationals counts the roots of p' inside the segment,
-bisection isolates them, and the sign of p' between them is fixed by
-exact evaluation.  A piece that fails the check must be split by the
-caller at its turning point.
+finding.  Piece monotonicity is declared in the input and decided exactly.
+First, Descartes' rule of signs after the substitution
+x = (lo + hi t)/(1 + t) bounds the roots of p' inside the segment by the
+sign changes V of one integer polynomial: V == 0 proves p' keeps one
+sign there, and V == 1 proves p' crosses zero once, so p turns.  Only
+when V >= 2 does a Sturm sequence over the rationals count the roots of
+p' inside the segment, bisection isolate them, and exact evaluation fix
+the sign of p' between them.  A piece that fails the check must be split
+by the caller at its turning point.
 
 For a canonical extension the level is computed in closed form rather
 than cell by cell.  A cell that touches no interior breakpoint lies
@@ -353,9 +357,37 @@ def _sign_changes(chain: Sequence[Polynomial], x) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _moebius(num: Sequence[int], lo, hi) -> List[int]:
+    """(q_lo q_hi)^d (1 + t)^d A((lo + hi t)/(1 + t)) for the integer
+    polynomial A = num of degree d, as integer coefficients in t.
+
+    The substitution maps t in (0, inf) onto (lo, hi), so A's roots inside
+    (lo, hi) are the positive roots of the result, with the same
+    multiplicities.  One homogeneous Horner pass: x = N/D with
+    N = q_lo q_hi (lo + hi t) and D = q_lo q_hi (1 + t), both integral.
+    """
+    scale = lo.denominator * hi.denominator
+    n = (lo.numerator * hi.denominator, hi.numerator * lo.denominator)
+    acc = [num[-1]]
+    d_power = [1]
+    for c in reversed(num[:-1]):
+        acc = _mul_ints(acc, n)
+        d_power = _mul_ints(d_power, (scale, scale))
+        acc = [a + c * b for a, b in zip(acc, d_power)]
+    return acc
+
+
 def nonnegative_on(g: Polynomial, lo, hi) -> bool:
     """Exact decision of g(x) >= 0 for every x in the open segment (lo, hi).
 
+    First a certificate: by Descartes' rule of signs, the number V of sign
+    changes among the nonzero coefficients of ``_moebius(g)`` exceeds the
+    number of g's roots inside (lo, hi), counted with multiplicity, by an
+    even number >= 0.  V == 0 means no root inside, so g has the common sign
+    of those coefficients there; V == 1 means exactly one root inside, a
+    simple one, where g changes sign, so the answer is no.
+
+    Only when V >= 2 does the certificate abstain and the Sturm path decide.
     g is replaced by its square-free part s (same roots, all simple), whose
     Sturm sequence counts the roots in any (u, v) exactly.  Bisection at
     rational midpoints then isolates the roots; g has constant sign on each
@@ -364,6 +396,12 @@ def nonnegative_on(g: Polynomial, lo, hi) -> bool:
     """
     if g.is_constant:
         return g.num[0] >= 0
+    signs = [c > 0 for c in _moebius(g.num, lo, hi) if c]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if changes == 0:
+        return all(signs)
+    if changes == 1:
+        return False
     chain = _sturm_chain(g)
     if not chain[-1].is_constant:
         # the last remainder is gcd(g, g'): divide the repeated roots out

@@ -433,7 +433,7 @@ def test_c11_cli_determinism():
 
 
 def test_c12_worst_short_literal():
-    """A short literal whose monotonicity check runs a degree-63 Sturm chain."""
+    """A short literal whose monotonicity check decides a degree-63 slope."""
     t0 = time.perf_counter()
     ok = False
     try:

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import time
 from fractions import Fraction
 
@@ -224,38 +226,6 @@ def _sympy_nonnegative(poly: Polynomial, lo, hi) -> bool:
     return all(g.eval(lo + (hi - lo) * k / d) >= 0 for k in range(1, d))
 
 
-class TestExactMonotonicity:
-    @EXAMPLES
-    @given(
-        planted_slopes(),
-        st.fractions(-1, 1, max_denominator=32),
-        st.fractions(0, 2, max_denominator=32),
-    )
-    def test_agrees_with_sympy_real_roots(self, slope, a, b):
-        segments = [(rational(0), rational(1))]
-        if a < b:
-            segments.append((_rat(a), _rat(b)))
-        for lo, hi in segments:
-            for g in (slope, -slope):
-                assert nonnegative_on(g, lo, hi) == _sympy_nonnegative(g, lo, hi)
-
-    @EXAMPLES
-    @given(planted_slopes())
-    def test_pieces_accepted_exactly_when_monotone(self, slope):
-        # p = 100 + integral of slope is positive on [0, 1]
-        p = Polynomial(
-            [100] + [c / (k + 1) for k, c in enumerate(slope.coeffs)]
-        )
-        for direction, g in (("inc", slope), ("dec", -slope)):
-            monotone = _sympy_nonnegative(g, 0, 1)
-            try:
-                PiecewiseMonotoneFn([0, 1], [(direction, p)])
-                accepted = True
-            except NonEvaluablePiece:
-                accepted = False
-            assert accepted == monotone, (direction, p)
-
-
 X = sympy.Symbol("x")
 
 
@@ -426,6 +396,149 @@ class TestSturmCounts:
             assert nonnegative_on(g, _rat(lo), _rat(hi)) == _sympy_nonnegative(
                 g, _rat(lo), _rat(hi)
             )
+
+
+# factors with a double root inside (0, 1): rational and irrational
+_DOUBLE_FACTORS = (
+    Polynomial.constant(1),
+    Polynomial([rational(-1, 3), 1]) ** 2,
+    Polynomial([rational(-1, 2), 0, 1]) ** 2,
+)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(g, lo, hi): a planted slope or a polynomial with a repeated root,
+    times one of ``_DOUBLE_FACTORS``, on a segment whose ends may be
+    rational roots of g and may lie below 0."""
+    g = draw(st.one_of(planted_slopes(), repeated_root_polys()))
+    g = g * draw(st.sampled_from(_DOUBLE_FACTORS))
+    ends = st.fractions(-1, 2, max_denominator=16)
+    roots = sorted(Fraction(int(r.p), int(r.q)) for r in _sym(g).ground_roots())
+    if roots:
+        ends = st.one_of(st.sampled_from(roots), ends)
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return g, _rat(lo), _rat(hi)
+
+
+def _sign_variations(g: Polynomial, lo, hi) -> int:
+    """V, the certificate's count of sign changes for g on (lo, hi)."""
+    signs = [c > 0 for c in lebesgue._moebius(g.num, lo, hi) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm_nonnegative(g: Polynomial, lo, hi) -> bool:
+    """nonnegative_on decided by the Sturm path alone: the certificate is
+    handed coefficients with two sign changes, so it abstains."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lebesgue, "_moebius", lambda num, lo, hi: [1, -1, 1])
+        return nonnegative_on(g, lo, hi)
+
+
+def _count_sturm_chains(monkeypatch) -> list:
+    """The list that every later _sturm_chain call appends its argument to."""
+    calls = []
+    build = lebesgue._sturm_chain
+    monkeypatch.setattr(lebesgue, "_sturm_chain", lambda g: calls.append(g) or build(g))
+    return calls
+
+
+_OUTCOMES = pathlib.Path(__file__).parent / "data" / "literal_outcomes.json"
+_DEGREE_64 = "piecewise { [0,1] inc: (x + 1/3)^64 + (x + 1/7)^63 + (x + 1/11)^61 }"
+
+
+class TestExactMonotonicity:
+    @EXAMPLES
+    @given(
+        planted_slopes(),
+        st.fractions(-1, 1, max_denominator=32),
+        st.fractions(0, 2, max_denominator=32),
+    )
+    def test_agrees_with_sympy_real_roots(self, slope, a, b):
+        segments = [(rational(0), rational(1))]
+        if a < b:
+            segments.append((_rat(a), _rat(b)))
+        for lo, hi in segments:
+            for g in (slope, -slope):
+                assert nonnegative_on(g, lo, hi) == _sympy_nonnegative(g, lo, hi)
+
+    @EXAMPLES
+    @given(planted_slopes())
+    def test_pieces_accepted_exactly_when_monotone(self, slope):
+        # p = 100 + integral of slope is positive on [0, 1]
+        p = Polynomial(
+            [100] + [c / (k + 1) for k, c in enumerate(slope.coeffs)]
+        )
+        for direction, g in (("inc", slope), ("dec", -slope)):
+            monotone = _sympy_nonnegative(g, 0, 1)
+            try:
+                PiecewiseMonotoneFn([0, 1], [(direction, p)])
+                accepted = True
+            except NonEvaluablePiece:
+                accepted = False
+            assert accepted == monotone, (direction, p)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(certificate_cases())
+    @example((Polynomial([rational(-1, 3), 1]) ** 2, rational(0), rational(1)))
+    @example((Polynomial([rational(-1, 2), 0, 1]) ** 2, rational(-1), rational(0)))
+    @example((Polynomial([rational(-1, 3), 1]) * Polynomial([-1, 1]), rational(1, 3), rational(1)))
+    @example((Polynomial([rational(-1, 2), 1]) * Polynomial([1, 1]), rational(0), rational(1)))
+    def test_certificate_agrees_with_sturm_and_sympy(self, case):
+        g0, lo, hi = case
+        for g in (g0, -g0):
+            expected = _sympy_nonnegative(g, lo, hi)
+            assert nonnegative_on(g, lo, hi) == expected
+            if _sign_variations(g, lo, hi) <= 1:
+                assert _sturm_nonnegative(g, lo, hi) == expected
+
+    @EXAMPLES
+    @given(
+        polys,
+        st.fractions(-2, 2, max_denominator=12),
+        st.fractions(Fraction(1, 12), 3, max_denominator=12),
+        st.fractions(Fraction(1, 9), 9, max_denominator=9),
+    )
+    def test_moebius_transform_identity(self, g, lo, size, t):
+        # _moebius reads the integer coefficients num, i.e. the polynomial den * g
+        hi = lo + size
+        d = g.degree
+        coeffs = lebesgue._moebius(g.num, _rat(lo), _rat(hi))
+        x = (lo + hi * t) / (1 + t)
+        expected = (lo.denominator * hi.denominator) ** d * (1 + t) ** d * sum(
+            c * x ** k for k, c in enumerate(g.num)
+        )
+        assert sum(c * t ** k for k, c in enumerate(coeffs)) == expected
+
+    def test_certificate_decides_anchor_and_degree_64_literals(self, monkeypatch):
+        # the integrate-wide anchor literals (32 pieces) and their invalid variants
+        rows = json.loads(_OUTCOMES.read_text(encoding="ascii"))
+        anchors = [
+            (text, outcome[0])
+            for form, text, outcome in rows
+            if form == "piecewise" and text.count(";") == 31
+        ]
+        assert [kind for _, kind in anchors].count("ok") == 10
+        calls = _count_sturm_chains(monkeypatch)
+        for text, kind in anchors + [(_DEGREE_64, "ok")]:
+            try:
+                parse_piecewise(text)
+                got = "ok"
+            except Exception as exc:  # noqa: BLE001 - compared with the recording
+                got = type(exc).__name__
+            assert got == kind, text[:80]
+        assert calls == []
+
+    def test_sturm_chain_decides_when_the_certificate_abstains(self, monkeypatch):
+        calls = _count_sturm_chains(monkeypatch)
+        # slope 3(x - 1/256)(x - 1/64): two roots inside, V == 2
+        with pytest.raises(NonEvaluablePiece):
+            parse_piecewise("piecewise { [0,1] inc: x^3 - 15/512*x^2 + 3/16384*x }")
+        assert calls
+        calls.clear()
+        # slope 3(x - 1/3)^2: a double root inside, V == 2
+        parse_piecewise("piecewise { [0,1] inc: (x - 1/3)^3 + 1 }")
+        assert calls
 
 
 class TestCanonicalExtension:
