@@ -52,10 +52,14 @@ from the one before; canonical extensions are monotone by construction.
 A ``Polynomial`` is stored as integer coefficients over one positive
 common denominator, in lowest terms (the layout of FLINT's fmpq_poly);
 its rational ``coeffs`` are a view built on request.  Evaluation at p/q
-is integer Horner on q^deg * f(p/q), so a value costs one rational, a
-Sturm sign costs none, the power sums above take forward differences of
-integers, and the Sturm chain is built by pseudo-division on primitive
-integer parts.
+is integer Horner on q^deg * f(p/q), giving the value as an unreduced
+int pair (numerator, positive denominator), so a Sturm sign costs no
+rational, the power sums above take forward differences of integers, and
+the Sturm chain is built by pseudo-division on primitive integer parts.
+A level stays in ints until it is returned: piece ranges and cell values
+are int pairs, compared by cross-multiplication, and the endpoint sums
+are kept over the lcm of their denominators, so a level builds one
+rational per endpoint.  ``range_over`` likewise reduces its pair once.
 
 ``refine`` is the one walk up the chain: it yields the levels from depth
 0 until one is narrow enough, or up to the depth cap, and the
@@ -146,6 +150,19 @@ def _mul_ints(a: Sequence[int], b: Sequence[int]) -> List[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _binomial_row(a: int, b: int, n: int) -> List[int]:
+    """The coefficients C(n, k) a^(n-k) b^k of (a + b t)^n, low degree first."""
+    a_powers = [1]
+    for _ in range(n):
+        a_powers.append(a_powers[-1] * a)
+    row = []
+    b_power = 1
+    for k in range(n + 1):
+        row.append(comb(n, k) * a_powers[n - k] * b_power)
+        b_power *= b
+    return row
 
 
 def _sum_ints(
@@ -255,11 +272,12 @@ class Polynomial:
         return tuple(rational(a, self.den) for a in self.num)
 
     def __call__(self, x):
-        return self._at(x.numerator, x.denominator)
+        return rational(*self._pair(x.numerator, x.denominator))
 
-    def _at(self, p: int, q: int):
-        """The value at p/q, for ints p and q > 0 in any common scale."""
-        return rational(_horner(self.num, p, q), self.den * q ** (len(self.num) - 1))
+    def _pair(self, p: int, q: int) -> Tuple[int, int]:
+        """The value at p/q, for ints p and q > 0 in any common scale, as
+        the unreduced ints (numerator, denominator), the latter positive."""
+        return _horner(self.num, p, q), self.den * q ** (len(self.num) - 1)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial._of(*_sum_ints(self.num, self.den, other.num, other.den))
@@ -277,6 +295,8 @@ class Polynomial:
         if n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         den = self.den ** n
+        if len(self.num) == 2:
+            return Polynomial._of(_binomial_row(*self.num, n), den)
         result = [1]
         base = self.num
         while n:
@@ -369,11 +389,9 @@ def _moebius(num: Sequence[int], lo, hi) -> List[int]:
     scale = lo.denominator * hi.denominator
     n = (lo.numerator * hi.denominator, hi.numerator * lo.denominator)
     acc = [num[-1]]
-    d_power = [1]
-    for c in reversed(num[:-1]):
+    for k, c in enumerate(reversed(num[:-1]), 1):
         acc = _mul_ints(acc, n)
-        d_power = _mul_ints(d_power, (scale, scale))
-        acc = [a + c * b for a, b in zip(acc, d_power)]
+        acc = [a + c * b for a, b in zip(acc, _binomial_row(scale, scale, k))]
     return acc
 
 
@@ -385,7 +403,9 @@ def nonnegative_on(g: Polynomial, lo, hi) -> bool:
     number of g's roots inside (lo, hi), counted with multiplicity, by an
     even number >= 0.  V == 0 means no root inside, so g has the common sign
     of those coefficients there; V == 1 means exactly one root inside, a
-    simple one, where g changes sign, so the answer is no.
+    simple one, where g changes sign, so the answer is no.  With lo == hi
+    every t maps to lo, so each coefficient carries the sign of g(lo), and
+    the certificate answers g(lo) >= 0.
 
     Only when V >= 2 does the certificate abstain and the Sturm path decide.
     g is replaced by its square-free part s (same roots, all simple), whose
@@ -441,13 +461,14 @@ class PiecewiseMonotoneFn:
     at piece endpoints, which bound the range once monotonicity holds.
     Adjacent pieces may disagree at a shared breakpoint; ranges then
     include both one-sided values, which is the tight enclosure of the
-    jump.  Construction stores each piece's (min, max) over its whole
-    segment, its two end values ordered by the declared direction, for
-    ``_span`` to read; ``range_over`` and the closed-form levels both call
-    it.
+    jump.  Construction stores the breakpoints once more as int pairs
+    (numerator, denominator), and each piece's (min, max) over its whole
+    segment, its two end values ordered by the declared direction, as
+    unreduced int pairs with positive denominators, for ``_span`` to
+    read; ``range_over`` and the closed-form levels both call it.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_ranges")
+    __slots__ = ("breakpoints", "pieces", "_bps", "_ranges")
 
     def __init__(
         self,
@@ -466,27 +487,24 @@ class PiecewiseMonotoneFn:
         for (direction, poly), lo, hi in zip(pieces, bps, bps[1:]):
             if direction not in ("inc", "dec"):
                 raise ValueError(f"unknown direction {direction!r}")
-            ranges.append(self._check_piece(direction, poly, lo, hi))
+            slope = poly.derivative()
+            if not nonnegative_on(slope if direction == "inc" else -slope, lo, hi):
+                raise NonEvaluablePiece(
+                    f"piece on [{lo},{hi}] is not {direction}; "
+                    f"split the segment at the turning point"
+                )
+            low = poly._pair(lo.numerator, lo.denominator)
+            high = poly._pair(hi.numerator, hi.denominator)
+            if direction == "dec":
+                low, high = high, low
+            if low[0] < 0:
+                raise ValueError(f"piece on [{lo},{hi}] takes negative values")
+            ranges.append((low, high))
             checked.append((direction, poly))
         self.breakpoints = tuple(bps)
         self.pieces = tuple(checked)
+        self._bps = tuple((b.numerator, b.denominator) for b in bps)
         self._ranges = tuple(ranges)
-
-    @staticmethod
-    def _check_piece(direction: str, poly: Polynomial, lo, hi) -> Tuple[object, object]:
-        """The piece's (min, max) on [lo, hi], once its direction is decided."""
-        slope = poly.derivative()
-        if not nonnegative_on(slope if direction == "inc" else -slope, lo, hi):
-            raise NonEvaluablePiece(
-                f"piece on [{lo},{hi}] is not {direction}; "
-                f"split the segment at the turning point"
-            )
-        low, high = poly(lo), poly(hi)
-        if direction == "dec":
-            low, high = high, low
-        if low < 0:
-            raise ValueError(f"piece on [{lo},{hi}] takes negative values")
-        return low, high
 
     def __call__(self, x):
         """Pointwise value; at interior breakpoints the left piece wins."""
@@ -511,35 +529,38 @@ class PiecewiseMonotoneFn:
             raise OutOfRange(f"[{lo},{hi}] misses [0, 1]")
         left = (lo.numerator, lo.denominator) if lo > bps[first] else None
         right = (hi.numerator, hi.denominator) if hi < bps[last + 1] else None
-        return self._span(first, last, left, right)
+        low, high = self._span(first, last, left, right)
+        return rational(*low), rational(*high)
 
-    def _span(self, first: int, last: int, left, right) -> Tuple[object, object]:
+    def _span(self, first: int, last: int, left, right) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """(min, max) over pieces first..last, piece first cut at left and
-        piece last at right.
+        piece last at right, as unreduced int pairs.
 
         A cut is a point (p, q) standing for p/q with q > 0, or None for the
         piece's own end.  Each piece between contributes its stored (min,
         max).  A cut piece is evaluated at its cut end or ends only, and its
         direction orders the two end values: an inc piece is least at its
-        left end, a dec piece at its right.
+        left end, a dec piece at its right.  Every denominator is positive,
+        so the least and greatest are chosen by cross-multiplication.
         """
         if first == last:
             return self._clipped(first, left, right)
-        ranges = (
-            self._clipped(first, left, None),
-            *self._ranges[first + 1 : last],
-            self._clipped(last, None, right),
-        )
-        lows, highs = zip(*ranges)
-        return min(lows), max(highs)
+        (low_n, low_d), (high_n, high_d) = self._clipped(first, left, None)
+        rest = (*self._ranges[first + 1 : last], self._clipped(last, None, right))
+        for (a, b), (c, d) in rest:
+            if a * low_d < low_n * b:
+                low_n, low_d = a, b
+            if c * high_d > high_n * d:
+                high_n, high_d = c, d
+        return (low_n, low_d), (high_n, high_d)
 
-    def _clipped(self, k: int, a, b) -> Tuple[object, object]:
-        """(min, max) of piece k over [a, b], cuts as in ``_span``."""
+    def _clipped(self, k: int, a, b) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """(min, max) of piece k over [a, b] as int pairs, cuts as in ``_span``."""
         direction, poly = self.pieces[k]
         low, high = self._ranges[k]
         if direction == "dec":
             a, b = b, a
-        return (low if a is None else poly._at(*a)), (high if b is None else poly._at(*b))
+        return (low if a is None else poly._pair(*a)), (high if b is None else poly._pair(*b))
 
     def __repr__(self) -> str:
         segs = []
@@ -615,14 +636,17 @@ def dyadic_grid(n: int) -> List[DyadicInterval]:
     return [DyadicInterval(i * step, (i + 1) * step) for i in range(2 ** n)]
 
 
-def _power_sums(poly: Polynomial, size: int, a: int, b: int) -> Tuple[object, object]:
-    """(sum of q(i), sum of q(i + 1)) over i = a..b, where q(i) = poly(i/size).
+def _power_sums(
+    poly: Polynomial, size: int, a: int, b: int
+) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """(sum of q(i), sum of q(i + 1)) over i = a..b, where q(i) = poly(i/size),
+    as unreduced int pairs over one positive denominator.
 
     Newton's forward differences: the sum is sum_j (Delta^j q)(a) *
     C(b - a + 1, j + 1), and Delta^j q vanishes beyond the degree.  With
     fewer cells than coefficients the same formula sums them directly.
-    The differences are taken of the integers den * size^deg * q(i), so
-    only the two returned sums are rationals.
+    The differences are taken of the integers den * size^deg * q(i), and
+    that scale is the denominator of both sums.
     """
     num = poly.num
     count = b - a + 1
@@ -634,20 +658,21 @@ def _power_sums(poly: Polynomial, size: int, a: int, b: int) -> Tuple[object, ob
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
     scale = poly.den * size ** poly.degree
     shifted = total - q_a + _horner(num, b + 1, size)
-    return rational(total, scale), rational(shifted, scale)
+    return (total, scale), (shifted, scale)
 
 
 def _cell_ranges(
     fn: PiecewiseMonotoneFn, size: int, cells: Sequence[int]
-) -> Iterator[Tuple[object, object]]:
-    """fn.range_over(i/size, (i+1)/size) for each i of the ascending cells.
+) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """fn._span over each i of the ascending cells [i/size, (i+1)/size],
+    the int pairs that fn.range_over would reduce.
 
     Piece k on [s, t] meets cell i iff s*size - 1 <= i <= t*size, which is
     decided on the breakpoints' integer numerators and denominators; the
     first and last piece a cell meets only move forward as i grows, so one
     sweep finds them all without comparing rationals.
     """
-    bps = [(b.numerator, b.denominator) for b in fn.breakpoints]
+    bps = fn._bps
     top = len(fn.pieces) - 1
     first = 0
     for i in cells:
@@ -662,35 +687,43 @@ def _cell_ranges(
         yield fn._span(first, last, left, right)
 
 
-def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[object, object]:
-    """Sums over the 2^n cells of the lower and of the upper endpoints of h."""
+def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """Sums over the 2^n cells of the lower and of the upper endpoints of h,
+    as int pairs (num, den) with den > 0.
+
+    Each addend is an int pair; the sum is kept over the lcm of the
+    denominators seen, at one gcd per addition, and never reduced.
+    """
     size = 2 ** n
     fn = h.fn
-    bps = fn.breakpoints
-    lo_sum = hi_sum = _ZERO_RAT
-    for (direction, poly), s, t in zip(fn.pieces, bps, bps[1:]):
+    bps = fn._bps
+    addends = []
+    for (direction, poly), (s_num, s_den), (t_num, t_den) in zip(fn.pieces, bps, bps[1:]):
         # cells i with s < i/size and (i+1)/size < t, except at 0 and 1
-        a = 0 if s == 0 else s.numerator * size // s.denominator + 1
-        b = size - 1 if t == 1 else -(-t.numerator * size // t.denominator) - 2
+        a = 0 if s_num == 0 else s_num * size // s_den + 1
+        b = size - 1 if t_num == t_den else -(-t_num * size // t_den) - 2
         if a > b:
             continue
         low, high = _power_sums(poly, size, a, b)
-        if direction == "dec":
-            low, high = high, low
-        lo_sum += low
-        hi_sum += high
+        addends.append((high, low) if direction == "dec" else (low, high))
     # the cells that touch an interior breakpoint, ascending: i when b lies
     # inside [i/size, (i+1)/size], and i - 1 and i when b = i/size
     cells: List[int] = []
-    for bp in bps[1:-1]:
-        i, r = divmod(bp.numerator * size, bp.denominator)
+    for bp_num, bp_den in bps[1:-1]:
+        i, r = divmod(bp_num * size, bp_den)
         for c in (i - 1, i) if r == 0 else (i,):
             if not cells or cells[-1] != c:
                 cells.append(c)
-    for low, high in _cell_ranges(fn, size, cells):
-        lo_sum += low
-        hi_sum += high
-    return lo_sum, hi_sum
+    addends.extend(_cell_ranges(fn, size, cells))
+    lo_num, hi_num, lo_den, hi_den = 0, 0, 1, 1
+    for (ln, ld), (hn, hd) in addends:
+        g = gcd(lo_den, ld)
+        lo_num = lo_num * (ld // g) + ln * (lo_den // g)
+        lo_den = lo_den // g * ld
+        g = gcd(hi_den, hd)
+        hi_num = hi_num * (hd // g) + hn * (hi_den // g)
+        hi_den = hi_den // g * hd
+    return (lo_num, lo_den), (hi_num, hi_den)
 
 
 def lebesgue_n(
@@ -714,8 +747,9 @@ def lebesgue_n(
     if n > cap:
         raise DepthCapExceeded(f"depth {n} exceeds the cap {cap}", depth=cap)
     if isinstance(h, CanonicalExtension):
-        lo_sum, hi_sum = _closed_form_sums(h, n)
-        return IntervalValue(lo_sum / 2 ** n, hi_sum / 2 ** n)
+        (lo_num, lo_den), (hi_num, hi_den) = _closed_form_sums(h, n)
+        size = 2 ** n
+        return IntervalValue(rational(lo_num, lo_den * size), rational(hi_num, hi_den * size))
     step = rational(1, 2 ** n)
     w = IntervalValue(step, step)
     acc = IZERO

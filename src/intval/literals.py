@@ -279,10 +279,15 @@ class _Parser:
     # An expression is built as a raw pair (num, den): a list of integer
     # coefficients, low degree first, without trailing zeros, over one
     # positive denominator, with no common factor taken out.  poly_piece
-    # brings a piece's expression to canonical form once, and poly_power
-    # does so for each base (see _raw for the one other place).  Degrees
-    # and _size_bound read the same on a raw pair as on its canonical
-    # form, so the caps decide as they would on canonical operands.
+    # brings a piece's expression to canonical form once, and poly_factor
+    # does so for each base of a power (see _raw for the one other place).
+    # Degrees and _size_bound read the same on a raw pair as on its
+    # canonical form, so the caps decide as they would on canonical
+    # operands.  _size_bound is exact but costs a gcd per coefficient, so
+    # each check first sums _rough_bound, a bound on it built from bit
+    # lengths alone, and takes the exact bound only when that sum is over
+    # MAX_COEFF_BITS.  A product with a constant operand scales the other
+    # operand's list.
 
     def poly_piece(self) -> Polynomial:
         return Polynomial._of(*self.poly_expr())
@@ -298,35 +303,37 @@ class _Parser:
         return num, den
 
     def poly_term(self) -> Tuple[List[int], int]:
-        num, den = self.poly_unary()
+        num, den = self.poly_factor()
         while self.peek() in ("*", "/"):
             at = self.pos
             op = self.next()
-            rnum, rden = self.poly_unary()
+            rnum, rden = self.poly_factor()
             if op == "*":
                 self.check_degree(len(num) + len(rnum) - 2, at)
+            elif len(rnum) > 1 or not rnum[0]:
+                self.fail(at, "division is only defined by a nonzero constant")
+            if _rough_bound(num, den) + _rough_bound(rnum, rden) > MAX_COEFF_BITS:
                 self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), at)
-                num, den = _raw(_mul_ints(num, rnum), den * rden)
-            else:
+            if op == "/":
                 n = rnum[0]
-                if len(rnum) > 1 or n == 0:
-                    self.fail(at, "division is only defined by a nonzero constant")
-                self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), at)
                 if n < 0:
                     n, rden = -n, -rden
                 # num / den * rden / n, keeping the denominator positive
                 num, den = _raw([rden * v for v in num], den * n)
+            elif len(num) == 1 or len(rnum) == 1:
+                c, other = (num[0], rnum) if len(num) == 1 else (rnum[0], num)
+                num, den = _raw([c * v for v in other], den * rden)
+            else:
+                num, den = _raw(_mul_ints(num, rnum), den * rden)
         return num, den
 
-    def poly_unary(self) -> Tuple[List[int], int]:
+    def poly_factor(self) -> Tuple[List[int], int]:
+        """A run of unary minus signs, an atom, and an optional '^' exponent,
+        which binds tighter than the signs: -x^2 is -(x^2)."""
         negate = False
         while self.peek() == "-":
             self.next()
             negate = not negate
-        num, den = self.poly_power()
-        return ([-v for v in num], den) if negate else (num, den)
-
-    def poly_power(self) -> Tuple[List[int], int]:
         num, den = self.poly_atom()
         if self.peek() == "^":
             caret = self.pos
@@ -336,11 +343,12 @@ class _Parser:
                 message = f"exponent {exp} exceeds the cap {MAX_DEGREE}"
                 self.fail(caret + 1, message, LiteralTooLarge)
             self.check_degree((len(num) - 1) * exp, caret)
-            self.check_size(_size_bound(num, den) * exp, caret)
+            if _rough_bound(num, den) * exp > MAX_COEFF_BITS:
+                self.check_size(_size_bound(num, den) * exp, caret)
             # a power of a canonical base is canonical (Gauss's lemma)
-            base = Polynomial._of(num, den) ** exp
-            return list(base.num), base.den
-        return num, den
+            power = Polynomial._of(num, den) ** exp
+            num, den = list(power.num), power.den
+        return ([-v for v in num], den) if negate else (num, den)
 
     def check_degree(self, degree: int, at: int) -> None:
         if degree > MAX_DEGREE:
@@ -408,6 +416,18 @@ def _size_bound(num: Sequence[int], den: int) -> int:
         g = gcd(a, den)
         bits += (a // g).bit_length() + 2 * (den // g).bit_length()
     return bits
+
+
+def _rough_bound(num: Sequence[int], den: int) -> int:
+    """An upper bound on _size_bound(num, den) from bit lengths alone.
+
+    Term by term it drops the gcd: |a // g| <= |a| and den // g <= den.
+    """
+    return (
+        len(num).bit_length()
+        + sum(map(int.bit_length, num))
+        + 2 * len(num) * den.bit_length()
+    )
 
 
 def parse_rational(text: str):

@@ -29,7 +29,7 @@ from intval.lebesgue import (
     refine,
 )
 from intval import laws, lebesgue
-from intval.literals import parse_piecewise
+from intval.literals import MAX_DEGREE, parse_piecewise
 
 EXAMPLES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -118,6 +118,24 @@ class TestPolynomial:
         for k in range(12):
             assert p ** k == product, k
             product = product * p
+
+    @settings(EXAMPLES, max_examples=40)
+    @given(
+        st.fractions(-1000, 1000, max_denominator=50),
+        st.fractions(-1000, 1000, max_denominator=50).filter(bool),
+    )
+    @example(Fraction(0), Fraction(-3, 7))
+    @example(Fraction(0), Fraction(1))
+    def test_linear_power_matches_repeated_product(self, a, b):
+        # a linear base takes the binomial row; both signs, zero constant term
+        base = Polynomial([_rat(a), _rat(b)])
+        row = [1]
+        product = Polynomial.constant(1)
+        for n in range(MAX_DEGREE + 1):
+            assert lebesgue._binomial_row(*base.num, n) == row, n
+            assert base ** n == product, n
+            row = lebesgue._mul_ints(row, base.num)
+            product = product * base
 
     def test_divmod_and_derivative(self):
         x = Polynomial.identity()
@@ -321,13 +339,20 @@ def _direct_sums(poly: Polynomial, size: int, a: int, b: int):
     )
 
 
+def _as_rationals(pairs):
+    """Int pairs (num, den), each checked to have den > 0, as rationals."""
+    assert all(den > 0 for _, den in pairs)
+    return tuple(rational(num, den) for num, den in pairs)
+
+
 class TestPowerSums:
     @EXAMPLES
     @given(polys, st.sampled_from((1, 2, 3, 12, 64, 1024)), st.data())
     def test_matches_the_direct_sum(self, poly, size, data):
         a = data.draw(st.integers(0, size - 1))
         b = data.draw(st.integers(a, min(size - 1, a + 40)))
-        assert lebesgue._power_sums(poly, size, a, b) == _direct_sums(poly, size, a, b)
+        got = _as_rationals(lebesgue._power_sums(poly, size, a, b))
+        assert got == _direct_sums(poly, size, a, b)
 
     @pytest.mark.parametrize(
         "size, a, b",
@@ -341,7 +366,8 @@ class TestPowerSums:
     )
     def test_edge_runs(self, size, a, b):
         poly = Polynomial([rational(1, 3), -2, 0, rational(5, 7), 0, 0, rational(-1, 9)])
-        assert lebesgue._power_sums(poly, size, a, b) == _direct_sums(poly, size, a, b)
+        got = _as_rationals(lebesgue._power_sums(poly, size, a, b))
+        assert got == _direct_sums(poly, size, a, b)
 
 
 _roots = st.fractions(-2, 2, max_denominator=8)
@@ -529,6 +555,29 @@ class TestExactMonotonicity:
             assert got == kind, text[:80]
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "coeffs, a, expected",
+        [
+            ((rational(-1, 3), 1), rational(1, 3), True),  # g(a) == 0
+            ((rational(-1, 3), 1), rational(1, 2), True),  # g(a) > 0
+            ((rational(-1, 3), 1), rational(1, 4), False),  # g(a) < 0
+            ((0, 1, -5, 6), rational(1, 2), True),  # x(2x - 1)(3x - 1)
+            ((0, 1, -5, 6), 1, True),
+            ((0, 1, -5, 6), rational(2, 5), False),
+        ],
+    )
+    def test_degenerate_segment_is_decided_by_the_certificate(
+        self, monkeypatch, coeffs, a, expected
+    ):
+        # every t maps to a, so the transformed coefficients all carry the
+        # sign of g(a); bisecting (a, a) would never end
+        def forbidden(g):
+            raise AssertionError("the Sturm chain was built")
+
+        monkeypatch.setattr(lebesgue, "_sturm_chain", forbidden)
+        a = rational(a)
+        assert nonnegative_on(Polynomial(coeffs), a, a) is expected
+
     def test_sturm_chain_decides_when_the_certificate_abstains(self, monkeypatch):
         calls = _count_sturm_chains(monkeypatch)
         # slope 3(x - 1/256)(x - 1/64): two roots inside, V == 2
@@ -649,7 +698,12 @@ class TestRangeOver:
     )
     def test_agrees_with_the_oracle(self, lo, hi):
         lo, hi = rational(lo), rational(hi)
-        assert _JUMPY.range_over(lo, hi) == _range_oracle(_JUMPY, lo, hi)
+        got = _JUMPY.range_over(lo, hi)
+        assert got == _range_oracle(_JUMPY, lo, hi)
+        # _span compares unreduced int pairs; range_over reduces them
+        for value in got:
+            assert type(value) is Fraction
+            assert math.gcd(value.numerator, value.denominator) == 1
 
     @pytest.mark.parametrize("lo, hi", [("2", "3"), ("-2", "-1/3"), ("11/10", "11/10")])
     def test_misses_domain(self, lo, hi):
@@ -684,7 +738,7 @@ class TestRangeOver:
 def _cells_agree(fn, depths):
     for n in depths:
         size = 2 ** n
-        got = list(lebesgue._cell_ranges(fn, size, range(size)))
+        got = [_as_rationals(pairs) for pairs in lebesgue._cell_ranges(fn, size, range(size))]
         want = [fn.range_over(rational(i, size), rational(i + 1, size)) for i in range(size)]
         assert got == want, n
 
@@ -813,6 +867,21 @@ class TestLevels:
         spans.clear()
         lebesgue_n(24, canonical_extension(fixture_functions()["square"]))
         assert spans == []
+
+    def test_closed_form_builds_two_rationals(self, monkeypatch):
+        # the sums run in int pairs; only the two returned endpoints are rationals
+        h = canonical_extension(
+            _many_pieces([Fraction(k, 33) for k in range(32)] + [Fraction(1)])
+        )
+        expected = {n: lebesgue_n(n, h) for n in (0, 3, 8, 24)}
+        built = []
+        monkeypatch.setattr(
+            lebesgue, "rational", lambda *args: built.append(args) or rational(*args)
+        )
+        for n, level in expected.items():
+            built.clear()
+            assert lebesgue_n(n, h) == level
+            assert len(built) == 2, n
 
     def test_depth_24_is_fast(self):
         fixtures = fixture_functions()

@@ -17,6 +17,7 @@ from intval.literals import (
     MAX_NESTING,
     _Parser,
     _position,
+    _rough_bound,
     _scan,
     _size_bound,
     _tokenize,
@@ -497,6 +498,19 @@ class TestSizeCaps:
             assert _size_bound(p.num, p.den) == expected
             # a raw pair with a common factor left in reads the same
             assert _size_bound([6 * v for v in p.num], 6 * p.den) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(-(10 ** 40), 10 ** 40), min_size=1, max_size=9),
+        st.integers(1, 10 ** 20),
+        st.integers(1, 10 ** 6),
+    )
+    @example([0], 1, 1)
+    @example([0, 0, 5], 2 ** 64, 2 ** 64)
+    def test_rough_bound_is_at_least_the_size_bound(self, num, den, factor):
+        # the parser skips _size_bound while the rough bound is under the cap
+        for n, d in ((num, den), ([factor * v for v in num], factor * den)):
+            assert _rough_bound(n, d) >= _size_bound(n, d)
 
 
 
