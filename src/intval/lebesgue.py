@@ -27,10 +27,11 @@ First, Descartes' rule of signs after the substitution
 x = (lo + hi t)/(1 + t) bounds the roots of p' inside the segment by the
 sign changes V of one integer polynomial: V == 0 proves p' keeps one
 sign there, and V == 1 proves p' crosses zero once, so p turns.  Only
-when V >= 2 does a Sturm sequence over the rationals count the roots of
-p' inside the segment, bisection isolate them, and exact evaluation fix
-the sign of p' between them.  A piece that fails the check must be split
-by the caller at its turning point.
+when V >= 2 do Sturm sequences over the rationals, one per multiplicity
+level of p', count its roots of odd multiplicity inside the segment: p'
+keeps its sign there exactly when there are none, and the certificate's
+lowest coefficient gives that sign.  A piece that fails the check must
+be split by the caller at its turning point.
 
 For a canonical extension the level is computed in closed form rather
 than cell by cell.  A cell that touches no interior breakpoint lies
@@ -395,24 +396,48 @@ def _moebius(num: Sequence[int], lo, hi) -> List[int]:
     return acc
 
 
+def _odd_roots(g: Polynomial, lo, hi) -> int:
+    """How many distinct roots of g in (lo, hi) have odd multiplicity,
+    for nonconstant g and lo < hi.
+
+    h_1 = g and h_(j+1) = gcd(h_j, h_j'), the last member of h_j's Sturm
+    chain, give square-free parts h_j / h_(j+1) whose roots are g's roots
+    of multiplicity >= j (Yun), so with N_j their counts inside,
+    N_1 - N_2 + N_3 - ... counts each root of odd multiplicity once.
+    """
+    total, sign = 0, 1
+    chain = _sturm_chain(g)
+    while True:
+        gcd_part = chain[-1]
+        if not gcd_part.is_constant:
+            chain = _sturm_chain(divmod(chain[0], gcd_part)[0])
+        # chain[0] is square-free: V(lo) - V(hi) counts its roots in (lo, hi]
+        count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
+        total += sign * (count - (_sign(chain[0], hi) == 0))
+        if gcd_part.is_constant:
+            return total
+        sign = -sign
+        chain = _sturm_chain(gcd_part)
+
+
 def nonnegative_on(g: Polynomial, lo, hi) -> bool:
-    """Exact decision of g(x) >= 0 for every x in the open segment (lo, hi).
+    """Exact decision of g(x) >= 0 for every x in [lo, hi], for lo <= hi.
 
-    First a certificate: by Descartes' rule of signs, the number V of sign
-    changes among the nonzero coefficients of ``_moebius(g)`` exceeds the
-    number of g's roots inside (lo, hi), counted with multiplicity, by an
-    even number >= 0.  V == 0 means no root inside, so g has the common sign
-    of those coefficients there; V == 1 means exactly one root inside, a
-    simple one, where g changes sign, so the answer is no.  With lo == hi
-    every t maps to lo, so each coefficient carries the sign of g(lo), and
-    the certificate answers g(lo) >= 0.
+    For lo < hi this is the question on (lo, hi): by continuity, a negative
+    value at an end makes g negative just inside.  First a certificate: by
+    Descartes' rule of signs, the number V of sign changes among the
+    nonzero coefficients of P = ``_moebius(g)`` exceeds the number of g's
+    roots inside (lo, hi), counted with multiplicity, by an even number
+    >= 0.  V == 0 means no root inside, so g has the common sign of those
+    coefficients there; V == 1 means exactly one root inside, a simple
+    one, where g changes sign, so the answer is no.  With lo == hi every t
+    maps to lo, so each coefficient carries the sign of g(lo), and the
+    certificate answers g(lo) >= 0.
 
-    Only when V >= 2 does the certificate abstain and the Sturm path decide.
-    g is replaced by its square-free part s (same roots, all simple), whose
-    Sturm sequence counts the roots in any (u, v) exactly.  Bisection at
-    rational midpoints then isolates the roots; g has constant sign on each
-    gap between consecutive roots, and that sign is read off an exact
-    evaluation at a non-root point of the gap.
+    When V >= 2, g >= 0 exactly when g is positive just right of lo and
+    has no root of odd multiplicity inside, the only places where it
+    changes sign.  As t -> 0+, x -> lo+ and P(t) takes the sign of its
+    lowest nonzero coefficient, so ``signs[0]`` is g's sign just right of lo.
     """
     if g.is_constant:
         return g.num[0] >= 0
@@ -422,33 +447,7 @@ def nonnegative_on(g: Polynomial, lo, hi) -> bool:
         return all(signs)
     if changes == 1:
         return False
-    chain = _sturm_chain(g)
-    if not chain[-1].is_constant:
-        # the last remainder is gcd(g, g'): divide the repeated roots out
-        chain = _sturm_chain(divmod(g, chain[-1])[0])
-    s = chain[0]
-
-    def roots_inside(u, v) -> int:
-        # Sturm: for square-free s, V(u) - V(v) counts the roots in (u, v]
-        return _sign_changes(chain, u) - _sign_changes(chain, v) - (_sign(s, v) == 0)
-
-    # (u, v, u_pos, v_pos): x_pos says g(x) > 0 was seen at that endpoint
-    # (never for lo and hi, which may be roots); such an endpoint fixes the
-    # sign of the gap next to it
-    todo = [(lo, hi, False, False)]
-    while todo:
-        u, v, u_pos, v_pos = todo.pop()
-        count = roots_inside(u, v)
-        if count == 0 and (u_pos or v_pos) or count == 1 and u_pos and v_pos:
-            continue
-        mid = (u + v) / 2
-        g_mid = _sign(g, mid)
-        if g_mid < 0:
-            return False
-        if count:
-            todo.append((u, mid, u_pos, g_mid > 0))
-            todo.append((mid, v, g_mid > 0, v_pos))
-    return True
+    return signs[0] and _odd_roots(g, lo, hi) == 0
 
 
 class PiecewiseMonotoneFn:

@@ -446,4 +446,4 @@ def test_c12_worst_short_literal():
         _budget(t0, 30.0)
         ok = True
     finally:
-        _report(12, "degree-64 literal accepted, its Sturm check within budget", t0, ok)
+        _report(12, "degree-64 literal accepted, its direction check within budget", t0, ok)

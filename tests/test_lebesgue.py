@@ -223,6 +223,17 @@ def planted_slopes(draw):
     return slope + Polynomial.constant(shift)
 
 
+def _sympy_odd_roots(g: Polynomial, lo, hi) -> int:
+    """The distinct real roots of g strictly inside (lo, hi) whose
+    multiplicity, read from sympy.real_roots, is odd."""
+    lo, hi = sympy.Rational(str(lo)), sympy.Rational(str(hi))
+    return sum(
+        1
+        for root, mult in sympy.real_roots(_sym(g), multiple=False)
+        if mult % 2 == 1 and bool(lo < root) and bool(root < hi)
+    )
+
+
 def _sympy_nonnegative(poly: Polynomial, lo, hi) -> bool:
     """poly >= 0 on (lo, hi) decided from sympy.real_roots.
 
@@ -233,13 +244,11 @@ def _sympy_nonnegative(poly: Polynomial, lo, hi) -> bool:
     x = sympy.Symbol("x")
     coeffs = [sympy.Rational(str(c)) for c in poly.coeffs]
     g = sympy.Poly(sum(c * x ** k for k, c in enumerate(coeffs)), x)
-    lo, hi = sympy.Rational(str(lo)), sympy.Rational(str(hi))
     if g.is_zero:
         return True
-    if g.degree() > 0:
-        for root, mult in sympy.real_roots(g, multiple=False):
-            if mult % 2 == 1 and bool(lo < root) and bool(root < hi):
-                return False
+    if g.degree() > 0 and _sympy_odd_roots(poly, lo, hi):
+        return False
+    lo, hi = sympy.Rational(str(lo)), sympy.Rational(str(hi))
     d = g.degree() + 2
     return all(g.eval(lo + (hi - lo) * k / d) >= 0 for k in range(1, d))
 
@@ -454,11 +463,11 @@ def _sign_variations(g: Polynomial, lo, hi) -> int:
 
 
 def _sturm_nonnegative(g: Polynomial, lo, hi) -> bool:
-    """nonnegative_on decided by the Sturm path alone: the certificate is
-    handed coefficients with two sign changes, so it abstains."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lebesgue, "_moebius", lambda num, lo, hi: [1, -1, 1])
-        return nonnegative_on(g, lo, hi)
+    """nonnegative_on's verdict when the certificate abstains, taken for
+    any V: g's sign just right of lo, from the lowest nonzero coefficient of
+    the real ``_moebius(g)``, and no root of odd multiplicity inside."""
+    lowest = next(c for c in lebesgue._moebius(g.num, lo, hi) if c)
+    return lowest > 0 and lebesgue._odd_roots(g, lo, hi) == 0
 
 
 def _count_sturm_chains(monkeypatch) -> list:
@@ -471,6 +480,14 @@ def _count_sturm_chains(monkeypatch) -> list:
 
 _OUTCOMES = pathlib.Path(__file__).parent / "data" / "literal_outcomes.json"
 _DEGREE_64 = "piecewise { [0,1] inc: (x + 1/3)^64 + (x + 1/7)^63 + (x + 1/11)^61 }"
+_CLUSTERED_SIMPLE = (
+    "piecewise { [0,1] inc: x^3/3 - (2/3 + 1/((2^64)^64)^4)/2*x^2"
+    " + 1/3*(1/3 + 1/((2^64)^64)^4)*x + 1 }"
+)
+_CLUSTERED_DOUBLE = (
+    "piecewise { [0,1] inc: (x - 1/3)^5/5 - (x - 1/3)^4/(2*((2^64)^64)^4)"
+    " + (x - 1/3)^3/(3*(((2^64)^64)^4)^2) + 1 }"
+)
 
 
 class TestExactMonotonicity:
@@ -570,7 +587,7 @@ class TestExactMonotonicity:
         self, monkeypatch, coeffs, a, expected
     ):
         # every t maps to a, so the transformed coefficients all carry the
-        # sign of g(a); bisecting (a, a) would never end
+        # sign of g(a)
         def forbidden(g):
             raise AssertionError("the Sturm chain was built")
 
@@ -588,6 +605,58 @@ class TestExactMonotonicity:
         # slope 3(x - 1/3)^2: a double root inside, V == 2
         parse_piecewise("piecewise { [0,1] inc: (x - 1/3)^3 + 1 }")
         assert calls
+
+    @pytest.mark.parametrize(
+        "text, slope_degree, rejected",
+        [
+            # slope (x - 1/3)(x - 1/3 - e), two simple roots e = 2^-16384 apart
+            (_CLUSTERED_SIMPLE, 2, True),
+            # slope ((x - 1/3)(x - 1/3 - e))^2, two double roots e apart
+            (_CLUSTERED_DOUBLE, 4, False),
+        ],
+    )
+    def test_clustered_roots_take_bounded_work(
+        self, monkeypatch, text, slope_degree, rejected
+    ):
+        calls = _count_sturm_chains(monkeypatch)
+        t0 = time.perf_counter()
+        try:
+            parse_piecewise(text)
+            got = False
+        except NonEvaluablePiece:
+            got = True
+        elapsed = time.perf_counter() - t0
+        assert got == rejected
+        assert 1 <= len(calls) <= 2 * slope_degree
+        assert elapsed < 2.0, elapsed
+
+
+class TestOddRoots:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(repeated_root_polys(), _roots, _roots)
+    def test_repeated_roots_agree_with_sympy(self, g, lo, hi):
+        assume(lo < hi)
+        lo, hi = _rat(lo), _rat(hi)
+        assert lebesgue._odd_roots(g, lo, hi) == _sympy_odd_roots(g, lo, hi)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(certificate_cases())
+    def test_certificate_cases_agree_with_sympy(self, case):
+        g, lo, hi = case
+        assert lebesgue._odd_roots(g, lo, hi) == _sympy_odd_roots(g, lo, hi)
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (Polynomial([rational(-1, 3), 1]) ** 3, 1),
+            (Polynomial([rational(-1, 3), 1]) ** 2, 0),
+            (Polynomial([rational(-1, 3), 1]) ** 2 * Polynomial([rational(-1, 2), 1]) ** 3, 1),
+            # roots at lo and at hi are not inside
+            (Polynomial([0, 1]) * Polynomial([-1, 1]), 0),
+        ],
+    )
+    def test_pinned_counts_on_the_unit_segment(self, g, expected):
+        assert lebesgue._odd_roots(g, rational(0), rational(1)) == expected
 
 
 class TestCanonicalExtension:
