@@ -166,6 +166,20 @@ def _binomial_row(a: int, b: int, n: int) -> List[int]:
     return row
 
 
+def _power(num: Sequence[int], n: int) -> List[int]:
+    """num^n for the integer polynomial num, low degree first."""
+    if len(num) == 2:
+        return _binomial_row(*num, n)
+    result = [1]
+    while n:
+        if n & 1:
+            result = _mul_ints(result, num)
+        n >>= 1
+        if n:
+            num = _mul_ints(num, num)
+    return result
+
+
 def _sum_ints(
     a: Sequence[int], da: int, b: Sequence[int], db: int
 ) -> Tuple[List[int], int]:
@@ -295,18 +309,12 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        den = self.den ** n
-        if len(self.num) == 2:
-            return Polynomial._of(_binomial_row(*self.num, n), den)
-        result = [1]
-        base = self.num
-        while n:
-            if n & 1:
-                result = _mul_ints(result, base)
-            n >>= 1
-            if n:
-                base = _mul_ints(base, base)
-        return Polynomial._of(result, den)
+        # already canonical (Gauss's lemma): the content of num^n is the
+        # content of num to the n, coprime to den^n, and the top
+        # coefficient of num^n is nonzero unless num is zero
+        power = object.__new__(Polynomial)
+        power.num, power.den = tuple(_power(self.num, n)), self.den ** n
+        return power
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder of division by a nonzero polynomial."""
@@ -386,13 +394,20 @@ def _moebius(num: Sequence[int], lo, hi) -> List[int]:
     (lo, hi) are the positive roots of the result, with the same
     multiplicities.  One homogeneous Horner pass: x = N/D with
     N = q_lo q_hi (lo + hi t) and D = q_lo q_hi (1 + t), both integral.
+    Step k adds a coefficient times D^k = (q_lo q_hi)^k (1 + t)^k, built
+    from one running power and one Pascal row.
     """
     scale = lo.denominator * hi.denominator
     n = (lo.numerator * hi.denominator, hi.numerator * lo.denominator)
     acc = [num[-1]]
-    for k, c in enumerate(reversed(num[:-1]), 1):
+    power, row = 1, [1]
+    for c in reversed(num[:-1]):
         acc = _mul_ints(acc, n)
-        acc = [a + c * b for a, b in zip(acc, _binomial_row(scale, scale, k))]
+        power *= scale
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
+        if c:
+            c *= power
+            acc = [a + c * b for a, b in zip(acc, row)]
     return acc
 
 
@@ -403,14 +418,20 @@ def _odd_roots(g: Polynomial, lo, hi) -> int:
     h_1 = g and h_(j+1) = gcd(h_j, h_j'), the last member of h_j's Sturm
     chain, give square-free parts h_j / h_(j+1) whose roots are g's roots
     of multiplicity >= j (Yun), so with N_j their counts inside,
-    N_1 - N_2 + N_3 - ... counts each root of odd multiplicity once.
+    N_1 - N_2 + N_3 - ... counts each root of odd multiplicity once.  When
+    every root of h_j is double, its square-free part is h_(j+1) up to a
+    constant: h_(j+1) is square-free, N_(j+1) = N_j, and the sum ends with
+    N_j - N_j, so neither count is taken.
     """
     total, sign = 0, 1
     chain = _sturm_chain(g)
     while True:
         gcd_part = chain[-1]
         if not gcd_part.is_constant:
-            chain = _sturm_chain(divmod(chain[0], gcd_part)[0])
+            part = divmod(chain[0], gcd_part)[0]
+            if _proportional(part.num, gcd_part.num):
+                return total
+            chain = _sturm_chain(part)
         # chain[0] is square-free: V(lo) - V(hi) counts its roots in (lo, hi]
         count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
         total += sign * (count - (_sign(chain[0], hi) == 0))
@@ -418,6 +439,12 @@ def _odd_roots(g: Polynomial, lo, hi) -> int:
             return total
         sign = -sign
         chain = _sturm_chain(gcd_part)
+
+
+def _proportional(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether the nonzero integer polynomials a and b are multiples of
+    each other by a constant."""
+    return len(a) == len(b) and all(a[-1] * v == b[-1] * u for u, v in zip(a, b))
 
 
 def nonnegative_on(g: Polynomial, lo, hi) -> bool:

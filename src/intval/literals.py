@@ -25,20 +25,20 @@ and a literal over a cap raises its subclass LiteralTooLarge.  If the
 text holds a lexical error anywhere (an unexpected character, or a digit
 run over MAX_DIGITS), the first one is reported, even when another error
 comes before it: 'poset { a <= ; } $' fails at the '$', not at the ';'.
-Otherwise the first error in reading order is reported.  A literal that reads through to the end may still
-fail, in this order: an empty body (at its keyword), values of both
-algebras, then a gap between piecewise segments.
+Otherwise the first error in reading order is reported.  A literal that
+reads through to the end may still fail, in this order: an empty body (at
+its keyword), values of both algebras, then a gap between segments.
 
 One compiled regular expression scans the text: each match skips spaces,
 tabs and line breaks and takes one token, a symbol, an ASCII digit run, a
-word run or a single unexpected character.  A token is the string it
-matched, and the end of input is the empty string.  A symbol stands for
-itself; a token that starts with an ASCII digit is an integer, and one
-that starts with a letter or '_' is a name.  The parser reads the tokens
-by index, and checks each lexically as it takes it; only an error
-re-scans the text, to find any lexical error and the token's offset, from
-which it computes the line and column.  The end of input sits one column
-past the last character.
+word run or a single unexpected character, and the end of input is the
+empty string.  A token that starts with an ASCII digit is an integer, and
+one that starts with a letter or '_' is a name.  The parser reads the
+tokens by index, checking each lexically as it takes it, and a polynomial
+expression in one loop with an explicit stack of open parentheses.  Only
+an error re-scans the text, to find any lexical error and the token's
+offset, and from it the line and column; the end of input sits one
+column past the last character.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .lebesgue import (
     Polynomial,
     _canonical,
     _mul_ints,
+    _power,
     _sum_ints,
     _trimmed,
 )
@@ -83,9 +84,12 @@ MAX_COEFF_BITS = 1 << 16
 # limit on int() of a decimal string, which the library does not raise.
 MAX_DIGITS = 4300
 
-# Deepest nesting of parentheses in a polynomial expression; each level
-# costs a few stack frames of the recursive-descent parser.
+# Deepest nesting of parentheses in a polynomial expression: the length of
+# the expression parser's explicit stack of open '(' (see poly_expr).
 MAX_NESTING = 64
+
+_DEGREE_MESSAGE = "polynomial degree {} exceeds the cap {}"
+_SIZE_MESSAGE = "coefficients of up to {} bits exceed the cap {}"
 
 # Longest denominator, in bits, a raw polynomial pair keeps before the
 # parser takes its common factor out (see _raw).
@@ -144,7 +148,6 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.nesting = 0
 
     def fail(self, index: int, message: str, error=ParseError) -> NoReturn:
         """Raise error(message) at the line and column of token index.
@@ -164,11 +167,6 @@ class _Parser:
 
     def peek(self) -> str:
         return self.tokens[self.pos]
-
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def expect(self, token: str, what: str) -> int:
         """Take the next token, which must be token; returns its index."""
@@ -192,10 +190,15 @@ class _Parser:
         tok = self.tokens[i]
         if not "/" < tok < ":":  # a digit run is the one token that starts with 0-9
             self.unexpected(what)
-        if len(tok) > MAX_DIGITS:
-            self.fail(i, f"{len(tok)} digits exceed the cap {MAX_DIGITS}", LiteralTooLarge)
+        self.check(len(tok), MAX_DIGITS, i, "{} digits exceed the cap {}")
         self.pos = i + 1
         return int(tok)
+
+    def check(self, value: int, cap: int, index: int, message: str) -> None:
+        """If value is over cap, raise LiteralTooLarge(message.format(value,
+        cap)) at token index."""
+        if value > cap:
+            self.fail(index, message.format(value, cap), LiteralTooLarge)
 
     def finish(self) -> None:
         tok = self.tokens[self.pos]
@@ -218,7 +221,7 @@ class _Parser:
             items.append(parse_item())
             if self.peek() != ";":
                 break
-            self.next()
+            self.pos += 1
         self.expect("}", "';' or '}'")
         self.finish()
         if empty is not None and not items:
@@ -240,7 +243,7 @@ class _Parser:
         num = self.integer("a rational number")
         if self.peek() != "/":
             return num, 1
-        self.next()
+        self.pos += 1
         at = self.pos
         den = self.integer("a denominator")
         if den == 0:
@@ -276,106 +279,103 @@ class _Parser:
 
     # ---- polynomial expressions ----------------------------------------
     #
-    # An expression is built as a raw pair (num, den): a list of integer
-    # coefficients, low degree first, without trailing zeros, over one
-    # positive denominator, with no common factor taken out.  poly_piece
-    # brings a piece's expression to canonical form once, and poly_factor
-    # does so for each base of a power (see _raw for the one other place).
-    # Degrees and _size_bound read the same on a raw pair as on its
-    # canonical form, so the caps decide as they would on canonical
-    # operands.  _size_bound is exact but costs a gcd per coefficient, so
-    # each check first sums _rough_bound, a bound on it built from bit
-    # lengths alone, and takes the exact bound only when that sum is over
-    # MAX_COEFF_BITS.  A product with a constant operand scales the other
-    # operand's list.
+    # An expression is built as a raw pair (num, den): integer coefficients,
+    # low degree first, without trailing zeros, over one positive
+    # denominator, with no common factor taken out.  poly_piece brings a
+    # piece's expression to canonical form, and poly_expr each base of a
+    # power (see _raw for the one other place).  Degrees and _size_bound
+    # read the same on a raw pair as on its canonical form, so the caps
+    # decide as they would on canonical operands.  _size_bound is exact but
+    # costs a gcd per coefficient, so each check first sums _rough_bound,
+    # from bit lengths alone, and takes the exact bound only over the cap.
 
     def poly_piece(self) -> Polynomial:
         return Polynomial._of(*self.poly_expr())
 
     def poly_expr(self) -> Tuple[List[int], int]:
-        num, den = self.poly_term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            rnum, rden = self.poly_term()
-            if op == "-":
-                rnum = [-v for v in rnum]
-            num, den = _raw(*_sum_ints(num, den, rnum, rden))
-        return num, den
+        """An expression, as a raw pair, read in one loop over the tokens.
 
-    def poly_term(self) -> Tuple[List[int], int]:
-        num, den = self.poly_factor()
-        while self.peek() in ("*", "/"):
-            at = self.pos
-            op = self.next()
-            rnum, rden = self.poly_factor()
-            if op == "*":
-                self.check_degree(len(num) + len(rnum) - 2, at)
-            elif len(rnum) > 1 or not rnum[0]:
-                self.fail(at, "division is only defined by a nonzero constant")
-            if _rough_bound(num, den) + _rough_bound(rnum, rden) > MAX_COEFF_BITS:
-                self.check_size(_size_bound(num, den) + _size_bound(rnum, rden), at)
-            if op == "/":
-                n = rnum[0]
-                if n < 0:
-                    n, rden = -n, -rden
-                # num / den * rden / n, keeping the denominator positive
-                num, den = _raw([rden * v for v in num], den * n)
-            elif len(num) == 1 or len(rnum) == 1:
-                c, other = (num[0], rnum) if len(num) == 1 else (rnum[0], num)
-                num, den = _raw([c * v for v in other], den * rden)
+        Loosest first: a sum of terms joined by '+' and '-', a term a product
+        of factors joined by '*' and '/', both left associative; a factor a
+        run of unary minus signs, an atom and an optional '^' exponent, which
+        binds tighter than the signs (-x^2 is -(x^2)); an atom an integer, 'x'
+        or a parenthesized expression.  A sign passes through products and
+        quotients, so a unary minus anywhere in a term negates the term.  The
+        pending sum and product are locals; '(' pushes them onto a stack and
+        ')' pops them, so the loop does not recurse.
+        """
+        tokens, i = self.tokens, self.pos
+        stack = []  # for each open '(', the state pending outside it
+        total = prod = op = at = None  # the pending sum, product, '*' or '/', its index
+        negate = False  # whether the pending term is negated
+        while True:
+            tok = tokens[i]
+            i += 1
+            if tok == "-":
+                negate = not negate
+                continue
+            if tok == "(":
+                self.check(len(stack) + 1, MAX_NESTING, i - 1, "nesting exceeds the cap {1}")
+                stack.append((total, prod, op, at, negate))
+                total, prod, negate = None, None, False
+                continue
+            if tok == "x":
+                num, den = [0, 1], 1
+            elif "/" < tok < ":" and len(tok) <= MAX_DIGITS:
+                num, den = [int(tok)], 1
             else:
-                num, den = _raw(_mul_ints(num, rnum), den * rden)
-        return num, den
-
-    def poly_factor(self) -> Tuple[List[int], int]:
-        """A run of unary minus signs, an atom, and an optional '^' exponent,
-        which binds tighter than the signs: -x^2 is -(x^2)."""
-        negate = False
-        while self.peek() == "-":
-            self.next()
-            negate = not negate
-        num, den = self.poly_atom()
-        if self.peek() == "^":
-            caret = self.pos
-            self.next()
-            exp = self.integer("an integer exponent")
-            if exp > MAX_DEGREE:
-                message = f"exponent {exp} exceeds the cap {MAX_DEGREE}"
-                self.fail(caret + 1, message, LiteralTooLarge)
-            self.check_degree((len(num) - 1) * exp, caret)
-            if _rough_bound(num, den) * exp > MAX_COEFF_BITS:
-                self.check_size(_size_bound(num, den) * exp, caret)
-            # a power of a canonical base is canonical (Gauss's lemma)
-            power = Polynomial._of(num, den) ** exp
-            num, den = list(power.num), power.den
-        return ([-v for v in num], den) if negate else (num, den)
-
-    def check_degree(self, degree: int, at: int) -> None:
-        if degree > MAX_DEGREE:
-            message = f"polynomial degree {degree} exceeds the cap {MAX_DEGREE}"
-            self.fail(at, message, LiteralTooLarge)
-
-    def check_size(self, bits: int, at: int) -> None:
-        if bits > MAX_COEFF_BITS:
-            message = f"coefficients of up to {bits} bits exceed the cap {MAX_COEFF_BITS}"
-            self.fail(at, message, LiteralTooLarge)
-
-    def poly_atom(self) -> Tuple[List[int], int]:
-        tok = self.peek()
-        if "/" < tok < ":":
-            return [self.integer("a number, 'x' or '('")], 1
-        if tok == "(":
-            at = self.pos
-            self.next()
-            self.nesting += 1
-            if self.nesting > MAX_NESTING:
-                self.fail(at, f"nesting exceeds the cap {MAX_NESTING}", LiteralTooLarge)
-            pair = self.poly_expr()
-            self.expect(")", "')'")
-            self.nesting -= 1
-            return pair
-        self.expect("x", "a number, 'x' or '('")
-        return [0, 1], 1
+                self.pos = i - 1
+                self.integer("a number, 'x' or '('")  # raises
+            # num / den is an atom: end its factor, and each '(' it closes
+            while True:
+                if tokens[i] == "^":
+                    self.pos = i + 1
+                    exp = self.integer("an integer exponent")
+                    self.check(exp, MAX_DEGREE, i + 1, "exponent {} exceeds the cap {}")
+                    self.check((len(num) - 1) * exp, MAX_DEGREE, i, _DEGREE_MESSAGE)
+                    if _rough_bound(num, den) * exp > MAX_COEFF_BITS:
+                        self.check(_size_bound(num, den) * exp, MAX_COEFF_BITS, i, _SIZE_MESSAGE)
+                    # a power of a canonical base is canonical (Gauss's lemma)
+                    num, den = _canonical(num, den)
+                    num, den = _power(num, exp), den ** exp
+                    i += 2
+                if prod is not None:
+                    lnum, lden = prod
+                    if op == "*":
+                        self.check(len(lnum) + len(num) - 2, MAX_DEGREE, at, _DEGREE_MESSAGE)
+                    elif len(num) > 1 or not num[0]:
+                        self.fail(at, "division is only defined by a nonzero constant")
+                    if _rough_bound(lnum, lden) + _rough_bound(num, den) > MAX_COEFF_BITS:
+                        bits = _size_bound(lnum, lden) + _size_bound(num, den)
+                        self.check(bits, MAX_COEFF_BITS, at, _SIZE_MESSAGE)
+                    if op == "/":  # times den / num[0], over a positive denominator
+                        num, den = ([den], num[0]) if num[0] > 0 else ([-den], -num[0])
+                    if len(num) == 1 or len(lnum) == 1:
+                        c, other = (num[0], lnum) if len(num) == 1 else (lnum[0], num)
+                        num, den = _raw([c * v for v in other], lden * den)
+                    else:
+                        num, den = _raw(_mul_ints(lnum, num), lden * den)
+                tok = tokens[i]
+                if tok == "*" or tok == "/":
+                    prod, op, at = (num, den), tok, i
+                    i += 1
+                    break
+                # the term is complete
+                if negate:
+                    num = [-v for v in num]
+                if total is not None:
+                    num, den = _raw(*_sum_ints(total[0], total[1], num, den))
+                if tok == "+" or tok == "-":
+                    total, prod, negate = (num, den), None, tok == "-"
+                    i += 1
+                    break
+                # the sum is complete
+                self.pos = i
+                if not stack:
+                    return num, den
+                self.expect(")", "')'")
+                i += 1
+                total, prod, op, at, negate = stack.pop()
 
 
 def _raw(num: List[int], den: int) -> Tuple[List[int], int]:
@@ -453,7 +453,7 @@ def parse_poset(text: str) -> FinitePoset:
         a = p.name("a point name")
         names[a] = None
         if p.peek() == "<=":
-            p.next()
+            p.pos += 1
             b = p.name("a point name")
             names[b] = None
             relation.append((a, b))

@@ -447,3 +447,20 @@ def test_c12_worst_short_literal():
         ok = True
     finally:
         _report(12, "degree-64 literal accepted, its direction check within budget", t0, ok)
+
+
+def test_c12_breakpoint_at_the_digit_cap():
+    """Two degree-64 pieces split at 1/10^4200, a breakpoint within the
+    4,300-digit cap: each direction check transforms a degree-63 slope
+    into coefficients of up to about 0.9 Mbit."""
+    t0 = time.perf_counter()
+    ok = False
+    try:
+        n = 10 ** 4200
+        fn = parse_piecewise(f"piecewise {{ [0,1/{n}] inc: x^64; [1/{n},1] inc: x^64 }}")
+        assert fn.breakpoints == (0, rational(1, n), 1)
+        assert [direction for direction, _ in fn.pieces] == ["inc", "inc"]
+        _budget(t0, 20.0)
+        ok = True
+    finally:
+        _report(12, "literal with a breakpoint at the digit cap within budget", t0, ok)

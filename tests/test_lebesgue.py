@@ -310,6 +310,28 @@ class TestIntegerForm:
                 assert type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
             assert p.coeffs[-1] != 0 or p.coeffs == (0,)
 
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.fractions(-(10 ** 6), 10 ** 6, max_denominator=10 ** 4), max_size=7),
+        st.integers(0, 9),
+    )
+    @example([], 0)
+    @example([], 3)
+    @example([Fraction(0), Fraction(0)], 2)
+    @example([Fraction(3, 4)], 0)
+    @example([Fraction(-1, 3), Fraction(1)], 0)
+    def test_power_is_built_canonical(self, coeffs, n):
+        # __pow__ skips the canonical form (Gauss's lemma); _of of the raw
+        # product of n copies takes it, and the two pairs must agree
+        p = Polynomial([_rat(c) for c in coeffs])
+        raw = [1]
+        for _ in range(n):
+            raw = lebesgue._mul_ints(raw, p.num)
+        expected = Polynomial._of(raw, p.den ** n)
+        power = p ** n
+        assert (power.num, power.den) == (expected.num, expected.den)
+        assert type(power.num) is tuple
+
 
 class TestArithmeticOracle:
     """Every operation against sympy.Poly over QQ, which shares no code."""
@@ -552,6 +574,25 @@ class TestExactMonotonicity:
             c * x ** k for k, c in enumerate(g.num)
         )
         assert sum(c * t ** k for k, c in enumerate(coeffs)) == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(-(10 ** 9), 10 ** 9), min_size=1, max_size=12),
+        st.fractions(-2, 2, max_denominator=10 ** 9),
+        st.fractions(Fraction(1, 10 ** 9), 3, max_denominator=10 ** 9),
+    )
+    def test_moebius_rows_match_the_binomial_row_formula(self, num, lo, size):
+        # step k of the Horner pass adds c * (scale + scale t)^k; the old
+        # row formula builds that row entry by entry
+        assume(num[-1] != 0)
+        lo, hi = _rat(lo), _rat(lo + size)
+        scale = lo.denominator * hi.denominator
+        n = (lo.numerator * hi.denominator, hi.numerator * lo.denominator)
+        acc = [num[-1]]
+        for k, c in enumerate(reversed(num[:-1]), 1):
+            acc = lebesgue._mul_ints(acc, n)
+            acc = [a + c * b for a, b in zip(acc, lebesgue._binomial_row(scale, scale, k))]
+        assert lebesgue._moebius(num, lo, hi) == acc
 
     def test_certificate_decides_anchor_and_degree_64_literals(self, monkeypatch):
         # the integrate-wide anchor literals (32 pieces) and their invalid variants

@@ -1,8 +1,10 @@
 import json
 import pathlib
 import time
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle_scanner
@@ -210,6 +212,72 @@ class TestDivision:
     def test_constant_expression_denominator(self):
         fn = parse_piecewise("piecewise { [0,1] inc: x / (1 + 1)^2 }")
         assert fn(rational(1)) == rational(1, 4)
+
+
+_X = sympy.Symbol("x")
+
+
+def _sympy_coeffs(text):
+    """The coefficients of the expression text, low degree first, read by
+    sympy with '^' as '**': Python's precedence is the grammar's, and its
+    integers become exact rationals."""
+    expr = sympy.parse_expr(text.replace("^", "**"), local_dict={"x": _X})
+    cs = sympy.Poly(expr, _X).all_coeffs()[::-1]
+    return [rational(int(c.p), int(c.q)) for c in cs]
+
+
+class TestExpressionParser:
+    """poly_expr reads an expression in one loop; each case is checked
+    against an independent oracle."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # left associativity
+            "2-3-4", "8/2/2", "x/2*3", "x - 1 - x^2 + 4/2/2*x",
+            # signs: '^' binds tighter than a unary minus, which may follow
+            # any operator
+            "-x^2", "2*-x", "x - -x", "- - x", "-(x + 1)^2", "2*(-x)^3", "3/-4*x",
+            # powers
+            "(x+1)^2*(x-1)", "3/2^2", "(x - 1/3)^3 - x^0 + 2^3*x",
+        ],
+    )
+    def test_matches_sympy(self, text):
+        assert _poly(text) == Polynomial(_sympy_coeffs(text))
+
+    def test_flat_sum_of_5000_terms(self):
+        terms = [(k % 7 - 3, k % 5 + 1, k % 4) for k in range(5000)]
+        text = " + ".join(f"{a}/{b}*x^{e}" for a, b, e in terms)
+        expected = [Fraction(0)] * 4
+        for a, b, e in terms:
+            expected[e] += Fraction(a, b)
+        assert _poly(text) == Polynomial([rational(c.numerator, c.denominator) for c in expected])
+
+    def test_nesting_cap_with_an_operator_after_each_paren(self):
+        text = "x"
+        for k in range(MAX_NESTING):
+            text = f"({text}){('*2', ' + 1', '/3', ' - x', '^1', '*x', ' - -2')[k % 7]}"
+        assert text.startswith("(" * MAX_NESTING + "x)")
+        assert _poly(text) == Polynomial(_sympy_coeffs(text))
+        with pytest.raises(LiteralTooLarge, match="nesting exceeds the cap"):
+            _poly(f"({text})")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(x + 1", "line 1, col 7: expected ')', found 'end of input'"),
+            ("x + (2*x", "line 1, col 9: expected ')', found 'end of input'"),
+            ("(x ", "line 1, col 4: expected ')', found 'end of input'"),
+            ("x^2^3", "line 1, col 4: unexpected trailing input '^'"),
+            ("piecewise { [0,1] inc: (x + 1 }", "line 1, col 31: expected ')', found '}'"),
+            ("piecewise { [0,1] inc: x^2^3 }", "line 1, col 27: expected ';' or '}', found '^'"),
+            ("piecewise { [0,1] inc: (x ", "line 1, col 27: expected ')', found 'end of input'"),
+        ],
+    )
+    def test_error_positions(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_piecewise(text) if text.startswith("piecewise") else _poly(text)
+        assert str(info.value) == message
 
 
 class TestScanner:
