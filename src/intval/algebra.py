@@ -40,9 +40,14 @@ There is one arithmetic path.  The law suites spend their time in these
 few int operations, not in a rational type, so a faster rational library
 would not speed them up, and a second backend would be a second path whose
 output bytes nothing here could check.  The unit shortcut is not a second
-path: every interval product still dispatches through
+path: every interval product that is computed dispatches through
 ``IntervalValue.__mul__``, which tests for [1, 1] on the reduced pairs
-before it calls mul_left and mul_right.
+before it calls mul_left and mul_right.  One caller computes none:
+``monad.bind`` on a unit Dirac, ``algebra.one`` at a single point x,
+returns the kernel's image f(x) itself.  That is exact, not a cache: the
+products it skips are unit products, which would hand back each of f(x)'s
+coefficients unchanged, so the result it would build equals f(x) term by
+term.
 
 The algebra R of the paper is a set with +, * and an order and nothing
 else, so each of the two is one ``ValueAlgebra`` record of exactly that:

@@ -24,7 +24,9 @@ points and multi-term kernels covers what the enumeration cannot.
 Monad-law comparisons.  Every monad-law case compares normal forms
 structurally: bind(f, delta_x) with f(x) in law (i), bind(eta, nu) with
 nu in law (ii), and bind(g o f, nu) with bind(g, bind(f, nu)) in law
-(iii).  That is sound but incomplete (see valuations).  No functional
+(iii).  That is sound but incomplete (see valuations).  bind returns f(x)
+itself for the unit Dirac, so law (i) checks that bind picks the image
+at x and takes that shortcut only for the algebra's unit.  No functional
 re-check against functional_bind follows a structural match, because on
 the exhaustive cases it could not fail: the expected values would be
 [1,1] times f(x)'s own in law (i), the same products and sums in the

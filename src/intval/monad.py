@@ -14,8 +14,12 @@ bind(f, nu)(k) = nu(x -> f(x)(k)) on every test function k.  Exact + is
 associative and commutative, so this is the normal form that scaling each
 image and adding would give.  A one-term argument r x delta_x needs no
 normalization: r . f(x) has f(x)'s points in f(x)'s order, one term each
-(zeros kept), so bind builds it directly in normal form.  The closed form
-is primary because it returns a value in normal form; the functional
+(zeros kept), so bind builds it directly in normal form.  When r is the
+algebra's own unit object, the argument is the monad unit delta_x, and the
+left unit law bind(f, delta_x) = f(x) holds on the nose: a unit product
+returns its other operand, so r . f(x) would repeat f(x) term by term, and
+bind returns f(x) itself, the object Kernel.__call__ hands out.  The closed
+form is primary because it returns a value in normal form; the functional
 description is kept as an oracle by the tests (laws.functional_bind, one
 test function at a time, on kernels whose images merge terms at a target
 point).  The Kleisli composite x -> bind(g, f(x)) is assembled from bind's
@@ -128,7 +132,11 @@ def bind(f: Kernel, nu: ElementaryValuation) -> ElementaryValuation:
     itself, so the result shares it (see ``IntervalValue.__mul__``).  A
     one-term argument r . delta_x gives r . f(x), whose terms sit at f(x)'s
     points in f(x)'s order, so it is built in normal form; more terms are
-    normalized once.
+    normalized once.  When r is the algebra's ``one`` object, as ``dirac``
+    builds it, every product would return f(x)'s coefficient, so f(x) is
+    returned itself if it lives on ``f.target`` (an image on an equal
+    poset is rebuilt there).  A [1, 1] built separately takes the product
+    path, with an equal result.
     """
     if nu.space is not f.source and nu.space != f.source:
         raise SpaceMismatch("valuation lives off the kernel source")
@@ -139,10 +147,13 @@ def bind(f: Kernel, nu: ElementaryValuation) -> ElementaryValuation:
     try:
         if len(terms) == 1:
             ((r, x),) = terms
+            image = table[x]
+            if r is alg.one and image.space is f.target:
+                return image
             out = _new(ElementaryValuation)
             out.space = f.target
             out.algebra = alg
-            out.terms = tuple([(mul(r, c), y) for c, y in table[x].terms])
+            out.terms = tuple([(mul(r, c), y) for c, y in image.terms])
             return out
         products = [(mul(r, c), y) for r, x in terms for c, y in table[x].terms]
     except KeyError as exc:

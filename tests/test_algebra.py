@@ -34,6 +34,7 @@ from intval.algebra import (
     render_scalar,
     width,
 )
+from intval import laws
 from intval.laws import AXIOM_GRID, random_interval, random_scalar
 from intval.lebesgue import ascends
 from intval.monad import Kernel, bind, product
@@ -648,7 +649,15 @@ class TestFlattenedIntervalOps:
         counts.update(mul=0, add=0)
         assert INTERVALS.mul(IONE, x) is x and INTERVALS.mul(x, IONE) is x
         assert counts == {"mul": 2, "add": 0}
+        # bind on a unit Dirac returns the image itself: no product at all
         counts.update(mul=0, add=0)
         got = bind(f, dirac(X, "y"))
-        assert got == f("y") and got.terms[0][0] is half
-        assert counts == {"mul": 2, "add": 0}
+        assert got is f("y")
+        assert counts == {"mul": 0, "add": 0}
+
+    def test_monad_laws_product_budget(self, counts):
+        # bind on a unit Dirac returns the image without a product; losing
+        # that takes the seed-1 suite from about 361k products to 1.18M
+        r = laws.monad_laws(seed=1)
+        assert (r.cases, r.failures) == (404260, 0)
+        assert counts["mul"] <= 400_000

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from intval.algebra import IONE, ZERO, IntervalValue, ival
+from intval.algebra import IONE, ONE, ZERO, IntervalValue, ival
 from intval.laws import (
     COEFF_GRID,
     FAMILIES,
@@ -127,6 +127,36 @@ class TestPlantedDefects:
         assert (r.cases, r.failures) == (1161, 1)
         assert r.counterexample.startswith("unit law fails at x='a' for kernel ")
 
+    def test_monad_laws_unit_shortcut_on_lower_endpoint(self, monkeypatch):
+        # the unit-Dirac shortcut tests r.lo == 1 only, so [1,2] . delta_a
+        # comes back as f(a) and the unit kernel leaves it unscaled
+        def on_lower_endpoint(f, r, x):
+            return f(x) if r.lo == ONE else _scaled_image(f, r, x)
+
+        planted = _one_term_bind(on_lower_endpoint)
+        monkeypatch.setattr(monad, "bind", planted)
+        monkeypatch.setattr(laws, "bind", planted)
+        r = laws.monad_laws(seed=1)
+        assert (r.cases, r.failures) == (4, 1)
+        assert r.counterexample.startswith("unit extension fails on val { [1,2] @ a }")
+
+    def test_monad_laws_unit_shortcut_at_the_first_point(self, monkeypatch):
+        # the shortcut returns the image of the source's first point.  Law
+        # (ii)'s one-term grid valuations carry a separately built [1,1], so
+        # they take the general path; law (i) binds unit(X, x) and fails at
+        # the first x other than the source's first point, x='b'
+        def first_image(f, r, x):
+            if r is f.algebra.one:
+                return f(f.source.points[0])
+            return _scaled_image(f, r, x)
+
+        planted = _one_term_bind(first_image)
+        monkeypatch.setattr(monad, "bind", planted)
+        monkeypatch.setattr(laws, "bind", planted)
+        r = laws.monad_laws(seed=1)
+        assert (r.cases, r.failures) == (1382, 1)
+        assert r.counterexample.startswith("unit law fails at x='b' for kernel ")
+
     def test_strength(self, monkeypatch):
         real = laws.strength
         monkeypatch.setattr(
@@ -190,6 +220,12 @@ def _first_wins_bind(f, nu):
         for c, y in f(x).terms:
             kept.setdefault(y, r * c)
     return ElementaryValuation(f.target, [(c, y) for y, c in kept.items()])
+
+
+def _scaled_image(f, r, x):
+    """r . f(x) computed by the real bind."""
+    nu = ElementaryValuation(f.source, [(r, x)], f.algebra, validate=False)
+    return bind(f, nu)
 
 
 def _one_term_bind(closed_form):

@@ -24,7 +24,7 @@ from intval.monad import (
     strength,
     unit,
 )
-from intval.spaces import MonotoneMap, antichain, chain, product_poset
+from intval.spaces import FinitePoset, MonotoneMap, antichain, chain, product_poset
 from intval.valuations import (
     ElementaryValuation,
     dirac,
@@ -219,6 +219,52 @@ class TestOneTermBind:
         for _ in range(5):
             k = random_monotone_map(rng, Y, algebra)
             assert evaluate(out, k) == functional_bind(f, nu, k)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([INTERVALS, SCALARS]))
+    def test_unit_dirac_returns_the_image(self, seed, algebra):
+        # alg.one . delta_x gives f(x) itself, also for a composite's images;
+        # a separately built [1, 1] (or 1) takes the general path, which is
+        # just as exact but builds a new object
+        rng = random.Random(seed)
+        X, Y, Z = (random_poset(rng, 5) for _ in range(3))
+        f = random_monotone_kernel(rng, X, Y, max_terms=3)
+        g = random_monotone_kernel(rng, Y, Z, max_terms=3)
+        if algebra is SCALARS:
+            f, g = _scalar_kernel(f), _scalar_kernel(g)
+        separate_one = ival(1, 1) if algebra is INTERVALS else ext(1)
+        assert separate_one is not algebra.one and separate_one == algebra.one
+        for h in (f, kleisli_compose(g, f)):
+            for x in h.source.points:
+                assert bind(h, dirac(h.source, x, algebra)) is h(x)
+                assert bind(h, unit(h.source, x, algebra)) is h(x)
+                nu = ElementaryValuation(h.source, [(separate_one, x)], algebra)
+                out = bind(h, nu)
+                assert out == h(x) and out is not h(x)
+                assert out.space is h.target and out.algebra is algebra
+
+    def test_unit_dirac_on_an_equal_target_is_relabelled(self, spaces):
+        # an image on a poset equal to f.target but not f.target itself is
+        # rebuilt on f.target, so every result of bind lives on f.target
+        X, Y = spaces
+        twin = FinitePoset(Y.points, Y.cover_pairs())
+        assert twin == Y and twin is not Y
+        image = ElementaryValuation(twin, [(ival("1/2", 1), "v")])
+        f = Kernel(X, Y, {"x": image, "y": dirac(Y, "v")})
+        out = bind(f, dirac(X, "x"))
+        assert out.space is Y and out is not image
+        assert out.terms == image.terms and out.terms[0][0] is image.terms[0][0]
+        assert bind(f, dirac(X, "y")) is f("y")
+
+    def test_unit_dirac_outside_the_source(self, kernel):
+        # the lookup that feeds the shortcut raises as the general path does
+        for f in (kernel, _scalar_kernel(kernel)):
+            alg = f.algebra
+            nu = ElementaryValuation(f.source, [(alg.one, "z")], alg, validate=False)
+            with pytest.raises(PointNotInSpace) as caught:
+                bind(f, nu)
+            assert str(caught.value) == "point 'z' is not in the kernel source"
+            assert caught.value.__cause__ is None
 
 
 class TestKleisliComposite:
