@@ -14,8 +14,8 @@ column, with at most literals.MAX_DIGITS digits after the point, adds
 clearly-labeled decimal approximations.
 Output is deterministic given the inputs and seed, byte for byte.
 
-Exit codes: 0 success; 1 parse/validation failure (one 'error:' line
-from main, with a line/column diagnostic where available); 2 width target
+Exit codes: 0 success; 1 usage, parse or validation failure (one 'error:'
+line from main, with a line/column diagnostic where available); 2 width target
 not reached by the depth cap (the partial table is still emitted); 3 law
 violation (the counterexample is printed).
 """
@@ -171,8 +171,16 @@ def cmd_laws(args) -> int:
     return 3 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so main reports them
+    as it reports every other input error: one 'error:' line, exit 1."""
+
+    def error(self, message: str):
+        raise IntvalError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="intval",
         description="Exact interval-valued valuations and guaranteed-enclosure integration.",
     )
@@ -221,8 +229,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         return args.run(args)
     except (IntvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,9 @@ pairs finds each point's up-set, an int bitmask over point indices, and
 the covering pairs (the Hasse diagram) in point order.  A finite order is
 the reflexive-transitive closure of its covers, so they key equality and
 repr, and, since value orders are transitive, every monotonicity check
-reads the covers alone.
+reads the covers alone.  A product poset is built in closed form from
+its factors instead: each up-set is one carry-free int product of the
+factors' bitmasks, and the covers are the factors' covers, lifted.
 """
 
 from __future__ import annotations
@@ -71,11 +73,22 @@ class FinitePoset:
                 if not above >> j & 1:
                     up[i] |= 1 << j
                     covers.append((i, j))
-        covers.sort()
+        self._store(pts, index, up, covers)
+
+    def _store(
+        self,
+        pts: Tuple[Point, ...],
+        index: Dict[Point, int],
+        up: List[int],
+        covers: List[Tuple[int, int]],
+    ) -> None:
+        """Set the representation: the points, their indices, each point's
+        up-set as a bitmask over indices, and the covers, given as index
+        pairs in any order and kept as point pairs in point order."""
         self._points = pts
         self._index = index
         self._up = up
-        self._covers = tuple([(pts[i], pts[j]) for i, j in covers])
+        self._covers = tuple([(pts[i], pts[j]) for i, j in sorted(covers)])
         # the points with their covers determine the order
         self._key = (frozenset(pts), frozenset(self._covers))
 
@@ -165,15 +178,41 @@ def antichain(labels: Sequence[Point]) -> FinitePoset:
 def product_poset(x: FinitePoset, y: FinitePoset) -> FinitePoset:
     """Componentwise-ordered product; points are (x_point, y_point) pairs.
 
-    Only the factors' covering pairs are passed to the constructor:
-    (a, b) <= (c, b) for each cover a <= c of x, and (a, b) <= (a, d) for
-    each cover b <= d of y.  These are exactly the product's covers, and
-    its closure adds the rest, since (a, b) <= (c, b) <= (c, d).
+    Built in closed form from the factors, without the constructor's
+    closure.  With m = |y|, the point (a_i, b_j) has index i*m + j, and its
+    up-set up(a_i) x up(b_j) is the bitmask spread(up_x[i]) * up_y[j],
+    where spread(u) moves bit k of u to bit k*m.  The product is
+    carry-free: since up_y[j] < 2^m, it adds copies of up_y[j] shifted
+    into disjoint m-bit blocks, one for each point of up(a_i).
+    The covers are the factors' covers, lifted: (a, b) <= (c, b) for each
+    cover a <= c of x and each b, and (a, b) <= (a, d) for each cover
+    b <= d of y and each a.  Each moves one coordinate by a cover, so
+    nothing lies strictly between its ends, and every (a, b) < (c, d)
+    passes through (c, b) as a chain of them.  Distinct pairs are distinct
+    points and a product of acyclic orders is acyclic, so nothing needs
+    checking.
     """
-    pts = [(a, b) for a in x.points for b in y.points]
-    rel = [((a, b), (c, b)) for a, c in x.cover_pairs() for b in y.points]
-    rel += [((a, b), (a, d)) for a in x.points for b, d in y.cover_pairs()]
-    return FinitePoset(pts, rel)
+    m = len(y)
+    pts = tuple([(a, b) for a in x.points for b in y.points])
+    up: List[int] = []
+    for u in x._up:
+        spread, k = 0, 0
+        while u:
+            spread |= (u & 1) << k
+            u >>= 1
+            k += m
+        up += [spread * v for v in y._up]
+    # covers as index pairs: an x cover joins two blocks at each offset,
+    # a y cover two offsets within each block
+    xi, yi = x._index, y._index
+    x_covers = [(xi[a] * m, xi[c] * m) for a, c in x.cover_pairs()]
+    y_covers = [(yi[b], yi[d]) for b, d in y.cover_pairs()]
+    covers = [(s + j, t + j) for s, t in x_covers for j in range(m)]
+    blocks = [i * m for i in range(len(x))]
+    covers += [(s + j, s + l) for s in blocks for j, l in y_covers]
+    prod = FinitePoset.__new__(FinitePoset)
+    prod._store(pts, {p: i for i, p in enumerate(pts)}, up, covers)
+    return prod
 
 
 class MonotoneMap:

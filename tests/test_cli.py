@@ -593,6 +593,49 @@ class TestGoldenFixtures:
         assert json.loads(out) == {"value": "[1/4,13/6]"}
 
 
+class TestUsageErrors:
+    """An argument error that argparse finds ends like every other input
+    error: main returns 1 after one 'error:' line with argparse's message,
+    and prints nothing on stdout."""
+
+    CASES = pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["laws", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
+            (["integrate"], "the following arguments are required: --fn"),
+            (["eval", "--poset", "x"], "the following arguments are required: --val, --fn"),
+            (["laws", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["cases-not-int", "integrate-no-fn", "eval-no-val", "unknown-format", "no-command"],
+    )
+
+    @staticmethod
+    def _check(code, out, err, message):
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @CASES
+    def test_in_process(self, argv, message, capsys):
+        self._check(*run_cli(argv, capsys=capsys), message)
+
+    @CASES
+    def test_as_a_subprocess(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "intval.cli", *argv], capture_output=True, text=True
+        )
+        self._check(proc.returncode, proc.stdout, proc.stderr, message)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["laws", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: intval laws") and err == ""
+
+
 class TestRepeatedCalls:
     """main builds its parser once per process, and each call parses afresh:
     no option of one call leaks into the next."""

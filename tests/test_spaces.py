@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intval import monad
 from intval.algebra import INTERVALS, SCALARS, ext, ival
 from intval.errors import NotMonotone, PointNotInSpace
 from intval.measures import FiniteSupportMeasure, upper_integral
@@ -21,7 +22,7 @@ from intval.spaces import (
     product_poset,
     singleton,
 )
-from intval.valuations import DEFAULT_TEST_GRID, dirac
+from intval.valuations import DEFAULT_TEST_GRID, ElementaryValuation, dirac
 from oracle_support import UpperSet, closed_support, min_upper_support, strict_pairs
 
 
@@ -210,6 +211,24 @@ class TestCovers:
         assert _accepts(lambda: map_valuation(g, dirac(p, pts[0]), p)) == up
 
 
+def _lifted_product(x, y):
+    """The product built the generic way: the factors' covers, lifted,
+    closed by the constructor."""
+    pts = [(a, b) for a in x.points for b in y.points]
+    rel = [((a, b), (c, b)) for a, c in x.cover_pairs() for b in y.points]
+    rel += [((a, b), (a, d)) for a in x.points for b, d in y.cover_pairs()]
+    return FinitePoset(pts, rel)
+
+
+def _assert_indistinguishable(got, want):
+    pts = want.points
+    assert got.points == pts
+    assert all(got.leq(a, b) == want.leq(a, b) for a in pts for b in pts)
+    assert got.cover_pairs() == want.cover_pairs()
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want)
+
+
 class TestProductPoset:
     def test_two_chains_make_a_diamond(self):
         d = product_poset(chain(["a", "b"]), chain(["u", "v"]))
@@ -242,6 +261,59 @@ class TestProductPoset:
                     for c, d in pts:
                         want = x.leq(a, c) and y.leq(b, d)
                         assert prod.leq((a, b), (c, d)) == want
+
+    # product_poset builds its up-sets and covers in closed form; the
+    # result must be the constructor's closure of the lifted covers
+    def test_all_pairs_of_small_posets(self):
+        posets = enumerate_posets(3)
+        assert len(posets) == 8
+        for x in posets:
+            for y in posets:
+                _assert_indistinguishable(product_poset(x, y), _lifted_product(x, y))
+
+    @_EXAMPLES
+    @given(generated_posets(), generated_posets())
+    def test_generated_pairs(self, x, y):
+        _assert_indistinguishable(product_poset(x, y), _lifted_product(x, y))
+
+    @_EXAMPLES
+    @given(generated_posets(4), generated_posets(4), generated_posets(4))
+    def test_nested_products(self, x, y, z):
+        want = _lifted_product(_lifted_product(x, y), z)
+        _assert_indistinguishable(product_poset(product_poset(x, y), z), want)
+
+    @_EXAMPLES
+    @given(generated_posets())
+    def test_a_singleton_or_an_empty_factor_on_either_side(self, p):
+        for s in (singleton("s"), FinitePoset([])):
+            _assert_indistinguishable(product_poset(s, p), _lifted_product(s, p))
+            _assert_indistinguishable(product_poset(p, s), _lifted_product(p, s))
+
+    def test_products_make_no_generic_build(self, monkeypatch):
+        # eight points each: a chain, and a poset with a fork and a join
+        x = chain(list("abcdefgh"))
+        y = FinitePoset(
+            list("stuvwxyz"),
+            [("s", "t"), ("s", "u"), ("t", "v"), ("u", "v"), ("v", "w"), ("x", "y")],
+        )
+        mu = ElementaryValuation(x, [(ival(1, 2), "a"), (ival("1/2", "1/2"), "h")])
+        nu = ElementaryValuation(y, [(ival(0, 1), "s"), (ival(1, 1), "z")])
+        builds = []
+        init = FinitePoset.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FinitePoset, "__init__", counting)
+        space = product_poset(x, y)
+        assert monad.product(mu, nu).space == space
+        assert monad.strength(x, "c", nu).space == space
+        assert monad.dual_strength(mu, y, "w").space == space
+        assert builds == []
+        # the counter does see a generic build
+        assert _lifted_product(x, y) == space
+        assert len(builds) == 1
 
 
 class TestMonotoneMap:
