@@ -33,12 +33,14 @@ One compiled regular expression scans the text: each match skips spaces,
 tabs and line breaks and takes one token, a symbol, an ASCII digit run, a
 word run or a single unexpected character, and the end of input is the
 empty string.  A token that starts with an ASCII digit is an integer, and
-one that starts with a letter or '_' is a name.  The parser reads the
-tokens by index, checking each lexically as it takes it, and a polynomial
-expression in one loop with an explicit stack of open parentheses.  Only
-an error re-scans the text, to find any lexical error and the token's
-offset, and from it the line and column; the end of input sits one
-column past the last character.
+one that starts with a letter or '_' is a name.  The parsers read the
+token list by index: one routine reads a literal's braces and separators
+and calls its form's item reader once per item, which takes its tokens
+inline and each scalar through one helper, and an expression is read in
+one loop with an explicit stack of open parentheses.  Each token is
+checked lexically as it is taken.  Only an error re-scans the text, to
+find any lexical error and the token's offset, and from it the line and
+column; the end of input sits one column past the last character.
 """
 
 from __future__ import annotations
@@ -48,24 +50,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterator, List, NoReturn, Sequence, Tuple
 
-from .algebra import (
-    INFINITY,
-    INTERVALS,
-    SCALARS,
-    ExtNonNeg,
-    IntervalValue,
-    ValueAlgebra,
-)
+from .algebra import INTERVALS, SCALARS, ExtNonNeg, IntervalValue, ValueAlgebra
 from .errors import LiteralTooLarge, ParseError
-from .lebesgue import (
-    PiecewiseMonotoneFn,
-    Polynomial,
-    _canonical,
-    _mul_ints,
-    _power,
-    _sum_ints,
-    _trimmed,
-)
+from .lebesgue import PiecewiseMonotoneFn, Polynomial
+from .lebesgue import _canonical, _mul_ints, _power, _sum_ints, _trimmed
 from .spaces import FinitePoset
 
 # Largest polynomial degree, and largest exponent, a piecewise literal may
@@ -161,38 +149,11 @@ class _Parser:
                 at = offset
         raise error(message, *_position(self.text, at))
 
-    def unexpected(self, what: str) -> NoReturn:
-        tok = self.tokens[self.pos]
-        self.fail(self.pos, f"expected {what}, found {tok or 'end of input'!r}")
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def expect(self, token: str, what: str) -> int:
-        """Take the next token, which must be token; returns its index."""
-        i = self.pos
-        if self.tokens[i] != token:
-            self.unexpected(what)
-        self.pos = i + 1
-        return i
-
-    def name(self, what: str) -> str:
-        """Take the next token, which must be a name."""
-        tok = self.tokens[self.pos]
-        if not (tok[:1].isalpha() or tok[:1] == "_"):
-            self.unexpected(what)
-        self.pos += 1
-        return tok
-
-    def integer(self, what: str) -> int:
-        """Take the next token, which must be an integer."""
-        i = self.pos
-        tok = self.tokens[i]
-        if not "/" < tok < ":":  # a digit run is the one token that starts with 0-9
-            self.unexpected(what)
-        self.check(len(tok), MAX_DIGITS, i, "{} digits exceed the cap {}")
-        self.pos = i + 1
-        return int(tok)
+    def unexpected(self, index: int, what: str) -> NoReturn:
+        """Raise 'expected what' at token index.  For a digit run over
+        MAX_DIGITS, a lexical error, the rescan in fail raises the cap."""
+        tok = self.tokens[index]
+        self.fail(index, f"expected {what}, found {tok or 'end of input'!r}")
 
     def check(self, value: int, cap: int, index: int, message: str) -> None:
         """If value is over cap, raise LiteralTooLarge(message.format(value,
@@ -205,77 +166,43 @@ class _Parser:
         if tok:
             self.fail(self.pos, f"unexpected trailing input {tok!r}")
 
-    def block(self, keyword: str, parse_item, empty=None, name=None) -> list:
+    def block(self, keyword: str, item, empty=None, name=None) -> None:
         """keyword [name] '{' item (';' item)* [';'] '}', then the end of input.
 
-        Returns the items' results.  A name is read when `name` describes
-        one; with `empty` set, a literal without items fails with that
-        message at its keyword.
+        item(tokens, i) reads one item from token index i, keeps what it
+        reads and returns the index after it.  A name is read when `name`
+        describes one; with `empty` set, a literal without items fails with
+        that message at its keyword.
         """
-        start = self.expect(keyword, repr(keyword))
+        tokens = self.tokens
+        if tokens[0] != keyword:
+            self.unexpected(0, repr(keyword))
+        i = 1
         if name is not None:
-            self.name(name)
-        self.expect("{", "'{'")
-        items = []
-        while self.peek() != "}":
-            items.append(parse_item())
-            if self.peek() != ";":
+            if not (tokens[1][:1].isalpha() or tokens[1][:1] == "_"):
+                self.unexpected(1, name)
+            i = 2
+        if tokens[i] != "{":
+            self.unexpected(i, "'{'")
+        i += 1
+        while tokens[i] != "}":
+            i = item(tokens, i)  # an item takes at least one token
+            if tokens[i] != ";":
                 break
-            self.pos += 1
-        self.expect("}", "';' or '}'")
+            i += 1
+        if tokens[i] != "}":
+            self.unexpected(i, "';' or '}'")
+        self.pos = i + 1
         self.finish()
-        if empty is not None and not items:
-            self.fail(start, empty)
-        return items
+        if empty is not None and tokens[i - 1] == "{":  # no item
+            self.fail(0, empty)
 
-    def one_algebra(self, valued, noun: str) -> ValueAlgebra:
-        """The algebra of every (algebra, token index) pair, which must agree."""
-        algebra = valued[0][0]
-        for alg, index in valued:
-            if alg is not algebra:
-                self.fail(index, f"cannot mix interval and scalar {noun}")
-        return algebra
-
-    # ---- shared small pieces -------------------------------------------
-
-    def ratio(self) -> Tuple[int, int]:
-        """A rational 'p' or 'p/q' as the ints (p, q), not reduced."""
-        num = self.integer("a rational number")
-        if self.peek() != "/":
-            return num, 1
-        self.pos += 1
-        at = self.pos
-        den = self.integer("a denominator")
-        if den == 0:
-            self.fail(at, "denominator must be nonzero")
-        return num, den
-
-    def rat(self) -> Fraction:
-        return Fraction(*self.ratio())
-
-    def scalar(self) -> ExtNonNeg:
-        if "/" < self.peek() < ":":
-            num, den = self.ratio()
-            g = gcd(num, den)
-            return ExtNonNeg._make(num // g, den // g)
-        self.expect("inf", "a rational number")
-        return INFINITY
-
-    def interval(self) -> IntervalValue:
-        start = self.expect("[", "'['")
-        lo = self.scalar()
-        self.expect(",", "','")
-        hi = self.scalar()
-        self.expect("]", "']'")
-        if not lo <= hi:
-            self.fail(start, f"interval endpoints out of order: {lo} > {hi}")
-        return IntervalValue._make(lo, hi)
-
-    def value(self):
-        """An interval or a bare scalar, with the algebra it belongs to."""
-        if self.peek() == "[":
-            return self.interval(), INTERVALS
-        return self.scalar(), SCALARS
+    def one_algebra(self, first: Dict[ValueAlgebra, int], noun: str) -> ValueAlgebra:
+        """The algebra of a literal's values, given the token index of each
+        algebra's first value; a second algebra fails at its first value."""
+        if len(first) > 1:
+            self.fail(max(first.values()), f"cannot mix interval and scalar {noun}")
+        return next(iter(first))
 
     # ---- polynomial expressions ----------------------------------------
     #
@@ -324,13 +251,14 @@ class _Parser:
             elif "/" < tok < ":" and len(tok) <= MAX_DIGITS:
                 num, den = [int(tok)], 1
             else:
-                self.pos = i - 1
-                self.integer("a number, 'x' or '('")  # raises
+                self.unexpected(i - 1, "a number, 'x' or '('")
             # num / den is an atom: end its factor, and each '(' it closes
             while True:
                 if tokens[i] == "^":
-                    self.pos = i + 1
-                    exp = self.integer("an integer exponent")
+                    tok = tokens[i + 1]
+                    if not ("/" < tok < ":" and len(tok) <= MAX_DIGITS):
+                        self.unexpected(i + 1, "an integer exponent")
+                    exp = int(tok)
                     self.check(exp, MAX_DEGREE, i + 1, "exponent {} exceeds the cap {}")
                     self.check((len(num) - 1) * exp, MAX_DEGREE, i, _DEGREE_MESSAGE)
                     if _rough_bound(num, den) * exp > MAX_COEFF_BITS:
@@ -345,7 +273,12 @@ class _Parser:
                         self.check(len(lnum) + len(num) - 2, MAX_DEGREE, at, _DEGREE_MESSAGE)
                     elif len(num) > 1 or not num[0]:
                         self.fail(at, "division is only defined by a nonzero constant")
-                    if _rough_bound(lnum, lden) + _rough_bound(num, den) > MAX_COEFF_BITS:
+                    # _rough_bound of a one-coefficient operand, inline
+                    bits = (1 + lnum[0].bit_length() + 2 * lden.bit_length()
+                            if len(lnum) == 1 else _rough_bound(lnum, lden))
+                    bits += (1 + num[0].bit_length() + 2 * den.bit_length()
+                             if len(num) == 1 else _rough_bound(num, den))
+                    if bits > MAX_COEFF_BITS:
                         bits = _size_bound(lnum, lden) + _size_bound(num, den)
                         self.check(bits, MAX_COEFF_BITS, at, _SIZE_MESSAGE)
                     if op == "/":  # times den / num[0], over a positive denominator
@@ -370,10 +303,11 @@ class _Parser:
                     i += 1
                     break
                 # the sum is complete
-                self.pos = i
                 if not stack:
+                    self.pos = i
                     return num, den
-                self.expect(")", "')'")
+                if tok != ")":
+                    self.unexpected(i, "')'")
                 i += 1
                 total, prod, op, at, negate = stack.pop()
 
@@ -430,6 +364,44 @@ def _rough_bound(num: Sequence[int], den: int) -> int:
     )
 
 
+def _scalar(p: _Parser, tokens: List[str], i: int) -> Tuple[int, int, int]:
+    """The scalar 'p', 'p/q' or 'inf' at token index i, as the reduced pair
+    (p, q), with q = 0 for inf, and the index after it."""
+    tok = tokens[i]
+    if tok == "inf":
+        return 1, 0, i + 1
+    if not ("/" < tok < ":" and len(tok) <= MAX_DIGITS):
+        p.unexpected(i, "a rational number")
+    num = int(tok)
+    if tokens[i + 1] != "/":
+        return num, 1, i + 1
+    tok = tokens[i + 2]
+    if not ("/" < tok < ":" and len(tok) <= MAX_DIGITS):
+        p.unexpected(i + 2, "a denominator")
+    den = int(tok)
+    if not den:
+        p.fail(i + 2, "denominator must be nonzero")
+    g = gcd(num, den)
+    return num // g, den // g, i + 3
+
+
+def _value(p: _Parser, tokens: List[str], i: int) -> Tuple[object, ValueAlgebra, int]:
+    """The '[lo,hi]' or bare scalar at token index i, its algebra and the next index."""
+    if tokens[i] != "[":
+        n, d, i = _scalar(p, tokens, i)
+        return ExtNonNeg._make(n, d), SCALARS, i
+    a, b, j = _scalar(p, tokens, i + 1)
+    if tokens[j] != ",":
+        p.unexpected(j, "','")
+    c, d, j = _scalar(p, tokens, j + 1)
+    if tokens[j] != "]":
+        p.unexpected(j, "']'")
+    lo, hi = ExtNonNeg._make(a, b), ExtNonNeg._make(c, d)
+    if d and (not b or a * d > c * b):  # not lo <= hi
+        p.fail(i, f"interval endpoints out of order: {lo} > {hi}")
+    return IntervalValue._make(lo, hi), INTERVALS, j + 1
+
+
 def parse_rational(text: str):
     """Parse a bare nonnegative rational, written 'p' or 'p/q'.
 
@@ -438,9 +410,11 @@ def parse_rational(text: str):
     that they accept exactly what a literal does.
     """
     p = _Parser(text)
-    value = p.rat()
+    num, den, p.pos = _scalar(p, p.tokens, 0)
+    if not den:
+        p.unexpected(0, "a rational number")
     p.finish()
-    return value
+    return Fraction(num, den)
 
 
 def parse_poset(text: str) -> FinitePoset:
@@ -449,14 +423,19 @@ def parse_poset(text: str) -> FinitePoset:
     names: Dict[str, None] = {}  # in order of first mention
     relation: List[Tuple[str, str]] = []
 
-    def item():
-        a = p.name("a point name")
+    def item(tokens, i):
+        a = tokens[i]
+        if not (a[:1].isalpha() or a[:1] == "_"):
+            p.unexpected(i, "a point name")
         names[a] = None
-        if p.peek() == "<=":
-            p.pos += 1
-            b = p.name("a point name")
-            names[b] = None
-            relation.append((a, b))
+        if tokens[i + 1] != "<=":
+            return i + 1
+        b = tokens[i + 2]
+        if not (b[:1].isalpha() or b[:1] == "_"):
+            p.unexpected(i + 2, "a point name")
+        names[b] = None
+        relation.append((a, b))
+        return i + 3
 
     p.block("poset", item, "a poset needs at least one point")
     return FinitePoset(list(names), relation)
@@ -466,38 +445,45 @@ def parse_fn(text: str) -> Tuple[str, dict, ValueAlgebra]:
     """Parse ``fn h { a -> [0,3]; ... }`` into (name, table, algebra)."""
     p = _Parser(text)
     table = {}
+    first = {}  # each algebra's first value, as the index of its point
 
-    def item():
-        at = p.pos
-        point = p.name("a point name")
-        p.expect("->", "'->'")
-        v, alg = p.value()
+    def item(tokens, i):
+        point = tokens[i]
+        if not (point[:1].isalpha() or point[:1] == "_"):
+            p.unexpected(i, "a point name")
+        if tokens[i + 1] != "->":
+            p.unexpected(i + 1, "'->'")
+        v, alg, j = _value(p, tokens, i + 2)
         if point in table:
-            p.fail(at, f"duplicate value for {point!r}")
+            p.fail(i, f"duplicate value for {point!r}")
         table[point] = v
-        return alg, at
+        first.setdefault(alg, i)
+        return j
 
-    empty = "a function literal needs at least one value"
-    algebras = p.block("fn", item, empty, "a function name")
+    p.block("fn", item, "a function literal needs at least one value", "a function name")
     # the name is the token after the keyword
-    return p.tokens[1], table, p.one_algebra(algebras, "values")
+    return p.tokens[1], table, p.one_algebra(first, "values")
 
 
 def parse_valuation(text: str) -> Tuple[list, ValueAlgebra]:
     """Parse ``val { [1/2,1/2] @ x; ... }`` into ([(coeff, point)], algebra)."""
     p = _Parser(text)
     terms = []
+    first = {}  # each algebra's first coefficient, as its token index
 
-    def item():
-        start = p.pos
-        coeff, alg = p.value()
-        p.expect("@", "'@'")
-        point = p.name("a point name")
+    def item(tokens, i):
+        coeff, alg, j = _value(p, tokens, i)
+        if tokens[j] != "@":
+            p.unexpected(j, "'@'")
+        point = tokens[j + 1]
+        if not (point[:1].isalpha() or point[:1] == "_"):
+            p.unexpected(j + 1, "a point name")
         terms.append((coeff, point))
-        return alg, start
+        first.setdefault(alg, i)
+        return j + 2
 
-    algebras = p.block("val", item, "a valuation needs at least one term")
-    return terms, p.one_algebra(algebras, "coefficients")
+    p.block("val", item, "a valuation needs at least one term")
+    return terms, p.one_algebra(first, "coefficients")
 
 
 def parse_measure(text: str) -> dict:
@@ -505,14 +491,17 @@ def parse_measure(text: str) -> dict:
     p = _Parser(text)
     masses = {}
 
-    def item():
-        start = p.pos
-        m = p.scalar()
-        p.expect("@", "'@'")
-        point = p.name("a point name")
+    def item(tokens, i):
+        n, d, j = _scalar(p, tokens, i)
+        if tokens[j] != "@":
+            p.unexpected(j, "'@'")
+        point = tokens[j + 1]
+        if not (point[:1].isalpha() or point[:1] == "_"):
+            p.unexpected(j + 1, "a point name")
         if point in masses:
-            p.fail(start, f"duplicate mass for {point!r}")
-        masses[point] = m
+            p.fail(i, f"duplicate mass for {point!r}")
+        masses[point] = ExtNonNeg._make(n, d)
+        return j + 2
 
     p.block("measure", item)
     return masses
@@ -521,25 +510,36 @@ def parse_measure(text: str) -> dict:
 def parse_piecewise(text: str) -> PiecewiseMonotoneFn:
     """Parse ``piecewise { [0,1/2] inc: x; ... }`` into a function."""
     p = _Parser(text)
+    segments = []
 
-    def item():
-        start = p.expect("[", "'['")
-        lo = p.rat()
-        p.expect(",", "','")
-        hi = p.rat()
-        p.expect("]", "']'")
-        direction = "dec" if p.peek() == "dec" else "inc"
-        p.expect(direction, "'inc' or 'dec'")
-        p.expect(":", "':'")
-        return lo, hi, direction, p.poly_piece(), start
+    def item(tokens, i):
+        if tokens[i] != "[":
+            p.unexpected(i, "'['")
+        a, b, j = _scalar(p, tokens, i + 1)
+        if not b:
+            p.unexpected(i + 1, "a rational number")
+        if tokens[j] != ",":
+            p.unexpected(j, "','")
+        c, d, k = _scalar(p, tokens, j + 1)
+        if not d:
+            p.unexpected(j + 1, "a rational number")
+        if tokens[k] != "]":
+            p.unexpected(k, "']'")
+        direction = tokens[k + 1]
+        if direction != "inc" and direction != "dec":
+            p.unexpected(k + 1, "'inc' or 'dec'")
+        if tokens[k + 2] != ":":
+            p.unexpected(k + 2, "':'")
+        p.pos = k + 3
+        segments.append((Fraction(a, b), Fraction(c, d), direction, p.poly_piece(), i))
+        return p.pos
 
-    segments = p.block("piecewise", item, "a piecewise function needs at least one segment")
+    p.block("piecewise", item, "a piecewise function needs at least one segment")
     breakpoints = [segments[0][0]]
     pieces = []
     for lo, hi, direction, poly, start in segments:
         if lo != breakpoints[-1]:
-            message = f"segment [{lo},{hi}] does not start where the previous one ended"
-            p.fail(start, message)
+            p.fail(start, f"segment [{lo},{hi}] does not start where the previous one ended")
         breakpoints.append(hi)
         pieces.append((direction, poly))
     return PiecewiseMonotoneFn(breakpoints, pieces)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 import time
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle_scanner
 
-from intval.algebra import INTERVALS, SCALARS, ext, ival, rational
+from intval.algebra import INTERVALS, SCALARS, ext, ival, rational, render_scalar
 from intval.errors import LiteralTooLarge, NonEvaluablePiece, ParseError
 from intval.lebesgue import PiecewiseMonotoneFn, Polynomial
+from intval import literals
 from intval.literals import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
@@ -30,7 +32,7 @@ from intval.literals import (
     parse_rational,
     parse_valuation,
 )
-from intval.spaces import FinitePoset
+from intval.spaces import FinitePoset, MonotoneMap
 
 
 class TestPosetLiterals:
@@ -181,6 +183,132 @@ class TestPiecewiseLiterals:
             parse_piecewise("piecewise { [0,1] up: x }")
         assert info.value.line == 1
         assert info.value.col == 19
+
+
+# Point names for generated literals, keywords of the grammar among them.
+_NAMES = ("a", "b", "p0", "_q", "x1", "inf", "dec", "\u00e9")
+
+_ext_values = st.one_of(
+    st.fractions(0, 20, max_denominator=12).map(ext), st.just(ext("inf"))
+)
+
+
+@st.composite
+def _monotone_maps(draw):
+    """A monotone map on a poset of up to 6 points, into INTERVALS or SCALARS.
+
+    The values come from an ascending chain (nested intervals, or rising
+    scalars), inf included; a point's place on the chain is the weight of
+    the points below it, which is monotone.
+    """
+    n = draw(st.integers(1, 6))
+    names = draw(st.permutations(_NAMES))[:n]
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    space = FinitePoset(names, [(names[i], names[j]) for i, j in pairs if i < j])
+    k = draw(st.integers(1, 3))
+    rising = sorted(draw(st.lists(_ext_values, min_size=2 * k, max_size=2 * k)))
+    algebra = draw(st.sampled_from((INTERVALS, SCALARS)))
+    if algebra is INTERVALS:
+        chain = [ival(rising[j], rising[-1 - j]) for j in range(k)]
+    else:
+        chain = rising
+    weights = dict(zip(names, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    table = {
+        p: chain[min(len(chain) - 1, sum(weights[q] for q in names if space.leq(q, p)))]
+        for p in names
+    }
+    return MonotoneMap(space, table, algebra)
+
+
+@st.composite
+def _flat_literals(draw):
+    """A poset, fn, val or measure literal with generated contents."""
+    h = draw(_monotone_maps())
+    form = draw(st.sampled_from(("poset", "fn", "val", "measure")))
+    if form == "poset":
+        return parse_poset, repr(h.space)
+    if form == "fn":
+        return parse_fn, repr(h)
+    points = st.sampled_from(h.space.points)
+    if form == "val":
+        values = st.sampled_from([v for _, v in h.items()])
+        terms = draw(st.lists(st.tuples(values, points), min_size=1, max_size=6))
+        body = "; ".join(f"{h.algebra.render(v)} @ {p}" for v, p in terms)
+        return parse_valuation, f"val {{ {body} }}"
+    masses = draw(st.dictionaries(points, _ext_values, max_size=6))
+    body = "; ".join(f"{render_scalar(m)} @ {p}" for p, m in masses.items())
+    return parse_measure, f"measure {{ {body} }}"
+
+
+def _is_word(token):
+    return token[0].isalnum() or token[0] == "_"
+
+
+class TestRoundTrips:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_monotone_maps())
+    def test_fn_repr_round_trips(self, h):
+        name, table, algebra = parse_fn(repr(h))
+        assert (name, table) == ("h", h.table())
+        assert algebra is h.algebra
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_flat_literals(), st.data())
+    def test_layout_between_tokens_does_not_matter(self, case, data):
+        # the same tokens with other spaces, tabs and line breaks between
+        # them (at least one between two words), and an optional ';' before
+        # the closing brace of a nonempty body
+        parse, text = case
+        tokens = _tokenize(text)[:-1]
+        if tokens[-2] != "{" and data.draw(st.booleans()):
+            tokens.insert(len(tokens) - 1, ";")
+        gaps = [
+            data.draw(st.text(" \t\r\n", min_size=1 if _is_word(a) and _is_word(b) else 0,
+                              max_size=3))
+            for a, b in zip(tokens, tokens[1:])
+        ] + [""]
+        edges = st.text(" \t\r\n", max_size=3)
+        laid_out = "".join(tok + gap for tok, gap in zip(tokens, gaps))
+        laid_out = data.draw(edges) + laid_out + data.draw(edges)
+        assert parse(laid_out) == parse(text)
+
+
+class TestWorkBound:
+    """Python calls into the literals module while a 1,000-item literal is
+    parsed, per item: one call of the form's item reader, one per scalar,
+    one per value and two per piece expression, not a chain of calls per
+    token.  At least one call per item shows that the count sees them."""
+
+    @pytest.mark.parametrize(
+        "parse, head, item, per_item",
+        [
+            (parse_poset, "poset", "p{i} <= p{j}", 1),
+            (parse_fn, "fn h", "p{i} -> [1/3,inf]", 4),
+            (parse_valuation, "val", "[1/3,1/2] @ p{i}", 4),
+            (parse_measure, "measure", "1/2 @ p{i}", 2),
+            (parse_piecewise, "piecewise", "[{i}/1000,{j}/1000] inc: 1", 5),
+        ],
+        ids=["poset", "fn", "val", "measure", "piecewise"],
+    )
+    def test_calls_per_item(self, parse, head, item, per_item):
+        n = 1000
+        items = "; ".join(item.format(i=i, j=i + 1) for i in range(n))
+        text = f"{head} {{ {items} }}"
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == literals.__file__:
+                calls += 1
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            parse(text)
+        finally:
+            sys.setprofile(outer)
+        assert n <= calls <= per_item * n + 10, calls / n
 
 
 def _poly(text):
