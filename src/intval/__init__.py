@@ -22,7 +22,6 @@ from .algebra import (
     IntervalValue,
     ValueAlgebra,
     ext,
-    ext_add,
     ival,
     ival_add,
     ival_leq,
@@ -62,16 +61,12 @@ from .spaces import (
     singleton,
 )
 from .valuations import (
-    DEFAULT_TEST_GRID,
-    SCALAR_TEST_GRID,
     ElementaryValuation,
     add,
     bottom_valuation,
     dirac,
     eq_on,
     evaluate,
-    exhaustive_tests,
-    leq_on,
     scale,
     valuation_leq,
 )
@@ -104,7 +99,6 @@ from .lebesgue import (
     canonical_extension,
     chain_check,
     dyadic_grid,
-    dyadic_round,
     is_dyadic,
     lebesgue_integrate,
     lebesgue_n,

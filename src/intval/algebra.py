@@ -196,11 +196,6 @@ def ext(value: RatLike) -> ExtNonNeg:
     return value if isinstance(value, ExtNonNeg) else ExtNonNeg(value)
 
 
-def ext_add(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
-    """Exact scalar sum; infinity absorbs."""
-    return a + b
-
-
 def mul_left(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
     """Scalar product rounding lower endpoints: 0 * inf = 0.
 

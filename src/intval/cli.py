@@ -67,12 +67,7 @@ def _approx(value: ExtNonNeg, decimals: int) -> str:
     """Decimal approximation, round half to even, clearly not exact."""
     if value.is_infinite:
         return "inf"
-    scaled = value.value * 10 ** decimals
-    num, den = int(scaled.numerator), int(scaled.denominator)
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        q += 1
-    text = decimal_str(q).rjust(decimals + 1, "0")
+    text = decimal_str(round(value.value * 10 ** decimals)).rjust(decimals + 1, "0")
     if decimals == 0:
         return text
     return f"{text[:-decimals]}.{text[-decimals:]}"
@@ -100,7 +95,6 @@ def _parse_eps(text: str) -> ExtNonNeg:
 
 
 def cmd_integrate(args) -> int:
-    fn = parse_piecewise(_read_spec(args.fn, "piecewise"))
     eps = _parse_eps(args.eps)
     if not 0 <= args.depth_cap <= MAX_DEPTH_CAP:
         raise IntvalError(f"--depth-cap must lie in [0, {MAX_DEPTH_CAP}]")
@@ -109,6 +103,7 @@ def cmd_integrate(args) -> int:
         raise IntvalError("--approx-decimals must be >= 0")
     if decimals is not None and decimals > MAX_DIGITS:
         raise IntvalError(f"--approx-decimals must be <= {MAX_DIGITS}")
+    fn = parse_piecewise(_read_spec(args.fn, "piecewise"))
     rows = []
     try:
         for n, enclosure in refine(canonical_extension(fn), eps, cap=args.depth_cap):

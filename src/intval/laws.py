@@ -14,12 +14,13 @@ cannot be enumerated completely - the number of multi-term monotone
 kernels explodes combinatorially - so the exhaustive kernel family is, by
 definition here: every kernel of the form x -> c . delta_{g(x)} with g a
 monotone point map and c a grid coefficient, plus every constant kernel
-at a single-term valuation.  The unit-extension and composition laws are
-checked over all ordered pairs/triples of the eight posets with that
-family (composition restricts the coefficient choice to the unit and the
-absorbing bottom to stay within its time budget, and runs the full grid on
-the diagonal triples); a seeded randomized pass over posets with up to six
-points and multi-term kernels covers what the enumeration cannot.
+at a single-term valuation (the same form, along a constant point map).
+The unit-extension and composition laws are checked over all ordered
+pairs/triples of the eight posets with that family (composition restricts
+the coefficient choice to the unit and the absorbing bottom to stay within
+its time budget, and runs the full grid on the diagonal triples); a seeded
+randomized pass over posets with up to six points and multi-term kernels
+covers what the enumeration cannot.
 
 Monad-law comparisons.  Every monad-law case compares normal forms
 structurally: bind(f, delta_x) with f(x) in law (i), bind(eta, nu) with
@@ -27,17 +28,17 @@ nu in law (ii), and bind(g o f, nu) with bind(g, bind(f, nu)) in law
 (iii).  That is sound but incomplete (see valuations).  bind returns f(x)
 itself for the unit Dirac, so law (i) checks that bind picks the image
 at x and takes that shortcut only for the algebra's unit.  No functional
-re-check against functional_bind follows a structural match, because on
-the exhaustive cases it could not fail: the expected values would be
-[1,1] times f(x)'s own in law (i), the same products and sums in the
-same term order as evaluate in law (ii), and, since the law (iii) core's
-kernels are single-term, (c.d).k(z) = c.(d.k(z)) with c, d in {[1,1],
-[0,inf]}, which interval-axioms checks.  None of those cases merges two
+re-check against bind's functional description nu(x -> f(x)(k)) follows
+a structural match, because on the exhaustive cases it could not fail:
+the expected values would be [1,1] times f(x)'s own in law (i), the same
+products and sums in the same term order as evaluate in law (ii), and,
+since the law (iii) core's kernels are single-term, (c.d).k(z) =
+c.(d.k(z)) with c, d in {[1,1], [0,inf]}, which interval-axioms checks.  None of those cases merges two
 terms at one target point, which is where bind can part from its
 functional description; the randomized pass's multi-term kernels do
 (a bind that keeps the first coefficient at a merged point fails its
-composition law), and the tests run functional_bind on two-Dirac kernels
-whose terms merge.
+composition law), and the tests check bind against that description
+(tests/oracle_valuations.py) on two-Dirac kernels whose terms merge.
 
 Randomized scope.  Generators below produce posets, monotone/antitone
 tables, valuations, kernels and measures from fixed seeds; all randomness
@@ -84,6 +85,7 @@ from .lebesgue import (
     canonical_extension,
     refine,
 )
+from . import measures
 from .monad import Kernel, bind, dual_strength, kleisli_compose, map_valuation, product, strength, unit
 from .spaces import (
     FinitePoset,
@@ -94,17 +96,19 @@ from .spaces import (
     enumerate_posets,
     product_poset,
 )
-from .valuations import (
-    DEFAULT_TEST_GRID,
-    ElementaryValuation,
-    dirac,
-    evaluate,
-)
+from .valuations import ElementaryValuation, dirac, evaluate
 
-# Coefficient grid for the exhaustive monad suite: the test-function grid,
-# in its order (both units, a precise non-unit, a wide interval, and the
-# absorbing bottom).
-COEFF_GRID: Tuple[IntervalValue, ...] = DEFAULT_TEST_GRID
+# Coefficient grid for the exhaustive monad suite: the additive and
+# multiplicative units, a precise non-unit value, a genuinely wide
+# interval, and the absorbing least element.  The unit is built by ival,
+# not taken as IONE, so bind takes its product path on it.
+COEFF_GRID: Tuple[IntervalValue, ...] = (
+    ival(0, 0),
+    ival(1, 1),
+    ival("1/2", "1/2"),
+    ival(1, 2),
+    ival(0, "inf"),
+)
 
 # Grid for the interval-algebra axiom suite; includes the precise infinity.
 AXIOM_GRID: Tuple[IntervalValue, ...] = (
@@ -342,9 +346,7 @@ def random_measure(
     bounded: bool = False,
     nonzero: bool = False,
     max_points: int = 3,
-) -> "FiniteSupportMeasure":
-    from .measures import FiniteSupportMeasure
-
+) -> measures.FiniteSupportMeasure:
     points = [p for p in space.points if rng.random() < 0.7]
     masses = {}
     for p in points[:max_points]:
@@ -354,7 +356,7 @@ def random_measure(
             masses[p] = ExtNonNeg(rng.choice(_FINITE_POOL))
     if nonzero and all(m.is_zero for m in masses.values()):
         masses[rng.choice(space.points)] = ExtNonNeg(1)
-    return FiniteSupportMeasure(space, masses)
+    return measures.FiniteSupportMeasure(space, masses)
 
 
 def random_monotone_point_map(
@@ -458,6 +460,11 @@ def _shrink_triple(triple: tuple, fails: Callable[..., object]) -> tuple:
 _point_maps = cache(all_monotone_point_maps)
 
 
+def _constant_maps(source: FinitePoset, target: FinitePoset) -> List[Dict]:
+    """The constant point maps from source to target, in target point order."""
+    return [dict.fromkeys(source.points, y) for y in target.points]
+
+
 def _unit_kernel(space: FinitePoset) -> Kernel:
     table = {x: dirac(space, x) for x in space.points}
     return Kernel(space, space, table, validate=False)
@@ -478,9 +485,10 @@ def all_grid_valuations(space: FinitePoset, grid=COEFF_GRID) -> List[ElementaryV
     return out
 
 
-def _dirac_kernels(source: FinitePoset, target: FinitePoset, coeffs) -> List[Kernel]:
+def _dirac_kernels(source: FinitePoset, target: FinitePoset, maps, coeffs) -> List[Kernel]:
+    """x -> c . delta_{g(x)} for each point map g in maps, then each c in coeffs."""
     kernels = []
-    for g in _point_maps(source, target):
+    for g in maps:
         for c in coeffs:
             table = {
                 x: ElementaryValuation(target, [(c, g[x])], validate=False)
@@ -488,32 +496,6 @@ def _dirac_kernels(source: FinitePoset, target: FinitePoset, coeffs) -> List[Ker
             }
             kernels.append(Kernel(source, target, table, validate=False))
     return kernels
-
-
-def _const_kernels(source: FinitePoset, target: FinitePoset, coeffs) -> List[Kernel]:
-    kernels = []
-    for y in target.points:
-        for c in coeffs:
-            nu = ElementaryValuation(target, [(c, y)], validate=False)
-            table = {x: nu for x in source.points}
-            kernels.append(Kernel(source, target, table, validate=False))
-    return kernels
-
-
-def functional_bind(f: Kernel, nu: ElementaryValuation, k: MonotoneMap):
-    """bind(f, nu) applied to k by its defining description nu(x -> f(x)(k)).
-
-    Computes sum_i r_i * f(x_i)(k) from `evaluate` and coefficient
-    arithmetic alone, never through bind, scale or add, so it shares no
-    code with bind's closed form: it sums per source term where bind
-    merges image terms per target point first.
-    """
-    alg = nu.algebra
-    acc = None
-    for coeff, point in nu.terms:
-        term = alg.mul(coeff, evaluate(f(point), k))
-        acc = term if acc is None else alg.add(acc, term)
-    return acc
 
 
 # Counterexample texts, filled in with repr of their arguments.
@@ -534,11 +516,12 @@ def _composition_blocks(posets) -> Iterator[Tuple[list, List[Kernel], List[Kerne
     for X in posets:
         nus = [dirac(X, x) for x in X.points]
         for Y in posets:
-            fs = _dirac_kernels(X, Y, (IONE,)) + _const_kernels(X, Y, core)
+            fs = _dirac_kernels(X, Y, _point_maps(X, Y), (IONE,))
+            fs += _dirac_kernels(X, Y, _constant_maps(X, Y), core)
             for Z in posets:
-                yield nus, fs, _dirac_kernels(Y, Z, core)
+                yield nus, fs, _dirac_kernels(Y, Z, _point_maps(Y, Z), core)
     for X in posets:
-        fs = _dirac_kernels(X, X, COEFF_GRID)
+        fs = _dirac_kernels(X, X, _point_maps(X, X), COEFF_GRID)
         nus = [dirac(X, x) for x in X.points] + [
             ElementaryValuation(X, [(ival(0, "inf"), X.points[0])], validate=False)
         ]
@@ -566,7 +549,8 @@ def _monad_cases(seed: int, cases: int) -> Iterator[Optional[str]]:
     for X in posets:
         units = [(x, unit(X, x)) for x in X.points]
         for Y in posets:
-            kernels = _dirac_kernels(X, Y, COEFF_GRID) + _const_kernels(X, Y, COEFF_GRID)
+            kernels = _dirac_kernels(X, Y, _point_maps(X, Y), COEFF_GRID)
+            kernels += _dirac_kernels(X, Y, _constant_maps(X, Y), COEFF_GRID)
             for f in kernels:
                 for x, dirac_x in units:
                     yield _UNIT_LAW.format(x, f) if bind(f, dirac_x) != f(x) else None
@@ -736,13 +720,12 @@ def choquet_oracle(seed: int = 0, cases: int = 2000) -> LawResult:
 
 
 def _choquet_case(rng: random.Random) -> Optional[str]:
-    from .measures import choquet_integral, lower_integral
-
     space = random_poset(rng, 5)
     mu = random_measure(rng, space, max_points=5)
     f = random_table(rng, space)
-    direct = lower_integral(f, mu)
-    layered = choquet_integral(f, mu)
+    # read off the module at each call, so a patched or traced integral is used
+    direct = measures.lower_integral(f, mu)
+    layered = measures.choquet_integral(f, mu)
     if direct == layered:
         return None
     return (
@@ -770,15 +753,6 @@ def fixture_functions() -> Dict[str, PiecewiseMonotoneFn]:
             [("inc", two_x), ("dec", two_minus_2x), ("dec", two_minus_2x)],
         ),
     }
-
-
-# Exact unit-interval integrals of the fixtures, for squeeze checks.
-FIXTURE_INTEGRALS = {
-    "id": rational(1, 2),
-    "square": rational(1, 3),
-    "half": rational(1, 2),
-    "tent": rational(1, 2),
-}
 
 
 def _identity_level(n: int) -> IntervalValue:

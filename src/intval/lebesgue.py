@@ -65,10 +65,6 @@ rational per endpoint.  ``range_over`` likewise reduces its pair once.
 ``refine`` is the one walk up the chain: it yields the levels from depth
 0 until one is narrow enough, or up to the depth cap, and the
 integrator, the chain check, the CLI and the law suites all read it.
-
-``dyadic_round`` is the grid-rounding companion: it sends a number
-x in [0, 1] to the depth-n dyadic interval [round_down(x), round_up(x)],
-an ascending (in n) chain of enclosures of the precise point [x, x].
 """
 
 from __future__ import annotations
@@ -309,12 +305,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        # already canonical (Gauss's lemma): the content of num^n is the
-        # content of num to the n, coprime to den^n, and the top
-        # coefficient of num^n is nonzero unless num is zero
-        power = object.__new__(Polynomial)
-        power.num, power.den = tuple(_power(self.num, n)), self.den ** n
-        return power
+        return Polynomial._of(_power(self.num, n), self.den ** n)
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder of division by a nonzero polynomial."""
@@ -854,26 +845,3 @@ def chain_check(h: IntervalTestFn, n_max: int) -> bool:
         raise DepthCapExceeded(f"depth {n_max} exceeds the cap {cap}", depth=cap)
     return ascends([level for _, level in refine(h, None, cap=n_max)])
 
-
-def dyadic_round(n: int, x) -> DyadicInterval:
-    """Round x in [0, 1] outward to the depth-n dyadic grid.
-
-    The lower endpoint is the largest grid point strictly approximating x
-    from below (grid point i/2^n for x in (i/2^n, (i+1)/2^n], and 0 on
-    [0, 1/2^n]); the upper endpoint mirrors it: 1 - round_down(1 - x).
-    The results ascend with n and squeeze onto the precise point [x, x].
-    """
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
-    x = rational(x)
-    if not (0 <= x <= 1):
-        raise OutOfRange(f"{x} is outside [0, 1]")
-    lo = _round_down(n, x)
-    hi = 1 - _round_down(n, 1 - x)
-    return DyadicInterval(lo, hi)
-
-
-def _round_down(n: int, x):
-    scaled = x * 2 ** n
-    ceil = -((-scaled.numerator) // scaled.denominator)
-    return rational(max(0, ceil - 1), 2 ** n)

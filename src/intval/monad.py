@@ -20,9 +20,9 @@ left unit law bind(f, delta_x) = f(x) holds on the nose: a unit product
 returns its other operand, so r . f(x) would repeat f(x) term by term, and
 bind returns f(x) itself, the object Kernel.__call__ hands out.  The closed
 form is primary because it returns a value in normal form; the functional
-description is kept as an oracle by the tests (laws.functional_bind, one
-test function at a time, on kernels whose images merge terms at a target
-point).  The Kleisli composite x -> bind(g, f(x)) is assembled from bind's
+description is kept as an oracle by the tests (functional_bind in
+tests/oracle_valuations.py, one test function at a time, on kernels whose
+images merge terms at a target point).  The Kleisli composite x -> bind(g, f(x)) is assembled from bind's
 results without Kernel's checks, which cannot fail there (see
 kleisli_compose).
 

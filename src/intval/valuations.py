@@ -28,37 +28,18 @@ equality is the order in both directions; ``==`` is structural equality
 of normal forms, which is sound but incomplete (on the chain q <= p,
 [inf,inf] x delta_p + [1,inf] x delta_q and [inf,inf] x delta_p +
 [2,inf] x delta_q are different normal forms of one functional).
-``leq_on``/``eq_on`` compare relative to an explicit family of test
-functions, and ``exhaustive_tests`` builds the family of *all* monotone
-maps into a fixed coefficient grid.  They are kept as independent
-oracles, not decision procedures: the grid family does not separate
-interval-valued valuations.  On the chain a <= b, the pair
-mu = [0,0] x delta_a + [1,2] x delta_b and
-nu = [1/2,1/2] x delta_a + [1,1] x delta_b passes ``leq_on`` over the
-grid family, yet h = {a -> [0,1], b -> [0,0]} gives mu(h) = [0,0],
-which is not below nu(h) = [0,1/2].
+``valuation_leq`` is the one order on valuations that the library offers;
+the grid-relative oracles the tests compare it with live in
+tests/oracle_valuations.py.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-from .algebra import INTERVALS, ZERO, IntervalValue, ValueAlgebra, ext, ival
+from .algebra import INTERVALS, ZERO, ValueAlgebra
 from .errors import SpaceMismatch
-from .spaces import FinitePoset, MonotoneMap, Point, all_monotone_maps
-
-# Default coefficient grids for exhaustive test families: the additive and
-# multiplicative units, a precise non-unit value, a genuinely wide interval,
-# and the absorbing least element (and the scalar counterpart).
-DEFAULT_TEST_GRID: Tuple[IntervalValue, ...] = (
-    ival(0, 0),
-    ival(1, 1),
-    ival("1/2", "1/2"),
-    ival(1, 2),
-    ival(0, "inf"),
-)
-
-SCALAR_TEST_GRID = tuple(ext(v) for v in (0, "1/2", 1, 2, "inf"))
+from .spaces import FinitePoset, MonotoneMap, Point
 
 _new = object.__new__
 
@@ -125,15 +106,6 @@ class ElementaryValuation:
         )
         return "val { " + body + " }"
 
-    def to_json_obj(self) -> dict:
-        """JSON shape mirroring the ``val { coeff @ point; ... }`` literal."""
-        return {
-            "terms": [
-                {"coeff": self.algebra.render(c), "point": str(p)}
-                for c, p in self.terms
-            ]
-        }
-
 
 def _point_key(point):
     # points within one space are mutually orderable (strings, or tuples of
@@ -190,31 +162,16 @@ def add(mu: ElementaryValuation, nu: ElementaryValuation) -> ElementaryValuation
     )
 
 
-def leq_on(
-    mu: ElementaryValuation,
-    nu: ElementaryValuation,
-    tests: Sequence[MonotoneMap],
-) -> bool:
-    """Pointwise order relative to a family of test functions.
-
-    True iff evaluate(mu, h) <= evaluate(nu, h) for every supplied h.  A
-    sound necessary check for the full pointwise order, complete only
-    relative to the family.
-    """
-    if mu.space != nu.space:
-        raise SpaceMismatch("cannot compare valuations on different spaces")
-    if not tests:
-        raise ValueError("leq_on needs at least one test function")
-    alg = mu.algebra
-    return all(alg.leq(evaluate(mu, h), evaluate(nu, h)) for h in tests)
-
-
 def eq_on(
     mu: ElementaryValuation,
     nu: ElementaryValuation,
     tests: Sequence[MonotoneMap],
 ) -> bool:
-    """Functional equality relative to a family of test functions."""
+    """Functional equality relative to a family of test functions.
+
+    No library code calls it: it stays because the benchmark's tracer
+    (perfbench/trace.py) wraps it, until that span is dropped.
+    """
     if mu.space != nu.space:
         raise SpaceMismatch("cannot compare valuations on different spaces")
     if not tests:
@@ -310,22 +267,6 @@ def _mass(masses: List[object], subset: int):
         if subset >> i & 1:
             total = total + m
     return total
-
-
-def exhaustive_tests(
-    space: FinitePoset,
-    grid: Sequence[object] | None = None,
-    algebra: ValueAlgebra = INTERVALS,
-) -> List[MonotoneMap]:
-    """All monotone test functions into a finite coefficient grid.
-
-    The default grid matches the algebra (interval or scalar).  Affordable
-    for posets with at most 4-5 points; the family grows like
-    |grid|^|points| on antichains.
-    """
-    if grid is None:
-        grid = DEFAULT_TEST_GRID if algebra is INTERVALS else SCALAR_TEST_GRID
-    return all_monotone_maps(space, grid, algebra)
 
 
 def bottom_valuation(space: FinitePoset, algebra: ValueAlgebra = INTERVALS) -> ElementaryValuation:

@@ -5,13 +5,21 @@ each dyadic cell the min/max over each overlapping piece is taken at the
 overlap's endpoints (pieces are monotone), and the two weighted endpoint
 sums are accumulated separately.  Shares no code with the library's
 interval-arithmetic path, so exact agreement between the two is a real
-check.
+check.  Also holds the exact integrals of the law suites' fixtures.
 """
 
 from fractions import Fraction
 
-from intval.algebra import IntervalValue, ival
+from intval.algebra import IntervalValue, ival, rational
 from intval.lebesgue import PiecewiseMonotoneFn
+
+# Exact unit-interval integrals of the fixtures, for squeeze checks.
+FIXTURE_INTEGRALS = {
+    "id": rational(1, 2),
+    "square": rational(1, 3),
+    "half": rational(1, 2),
+    "tent": rational(1, 2),
+}
 
 
 def brute_force_level(fn: PiecewiseMonotoneFn, n: int) -> IntervalValue:

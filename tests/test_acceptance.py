@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from oracle_dyadic import brute_force_level
+from oracle_dyadic import FIXTURE_INTEGRALS, brute_force_level
 from oracle_support import down_closure
 
 from intval.algebra import (
@@ -35,7 +35,6 @@ from intval.algebra import (
     ExtNonNeg,
     IntervalValue,
     ext,
-    ext_add,
     ival,
     ival_leq,
     mul_left,
@@ -45,7 +44,6 @@ from intval.algebra import (
 )
 from intval.errors import OutOfRange
 from intval.laws import (
-    FIXTURE_INTEGRALS,
     choquet_oracle,
     interval_axioms,
     fixture_functions,
@@ -153,10 +151,8 @@ def test_c05_integral_algebra():
             mu = random_measure(rng, space, max_points=5)
             f = random_table(rng, space)
             g = random_table(rng, space)
-            fg = {p: ext_add(f[p], g[p]) for p in space.points}
-            assert lower_integral(fg, mu) == ext_add(
-                lower_integral(f, mu), lower_integral(g, mu)
-            )
+            fg = {p: f[p] + g[p] for p in space.points}
+            assert lower_integral(fg, mu) == lower_integral(f, mu) + lower_integral(g, mu)
             a = rng.choice(scalars)
             af = {p: mul_left(a, f[p]) for p in space.points}
             assert lower_integral(af, mu) == mul_left(a, lower_integral(f, mu))
@@ -165,10 +161,8 @@ def test_c05_integral_algebra():
             mu = random_measure(rng, space, bounded=True, nonzero=True, max_points=5)
             f = random_antitone_table(rng, space)
             g = random_antitone_table(rng, space)
-            fg = {p: ext_add(f[p], g[p]) for p in space.points}
-            assert upper_integral(fg, mu) == ext_add(
-                upper_integral(f, mu), upper_integral(g, mu)
-            )
+            fg = {p: f[p] + g[p] for p in space.points}
+            assert upper_integral(fg, mu) == upper_integral(f, mu) + upper_integral(g, mu)
             a = rng.choice(scalars)
             af = {p: mul_right(a, f[p]) for p in space.points}
             assert upper_integral(af, mu) == mul_right(a, upper_integral(f, mu))
@@ -194,7 +188,7 @@ def test_c05_integral_algebra():
             for _ in range(2):
                 bump = random_antitone_table(rng, space)
                 descending.insert(
-                    0, {p: ext_add(descending[0][p], bump[p]) for p in space.points}
+                    0, {p: descending[0][p] + bump[p] for p in space.points}
                 )
             infimum = descending[-1]
             assert upper_integral(infimum, mu) == min(
@@ -286,7 +280,7 @@ def test_c07_lower_endpoint_view():
                         MonotoneMap(
                             space,
                             {
-                                p: IntervalValue(f[p], ext_add(ceiling, bump[p]))
+                                p: IntervalValue(f[p], ceiling + bump[p])
                                 for p in space.points
                             },
                             INTERVALS,

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -7,10 +8,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intval import cli, lebesgue
+from intval.algebra import INFINITY, ext
 from intval.laws import LawResult
 
 
@@ -184,6 +188,21 @@ class TestIntegrate:
         assert out == ""
         assert err == "error: --approx-decimals must be <= 4300\n"
 
+    def test_options_are_checked_before_the_literal_is_parsed(self, capsys):
+        # 8,450 characters whose direction checks take seconds: a bad option
+        # is reported without waiting for them
+        n = "1" + "0" * 4200
+        fn = f"piecewise {{ [0,1/{n}] inc: x^64; [1/{n},1] inc: x^64 }}"
+        assert len(fn) == 8450
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["integrate", "--fn", fn, "--depth-cap", "31"], capsys=capsys
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err == "error: --depth-cap must lie in [0, 30]\n"
+
     def test_rationals_over_4300_digits_print_exactly(self, capsys):
         # a 4933-digit constant: Python's str() refuses ints over 4300 digits
         big = "(2^64)^64*(2^64)^64*(2^64)^64*(2^64)^64"
@@ -306,6 +325,49 @@ class TestIntegrate:
         assert code == 1
         assert out == ""
         assert err == f"error: --depth-cap must lie in [0, {cli.MAX_DEPTH_CAP}]\n"
+
+
+def _half_even_oracle(value: Fraction, decimals: int) -> str:
+    """value rounded half to even to `decimals` places by the decimal module.
+
+    The precision covers every digit of the scaled quotient and of its
+    denominator, so the one division rounds to within less than half the
+    gap between value and the nearest tie, and an exact tie is exact.
+    """
+    num, den = value.numerator * 10**decimals, value.denominator
+    with decimal.localcontext() as ctx:
+        ctx.prec = len(str(num)) + 2 * len(str(den)) + 10
+        q = (decimal.Decimal(num) / decimal.Decimal(den)).quantize(
+            decimal.Decimal(1), rounding=decimal.ROUND_HALF_EVEN
+        )
+        return format(q.scaleb(-decimals), f".{decimals}f")
+
+
+_TIES = st.builds(
+    lambda k, d: (Fraction(2 * k + 1, 2 * 10**d), d),
+    st.integers(0, 10**12),
+    st.integers(0, 8),
+)
+_RATIONALS = st.tuples(
+    st.fractions(min_value=0, max_value=10**9, max_denominator=10**9),
+    st.integers(0, 40),
+)
+
+
+class TestApprox:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_TIES, _RATIONALS))
+    def test_rounds_half_to_even(self, case):
+        value, decimals = case
+        assert cli._approx(ext(value), decimals) == _half_even_oracle(value, decimals)
+
+    def test_ties_go_to_the_even_neighbour(self):
+        assert [cli._approx(ext(Fraction(k, 2)), 0) for k in (1, 3, 5, 7)] == [
+            "0", "2", "2", "4",
+        ]
+        assert cli._approx(ext(Fraction(125, 1000)), 2) == "0.12"
+        assert cli._approx(ext(Fraction(375, 1000)), 2) == "0.38"
+        assert cli._approx(INFINITY, 3) == "inf"
 
 
 class TestEval:

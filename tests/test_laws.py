@@ -8,7 +8,6 @@ from intval.laws import (
     FAMILIES,
     all_grid_valuations,
     choquet_oracle,
-    functional_bind,
     interval_axioms,
     fubini_exchange,
     lebesgue_chain,
@@ -24,10 +23,10 @@ from intval.valuations import (
     ElementaryValuation,
     eq_on,
     evaluate,
-    exhaustive_tests,
     scale,
 )
 from oracle_support import strict_pairs
+from oracle_valuations import exhaustive_tests, functional_bind
 
 
 class TestFamilies:

@@ -8,11 +8,11 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracle_dyadic import brute_force_level
+from oracle_dyadic import FIXTURE_INTEGRALS, brute_force_level
 
 from intval.algebra import INFINITY, IntervalValue, ext, ival, ival_leq, rational, width
 from intval.errors import DepthCapExceeded, NonEvaluablePiece, NotMonotone, OutOfRange
-from intval.laws import FIXTURE_INTEGRALS, fixture_functions
+from intval.laws import fixture_functions
 from intval.lebesgue import (
     DyadicInterval,
     IntervalTestFn,
@@ -21,7 +21,6 @@ from intval.lebesgue import (
     canonical_extension,
     chain_check,
     dyadic_grid,
-    dyadic_round,
     is_dyadic,
     lebesgue_integrate,
     lebesgue_n,
@@ -1156,42 +1155,6 @@ class TestInfinityBranch:
     def test_never_converges(self):
         with pytest.raises(DepthCapExceeded):
             lebesgue_integrate(self.spike(), "1/2", cap=6)
-
-
-class TestDyadicRound:
-    def test_examples(self):
-        assert dyadic_round(1, "1/2") == DyadicInterval(0, 1)
-        assert dyadic_round(2, 1) == DyadicInterval("3/4", 1)
-        for n in range(6):
-            assert dyadic_round(n, 0) == DyadicInterval(0, rational(1, 2 ** n))
-
-    def test_encloses_and_ascends(self):
-        xs = [rational(0), rational(1, 3), rational(1, 2), rational(5, 8), rational(1)]
-        for x in xs:
-            prev = None
-            for n in range(10):
-                cell = dyadic_round(n, x)
-                assert cell.lo <= x <= cell.hi
-                if prev is not None:
-                    assert cell.refines(prev)
-                prev = cell
-            assert cell.hi - cell.lo <= rational(2, 2 ** 9)
-
-    def test_squeezes_evaluations(self):
-        h = canonical_extension(fixture_functions()["square"])
-        x = rational(3, 8)
-        point = DyadicInterval(x, x)
-        prev = None
-        for n in range(9):
-            enc = h(dyadic_round(n, x))
-            assert ival_leq(enc, h(point))
-            if prev is not None:
-                assert ival_leq(prev, enc)
-            prev = enc
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            dyadic_round(3, 2)
 
 
 class TestEvaluatorValidation:

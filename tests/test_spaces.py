@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from intval import monad
 from intval.algebra import INTERVALS, SCALARS, ext, ival
 from intval.errors import NotMonotone, PointNotInSpace
+from intval.laws import COEFF_GRID
 from intval.measures import FiniteSupportMeasure, upper_integral
 from intval.monad import Kernel, map_valuation
 from intval.spaces import (
@@ -22,7 +23,7 @@ from intval.spaces import (
     product_poset,
     singleton,
 )
-from intval.valuations import DEFAULT_TEST_GRID, ElementaryValuation, dirac
+from intval.valuations import ElementaryValuation, dirac
 from oracle_support import UpperSet, closed_support, min_upper_support, strict_pairs
 
 
@@ -176,7 +177,7 @@ class TestCovers:
     def test_checks_accept_exactly_the_ordered_tables(self, p, data):
         pts, less = p.points, strict_pairs(p)
         n = len(pts)
-        values = data.draw(st.lists(st.sampled_from(DEFAULT_TEST_GRID), min_size=n, max_size=n))
+        values = data.draw(st.lists(st.sampled_from(COEFF_GRID), min_size=n, max_size=n))
         h = dict(zip(pts, values))
         monotone = all(INTERVALS.leq(h[a], h[b]) for a, b in less)
         assert _accepts(lambda: MonotoneMap(p, h)) == monotone
@@ -413,15 +414,15 @@ class TestEnumeration:
         assert len(enumerate_posets(4)) == 1 + 2 + 5 + 16
 
     def test_monotone_maps_on_antichain_are_all_maps(self):
-        maps = all_monotone_maps(antichain(["a", "b"]), DEFAULT_TEST_GRID)
-        assert len(maps) == len(DEFAULT_TEST_GRID) ** 2
+        maps = all_monotone_maps(antichain(["a", "b"]), COEFF_GRID)
+        assert len(maps) == len(COEFF_GRID) ** 2
 
     def test_monotone_maps_on_chain_respect_order(self):
-        maps = all_monotone_maps(chain(["a", "b"]), DEFAULT_TEST_GRID)
+        maps = all_monotone_maps(chain(["a", "b"]), COEFF_GRID)
         for h in maps:
             assert INTERVALS.leq(h("a"), h("b"))
         # pairs must be comparable-in-order, strictly fewer than all pairs
-        assert len(maps) < len(DEFAULT_TEST_GRID) ** 2
+        assert len(maps) < len(COEFF_GRID) ** 2
 
     def test_tables_come_out_in_lexicographic_order(self):
         # along the linear extension, values tried in their given order
@@ -436,7 +437,7 @@ class TestEnumeration:
                            for i, a in enumerate(pts) for j, b in enumerate(pts) if x.leq(a, b))
                 ]
                 assert all_monotone_point_maps(x, y) == expected
-            grid = DEFAULT_TEST_GRID
+            grid = COEFF_GRID
             expected = [
                 dict(zip(pts, values))
                 for values in product(grid, repeat=len(pts))

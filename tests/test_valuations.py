@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from intval.algebra import BOTTOM, INTERVALS, IONE, IZERO, SCALARS, ext, ival
 from intval.errors import PointNotInSpace, SpaceMismatch
 from intval.laws import (
+    COEFF_GRID,
     random_interval,
     random_monotone_kernel,
     random_monotone_map,
@@ -16,20 +17,17 @@ from intval.laws import (
 )
 from intval.spaces import MonotoneMap, antichain, chain, enumerate_posets, singleton
 from intval.valuations import (
-    DEFAULT_TEST_GRID,
-    SCALAR_TEST_GRID,
     ElementaryValuation,
     add,
     bottom_valuation,
     dirac,
     eq_on,
     evaluate,
-    exhaustive_tests,
-    leq_on,
     scale,
     valuation_leq,
 )
 from oracle_support import down_closure, up_closure
+from oracle_valuations import SCALAR_TEST_GRID, exhaustive_tests, leq_on
 
 
 @pytest.fixture
@@ -207,14 +205,6 @@ class TestNormalForm:
         terms, algebra = parse_valuation(repr(nu))
         assert ElementaryValuation(xy, terms, algebra) == nu
 
-    def test_json_shape_mirrors_the_literal(self, xy):
-        nu = ElementaryValuation(xy, [(ival("1/2", "1/2"), "x"), (ival("1/4", "1/3"), "y")])
-        assert nu.to_json_obj() == {
-            "terms": [
-                {"coeff": "[1/2,1/2]", "point": "x"},
-                {"coeff": "[1/4,1/3]", "point": "y"},
-            ]
-        }
 
 
 def _coefficient(rng, algebra):
@@ -284,7 +274,7 @@ class TestComparisons:
 
 def grid_valuations(space, algebra):
     """Every valuation with one test-grid coefficient per chosen point."""
-    grid = DEFAULT_TEST_GRID if algebra is INTERVALS else SCALAR_TEST_GRID
+    grid = COEFF_GRID if algebra is INTERVALS else SCALAR_TEST_GRID
     pts = space.points
     return [
         ElementaryValuation(space, list(zip(coeffs, subset)), algebra)
