@@ -210,6 +210,27 @@ class TestEnumerators:
         space = antichain(["a", "b", "c"])
         assert len(all_grid_valuations(space)) == 3 * 5 + 3 * 25 + 125
 
+    def test_coeff_grid_values_and_order(self):
+        assert COEFF_GRID == (
+            ival(0, 0), ival(1, 1), ival("1/2", "1/2"), ival(1, 2), ival(0, "inf")
+        )
+        # an equal [1, 1] that is not the algebra's one object, so bind
+        # takes its product path on it
+        assert COEFF_GRID[1] == IONE and COEFF_GRID[1] is not IONE
+
+    def test_constant_kernels_target_point_first(self):
+        # x -> c . delta_y for each target point y, then each coefficient c
+        for X in enumerate_posets(2):
+            for Y in enumerate_posets(3):
+                kernels = laws._dirac_kernels(
+                    X, Y, laws._constant_maps(X, Y), COEFF_GRID
+                )
+                expected = [(y, c) for y in Y.points for c in COEFF_GRID]
+                assert len(kernels) == len(expected)
+                for f, (y, c) in zip(kernels, expected):
+                    nu = ElementaryValuation(Y, [(c, y)])
+                    assert all(f(x) == nu for x in X.points)
+
 
 def _first_wins_bind(f, nu):
     """A planted bug: like bind, but when two terms land on the same target
