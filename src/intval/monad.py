@@ -3,8 +3,8 @@
 The unit sends a point to its Dirac mass.  A kernel is a monotone map from
 a source poset into valuations on a target poset, in the pointwise order
 of valuations; on finite posets that is Scott continuity, and
-valuations.valuation_leq decides it exactly.  Its extension acts on an
-elementary valuation by the closed form
+valuations.valuation_leq decides it exactly, by one max-flow per side.
+Its extension acts on an elementary valuation by the closed form
 
     bind(f, sum_i r_i x delta_{x_i}) = sum_i r_i . f(x_i)
 
@@ -48,7 +48,7 @@ from typing import Callable, Mapping, Union
 from .algebra import INTERVALS, ValueAlgebra
 from .errors import NotMonotone, PointNotInSpace, SpaceMismatch
 from .spaces import FinitePoset, Point, product_poset
-from .valuations import ElementaryValuation, dirac, valuation_leq
+from .valuations import ElementaryValuation, dirac, separating_function
 
 PointFn = Union[Mapping[Point, Point], Callable[[Point], Point]]
 
@@ -63,13 +63,17 @@ class Kernel:
     """A monotone map from source points to valuations on a target poset.
 
     Monotonicity in the pointwise order on valuations is exactly Scott
-    continuity on a finite poset.  It is decided with ``valuation_leq`` on
-    the source's covering pairs (the order is transitive), for targets of
-    any size.  ``validate=False`` skips the check for kernels that are
-    monotone by construction; totality, the images' space and a single
-    coefficient algebra are still checked.  ``kleisli_compose`` builds its
-    composite without this constructor, since none of these checks can
-    fail on it.
+    continuity on a finite poset.  It is decided on the source's covering
+    pairs (the order is transitive) by ``separating_function``, the flow
+    decision of ``valuation_leq``, in time polynomial in the images' term
+    points, for targets of any size.  A failing pair raises NotMonotone
+    naming the pair and, as an ``fn h { ... }`` literal in point order,
+    the test function h on which the lower image exceeds the upper one;
+    a monotone kernel pays nothing for that certificate.
+    ``validate=False`` skips the check for kernels that are monotone by
+    construction; totality, the images' space and a single coefficient
+    algebra are still checked.  ``kleisli_compose`` builds its composite
+    without this constructor, since none of these checks can fail on it.
     """
 
     __slots__ = ("source", "target", "algebra", "_table")
@@ -102,10 +106,12 @@ class Kernel:
         self.algebra = algebra if algebra is not None else INTERVALS
         if validate:
             for a, b in source.cover_pairs():
-                if not valuation_leq(self._table[a], self._table[b]):
+                h = separating_function(self._table[a], self._table[b])
+                if h is not None:
                     raise NotMonotone(
                         f"kernel not monotone: {a!r} <= {b!r} but "
-                        f"{self._table[a]!r} !<= {self._table[b]!r}"
+                        f"{self._table[a]!r} !<= {self._table[b]!r}; "
+                        f"separated by {h!r}"
                     )
 
     def __call__(self, x: Point) -> ElementaryValuation:

@@ -21,23 +21,37 @@ rejected: the constant-zero functional fails homogeneity (it would force
 a * 0 = 0, which fails for intervals) and is deliberately unrepresentable.
 
 The order is decided exactly.  ``valuation_leq(mu, nu)`` decides
-mu(h) <= nu(h) for every monotone test function h from the terms alone,
-by comparing masses on upper and down sets (see its docstring for the
-proof); the kernels of the monad are validated with it.  Functional
-equality is the order in both directions; ``==`` is structural equality
-of normal forms, which is sound but incomplete (on the chain q <= p,
-[inf,inf] x delta_p + [1,inf] x delta_q and [inf,inf] x delta_p +
-[2,inf] x delta_q are different normal forms of one functional).
-``valuation_leq`` is the one order on valuations that the library offers;
-the grid-relative oracles the tests compare it with live in
-tests/oracle_valuations.py.
+mu(h) <= nu(h) for every monotone test function h from the terms alone:
+the masses of the lower endpoints must move up the order from mu into
+nu, and those of the upper endpoints down from nu into mu, and each is
+one exact int max-flow on the pair's term points, polynomial in their
+number (see its docstring for the proof).  A "no" comes with a
+certificate: ``separating_function`` turns the flow's minimum cut into a
+monotone h with mu(h) !<= nu(h), and the kernels of the monad are
+validated with it.  Functional equality is the order in both directions;
+``==`` is structural equality of normal forms, which is sound but
+incomplete (on the chain q <= p, [inf,inf] x delta_p + [1,inf] x delta_q
+and [inf,inf] x delta_p + [2,inf] x delta_q are different normal forms
+of one functional).  ``valuation_leq`` is the one order on valuations
+that the library offers; the grid-relative oracles and the 2^k trace
+enumeration the tests compare it with live in tests/oracle_valuations.py.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .algebra import INTERVALS, ZERO, ValueAlgebra
+from .algebra import (
+    BOTTOM,
+    INFINITY,
+    INTERVALS,
+    IZERO,
+    ONE,
+    ZERO,
+    IntervalValue,
+    ValueAlgebra,
+)
 from .errors import SpaceMismatch
 from .spaces import FinitePoset, MonotoneMap, Point
 
@@ -216,57 +230,237 @@ def valuation_leq(mu: ElementaryValuation, nu: ElementaryValuation) -> bool:
     every q_j too, so both sums are finite, and the layer cake over the
     down-sets {g >= v_k} reduces H_nu(g) <= H_mu(g) to (2).
 
-    Traces.  Every mass above depends only on the trace of U (or D) on
-    the k distinct term points of the pair.  A subset T of those points
-    is such a trace iff the up-closure of T meets them in T exactly, and
-    the down-set traces are the complements of the upper-set traces.  So
-    the decision enumerates the 2^k subsets once, with no cap on the
-    poset's size.
+    Flows.  Each side asks whether a source mass can move along the order
+    into a sink mass: mu_lo up into nu_lo (from p_i to q_j when
+    p_i <= q_j), and nu_hi down into mu_hi (from q_j to p_i when
+    p_i <= q_j).  By the splitting lemma of Jones and Plotkin, a Hall
+    condition, it can iff every set S of source points carries at most the
+    sink mass of its reach; that is the mass condition on the upper set
+    up(S) (down-set down(S)), and for any upper (down) set it follows from
+    the one for S = the source points inside.  So a side holds iff the
+    network source -> p (capacity p's mass), p -> q uncapped where p may
+    move to q, q -> sink (capacity q's mass) has a flow that carries the
+    whole source mass, a transport plan.  Infinite masses are settled
+    first: a sink point of infinite mass absorbs every source point that
+    reaches it, so both are dropped, and a source point of infinite mass
+    left over reaches finite mass only and fails, with S = {p}.  The other
+    masses are finite rationals, scaled to ints over one common
+    denominator; zero masses are dropped.  Breadth-first augmenting paths
+    (Edmonds-Karp), served source by source, find the flow in time
+    polynomial in the k term points and independent of the numbers'
+    size.  If the search from a source gets stuck, the source points S and
+    sink points T it reached are the source side of a minimum cut: every
+    sink point in T is full, filled from S alone, and S reaches only T, so
+    S's mass exceeds its routed flow, which is T's mass, at least that of
+    S's reach.  up(S) (down(S)) is a set that breaks the side, and
+    ``separating_function`` turns it into a test function.
+
+    Shortcuts.  Equal normal forms are one functional, so mu.terms ==
+    nu.terms is ordered without a flow.  A one-point source moves into
+    the sink points it reaches iff its mass is at most theirs, one int
+    comparison.
     """
+    return _refutation(mu, nu) is None
+
+
+def separating_function(
+    mu: ElementaryValuation, nu: ElementaryValuation
+) -> MonotoneMap | None:
+    """None when mu <= nu, else a test function h with mu(h) !<= nu(h).
+
+    h certifies the "no" of ``valuation_leq``: it is built from the cut
+    that refutes the order (see there), in point order, and is checked
+    monotone.  An upper set U that breaks the lower side gives
+    h = [1_U, inf] (1_U at SCALARS), a down-set D that breaks (2) gives
+    h = [0, 1_D], and a nu point above none of mu's points gives
+    h = [0, inf . 1_D] with D the complement of the up-closure of mu's
+    points, so that evaluate(mu, h) is not below evaluate(nu, h).
+    """
+    found = _refutation(mu, nu)
+    if found is None:
+        return None
+    kind, mask = found
+    space, alg = mu.space, mu.algebra
+    if alg is not INTERVALS:
+        outside, inside = ZERO, ONE
+    elif kind is _UPPER:
+        outside, inside = BOTTOM, IntervalValue._make(ONE, INFINITY)
+    elif kind is _DOWN:
+        outside, inside = IZERO, IntervalValue._make(ZERO, ONE)
+    else:
+        outside, inside = IZERO, BOTTOM
+    table = {p: inside if mask >> i & 1 else outside for i, p in enumerate(space.points)}
+    return MonotoneMap(space, table, alg)
+
+
+# The kinds of set a refutation names: an upper set, a down-set breaking
+# (2), or the down-set that support condition (1) finds.
+_UPPER, _DOWN, _SUPPORT = "upper", "down", "support"
+
+
+def _refutation(mu: ElementaryValuation, nu: ElementaryValuation):
+    """None when mu <= nu, else (kind, bitmask over point indices)."""
     if mu.space is not nu.space and mu.space != nu.space:
         raise SpaceMismatch("cannot compare valuations on different spaces")
     if mu.algebra is not nu.algebra:
         raise SpaceMismatch("cannot compare valuations over different algebras")
-    space, intervals = mu.space, mu.algebra is INTERVALS
-    # mu's points come first, so mu's support is the low len(mu.terms) bits
-    points = list(dict.fromkeys(p for _, p in mu.terms + nu.terms))
-    above = [
-        sum(1 << j for j, q in enumerate(points) if space.leq(p, q)) for p in points
-    ]
-    full = (1 << len(points)) - 1
-    uppers = [t for t in range(full + 1) if _up_closure(above, t) == t]
+    if mu.terms == nu.terms:
+        return None
+    space = mu.space
+    # the poset's own index and up-set bitmasks (see spaces.FinitePoset)
+    index, up = space._index, space._up
+    if mu.algebra is not INTERVALS:
+        stuck = _hall(
+            [(c, index[p]) for c, p in mu.terms],
+            [(c, index[q]) for c, q in nu.terms],
+            up,
+            True,
+        )
+        return None if stuck is None else (_UPPER, _up_closure(stuck, up))
+    mu_lo, mu_hi, nu_lo, nu_hi = [], [], [], []
+    mu_up = 0
+    for c, p in mu.terms:
+        i = index[p]
+        mu_lo.append((c.lo, i))
+        mu_hi.append((c.hi, i))
+        mu_up |= up[i]
+    for c, q in nu.terms:
+        j = index[q]
+        nu_lo.append((c.lo, j))
+        nu_hi.append((c.hi, j))
+    stuck = _hall(mu_lo, nu_lo, up, True)
+    if stuck is not None:
+        return _UPPER, _up_closure(stuck, up)
+    for m, _ in mu_hi:
+        if not m._d:
+            return None
+    for _, q in nu_hi:
+        if not mu_up >> q & 1:
+            return _SUPPORT, ((1 << len(up)) - 1) & ~mu_up
+    stuck = _hall(nu_hi, mu_hi, up, False)
+    if stuck is None:
+        return None
+    seeds = sum(1 << q for q in stuck)
+    return _DOWN, sum(1 << i for i, mask in enumerate(up) if mask & seeds)
 
-    def masses(val, endpoint):
-        at = {p: endpoint(c) for c, p in val.terms}
-        return [at.get(p, ZERO) for p in points]
 
-    lower = (lambda c: c.lo) if intervals else (lambda c: c)
-    mu_lo, nu_lo = masses(mu, lower), masses(nu, lower)
-    if not all(_mass(mu_lo, t) <= _mass(nu_lo, t) for t in uppers):
-        return False
-    if not intervals or any(c.hi.is_infinite for c, _ in mu.terms):
-        return True
-    nu_support = sum(1 << points.index(p) for _, p in nu.terms)
-    if nu_support & ~_up_closure(above, (1 << len(mu.terms)) - 1):
-        return False
-    mu_hi, nu_hi = masses(mu, lambda c: c.hi), masses(nu, lambda c: c.hi)
-    return all(_mass(nu_hi, full ^ t) <= _mass(mu_hi, full ^ t) for t in uppers)
-
-
-def _up_closure(above: List[int], subset: int) -> int:
+def _up_closure(points: List[int], up: List[int]) -> int:
     closure = 0
-    for i, mask in enumerate(above):
-        if subset >> i & 1:
-            closure |= mask
+    for i in points:
+        closure |= up[i]
     return closure
 
 
-def _mass(masses: List[object], subset: int):
-    total = ZERO
-    for i, m in enumerate(masses):
-        if subset >> i & 1:
-            total = total + m
-    return total
+def _hall(src, dst, up: List[int], upward: bool):
+    """None if src's masses move into dst's along the order, else the
+    indices of a set of source points whose mass exceeds their reach's.
+
+    src and dst are (mass, point index) lists; a source point p may move
+    to q when p <= q (upward) or q <= p.
+    """
+    sources = [(m, p) for m, p in src if m._n]
+    if not sources:
+        return None
+    sinks = [(m, q) for m, q in dst if m._n]
+    # each source's reach as a bitmask over point indices
+    if upward:
+        masks = [up[p] for _, p in sources]
+    else:
+        masks = [sum(1 << q for _, q in sinks if up[q] >> p & 1) for _, p in sources]
+    infinite = 0
+    for m, q in sinks:
+        if not m._d:
+            infinite |= 1 << q
+    if infinite:
+        # an infinite sink absorbs every source point that reaches it
+        kept = [i for i, mask in enumerate(masks) if not mask & infinite]
+        if not kept:
+            return None
+        sources = [sources[i] for i in kept]
+        masks = [masks[i] for i in kept]
+        sinks = [(m, q) for m, q in sinks if m._d]
+    for m, p in sources:
+        if not m._d:
+            return [p]
+    # finite masses as ints over one common denominator; reduced pairs
+    # (see algebra) keep the scaling exact
+    den = lcm(*[m._d for m, _ in sources], *[m._d for m, _ in sinks])
+    if len(sources) == 1:
+        ((m, p),) = sources
+        mask = masks[0]
+        reached = sum([n._n * (den // n._d) for n, q in sinks if mask >> q & 1])
+        return None if m._n * (den // m._d) <= reached else [p]
+    reached = _transport(
+        [m._n * (den // m._d) for m, _ in sources],
+        [m._n * (den // m._d) for m, _ in sinks],
+        [[j for j, (_, q) in enumerate(sinks) if mask >> q & 1] for mask in masks],
+    )
+    if reached is None:
+        return None
+    return [p for (_, p), r in zip(sources, reached) if r]
+
+
+def _transport(supply: List[int], demand: List[int], reach: List[List[int]]):
+    """Route every supply[i] into the demands of the sinks reach[i].
+
+    Sources are served in order: direct routes first, then breadth-first
+    augmenting paths, which may reroute earlier sources' flow.  Returns
+    None when all supply is routed; otherwise, per source, whether the
+    stuck search reached it.
+    """
+    left = list(demand)
+    into = [{} for _ in demand]  # sink -> {source: flow}, positive entries
+    for i, s in enumerate(supply):
+        for j in reach[i]:
+            d = left[j]
+            if d:
+                x = s if s < d else d
+                into[j][i] = x
+                left[j] = d - x
+                s -= x
+                if not s:
+                    break
+        while s:
+            via = {i: None}  # source -> the sink it was reached through
+            came = {}  # sink -> the source it was reached from
+            queue, end = [i], None
+            for a in queue:
+                for j in reach[a]:
+                    if j in came:
+                        continue
+                    came[j] = a
+                    if left[j]:
+                        end = j
+                        break
+                    for b in into[j]:
+                        if b not in via:
+                            via[b] = j
+                            queue.append(b)
+                if end is not None:
+                    break
+            if end is None:
+                return [k in via for k in range(len(supply))]
+            x, j = min(s, left[end]), end
+            while via[came[j]] is not None:
+                a = came[j]
+                j = via[a]
+                x = min(x, into[j][a])
+            s -= x
+            left[end] -= x
+            j = end
+            while True:
+                a = came[j]
+                flows = into[j]
+                flows[a] = flows.get(a, 0) + x
+                j = via[a]
+                if j is None:
+                    break
+                flows = into[j]
+                if flows[a] == x:
+                    del flows[a]
+                else:
+                    flows[a] -= x
+    return None
 
 
 def bottom_valuation(space: FinitePoset, algebra: ValueAlgebra = INTERVALS) -> ElementaryValuation:

@@ -792,7 +792,8 @@ class TestDeterminism:
 
     def test_diagnostics_do_not_depend_on_the_hash_seed(self):
         # a NotMonotone message names the first failing covering pair in
-        # point order, and a poset's repr lists its covers in point order
+        # point order (a kernel's also the separating test function, in
+        # point order), and a poset's repr lists its covers in point order
         script = """
 from intval import cli
 from intval.algebra import ival
@@ -824,6 +825,7 @@ print(repr(FinitePoset("abc", [("a", "b"), ("a", "c")])))
         assert outputs == {
             b"error: map not monotone: 'a' <= 'b' but 2 !<= 1\n"
             b"1\n"
-            b"kernel not monotone: 'a' <= 'b' but val { [2,2] @ t } !<= val { [1,1] @ t }\n"
+            b"kernel not monotone: 'a' <= 'b' but val { [2,2] @ t } !<= val { [1,1] @ t }; "
+            b"separated by fn h { t -> [1,inf] }\n"
             b"poset { a; b; c; a <= b; a <= c }\n"
         }

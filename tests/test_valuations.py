@@ -1,11 +1,13 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intval.algebra import BOTTOM, INTERVALS, IONE, IZERO, SCALARS, ext, ival
-from intval.errors import PointNotInSpace, SpaceMismatch
+from intval import valuations
+from intval.algebra import BOTTOM, INTERVALS, IONE, IZERO, SCALARS, IntervalValue, ext, ival
+from intval.errors import NotMonotone, PointNotInSpace, SpaceMismatch
 from intval.laws import (
     COEFF_GRID,
     random_interval,
@@ -15,7 +17,8 @@ from intval.laws import (
     random_scalar,
     random_valuation,
 )
-from intval.spaces import MonotoneMap, antichain, chain, enumerate_posets, singleton
+from intval.monad import Kernel
+from intval.spaces import FinitePoset, MonotoneMap, antichain, chain, enumerate_posets, singleton
 from intval.valuations import (
     ElementaryValuation,
     add,
@@ -24,10 +27,17 @@ from intval.valuations import (
     eq_on,
     evaluate,
     scale,
+    separating_function,
     valuation_leq,
 )
 from oracle_support import down_closure, up_closure
-from oracle_valuations import SCALAR_TEST_GRID, exhaustive_tests, leq_on
+from oracle_valuations import (
+    SCALAR_TEST_GRID,
+    assert_separates,
+    enumerated_leq,
+    exhaustive_tests,
+    leq_on,
+)
 
 
 @pytest.fixture
@@ -391,3 +401,163 @@ class TestValuationLeq:
             for _ in range(20):
                 h = random_monotone_map(rng, space, algebra)
                 assert algebra.leq(evaluate(mu, h), evaluate(nu, h))
+
+
+# ---- the flow decision against the enumeration ------------------------------
+
+# the corners [0,inf], [1,inf], [inf,inf] and [0,0]
+_CORNERS = (BOTTOM, ival(1, "inf"), ival("inf", "inf"), IZERO)
+_HALF = {INTERVALS: ival("1/2", "1/2"), SCALARS: ext("1/2")}
+
+
+def _coefficient(rng, algebra):
+    if algebra is SCALARS:
+        return random_scalar(rng)
+    return rng.choice(_CORNERS) if rng.random() < 0.4 else random_interval(rng)
+
+
+def near_pair(rng, space, algebra):
+    """A pair (mu, nu) near the order's boundary.
+
+    mu has 1-6 random terms.  A quarter of the time nu is drawn the same
+    way; otherwise each of mu's terms moves up the order, narrowed to one
+    of its endpoints or split in halves at two points above, which gives
+    an ordered pair with up to 12 terms, and half of those pairs then get
+    one of nu's terms redrawn.
+    """
+    pts = space.points
+
+    def draw():
+        return [(_coefficient(rng, algebra), rng.choice(pts)) for _ in range(rng.randint(1, 6))]
+
+    mu_terms = draw()
+    if rng.random() < 0.25:
+        nu_terms = draw()
+    else:
+        nu_terms = []
+        for c, p in mu_terms:
+            above = [q for q in pts if space.leq(p, q)]
+            if algebra is INTERVALS and rng.random() < 0.4:
+                end = rng.choice((c.lo, c.hi))
+                c = IntervalValue(end, end)
+            if rng.random() < 0.5:
+                half = algebra.mul(c, _HALF[algebra])
+                nu_terms += [(half, rng.choice(above)), (half, rng.choice(above))]
+            else:
+                nu_terms.append((c, rng.choice(above)))
+        if rng.random() < 0.5:
+            nu_terms[rng.randrange(len(nu_terms))] = draw()[0]
+    return (
+        ElementaryValuation(space, mu_terms, algebra),
+        ElementaryValuation(space, nu_terms, algebra),
+    )
+
+
+def seeded_pairs(seed, count):
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        algebra = (INTERVALS, SCALARS)[i % 2]
+        pairs.append(near_pair(rng, random_poset(rng, 8), algebra))
+    return pairs
+
+
+class TestFlowDecision:
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([INTERVALS, SCALARS]))
+    def test_agrees_with_the_enumeration_and_certifies_every_no(self, seed, algebra):
+        rng = random.Random(seed)
+        space = random_poset(rng, 8)
+        for _ in range(8):
+            mu, nu = near_pair(rng, space, algebra)
+            verdict = valuation_leq(mu, nu)
+            assert verdict == enumerated_leq(mu, nu), (mu, nu)
+            h = separating_function(mu, nu)
+            if verdict:
+                assert h is None
+            else:
+                assert_separates(mu, nu, h)
+
+    def test_the_pairs_reach_every_verdict(self, monkeypatch):
+        # the generated pairs exercise both verdicts, every kind of cut,
+        # and flows with more than one source point on both outcomes
+        flows = []
+        real = valuations._transport
+
+        def spy(supply, demand, reach):
+            reached = real(supply, demand, reach)
+            flows.append(reached is None)
+            return reached
+
+        monkeypatch.setattr(valuations, "_transport", spy)
+        kinds = [valuations._refutation(mu, nu) for mu, nu in seeded_pairs(3, 400)]
+        seen = {None if k is None else k[0] for k in kinds}
+        assert seen == {None, "upper", "down", "support"}
+        assert True in flows and False in flows
+
+    def test_the_checker_catches_a_cut_on_the_wrong_side(self, monkeypatch):
+        # planted defect: the stuck search's complement, the sink side of
+        # the cut, is reported as the violated source set
+        real = valuations._transport
+
+        def wrong_side(supply, demand, reach):
+            reached = real(supply, demand, reach)
+            return None if reached is None else [not r for r in reached]
+
+        monkeypatch.setattr(valuations, "_transport", wrong_side)
+        caught = 0
+        for mu, nu in seeded_pairs(3, 400):
+            h = separating_function(mu, nu)
+            if h is not None:
+                try:
+                    assert_separates(mu, nu, h)
+                except AssertionError:
+                    caught += 1
+        assert caught > 0
+
+
+# ---- polynomial time: the dyadic cells -------------------------------------
+
+
+def dyadic_cells(depth):
+    """D_depth: the dyadic cells of [0,1] of depth <= depth under reverse
+    inclusion.  Cell 'n.i' is [i/2^n, (i+1)/2^n], below its two halves."""
+    points = [f"{n}.{i}" for n in range(depth + 1) for i in range(2**n)]
+    halves = [
+        (f"{n}.{i}", f"{n + 1}.{2 * i + c}")
+        for n in range(depth)
+        for i in range(2**n)
+        for c in (0, 1)
+    ]
+    return FinitePoset(points, halves)
+
+
+def uniform_cells(space, n):
+    """lambda_n: mass [2^-n, 2^-n] on each depth-n cell."""
+    w = ival(f"1/{2**n}", f"1/{2**n}")
+    return ElementaryValuation(space, [(w, f"{n}.{i}") for i in range(2**n)])
+
+
+class TestPolynomialTime:
+    # Budgets from the slowest of 5 runs on a 2-core machine (Python
+    # 3.11.7): the D_4 kernel took 0.25 ms (budget 50 ms, 200x; the 2^24
+    # trace enumeration took 72 s) and the D_7 chain 6.6 ms (budget
+    # 0.25 s, about 40x).
+    def test_kernel_on_d4_with_images_lambda3_and_lambda4(self):
+        # 24 term points: 2^24 traces for an enumeration
+        d4 = dyadic_cells(4)
+        lam3, lam4 = uniform_cells(d4, 3), uniform_cells(d4, 4)
+        t0 = time.perf_counter()
+        Kernel(chain(["s", "t"]), d4, {"s": lam3, "t": lam4})
+        assert time.perf_counter() - t0 < 0.05
+        with pytest.raises(NotMonotone, match="; separated by fn h { 0.0 -> "):
+            Kernel(chain(["s", "t"]), d4, {"s": lam4, "t": lam3})
+
+    def test_lambda_chain_on_d7(self):
+        d7 = dyadic_cells(7)
+        lam = [uniform_cells(d7, n) for n in range(8)]
+        t0 = time.perf_counter()
+        assert all(valuation_leq(lam[n], lam[n + 1]) for n in range(7))
+        assert not valuation_leq(lam[7], lam[6])
+        assert time.perf_counter() - t0 < 0.25
+        assert_separates(lam[7], lam[6], separating_function(lam[7], lam[6]))
