@@ -39,10 +39,20 @@ reads strings through ``parse_scalar``, the inverse of ``render_scalar``.
 There is one arithmetic path.  The law suites spend their time in these
 few int operations, not in a rational type, so a faster rational library
 would not speed them up, and a second backend would be a second path whose
-output bytes nothing here could check.  The unit shortcut is not a second
-path: every interval product that is computed dispatches through
-``IntervalValue.__mul__``, which tests for [1, 1] on the reduced pairs
-before it calls mul_left and mul_right.  One caller computes none:
+output bytes nothing here could check.  Each scalar rule is written twice,
+once as the scalar function and once inside the interval operation, each
+of which runs in one frame on the reduced pairs: ``IntervalValue.__add__``
+carries ExtNonNeg.__add__ for both endpoints, ``IntervalValue.__mul__``
+carries mul_left for the lower endpoint and mul_right for the upper one
+(0 * inf, unit and zero shortcuts included), ``IntervalValue.__eq__``
+carries ExtNonNeg.__eq__ and ``ival_leq`` carries ExtNonNeg.__le__.  The
+copies are tied to the scalar functions by test, not by a call:
+TestProductsAgainstReference in tests/test_algebra.py checks the scalar
+functions and the interval operations against one Fraction model.  The
+unit shortcut is not a second path: every interval product that is
+computed dispatches through ``IntervalValue.__mul__``, which tests for
+[1, 1] on the reduced pairs before either endpoint rule.  One caller
+computes none:
 ``monad.bind`` on a unit Dirac, ``algebra.one`` at a single point x,
 returns the kernel's image f(x) itself.  That is exact, not a cache: the
 products it skips are unit products, which would hand back each of f(x)'s
@@ -233,8 +243,10 @@ def mul_right(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
     Infinity absorbs outright, making the product continuous in each
     argument from above.  Finite unit and zero factors take the same
     exact shortcuts as in mul_left, and the finite product is mul_left's,
-    written out again rather than called: interval products run both, and
-    a shared helper would add a call to every one of them.
+    written out again rather than called.  Interval products do not call
+    either function: ``IntervalValue.__mul__`` carries its own copy of
+    both rules (see the module docstring), and the scalar functions stay
+    the reference it is tested against.
     """
     an, ad, bn, bd = a._n, a._d, b._n, b._d
     if not ad or not bd:
@@ -282,13 +294,36 @@ class IntervalValue:
     def __setattr__(self, name, value):
         raise AttributeError("IntervalValue is immutable")
 
-    # The two operations build their result in place, through the slot
-    # descriptors, so each costs one call per endpoint and no more.
+    # Each operation is one frame: it reads the endpoints' reduced pairs
+    # and builds its result in place, through the slot descriptors, with
+    # the scalar rules written out rather than called (see the module
+    # docstring for which rule lives where and the test that ties them).
 
     def __add__(self, other: "IntervalValue") -> "IntervalValue":
+        lo, hi, olo, ohi = self.lo, self.hi, other.lo, other.hi
         obj = _new(IntervalValue)
-        _set_lo(obj, self.lo + other.lo)
-        _set_hi(obj, self.hi + other.hi)
+        ad, bd = lo._d, olo._d
+        if ad and bd:
+            n = lo._n * bd + olo._n * ad
+            d = ad * bd
+            g = gcd(n, d)
+            s = _new(ExtNonNeg)
+            s._n = n // g
+            s._d = d // g
+            _set_lo(obj, s)
+        else:
+            _set_lo(obj, INFINITY)
+        ad, bd = hi._d, ohi._d
+        if ad and bd:
+            n = hi._n * bd + ohi._n * ad
+            d = ad * bd
+            g = gcd(n, d)
+            s = _new(ExtNonNeg)
+            s._n = n // g
+            s._d = d // g
+            _set_hi(obj, s)
+        else:
+            _set_hi(obj, INFINITY)
         return obj
 
     def __mul__(self, other: "IntervalValue") -> "IntervalValue":
@@ -298,22 +333,57 @@ class IntervalValue:
         # included.  Sharing is safe because values are immutable, and it
         # lets == on normal forms stop at the identity test.
         lo, hi = self.lo, self.hi
-        if lo._n == lo._d and hi._n == hi._d:
+        an, ad, bn, bd = lo._n, lo._d, hi._n, hi._d
+        if an == ad and bn == bd:
             return other
         olo, ohi = other.lo, other.hi
-        if olo._n == olo._d and ohi._n == ohi._d:
+        cn, cd, en, ed = olo._n, olo._d, ohi._n, ohi._d
+        if cn == cd and en == ed:
             return self
         # lo <= hi is preserved: mul_left <= mul_right pointwise and both
         # are monotone in each argument.
         obj = _new(IntervalValue)
-        _set_lo(obj, mul_left(lo, olo))
-        _set_hi(obj, mul_right(hi, ohi))
+        # lower endpoint: mul_left(lo, olo), 0 * inf = 0
+        if not ad:
+            _set_lo(obj, INFINITY if cn else ZERO)
+        elif not cd:
+            _set_lo(obj, INFINITY if an else ZERO)
+        elif an == ad:
+            _set_lo(obj, olo)
+        elif cn == cd:
+            _set_lo(obj, lo)
+        elif not an or not cn:
+            _set_lo(obj, ZERO)
+        else:
+            g = gcd(an, cd)
+            h = gcd(cn, ad)
+            s = _new(ExtNonNeg)
+            s._n = (an // g) * (cn // h)
+            s._d = (ad // h) * (cd // g)
+            _set_lo(obj, s)
+        # upper endpoint: mul_right(hi, ohi), 0 * inf = inf
+        if not bd or not ed:
+            _set_hi(obj, INFINITY)
+        elif bn == bd:
+            _set_hi(obj, ohi)
+        elif en == ed:
+            _set_hi(obj, hi)
+        elif not bn or not en:
+            _set_hi(obj, ZERO)
+        else:
+            g = gcd(bn, ed)
+            h = gcd(en, bd)
+            s = _new(ExtNonNeg)
+            s._n = (bn // g) * (en // h)
+            s._d = (bd // h) * (ed // g)
+            _set_hi(obj, s)
         return obj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalValue):
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        lo, hi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        return lo._n == olo._n and lo._d == olo._d and hi._n == ohi._n and hi._d == ohi._d
 
     def __hash__(self) -> int:
         return hash((self.lo, self.hi))
@@ -349,8 +419,22 @@ def ival_mul(x: IntervalValue, y: IntervalValue) -> IntervalValue:
 
 
 def ival_leq(x: IntervalValue, y: IntervalValue) -> bool:
-    """Reverse-inclusion order on interval values."""
-    return x.lo <= y.lo and y.hi <= x.hi
+    """Reverse-inclusion order on interval values: x.lo <= y.lo and y.hi <= x.hi.
+
+    The two scalar comparisons are ExtNonNeg.__le__'s, written out on the
+    reduced pairs (see IntervalValue's operations).
+    """
+    lo, olo, ohi, hi = x.lo, y.lo, y.hi, x.hi
+    d = olo._d
+    if d:
+        ld = lo._d
+        if not ld or lo._n * d > olo._n * ld:
+            return False
+    d = hi._d
+    if not d:
+        return True
+    od = ohi._d
+    return od != 0 and ohi._n * d <= hi._n * od
 
 
 def width(x: IntervalValue) -> ExtNonNeg:

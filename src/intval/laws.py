@@ -141,18 +141,21 @@ class LawResult:
 _FINITE_POOL = tuple(
     rational(n, d) for n, d in [(0, 1), (1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (5, 2), (7, 1)]
 )
+# The same values as scalars, built once: a draw from either pool makes
+# the same rng call, and scalars are immutable, so draws may share them.
+_FINITE_SCALARS = tuple(ExtNonNeg(q) for q in _FINITE_POOL)
 
 
 def random_scalar(rng: random.Random, allow_inf: bool = True) -> ExtNonNeg:
     if allow_inf and rng.random() < 0.15:
         return INFINITY
-    return ExtNonNeg(rng.choice(_FINITE_POOL))
+    return rng.choice(_FINITE_SCALARS)
 
 
 def random_interval(rng: random.Random, allow_inf: bool = True) -> IntervalValue:
     a = random_scalar(rng, allow_inf)
     b = random_scalar(rng, allow_inf)
-    return IntervalValue(a, b) if a <= b else IntervalValue(b, a)
+    return IntervalValue._make(a, b) if a <= b else IntervalValue._make(b, a)
 
 
 def random_poset(rng: random.Random, max_points: int) -> FinitePoset:
@@ -199,13 +202,13 @@ def _interval_chain(rng: random.Random, length: int) -> List[IntervalValue]:
 
 def _scalar_chain(rng: random.Random, length: int) -> List[ExtNonNeg]:
     """A nondecreasing chain of scalars, possibly ending at infinity."""
-    acc = ExtNonNeg(rng.choice(_FINITE_POOL))
+    acc = rng.choice(_FINITE_SCALARS)
     chain = [acc]
     for _ in range(length - 1):
         if not acc.is_infinite and rng.random() < 0.1:
             acc = INFINITY
         elif not acc.is_infinite:
-            acc = acc + ExtNonNeg(rng.choice(_FINITE_POOL))
+            acc = acc + rng.choice(_FINITE_SCALARS)
         chain.append(acc)
     return chain
 
@@ -304,7 +307,7 @@ def _refine_interval(rng: random.Random, v: IntervalValue) -> IntervalValue:
         return v
     lo, hi = v.lo, v.hi
     if hi.is_infinite:
-        new_hi = INFINITY if rng.random() < 0.5 else lo + ExtNonNeg(rng.choice(_FINITE_POOL))
+        new_hi = INFINITY if rng.random() < 0.5 else lo + rng.choice(_FINITE_SCALARS)
     else:
         new_hi = hi
     if not new_hi.is_infinite and not lo.is_infinite:
@@ -353,7 +356,7 @@ def random_measure(
         if not bounded and rng.random() < 0.15:
             masses[p] = INFINITY
         else:
-            masses[p] = ExtNonNeg(rng.choice(_FINITE_POOL))
+            masses[p] = rng.choice(_FINITE_SCALARS)
     if nonzero and all(m.is_zero for m in masses.values()):
         masses[rng.choice(space.points)] = ExtNonNeg(1)
     return measures.FiniteSupportMeasure(space, masses)
@@ -392,25 +395,30 @@ def _run(family: str, checks: Iterable[Optional[str]]) -> LawResult:
 
 
 def _axiom_violations(x: IntervalValue, y: IntervalValue, z: IntervalValue) -> List[str]:
+    # x + y, y + z, x * y and x * z each appear in two identities and are
+    # computed once; every identity compares the same two sides as written
+    # out in full, since values are immutable and the operations pure.
+    x_plus_y, y_plus_z = x + y, y + z
+    x_times_y, x_times_z = x * y, x * z
     bad = []
-    if (x + y) + z != x + (y + z):
+    if x_plus_y + z != x + y_plus_z:
         bad.append("+ associativity")
-    if x + y != y + x:
+    if x_plus_y != y + x:
         bad.append("+ commutativity")
     if x + IZERO != x:
         bad.append("+ unit")
-    if (x * y) * z != x * (y * z):
+    if x_times_y * z != x * (y * z):
         bad.append("* associativity")
-    if x * y != y * x:
+    if x_times_y != y * x:
         bad.append("* commutativity")
     if x * IONE != x:
         bad.append("* unit")
-    if x * (y + z) != x * y + x * z:
+    if x * y_plus_z != x_times_y + x_times_z:
         bad.append("distributivity")
     if ival_leq(x, y):
         if not ival_leq(x + z, y + z):
             bad.append("+ monotonicity")
-        if not ival_leq(x * z, y * z):
+        if not ival_leq(x_times_z, y * z):
             bad.append("* monotonicity")
     return bad
 

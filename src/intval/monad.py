@@ -36,9 +36,12 @@ algebra is commutative and distributive, so the exchange of summation is
 an identity, not an approximation), and the two tensorial strengths,
 products with a Dirac mass: strength(x, nu) = delta_x (x) nu and
 dual_strength(mu, y) = mu (x) delta_y.  The Dirac's unit coefficient
-leaves each coefficient of the other factor equal by value (see
-IntervalValue.__mul__ and mul_left).  Ascending chains of valuations are
-pushed through bind/product element-wise; no limit objects are built.
+leaves each coefficient of the other factor equal by value: a [1, 1]
+interval factor returns the other operand itself (IntervalValue.__mul__,
+which checks for [1, 1] before either endpoint rule), and a unit scalar
+factor returns the other scalar (mul_left).  Ascending chains of
+valuations are pushed through bind/product element-wise; no limit
+objects are built.
 """
 
 from __future__ import annotations
@@ -133,16 +136,20 @@ def unit(space: FinitePoset, x: Point, algebra: ValueAlgebra = INTERVALS) -> Ele
 def bind(f: Kernel, nu: ElementaryValuation) -> ElementaryValuation:
     """Extend a kernel to valuations: sum_i r_i . f(x_i).
 
-    One product per pair of terms, read straight off the kernel's table; a
-    [1, 1] coefficient (a Dirac term) returns the image's coefficient
-    itself, so the result shares it (see ``IntervalValue.__mul__``).  A
+    One product per pair of terms, read straight off the kernel's table,
+    each through the algebra's ``mul`` (for intervals, one call of
+    ``IntervalValue.__mul__``); a [1, 1] coefficient (a Dirac term)
+    returns the image's coefficient itself, so the result shares it.  A
     one-term argument r . delta_x gives r . f(x), whose terms sit at f(x)'s
-    points in f(x)'s order, so it is built in normal form; more terms are
-    normalized once.  When r is the algebra's ``one`` object, as ``dirac``
-    builds it, every product would return f(x)'s coefficient, so f(x) is
-    returned itself if it lives on ``f.target`` (an image on an equal
-    poset is rebuilt there).  A [1, 1] built separately takes the product
-    path, with an equal result.
+    points in f(x)'s order, so it is built in normal form: a one-term
+    image c . delta_y gives the single term (r . c, y) with one product and
+    no loop.  More terms are normalized once.  TestOneTermBind and
+    TestScaledDiracBind in tests/test_monad.py check one-term results
+    against the full product list.  When r is the algebra's ``one``
+    object, as ``dirac`` builds it, every product would return f(x)'s
+    coefficient, so f(x) is returned itself if it lives on ``f.target``
+    (an image on an equal poset is rebuilt there).  A [1, 1] built
+    separately takes the product path, with an equal result.
     """
     if nu.space is not f.source and nu.space != f.source:
         raise SpaceMismatch("valuation lives off the kernel source")
@@ -159,7 +166,12 @@ def bind(f: Kernel, nu: ElementaryValuation) -> ElementaryValuation:
             out = _new(ElementaryValuation)
             out.space = f.target
             out.algebra = alg
-            out.terms = tuple([(mul(r, c), y) for c, y in image.terms])
+            iterms = image.terms
+            if len(iterms) == 1:
+                ((c, y),) = iterms
+                out.terms = ((mul(r, c), y),)
+            else:
+                out.terms = tuple([(mul(r, c), y) for c, y in iterms])
             return out
         products = [(mul(r, c), y) for r, x in terms for c, y in table[x].terms]
     except KeyError as exc:

@@ -340,10 +340,17 @@ _operands = st.one_of(
 )
 
 
+_UNIT_CORNERS = [ival(0, 0), ival(0, "inf"), ival("inf", "inf"), ival(1, "inf")]
+
+# Intervals whose products meet 0 * inf at an endpoint, beside the units.
+_ZERO_INF_CORNERS = _UNIT_CORNERS + [ival(0, 1), ival(1, 1), ival("1/2", 3)]
+
+
 class TestProductsAgainstReference:
     """The scalar core against a reference built from Fraction, with None
     for inf: sums, both products with their unit and zero shortcuts, the
-    order, equality, hashing, width, value and rendering."""
+    order, equality, hashing, width, value and rendering; and the interval
+    sum, product, equality, order and width, endpoint by endpoint."""
 
     def test_scalar_pairs(self):
         for v in _VALUES:
@@ -389,13 +396,66 @@ class TestProductsAgainstReference:
             assert (_as_reference(got.lo), _as_reference(got.hi)) == (lo, hi)
             assert ival_mul(x, y) == got
 
+    # The interval operations carry their own copy of the endpoint rules,
+    # so these tests are what ties them to the reference and to the scalar
+    # functions.
+
+    def test_interval_operations_over_axiom_grid(self):
+        for x, y in iproduct(AXIOM_GRID, repeat=2):
+            _check_intervals(x, y)
+
+    @pytest.mark.parametrize("x, y", list(iproduct(_ZERO_INF_CORNERS, repeat=2)), ids=str)
+    def test_interval_operations_at_zero_times_infinity(self, x, y):
+        _check_intervals(x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_operands, _operands, _operands, _operands)
+    @example(Fraction(0), Fraction(0), None, None)
+    @example(Fraction(0), None, Fraction(1), Fraction(1))
+    @example(_Long(10**4301 + 1, 3), None, Fraction(0), Fraction(1, 2))
+    def test_interval_operations_on_drawn_intervals(self, a, b, c, d):
+        _check_intervals(_interval_of(a, b), _interval_of(c, d))
+
+
+def _check_intervals(x, y):
+    """Every interval operation on x and y against the reference, endpoint
+    by endpoint, and against the scalar functions it writes out."""
+    a, b, c, d = (_as_reference(v) for v in (x.lo, x.hi, y.lo, y.hi))
+    total = x + y
+    assert _agrees(total.lo, _reference_sum(a, c))
+    assert _agrees(total.hi, _reference_sum(b, d))
+    assert total == IntervalValue._make(x.lo + y.lo, x.hi + y.hi)
+    got = x * y
+    assert _agrees(got.lo, _reference_product(a, c, Fraction(0)))
+    assert _agrees(got.hi, _reference_product(b, d, None))
+    lo, hi = mul_left(x.lo, y.lo), mul_right(x.hi, y.hi)
+    assert got == IntervalValue._make(lo, hi)
+    # past the [1, 1] shortcut (TestUnitFactor), where a scalar product
+    # returns an operand or a constant, so does the interval product
+    if IONE not in (x, y):
+        for end, scalar, operands in ((got.lo, lo, (x.lo, y.lo)), (got.hi, hi, (x.hi, y.hi))):
+            if any(scalar is v for v in operands + (ZERO, INFINITY)):
+                assert end is scalar
+    for v in (total, got):
+        assert _reference_le(_as_reference(v.lo), _as_reference(v.hi))
+    same = (a, b) == (c, d)
+    assert (x == y) is same and (x != y) is not same
+    if same:
+        assert hash(x) == hash(y)
+    # an equal copy built from fresh scalars is equal and hashes equal
+    copy = IntervalValue(_scalar(a), _scalar(b))
+    assert copy == x and hash(copy) == hash(x)
+    assert x.__eq__(x.lo) is NotImplemented
+    leq = ival_leq(x, y)
+    assert type(leq) is bool
+    assert leq == (_reference_le(a, c) and _reference_le(d, b))
+    assert leq == (x.lo <= y.lo and y.hi <= x.hi) == INTERVALS.leq(x, y)
+    assert _agrees(width(x), _reference_width(a, b))
+
 
 def _interval_of(a, b):
     lo, hi = sorted((_scalar(a), _scalar(b)))
     return IntervalValue(lo, hi)
-
-
-_UNIT_CORNERS = [ival(0, 0), ival(0, "inf"), ival("inf", "inf"), ival(1, "inf")]
 
 
 class TestUnitFactor:

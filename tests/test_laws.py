@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from intval.algebra import IONE, ONE, ZERO, IntervalValue, ival
+from intval.algebra import IONE, ONE, ZERO, ExtNonNeg, IntervalValue, ival, mul_left, mul_right
 from intval.laws import (
     COEFF_GRID,
     FAMILIES,
@@ -77,6 +78,32 @@ class TestPlantedDefects:
         r = interval_axioms(seed=1)
         assert r.failures == 1
         assert r.counterexample.startswith("+ commutativity at ")
+
+    def test_interval_axioms_midpoint_sum(self, monkeypatch):
+        # a commutative sum that halves each endpoint sum: associativity is
+        # the first identity it breaks, at x = y = [0,0], z = [1,1]
+        half = ExtNonNeg(Fraction(1, 2))
+
+        def midpoint(a, b):
+            return IntervalValue._make(mul_left(a.lo + b.lo, half), mul_left(a.hi + b.hi, half))
+
+        monkeypatch.setattr(IntervalValue, "__add__", midpoint)
+        r = interval_axioms(seed=1)
+        assert r.failures == 1
+        assert r.counterexample == "+ associativity at x=[0,0], y=[0,0], z=[1,1]"
+
+    def test_interval_axioms_sum_plus_product(self, monkeypatch):
+        # u + v + u.v on each endpoint is associative and commutative with
+        # unit 0, and monotone, so only distributivity can report it
+        def sum_plus_product(a, b):
+            return IntervalValue._make(
+                a.lo + b.lo + mul_left(a.lo, b.lo), a.hi + b.hi + mul_right(a.hi, b.hi)
+            )
+
+        monkeypatch.setattr(IntervalValue, "__add__", sum_plus_product)
+        r = interval_axioms(seed=1)
+        assert r.failures == 1
+        assert r.counterexample == "distributivity at x=[1/2,2], y=[1,1], z=[1,1]"
 
     def test_monad_laws(self, monkeypatch):
         # bind that drops the valuation's coefficients: law (ii) fails at once

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from intval.algebra import BOTTOM, INTERVALS, IONE, IZERO, SCALARS, ext, ival
 from intval.errors import NotMonotone, PointNotInSpace, SpaceMismatch
 from intval.laws import (
+    COEFF_GRID,
     random_interval,
     random_monotone_kernel,
     random_monotone_map,
@@ -262,6 +263,48 @@ class TestOneTermBind:
                 bind(f, nu)
             assert str(caught.value) == "point 'z' is not in the kernel source"
             assert caught.value.__cause__ is None
+
+
+class TestScaledDiracBind:
+    """bind(f, r . delta_x) is r . f(x), term by term, for one-term and
+    multi-term images and for every kind of coefficient r: the grid, a
+    coefficient with an infinite upper endpoint, and a [1, 1] that is not
+    the algebra's own unit object."""
+
+    COEFFS = COEFF_GRID + (ival(1, "inf"), ival(1, 1))
+
+    @pytest.fixture
+    def f(self, spaces):
+        X = antichain(["x", "y", "z", "w"])
+        _, Y = spaces
+        table = {
+            "x": dirac(Y, "u"),
+            "y": ElementaryValuation(Y, [(ival("1/2", 2), "v")]),
+            "z": ElementaryValuation(Y, [(ival("1/2", "1/2"), "u"), (ival("1/2", "1/2"), "v")]),
+            "w": ElementaryValuation(Y, [(BOTTOM, "u"), (ival(0, 1), "v")]),
+        }
+        return Kernel(X, Y, table)
+
+    @staticmethod
+    def _check(f, r, x):
+        out = bind(f, ElementaryValuation(f.source, [(r, x)]))
+        expected = ElementaryValuation(f.target, [(r * c, y) for c, y in f(x).terms])
+        assert out == expected
+        assert out.space is f.target and out.algebra is f.algebra
+
+    def test_every_coefficient_at_every_point(self, f):
+        assert {len(f(x).terms) for x in f.source.points} == {1, 2}
+        for r in self.COEFFS:
+            for x in f.source.points:
+                self._check(f, r, x)
+
+    def test_separate_unit_shares_the_image_coefficients(self, f):
+        one = ival(1, 1)
+        assert one is not INTERVALS.one and one == INTERVALS.one
+        for x in f.source.points:
+            out = bind(f, ElementaryValuation(f.source, [(one, x)]))
+            assert out is not f(x) and out == f(x)
+            assert all(a is b for (a, _), (b, _) in zip(out.terms, f(x).terms))
 
 
 class TestKleisliComposite:
