@@ -28,7 +28,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict
 from typing import List, Optional
 
 from .algebra import ZERO, ExtNonNeg, decimal_str, render_scalar, width
@@ -59,7 +58,8 @@ def _read_spec(arg: str, keyword: str) -> str:
     try:
         with open(arg, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a path with a NUL byte, or contents that are not UTF-8
         raise IntvalError(f"cannot read {arg!r}: {exc}") from None
 
 
@@ -153,7 +153,16 @@ def cmd_laws(args) -> int:
         table = [[r.family, r.cases, r.failures, "yes" if r.passed else "no"] for r in results]
         sys.stdout.write(_csv([["family", "cases", "failures", "passed"]] + table))
     elif args.format == "json":
-        doc = {"families": [asdict(r) for r in results], "passed": not failed}
+        families = [
+            {
+                "family": r.family,
+                "cases": r.cases,
+                "failures": r.failures,
+                "counterexample": r.counterexample,
+            }
+            for r in results
+        ]
+        doc = {"families": families, "passed": not failed}
         sys.stdout.write(json.dumps(doc) + "\n")
     else:
         name_w = max(len(r.family) for r in results)

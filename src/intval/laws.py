@@ -62,7 +62,6 @@ report their case unshrunk.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product as iproduct
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -121,12 +120,31 @@ AXIOM_GRID: Tuple[IntervalValue, ...] = (
 )
 
 
-@dataclass
 class LawResult:
-    family: str
-    cases: int
-    failures: int
-    counterexample: Optional[str] = None
+    """One family's outcome: cases checked, failures, and the first counterexample."""
+
+    __slots__ = ("family", "cases", "failures", "counterexample")
+
+    def __init__(
+        self, family: str, cases: int, failures: int, counterexample: Optional[str] = None
+    ):
+        self.family = family
+        self.cases = cases
+        self.failures = failures
+        self.counterexample = counterexample
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.cases, self.failures, self.counterexample) == (
+            other.family, other.cases, other.failures, other.counterexample
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"LawResult(family={self.family!r}, cases={self.cases!r}, "
+            f"failures={self.failures!r}, counterexample={self.counterexample!r})"
+        )
 
     @property
     def passed(self) -> bool:

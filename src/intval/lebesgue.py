@@ -70,7 +70,6 @@ integrator, the chain check, the CLI and the law suites all read it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import comb, gcd, lcm
 from typing import Callable, Iterator, List, Sequence, Tuple
 
@@ -96,24 +95,43 @@ def is_dyadic(r) -> bool:
     return den & (den - 1) == 0
 
 
-@dataclass(frozen=True, slots=True)
 class DyadicInterval:
     """A closed interval with dyadic endpoints, a point of the ground space.
 
     Ordered (like all intervals here) by reverse inclusion.  These are the
-    arguments that test functions are evaluated at.
+    arguments that test functions are evaluated at.  Immutable: equal
+    endpoints make equal, equally hashed points.
     """
 
-    lo: object
-    hi: object
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", rational(self.lo))
-        object.__setattr__(self, "hi", rational(self.hi))
-        if not is_dyadic(self.lo) or not is_dyadic(self.hi):
-            raise ValueError(f"endpoints must be dyadic: [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"endpoints out of order: [{self.lo}, {self.hi}]")
+    def __init__(self, lo, hi):
+        lo = rational(lo)
+        hi = rational(hi)
+        if not is_dyadic(lo) or not is_dyadic(hi):
+            raise ValueError(f"endpoints must be dyadic: [{lo}, {hi}]")
+        if lo > hi:
+            raise ValueError(f"endpoints out of order: [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DyadicInterval is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DyadicInterval is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ raises
+        return self.__class__, (self.lo, self.hi)
 
     def refines(self, other: "DyadicInterval") -> bool:
         """True iff self is a sub-interval of other (other <= self)."""

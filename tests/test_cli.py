@@ -545,6 +545,27 @@ class TestSpecArguments:
         assert code == 1
         assert err.startswith("error: cannot read 'poset.txt'")
 
+    @pytest.mark.parametrize("command", ["integrate", "eval"])
+    def test_non_utf8_file_named_in_the_error(self, command, tmp_path, capsys):
+        spec = tmp_path / "bad.txt"
+        spec.write_bytes(b"piecewise { [0,1] inc: x \xff }\n")
+        if command == "integrate":
+            argv = ["integrate", "--fn", str(spec)]
+        else:
+            argv = ["eval", "--poset", str(spec), "--val", "val { 1 @ a }",
+                    "--fn", "fn h { a -> 1 }"]
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: cannot read {str(spec)!r}: 'utf-8' codec can't decode byte 0xff "
+            "in position 25: invalid start byte\n"
+        )
+
+    def test_nul_byte_path_named_in_the_error(self, capsys):
+        code, out, err = run_cli(["integrate", "--fn", "bad\x00.txt"], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: cannot read 'bad\\x00.txt': embedded null byte\n"
+
 
 class TestLaws:
     @pytest.fixture
@@ -770,6 +791,21 @@ class TestRepeatedCalls:
         )
         # one top-level parser and one per subcommand, built on the first call
         assert json.loads(proc.stdout) == [0, True, 4, 4, 4]
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        script = "\n".join([
+            "import json, sys",
+            "heavy = {'dataclasses', 'inspect'}",
+            "import intval",
+            "loaded = [sorted(heavy & set(sys.modules))]",
+            "import intval.cli",
+            "loaded.append(sorted(heavy & set(sys.modules)))",
+            "print(json.dumps(loaded))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True, text=True
+        )
+        assert json.loads(proc.stdout) == [[], []]
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from intval.algebra import IONE, ONE, ZERO, ExtNonNeg, IntervalValue, ival, mul_
 from intval.laws import (
     COEFF_GRID,
     FAMILIES,
+    LawResult,
     all_grid_valuations,
     choquet_oracle,
     interval_axioms,
@@ -28,6 +29,35 @@ from intval.valuations import (
 )
 from oracle_support import strict_pairs
 from oracle_valuations import exhaustive_tests, functional_bind
+
+
+class TestLawResult:
+    def test_positional_and_keyword_construction(self):
+        r = LawResult("strength", 3, 0)
+        assert (r.family, r.cases, r.failures, r.counterexample) == ("strength", 3, 0, None)
+        assert r == LawResult(family="strength", cases=3, failures=0, counterexample=None)
+        assert LawResult("fubini", 2, 1, "swap") == LawResult(
+            "fubini", cases=2, failures=1, counterexample="swap"
+        )
+
+    def test_equality_by_fields(self):
+        r = LawResult("fubini", 2, 1, "swap")
+        assert r == LawResult("fubini", 2, 1, "swap")
+        assert r != LawResult("fubini", 2, 1, "other")
+        assert r != LawResult("fubini", 3, 1, "swap")
+        assert r != ("fubini", 2, 1, "swap")
+
+    def test_repr(self):
+        assert repr(LawResult("fubini", 2, 1, "swap")) == (
+            "LawResult(family='fubini', cases=2, failures=1, counterexample='swap')"
+        )
+        assert repr(LawResult("fubini", 2, 0)) == (
+            "LawResult(family='fubini', cases=2, failures=0, counterexample=None)"
+        )
+
+    def test_passed(self):
+        assert LawResult("choquet", 5, 0).passed
+        assert not LawResult("choquet", 5, 1, "case").passed
 
 
 class TestFamilies:

@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import pathlib
+import pickle
 import time
 from fractions import Fraction
 
@@ -96,6 +98,49 @@ class TestDyadicInterval:
     def test_refines(self):
         assert DyadicInterval("1/4", "1/2").refines(DyadicInterval(0, 1))
         assert not DyadicInterval(0, 1).refines(DyadicInterval("1/4", "1/2"))
+
+    def test_equality_and_hash_across_endpoint_spellings(self):
+        a = DyadicInterval("1/4", "1/2")
+        b = DyadicInterval(Fraction(1, 4), Fraction(2, 4))
+        assert a == b
+        assert not a != b
+        assert hash(a) == hash(b) == hash((Fraction(1, 4), Fraction(1, 2)))
+        assert a != DyadicInterval("1/4", "3/4")
+        assert len({a, b, DyadicInterval(0, 1)}) == 2
+
+    def test_not_equal_to_its_endpoint_pair(self):
+        d = DyadicInterval(0, 1)
+        assert (d == (d.lo, d.hi)) is False
+        assert d != (0, 1)
+
+    def test_immutable(self):
+        d = DyadicInterval(0, 1)
+        with pytest.raises(AttributeError):
+            d.lo = rational(1, 2)
+        with pytest.raises(AttributeError):
+            del d.hi
+        assert d.lo == 0
+        assert d == DyadicInterval(0, 1)
+
+    def test_copy_and_pickle(self):
+        d = DyadicInterval("1/4", 1)
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert twin == d
+            assert type(twin.lo) is type(d.lo)
+
+    def test_keyword_construction(self):
+        assert DyadicInterval(lo="1/8", hi=1) == DyadicInterval("1/8", 1)
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError) as dyadic:
+            DyadicInterval(rational(1, 3), 1)
+        assert str(dyadic.value) == "endpoints must be dyadic: [1/3, 1]"
+        with pytest.raises(ValueError) as order:
+            DyadicInterval(1, "1/2")
+        assert str(order.value) == "endpoints out of order: [1, 1/2]"
+
+    def test_repr(self):
+        assert repr(DyadicInterval("1/4", 1)) == "[1/4,1]"
 
 
 class TestPolynomial:
