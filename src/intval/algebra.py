@@ -33,6 +33,11 @@ inputs' coefficients compare equal at the identity test, which makes == on
 normal forms (tuples of terms) cheap.
 ``ExtNonNeg.value`` builds the exact ``fractions.Fraction`` on demand for
 callers that compute with rationals, and ``rational`` builds Fractions.
+Both build them through ``_fraction``, the one place that imports
+``fractions``, on its first call, and every other Fraction in the library
+is built through ``rational``, so a caller that stays on reduced pairs
+(the CLI's ``integrate`` and ``eval``) never loads ``fractions``, nor
+``decimal`` and ``numbers`` with it.
 Text has one grammar, 'inf', 'p' or 'p/q' at any length: the constructor
 reads strings through ``parse_scalar``, the inverse of ``render_scalar``.
 
@@ -72,16 +77,26 @@ library can be checked with exact equality.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import gcd
 from typing import Union
 
-RatLike = Union[int, str, Fraction, "ExtNonNeg"]
+RatLike = Union[int, str, "Fraction", "ExtNonNeg"]
 
 _new = object.__new__
 
 
-def rational(value, denominator=None) -> Fraction:
+def _fraction(*args) -> "Fraction":
+    """fractions.Fraction(*args).  The first call imports fractions and
+    rebinds this name to the class, so that only code that builds a
+    Fraction loads the module, and later calls cost what Fraction's do."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(*args)
+
+
+def rational(value, denominator=None) -> "Fraction":
     """Build an exact rational (reduced form) from ints, strings or rationals.
 
     Floats are rejected outright: a binary float smuggled in would carry
@@ -90,8 +105,8 @@ def rational(value, denominator=None) -> Fraction:
     if isinstance(value, float) or isinstance(denominator, float):
         raise TypeError("floats are not exact; pass a rational, int or string")
     if denominator is None:
-        return Fraction(value)
-    return Fraction(value, denominator)
+        return _fraction(value)
+    return _fraction(value, denominator)
 
 
 class ExtNonNeg:
@@ -111,7 +126,9 @@ class ExtNonNeg:
         elif isinstance(value, ExtNonNeg):
             self._n, self._d = value._n, value._d
             return
-        elif isinstance(value, Fraction):
+        elif type(value) is _fraction:
+            # a Fraction, once _fraction has become the class; until then
+            # a Fraction takes the rational() branch below
             n, d = value.numerator, value.denominator
         elif isinstance(value, str):
             value = parse_scalar(value)
@@ -143,11 +160,11 @@ class ExtNonNeg:
         return not self._n
 
     @property
-    def value(self) -> Fraction:
+    def value(self) -> "Fraction":
         """The exact rational value; raises on infinity."""
         if not self._d:
             raise ValueError("infinity has no finite rational value")
-        return Fraction(self._n, self._d)
+        return _fraction(self._n, self._d)
 
     def __add__(self, other: "ExtNonNeg") -> "ExtNonNeg":
         ad, bd = self._d, other._d
@@ -293,6 +310,13 @@ class IntervalValue:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalValue is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("IntervalValue is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ raises
+        return self.__class__, (self.lo, self.hi)
 
     # Each operation is one frame: it reads the endpoints' reduced pairs
     # and builds its result in place, through the slot descriptors, with
@@ -565,6 +589,19 @@ class ValueAlgebra:
 
     def __setattr__(self, name, value):
         raise AttributeError("ValueAlgebra is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ValueAlgebra is immutable")
+
+    def __reduce__(self):
+        # The library compares algebras with `is`, so SCALARS and INTERVALS
+        # reduce to their module-level names: pickle stores the name and
+        # loads the record itself, and copy returns it as is.  Any other
+        # record is rebuilt from its fields.
+        for name in ("SCALARS", "INTERVALS"):
+            if globals()[name] is self:
+                return name
+        return self.__class__, tuple(getattr(self, slot) for slot in self.__slots__)
 
     def contains(self, v) -> bool:
         return isinstance(v, self.element)

@@ -13,6 +13,10 @@ str() limit too (algebra.decimal_str); an optional --approx-decimals
 column, with at most literals.MAX_DIGITS digits after the point, adds
 clearly-labeled decimal approximations.
 Output is deterministic given the inputs and seed, byte for byte.
+The law suites and the csv module are imported by the code that uses
+them, and integrate and eval compute on int pairs, so an integrate or
+eval run loads neither, nor fractions unless --approx-decimals asks for
+decimal columns.
 
 Exit codes: 0 success; 1 usage, parse or validation failure (one 'error:'
 line from main, with a line/column diagnostic where available); 2 width target
@@ -23,14 +27,13 @@ violation (the counterexample is printed).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
 import sys
 from typing import List, Optional
 
-from .algebra import ZERO, ExtNonNeg, decimal_str, render_scalar, width
+from .algebra import ExtNonNeg, decimal_str, render_scalar, width
 from .errors import DepthCapExceeded, IntvalError, LiteralTooLarge, ParseError
 from .lebesgue import DEFAULT_DEPTH_CAP, canonical_extension, refine
 from .literals import (
@@ -38,12 +41,11 @@ from .literals import (
     parse_fn,
     parse_piecewise,
     parse_poset,
-    parse_rational,
     parse_valuation,
+    rational_pair,
 )
 from .spaces import MonotoneMap
 from .valuations import ElementaryValuation, evaluate
-from . import laws as law_suites
 
 # Largest --depth-cap accepted; canonical extensions take closed-form levels
 # at any depth, so it bounds the table's length rather than the work.
@@ -74,6 +76,8 @@ def _approx(value: ExtNonNeg, decimals: int) -> str:
 
 
 def _csv(rows: List[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -82,16 +86,16 @@ def _csv(rows: List[list]) -> str:
 def _parse_eps(text: str) -> ExtNonNeg:
     """A positive rational written p or p/q, as in the literals."""
     try:
-        eps = ExtNonNeg(parse_rational(text))
+        num, den = rational_pair(text)
     except LiteralTooLarge as exc:
         raise IntvalError(f"--eps: {exc}") from None
     except ParseError:
-        eps = ZERO
-    if eps.is_zero:
+        num = 0
+    if not num:
         raise IntvalError(
             f"--eps must be a positive rational written p or p/q, got {text!r}"
         )
-    return eps
+    return ExtNonNeg._make(num, den)
 
 
 def cmd_integrate(args) -> int:
@@ -147,7 +151,9 @@ def cmd_eval(args) -> int:
 def cmd_laws(args) -> int:
     if args.cases is not None and args.cases < 1:
         raise IntvalError("--cases must be >= 1")
-    results = law_suites.run_all(seed=args.seed, cases=args.cases)
+    from .laws import run_all
+
+    results = run_all(seed=args.seed, cases=args.cases)
     failed = [r for r in results if not r.passed]
     if args.format == "csv":
         table = [[r.family, r.cases, r.failures, "yes" if r.passed else "no"] for r in results]

@@ -57,10 +57,13 @@ is integer Horner on q^deg * f(p/q), giving the value as an unreduced
 int pair (numerator, positive denominator), so a Sturm sign costs no
 rational, the power sums above take forward differences of integers, and
 the Sturm chain is built by pseudo-division on primitive integer parts.
-A level stays in ints until it is returned: piece ranges and cell values
-are int pairs, compared by cross-multiplication, and the endpoint sums
-are kept over the lcm of their denominators, so a level builds one
-rational per endpoint.  ``range_over`` likewise reduces its pair once.
+A level stays in ints until it is returned: breakpoints, piece ranges
+and cell values are int pairs, compared by cross-multiplication, and the
+endpoint sums are kept over the lcm of their denominators, so a level
+reduces one pair per endpoint into its scalar and builds no rational.
+The monotonicity check runs on the breakpoint pairs too, so parsing and
+integrating a piecewise literal never builds a ``fractions.Fraction``;
+``range_over`` and ``breakpoints`` build them for their callers.
 
 ``refine`` is the one walk up the chain: it yields the levels from depth
 0 until one is narrow enough, or up to the depth cap, and the
@@ -69,13 +72,14 @@ integrator, the chain check, the CLI and the law suites all read it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from math import comb, gcd, lcm
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .algebra import (
     IZERO,
+    ExtNonNeg,
     IntervalValue,
+    _pair_str,
     ext,
     ival_leq,
     rational,
@@ -85,8 +89,6 @@ from .algebra import (
 from .errors import DepthCapExceeded, NonEvaluablePiece, NotMonotone, OutOfRange
 
 DEFAULT_DEPTH_CAP = 24
-
-_ZERO_RAT = rational(0)
 
 
 def is_dyadic(r) -> bool:
@@ -274,7 +276,7 @@ class Polynomial:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Sequence[object]):
-        cs = [rational(c) for c in coeffs] or [_ZERO_RAT]
+        cs = [rational(c) for c in coeffs] or [rational(0)]
         den = lcm(*(c.denominator for c in cs))
         self.num, self.den = _canonical(
             [c.numerator * (den // c.denominator) for c in cs], den
@@ -384,20 +386,22 @@ def _sturm_chain(g: Polynomial) -> List[Polynomial]:
     return chain
 
 
-def _sign(poly: Polynomial, x) -> int:
-    """The sign of poly(x), read off the integer Horner value."""
-    v = _horner(poly.num, x.numerator, x.denominator)
+def _sign(poly: Polynomial, x: Tuple[int, int]) -> int:
+    """The sign of poly at the point x = (p, q), q > 0, read off the integer
+    Horner value."""
+    v = _horner(poly.num, *x)
     return (v > 0) - (v < 0)
 
 
-def _sign_changes(chain: Sequence[Polynomial], x) -> int:
+def _sign_changes(chain: Sequence[Polynomial], x: Tuple[int, int]) -> int:
     signs = [v > 0 for v in (_sign(c, x) for c in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _moebius(num: Sequence[int], lo, hi) -> List[int]:
+def _moebius(num: Sequence[int], lo: Tuple[int, int], hi: Tuple[int, int]) -> List[int]:
     """(q_lo q_hi)^d (1 + t)^d A((lo + hi t)/(1 + t)) for the integer
-    polynomial A = num of degree d, as integer coefficients in t.
+    polynomial A = num of degree d, as integer coefficients in t, for the
+    points lo = (p_lo, q_lo) and hi = (p_hi, q_hi) with q_lo, q_hi > 0.
 
     The substitution maps t in (0, inf) onto (lo, hi), so A's roots inside
     (lo, hi) are the positive roots of the result, with the same
@@ -406,8 +410,9 @@ def _moebius(num: Sequence[int], lo, hi) -> List[int]:
     Step k adds a coefficient times D^k = (q_lo q_hi)^k (1 + t)^k, built
     from one running power and one Pascal row.
     """
-    scale = lo.denominator * hi.denominator
-    n = (lo.numerator * hi.denominator, hi.numerator * lo.denominator)
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
+    scale = lo_d * hi_d
+    n = (lo_n * hi_d, hi_n * lo_d)
     acc = [num[-1]]
     power, row = 1, [1]
     for c in reversed(num[:-1]):
@@ -420,9 +425,9 @@ def _moebius(num: Sequence[int], lo, hi) -> List[int]:
     return acc
 
 
-def _odd_roots(g: Polynomial, lo, hi) -> int:
+def _odd_roots(g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int]) -> int:
     """How many distinct roots of g in (lo, hi) have odd multiplicity,
-    for nonconstant g and lo < hi.
+    for nonconstant g and points lo < hi given as int pairs (p, q), q > 0.
 
     h_1 = g and h_(j+1) = gcd(h_j, h_j'), the last member of h_j's Sturm
     chain, give square-free parts h_j / h_(j+1) whose roots are g's roots
@@ -457,7 +462,15 @@ def _proportional(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def nonnegative_on(g: Polynomial, lo, hi) -> bool:
-    """Exact decision of g(x) >= 0 for every x in [lo, hi], for lo <= hi.
+    """Exact decision of g(x) >= 0 for every x in [lo, hi], for rationals
+    lo <= hi: ``_nonnegative_on`` on their reduced int pairs."""
+    lo, hi = rational(lo), rational(hi)
+    return _nonnegative_on(g, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+
+
+def _nonnegative_on(g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int]) -> bool:
+    """Exact decision of g(x) >= 0 for every x in [lo, hi], for points
+    lo <= hi given as int pairs (p, q), q > 0.
 
     For lo < hi this is the question on (lo, hi): by continuity, a negative
     value at an end makes g negative just inside.  First a certificate: by
@@ -486,6 +499,31 @@ def nonnegative_on(g: Polynomial, lo, hi) -> bool:
     return signs[0] and _odd_roots(g, lo, hi) == 0
 
 
+def _breakpoint_pair(b) -> Tuple[int, int]:
+    """The reduced (numerator, denominator) of a breakpoint given as an int,
+    a scalar (``ExtNonNeg``) or anything ``rational`` reads.  Infinity's
+    pair (1, 0) fails the order checks of ``PiecewiseMonotoneFn``."""
+    if isinstance(b, ExtNonNeg):
+        return b._n, b._d
+    q = b if type(b) is int else rational(b)
+    return q.numerator, q.denominator
+
+
+def _bisect(bps: Sequence[Tuple[int, int]], n: int, d: int, lo: int, right: bool = False) -> int:
+    """bisect_left(bps, n/d, lo), or bisect_right with right set, for
+    ascending points bps given as int pairs (p, q), q > 0, and d > 0."""
+    hi = len(bps)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p, q = bps[mid]
+        c = p * d - n * q  # the sign of bps[mid] - n/d
+        if c < 0 or (right and not c):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class PiecewiseMonotoneFn:
     """A nonnegative function on [0, 1] given as monotone polynomial pieces.
 
@@ -496,26 +534,32 @@ class PiecewiseMonotoneFn:
     at piece endpoints, which bound the range once monotonicity holds.
     Adjacent pieces may disagree at a shared breakpoint; ranges then
     include both one-sided values, which is the tight enclosure of the
-    jump.  Construction stores the breakpoints once more as int pairs
-    (numerator, denominator), and each piece's (min, max) over its whole
-    segment, its two end values ordered by the declared direction, as
-    unreduced int pairs with positive denominators, for ``_span`` to
-    read; ``range_over`` and the closed-form levels both call it.
+    jump.
+
+    Breakpoints may be given as ints, rationals, rational text or scalars
+    (``ExtNonNeg``, as the literal parser passes them).  They are stored
+    once, as reduced int pairs (numerator, denominator) in ``_bps``, and
+    ``breakpoints``, the rationals, is a view built on request, as
+    ``Polynomial.coeffs`` is.  Construction also stores each piece's (min,
+    max) over its whole segment, its two end values ordered by the declared
+    direction, as unreduced int pairs with positive denominators, for
+    ``_span`` to read; ``range_over`` and the closed-form levels both call
+    it.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_bps", "_ranges")
+    __slots__ = ("pieces", "_bps", "_ranges")
 
     def __init__(
         self,
         breakpoints: Sequence[object],
         pieces: Sequence[Tuple[str, Polynomial]],
     ):
-        bps = [rational(b) for b in breakpoints]
+        bps = [_breakpoint_pair(b) for b in breakpoints]
         if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise ValueError("need k+1 breakpoints for k pieces")
-        if bps[0] != 0 or bps[-1] != 1:
+        if bps[0] != (0, 1) or bps[-1] != (1, 1):
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(not a < b for a, b in zip(bps, bps[1:])):
+        if any(an * bd >= bn * ad for (an, ad), (bn, bd) in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly ascending")
         checked = []
         ranges = []
@@ -523,47 +567,55 @@ class PiecewiseMonotoneFn:
             if direction not in ("inc", "dec"):
                 raise ValueError(f"unknown direction {direction!r}")
             slope = poly.derivative()
-            if not nonnegative_on(slope if direction == "inc" else -slope, lo, hi):
+            if not _nonnegative_on(slope if direction == "inc" else -slope, lo, hi):
                 raise NonEvaluablePiece(
-                    f"piece on [{lo},{hi}] is not {direction}; "
+                    f"piece on [{_pair_str(*lo)},{_pair_str(*hi)}] is not {direction}; "
                     f"split the segment at the turning point"
                 )
-            low = poly._pair(lo.numerator, lo.denominator)
-            high = poly._pair(hi.numerator, hi.denominator)
+            low = poly._pair(*lo)
+            high = poly._pair(*hi)
             if direction == "dec":
                 low, high = high, low
             if low[0] < 0:
-                raise ValueError(f"piece on [{lo},{hi}] takes negative values")
+                raise ValueError(
+                    f"piece on [{_pair_str(*lo)},{_pair_str(*hi)}] takes negative values"
+                )
             ranges.append((low, high))
             checked.append((direction, poly))
-        self.breakpoints = tuple(bps)
         self.pieces = tuple(checked)
-        self._bps = tuple((b.numerator, b.denominator) for b in bps)
+        self._bps = tuple(bps)
         self._ranges = tuple(ranges)
+
+    @property
+    def breakpoints(self) -> Tuple[object, ...]:
+        return tuple(rational(n, d) for n, d in self._bps)
 
     def __call__(self, x):
         """Pointwise value; at interior breakpoints the left piece wins."""
         x = rational(x)
         if not (0 <= x <= 1):
             raise OutOfRange(f"{x} is outside [0, 1]")
-        return self.pieces[bisect_left(self.breakpoints, x, 1) - 1][1](x)
+        return self.pieces[_bisect(self._bps, x.numerator, x.denominator, 1) - 1][1](x)
 
     def range_over(self, lo, hi) -> Tuple[object, object]:
         """Exact (min, max) of the function over [lo, hi] within [0, 1].
 
-        Finds the pieces [lo, hi] meets by bisection and reads them through
-        ``_span``.  Raises OutOfRange when lo > hi or [lo, hi] misses [0, 1].
+        Finds the pieces [lo, hi] meets by bisection on the breakpoint
+        pairs and reads them through ``_span``.  Raises OutOfRange when
+        lo > hi or [lo, hi] misses [0, 1].
         """
         if lo > hi:
             raise OutOfRange(f"endpoints out of order: [{lo},{hi}]")
-        bps = self.breakpoints
+        bps = self._bps
+        lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         # pieces k with bps[k] <= hi and lo <= bps[k + 1]
-        first = bisect_left(bps, lo, 1) - 1
-        last = min(bisect_right(bps, hi), len(self.pieces)) - 1
+        first = _bisect(bps, lo_n, lo_d, 1) - 1
+        last = min(_bisect(bps, hi_n, hi_d, 0, right=True), len(self.pieces)) - 1
         if first > last:
             raise OutOfRange(f"[{lo},{hi}] misses [0, 1]")
-        left = (lo.numerator, lo.denominator) if lo > bps[first] else None
-        right = (hi.numerator, hi.denominator) if hi < bps[last + 1] else None
+        (s_n, s_d), (t_n, t_d) = bps[first], bps[last + 1]
+        left = (lo_n, lo_d) if lo_n * s_d > s_n * lo_d else None
+        right = (hi_n, hi_d) if hi_n * t_d < t_n * hi_d else None
         low, high = self._span(first, last, left, right)
         return rational(*low), rational(*high)
 
@@ -599,10 +651,8 @@ class PiecewiseMonotoneFn:
 
     def __repr__(self) -> str:
         segs = []
-        for (direction, poly), lo, hi in zip(
-            self.pieces, self.breakpoints, self.breakpoints[1:]
-        ):
-            segs.append(f"[{rational_str(lo)},{rational_str(hi)}] {direction}: {poly!r}")
+        for (direction, poly), lo, hi in zip(self.pieces, self._bps, self._bps[1:]):
+            segs.append(f"[{_pair_str(*lo)},{_pair_str(*hi)}] {direction}: {poly!r}")
         return "piecewise { " + "; ".join(segs) + " }"
 
 
@@ -783,8 +833,16 @@ def lebesgue_n(
         raise DepthCapExceeded(f"depth {n} exceeds the cap {cap}", depth=cap)
     if isinstance(h, CanonicalExtension):
         (lo_num, lo_den), (hi_num, hi_den) = _closed_form_sums(h, n)
-        size = 2 ** n
-        return IntervalValue(rational(lo_num, lo_den * size), rational(hi_num, hi_den * size))
+        # each cell weighs 1/2^n; each endpoint is reduced once
+        lo_den <<= n
+        hi_den <<= n
+        g = gcd(lo_num, lo_den)
+        lo = ExtNonNeg._make(lo_num // g, lo_den // g)
+        g = gcd(hi_num, hi_den)
+        hi = ExtNonNeg._make(hi_num // g, hi_den // g)
+        if lo._n * hi._d > hi._n * lo._d:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        return IntervalValue._make(lo, hi)
     step = rational(1, 2 ** n)
     w = IntervalValue(step, step)
     acc = IZERO

@@ -46,11 +46,10 @@ column; the end of input sits one column past the last character.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterator, List, NoReturn, Sequence, Tuple
 
-from .algebra import INTERVALS, SCALARS, ExtNonNeg, IntervalValue, ValueAlgebra
+from .algebra import INTERVALS, SCALARS, ExtNonNeg, IntervalValue, ValueAlgebra, rational
 from .errors import LiteralTooLarge, ParseError
 from .lebesgue import PiecewiseMonotoneFn, Polynomial
 from .lebesgue import _canonical, _mul_ints, _power, _sum_ints, _trimmed
@@ -407,14 +406,21 @@ def parse_rational(text: str):
 
     This is the rational grammar of the literals (no sign, no decimal point,
     no exponent, nonzero denominator), used for numeric CLI options so
-    that they accept exactly what a literal does.
+    that they accept exactly what a literal does.  Returns a Fraction; see
+    ``rational_pair`` for the reduced int pair.
     """
+    return rational(*rational_pair(text))
+
+
+def rational_pair(text: str) -> Tuple[int, int]:
+    """``parse_rational``'s value as the reduced pair (p, q), q > 0, with
+    the same errors, so a caller that stays on int pairs builds no Fraction."""
     p = _Parser(text)
     num, den, p.pos = _scalar(p, p.tokens, 0)
     if not den:
         p.unexpected(0, "a rational number")
     p.finish()
-    return Fraction(num, den)
+    return num, den
 
 
 def parse_poset(text: str) -> FinitePoset:
@@ -531,7 +537,8 @@ def parse_piecewise(text: str) -> PiecewiseMonotoneFn:
         if tokens[k + 2] != ":":
             p.unexpected(k + 2, "':'")
         p.pos = k + 3
-        segments.append((Fraction(a, b), Fraction(c, d), direction, p.poly_piece(), i))
+        lo, hi = ExtNonNeg._make(a, b), ExtNonNeg._make(c, d)
+        segments.append((lo, hi, direction, p.poly_piece(), i))
         return p.pos
 
     p.block("piecewise", item, "a piecewise function needs at least one segment")

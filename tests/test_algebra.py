@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 import random
 
 import pytest
@@ -17,6 +20,7 @@ from intval.algebra import (
     ZERO,
     ExtNonNeg,
     IntervalValue,
+    ValueAlgebra,
     decimal_str,
     ext,
     ival,
@@ -158,6 +162,33 @@ class TestIntervals:
     def test_constructor_rejects_misordered(self):
         with pytest.raises(ValueError):
             IntervalValue(2, 1)
+
+    def test_immutable(self):
+        x = ival(1, 2)
+        with pytest.raises(AttributeError, match="IntervalValue is immutable"):
+            x.lo = ZERO
+        with pytest.raises(AttributeError, match="IntervalValue is immutable"):
+            del x.lo
+        with pytest.raises(AttributeError, match="IntervalValue is immutable"):
+            del x.hi
+        assert repr(x) == "[1,2]"
+
+    @pytest.mark.parametrize(
+        "x", [ival(1, 2), ival("1/3", "inf"), BOTTOM, IZERO, ival("inf", "inf")]
+    )
+    def test_copy_and_pickle(self, x):
+        twins = [copy.copy(x), copy.deepcopy(x)]
+        # protocols 0 and 1 cannot pickle the slotted scalar endpoints
+        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+        twins += [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]
+        for twin in twins:
+            assert type(twin) is IntervalValue
+            assert twin == x and hash(twin) == hash(x)
+            assert (render_scalar(twin.lo), render_scalar(twin.hi)) == (
+                render_scalar(x.lo),
+                render_scalar(x.hi),
+            )
+            assert twin * IONE is twin and twin + IZERO == x
 
     def test_width(self):
         assert width(ival(1, 3)) == ext(2)
@@ -517,6 +548,28 @@ class TestValueAlgebra:
         for alg in (SCALARS, INTERVALS):
             with pytest.raises(AttributeError):
                 alg.mul = mul_right
+            with pytest.raises(AttributeError, match="ValueAlgebra is immutable"):
+                del alg.mul
+            assert alg.mul is (mul_left if alg is SCALARS else operator.mul)
+
+    @pytest.mark.parametrize("alg", [SCALARS, INTERVALS])
+    def test_copies_are_the_record_itself(self, alg):
+        # the library compares algebras with `is`
+        twins = [copy.copy(alg), copy.deepcopy(alg), copy.deepcopy([alg])[0]]
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        twins += [pickle.loads(pickle.dumps(alg, protocol)) for protocol in protocols]
+        for twin in twins:
+            assert twin is alg
+
+    def test_a_record_of_ones_own_is_rebuilt_from_its_fields(self):
+        alg = ValueAlgebra(
+            "scalar", ExtNonNeg, ONE, ZERO, operator.add, mul_left, operator.le, render_scalar
+        )
+        for twin in (copy.copy(alg), pickle.loads(pickle.dumps(alg))):
+            assert twin is not alg and twin is not SCALARS
+            assert [getattr(twin, slot) for slot in ValueAlgebra.__slots__] == [
+                getattr(alg, slot) for slot in ValueAlgebra.__slots__
+            ]
 
 
 class TestChainSup:

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from intval import cli, lebesgue
 from intval.algebra import INFINITY, ext
+from intval.errors import IntvalError, LiteralTooLarge, ParseError
 from intval.laws import LawResult
+from intval.literals import parse_rational, rational_pair
 
 
 def _from_decimal(text):
@@ -261,6 +263,42 @@ class TestIntegrate:
         )
         assert code == 0
         assert out.splitlines()[-1] == last
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789/ .-+einfx\t", max_size=12),
+            st.from_regex(r"\A *[0-9]{1,6} *(/ *[0-9]{1,6})? *\Z"),
+            st.sampled_from(["1" * 4300, "1/" + "3" * 4300, "1" * 4301, "1/" + "3" * 4301]),
+        )
+    )
+    def test_eps_accepts_exactly_what_parse_rational_does(self, text):
+        # the same values, and the same messages for everything else
+        try:
+            q = parse_rational(text)
+        except LiteralTooLarge as exc:
+            expected = f"--eps: {exc}"
+            pair = (LiteralTooLarge, str(exc))
+        except ParseError as exc:
+            expected = f"--eps must be a positive rational written p or p/q, got {text!r}"
+            pair = (ParseError, str(exc))
+        else:
+            assert type(q) is Fraction
+            expected = ext(q) if q else (
+                f"--eps must be a positive rational written p or p/q, got {text!r}"
+            )
+            pair = (q.numerator, q.denominator)
+        try:
+            got = cli._parse_eps(text)
+        except IntvalError as exc:
+            assert type(exc) is IntvalError
+            got = str(exc)
+        assert got == expected
+        try:
+            got_pair = rational_pair(text)
+        except ParseError as exc:
+            got_pair = (type(exc), str(exc))
+        assert got_pair == pair
 
 
     @pytest.mark.parametrize(
@@ -579,7 +617,7 @@ class TestLaws:
                 laws.lebesgue_chain(seed, 4),
             ]
 
-        monkeypatch.setattr(cli.law_suites, "run_all", fake_run_all)
+        monkeypatch.setattr("intval.laws.run_all", fake_run_all)
 
     def test_all_pass_exit_0(self, quick_families, capsys):
         code, out, _ = run_cli(["laws"], capsys=capsys)
@@ -607,7 +645,7 @@ class TestLaws:
         def must_not_run(seed=0, cases=None):
             raise AssertionError("law suites ran")
 
-        monkeypatch.setattr(cli.law_suites, "run_all", must_not_run)
+        monkeypatch.setattr("intval.laws.run_all", must_not_run)
         code, out, err = run_cli(["laws", "--cases", cases], capsys=capsys)
         assert code == 1
         assert out == ""
@@ -625,9 +663,7 @@ class TestLaws:
         broken = LawResult(
             "interval-axioms", 12, 1, "distributivity at x=[0,0], y=[1,1], z=[0,inf]"
         )
-        monkeypatch.setattr(
-            cli.law_suites, "run_all", lambda seed=0, cases=None: [broken]
-        )
+        monkeypatch.setattr("intval.laws.run_all", lambda seed=0, cases=None: [broken])
         code, out, _ = run_cli(["laws"], capsys=capsys)
         assert code == 3
         assert "FAIL" in out
@@ -731,7 +767,7 @@ class TestRepeatedCalls:
         def run_all(seed=0, cases=None):
             return [LawResult(f"seed-{seed}", -1 if cases is None else cases, 0)]
 
-        monkeypatch.setattr(cli.law_suites, "run_all", run_all)
+        monkeypatch.setattr("intval.laws.run_all", run_all)
 
     @staticmethod
     def _call(argv, capsys):
@@ -791,6 +827,58 @@ class TestRepeatedCalls:
         )
         # one top-level parser and one per subcommand, built on the first call
         assert json.loads(proc.stdout) == [0, True, 4, 4, 4]
+
+    # the modules an integrate or eval run does without, and the option of
+    # another run that loads each one
+    DEFERRED = {
+        "fractions": ["integrate", *FN, "--approx-decimals", "3"],
+        "decimal": ["integrate", *FN, "--approx-decimals", "3"],
+        "numbers": ["integrate", *FN, "--approx-decimals", "3"],
+        "csv": ["integrate", *FN, "--format", "csv"],
+        "intval.laws": ["laws", "--cases", "1"],
+    }
+
+    def test_integrate_and_eval_load_no_fractions_csv_or_laws(self):
+        script = "\n".join([
+            "import io, json, sys",
+            "from contextlib import redirect_stdout",
+            f"deferred = {sorted(self.DEFERRED) + ['copy', 'pickle']!r}",
+            "def loaded():",
+            "    return [name for name in deferred if name in sys.modules]",
+            "import intval.cli",
+            "steps = [loaded()]",
+            "runs = [",
+            f"    {['integrate', *self.FN]!r},",
+            "    ['eval', '--poset', 'poset { a; b; a <= b }',",
+            "     '--val', 'val { [1/2,1/2] @ a; [1/4,1/3] @ b }',",
+            "     '--fn', 'fn h { a -> [0,3]; b -> [1,2] }'],",
+            "]",
+            "for argv in runs:",
+            "    with redirect_stdout(io.StringIO()):",
+            "        assert intval.cli.main(argv) == 0",
+            "    steps.append(loaded())",
+            "print(json.dumps(steps))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True, text=True
+        )
+        assert json.loads(proc.stdout) == [[], [], []]
+
+    @pytest.mark.parametrize("name", sorted(DEFERRED))
+    def test_the_option_that_needs_a_module_loads_it(self, name):
+        script = "\n".join([
+            "import io, json, sys",
+            "from contextlib import redirect_stdout",
+            "import intval.cli",
+            f"before = {name!r} in sys.modules",
+            "with redirect_stdout(io.StringIO()):",
+            f"    code = intval.cli.main({self.DEFERRED[name]!r})",
+            f"print(json.dumps([before, code, {name!r} in sys.modules]))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True, text=True
+        )
+        assert json.loads(proc.stdout) == [False, 0, True]
 
     def test_import_loads_no_dataclasses_or_inspect(self):
         script = "\n".join([

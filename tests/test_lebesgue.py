@@ -39,6 +39,12 @@ def _rat(q: Fraction):
     return rational(q.numerator, q.denominator)
 
 
+def _pt(q) -> tuple:
+    """A rational as the int pair (numerator, denominator) that the Sturm
+    and Moebius helpers read."""
+    return q.numerator, q.denominator
+
+
 def _grid(h: IntervalTestFn) -> IntervalTestFn:
     """The same test function, summed cell by cell by lebesgue_n."""
     return IntervalTestFn(lambda c: h(c))
@@ -485,7 +491,7 @@ class TestSturmCounts:
         g = _sym(poly)
         # Sturm counts the roots in (u, v]; count_roots counts [u, v]
         expected = g.count_roots(su, sv) - (g.eval(su) == 0)
-        got = lebesgue._sign_changes(chain, u) - lebesgue._sign_changes(chain, v)
+        got = lebesgue._sign_changes(chain, _pt(u)) - lebesgue._sign_changes(chain, _pt(v))
         assert got == expected
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -524,7 +530,7 @@ def certificate_cases(draw):
 
 def _sign_variations(g: Polynomial, lo, hi) -> int:
     """V, the certificate's count of sign changes for g on (lo, hi)."""
-    signs = [c > 0 for c in lebesgue._moebius(g.num, lo, hi) if c]
+    signs = [c > 0 for c in lebesgue._moebius(g.num, _pt(lo), _pt(hi)) if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -532,6 +538,7 @@ def _sturm_nonnegative(g: Polynomial, lo, hi) -> bool:
     """nonnegative_on's verdict when the certificate abstains, taken for
     any V: g's sign just right of lo, from the lowest nonzero coefficient of
     the real ``_moebius(g)``, and no root of odd multiplicity inside."""
+    lo, hi = _pt(lo), _pt(hi)
     lowest = next(c for c in lebesgue._moebius(g.num, lo, hi) if c)
     return lowest > 0 and lebesgue._odd_roots(g, lo, hi) == 0
 
@@ -612,7 +619,7 @@ class TestExactMonotonicity:
         # _moebius reads the integer coefficients num, i.e. the polynomial den * g
         hi = lo + size
         d = g.degree
-        coeffs = lebesgue._moebius(g.num, _rat(lo), _rat(hi))
+        coeffs = lebesgue._moebius(g.num, _pt(lo), _pt(hi))
         x = (lo + hi * t) / (1 + t)
         expected = (lo.denominator * hi.denominator) ** d * (1 + t) ** d * sum(
             c * x ** k for k, c in enumerate(g.num)
@@ -636,7 +643,7 @@ class TestExactMonotonicity:
         for k, c in enumerate(reversed(num[:-1]), 1):
             acc = lebesgue._mul_ints(acc, n)
             acc = [a + c * b for a, b in zip(acc, lebesgue._binomial_row(scale, scale, k))]
-        assert lebesgue._moebius(num, lo, hi) == acc
+        assert lebesgue._moebius(num, _pt(lo), _pt(hi)) == acc
 
     def test_certificate_decides_anchor_and_degree_64_literals(self, monkeypatch):
         # the integrate-wide anchor literals (32 pieces) and their invalid variants
@@ -721,14 +728,13 @@ class TestOddRoots:
     @given(repeated_root_polys(), _roots, _roots)
     def test_repeated_roots_agree_with_sympy(self, g, lo, hi):
         assume(lo < hi)
-        lo, hi = _rat(lo), _rat(hi)
-        assert lebesgue._odd_roots(g, lo, hi) == _sympy_odd_roots(g, lo, hi)
+        assert lebesgue._odd_roots(g, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(certificate_cases())
     def test_certificate_cases_agree_with_sympy(self, case):
         g, lo, hi = case
-        assert lebesgue._odd_roots(g, lo, hi) == _sympy_odd_roots(g, lo, hi)
+        assert lebesgue._odd_roots(g, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
 
     @pytest.mark.parametrize(
         "g, expected",
@@ -741,7 +747,7 @@ class TestOddRoots:
         ],
     )
     def test_pinned_counts_on_the_unit_segment(self, g, expected):
-        assert lebesgue._odd_roots(g, rational(0), rational(1)) == expected
+        assert lebesgue._odd_roots(g, (0, 1), (1, 1)) == expected
 
 
 class TestCanonicalExtension:
@@ -889,6 +895,139 @@ class TestRangeOver:
                 fn.range_over(hi, lo)
 
 
+@st.composite
+def piecewise_literals(draw):
+    """(text, breakpoints, pieces): a piecewise literal whose pieces, as in
+    ``piecewise_fns``, are written sum_k c_k*(x - s)^k (inc on [s, t]) or
+    sum_k c_k*(t - x)^k (dec), with its breakpoints as Fractions and each
+    piece as (direction, s or t, [c_k]) for a Fraction reference."""
+    inner = draw(st.lists(st.sampled_from(_BREAKPOINTS), max_size=4, unique=True))
+    bps = [Fraction(0)] + sorted(inner) + [Fraction(1)]
+    segments, pieces = [], []
+    for s, t in zip(bps, bps[1:]):
+        direction = draw(st.sampled_from(("inc", "dec")))
+        coeffs = draw(st.lists(st.fractions(0, 4, max_denominator=3), min_size=1, max_size=9))
+        base = f"(x - {s})" if direction == "inc" else f"({t} - x)"
+        expr = " + ".join(f"{c}*{base}^{k}" for k, c in enumerate(coeffs))
+        segments.append(f"[{s},{t}] {direction}: {expr}")
+        pieces.append((direction, s if direction == "inc" else t, coeffs))
+    return "piecewise { " + "; ".join(segments) + " }", bps, pieces
+
+
+def _piece_value(piece, x: Fraction) -> Fraction:
+    direction, anchor, coeffs = piece
+    u = x - anchor if direction == "inc" else anchor - x
+    return sum((c * u ** k for k, c in enumerate(coeffs)), Fraction(0))
+
+
+class TestBreakpointPairs:
+    """The breakpoints are stored once, as int pairs; the rational view,
+    pointwise values and ranges read as they did from Fraction breakpoints."""
+
+    def test_breakpoints_are_the_same_fractions(self):
+        pieces = [("inc", Polynomial.identity())] * 4
+        fn = PiecewiseMonotoneFn([0, "1/3", Fraction(2, 4), ext("3/4"), 1], pieces)
+        assert fn._bps == ((0, 1), (1, 3), (1, 2), (3, 4), (1, 1))
+        assert fn.breakpoints == (
+            Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)
+        )
+        assert all(type(b) is Fraction for b in fn.breakpoints)
+        assert repr(fn).startswith("piecewise { [0,1/3] inc: x; [1/3,1/2] inc: x;")
+
+    @pytest.mark.parametrize(
+        "bps, message",
+        [
+            ([0, INFINITY], "breakpoints must start at 0 and end at 1"),
+            ([INFINITY, 1], "breakpoints must start at 0 and end at 1"),
+            ([0, INFINITY, 1], "breakpoints must be strictly ascending"),
+            ([0, "1/2", "1/2", 1], "breakpoints must be strictly ascending"),
+            ([0, "2/3", "1/3", 1], "breakpoints must be strictly ascending"),
+            ([-1, 1], "breakpoints must start at 0 and end at 1"),
+        ],
+    )
+    def test_bad_breakpoints_keep_their_messages(self, bps, message):
+        pieces = [("inc", Polynomial.identity())] * (len(bps) - 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PiecewiseMonotoneFn(bps, pieces)
+
+    def test_piece_messages_name_the_segment(self):
+        with pytest.raises(NonEvaluablePiece, match=r"^piece on \[1/3,1\] is not dec; "):
+            PiecewiseMonotoneFn(
+                [0, "1/3", 1], [("inc", Polynomial.identity()), ("dec", Polynomial.identity())]
+            )
+        with pytest.raises(ValueError, match=r"^piece on \[0,1/3\] takes negative values$"):
+            PiecewiseMonotoneFn(
+                [0, "1/3", 1], [("inc", Polynomial([-1, 1])), ("inc", Polynomial.identity())]
+            )
+
+    @settings(EXAMPLES, max_examples=100)
+    @given(piecewise_literals(), st.data())
+    def test_literals_agree_with_a_fraction_reference(self, literal, data):
+        text, bps, pieces = literal
+        fn = parse_piecewise(text)
+        assert fn.breakpoints == tuple(bps)
+        assert all(type(b) is Fraction for b in fn.breakpoints)
+        # pointwise, the left piece wins at an interior breakpoint
+        point = st.one_of(st.fractions(0, 1, max_denominator=60), st.sampled_from(bps))
+        for x in data.draw(st.lists(point, min_size=1, max_size=4)):
+            k = next(k for k in range(len(pieces)) if x <= bps[k + 1])
+            got = fn(x)
+            assert type(got) is Fraction and got == _piece_value(pieces[k], x)
+        # ranges take every piece whose closed segment meets [lo, hi] n [0, 1]
+        end = st.one_of(
+            st.fractions(Fraction(-1, 2), Fraction(3, 2), max_denominator=60),
+            st.sampled_from(bps),
+        )
+        lo, hi = sorted((data.draw(end), data.draw(end)))
+        if hi < 0 or lo > 1:
+            with pytest.raises(OutOfRange, match="misses"):
+                fn.range_over(lo, hi)
+            return
+        a, b = max(lo, Fraction(0)), min(hi, Fraction(1))
+        points = {a, b} | {x for x in bps if a <= x <= b}
+        values = [
+            _piece_value(piece, x)
+            for piece, s, t in zip(pieces, bps, bps[1:])
+            for x in points
+            if s <= x <= t
+        ]
+        got = fn.range_over(lo, hi)
+        assert got == (min(values), max(values))
+        assert all(type(v) is Fraction for v in got)
+
+
+_LONG = 10 ** 4000
+
+
+class TestNonnegativePairCore:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        polys,
+        st.fractions(-2, 2, max_denominator=10 ** 6),
+        st.fractions(0, 2, max_denominator=10 ** 6),
+        st.sampled_from([1, 3, _LONG + 1]),
+        st.booleans(),
+    )
+    @example(Polynomial([rational(-1, 3), 1]), Fraction(1, 3), Fraction(0), 1, False)
+    @example(Polynomial([rational(-1, 3), 0, 1]), Fraction(_LONG // 3 + 1, _LONG),
+             Fraction(1, _LONG + 7), 1, False)
+    @example(Polynomial([rational(-1, 9), 0, 1]), Fraction(_LONG // 3, _LONG),
+             Fraction(0), 1, True)
+    def test_agrees_with_the_rational_entry_point(self, g, lo, size, scale, shifted):
+        # the core reads any positive denominators: the ends are also passed
+        # unreduced, scaled by up to 4001 digits; shifted ends have
+        # multi-thousand-digit denominators themselves
+        if shifted:
+            lo += Fraction(1, _LONG + 3)
+        hi = lo + size
+        expected = nonnegative_on(g, lo, hi)
+        assert lebesgue._nonnegative_on(g, _pt(lo), _pt(hi)) is expected
+        scaled = [(q.numerator * scale, q.denominator * scale) for q in (lo, hi)]
+        assert lebesgue._nonnegative_on(g, *scaled) is expected
+        if max(lo.denominator, hi.denominator) < 10 ** 7:
+            assert expected == _sympy_nonnegative(g, lo, hi)
+
+
 def _cells_agree(fn, depths):
     for n in depths:
         size = 2 ** n
@@ -1022,8 +1161,9 @@ class TestLevels:
         lebesgue_n(24, canonical_extension(fixture_functions()["square"]))
         assert spans == []
 
-    def test_closed_form_builds_two_rationals(self, monkeypatch):
-        # the sums run in int pairs; only the two returned endpoints are rationals
+    def test_closed_form_builds_no_rationals(self, monkeypatch):
+        # the sums run in int pairs, and the two endpoints are scalars built
+        # from their reduced pairs
         h = canonical_extension(
             _many_pieces([Fraction(k, 33) for k in range(32)] + [Fraction(1)])
         )
@@ -1035,7 +1175,7 @@ class TestLevels:
         for n, level in expected.items():
             built.clear()
             assert lebesgue_n(n, h) == level
-            assert len(built) == 2, n
+            assert built == [], n
 
     def test_depth_24_is_fast(self):
         fixtures = fixture_functions()
