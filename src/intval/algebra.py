@@ -186,6 +186,10 @@ class ExtNonNeg:
     def __hash__(self) -> int:
         return hash((self._n, self._d))
 
+    def __reduce__(self):
+        # copy and pickle, at every protocol, rebuild through the checked text path
+        return self.__class__, (render_scalar(self),)
+
     def __le__(self, other: "ExtNonNeg") -> bool:
         if not other._d:
             return True

@@ -14,9 +14,9 @@ column, with at most literals.MAX_DIGITS digits after the point, adds
 clearly-labeled decimal approximations.
 Output is deterministic given the inputs and seed, byte for byte.
 The law suites and the csv module are imported by the code that uses
-them, and integrate and eval compute on int pairs, so an integrate or
-eval run loads neither, nor fractions unless --approx-decimals asks for
-decimal columns.
+them, and integrate and eval compute on int pairs, down to the rounding
+of --approx-decimals, so an integrate or eval run loads neither, nor
+fractions.
 
 Exit codes: 0 success; 1 usage, parse or validation failure (one 'error:'
 line from main, with a line/column diagnostic where available); 2 width target
@@ -69,7 +69,11 @@ def _approx(value: ExtNonNeg, decimals: int) -> str:
     """Decimal approximation, round half to even, clearly not exact."""
     if value.is_infinite:
         return "inf"
-    text = decimal_str(round(value.value * 10 ** decimals)).rjust(decimals + 1, "0")
+    # round() of the Fraction, on the reduced pair: up past half, or at half when odd
+    q, r = divmod(value._n * 10 ** decimals, value._d)
+    if 2 * r > value._d or (2 * r == value._d and q & 1):
+        q += 1
+    text = decimal_str(q).rjust(decimals + 1, "0")
     if decimals == 0:
         return text
     return f"{text[:-decimals]}.{text[-decimals:]}"

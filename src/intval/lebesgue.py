@@ -42,10 +42,11 @@ differences give exactly from degree + 1 values:
 
     sum_{i=a}^{b} q(i) = sum_j (Delta^j q)(a) * C(b - a + 1, j + 1).
 
-Only the at most two cells per interior breakpoint that touch it are
-evaluated directly, since they take both pieces' values there; the
-pieces each one meets are found by integer index, and the cost of a
-level does not depend on the depth.  Hand-written test functions
+Only the cells that touch an interior breakpoint, at most two per
+breakpoint, are evaluated directly, since they take both pieces' values
+there.  One walk over the breakpoints finds these cells, the pieces each
+meets and the runs between them, so the cost of a level does not depend
+on the depth.  Hand-written test functions
 keep the per-cell sum, which is also the oracle for the closed form and
 checks every cell against its parent, so each level it returns ascends
 from the one before; canonical extensions are monotone by construction.
@@ -600,10 +601,12 @@ class PiecewiseMonotoneFn:
     def range_over(self, lo, hi) -> Tuple[object, object]:
         """Exact (min, max) of the function over [lo, hi] within [0, 1].
 
-        Finds the pieces [lo, hi] meets by bisection on the breakpoint
-        pairs and reads them through ``_span``.  Raises OutOfRange when
-        lo > hi or [lo, hi] misses [0, 1].
+        The ends are read by ``rational``, as ``__call__`` reads x.  Finds
+        the pieces [lo, hi] meets by bisection on the breakpoint pairs and
+        reads them through ``_span``.  Raises OutOfRange when lo > hi or
+        [lo, hi] misses [0, 1].
         """
+        lo, hi = rational(lo), rational(hi)
         if lo > hi:
             raise OutOfRange(f"endpoints out of order: [{lo},{hi}]")
         bps = self._bps
@@ -613,23 +616,26 @@ class PiecewiseMonotoneFn:
         last = min(_bisect(bps, hi_n, hi_d, 0, right=True), len(self.pieces)) - 1
         if first > last:
             raise OutOfRange(f"[{lo},{hi}] misses [0, 1]")
-        (s_n, s_d), (t_n, t_d) = bps[first], bps[last + 1]
-        left = (lo_n, lo_d) if lo_n * s_d > s_n * lo_d else None
-        right = (hi_n, hi_d) if hi_n * t_d < t_n * hi_d else None
-        low, high = self._span(first, last, left, right)
+        low, high = self._span(first, last, (lo_n, lo_d), (hi_n, hi_d))
         return rational(*low), rational(*high)
 
-    def _span(self, first: int, last: int, left, right) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """(min, max) over pieces first..last, piece first cut at left and
-        piece last at right, as unreduced int pairs.
+    def _span(self, first: int, last: int, lo, hi) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """(min, max) over [lo, hi] of pieces first..last, the pieces that
+        [lo, hi] meets, as unreduced int pairs.
 
-        A cut is a point (p, q) standing for p/q with q > 0, or None for the
-        piece's own end.  Each piece between contributes its stored (min,
-        max).  A cut piece is evaluated at its cut end or ends only, and its
-        direction orders the two end values: an inc piece is least at its
-        left end, a dec piece at its right.  Every denominator is positive,
-        so the least and greatest are chosen by cross-multiplication.
+        lo and hi are points (p, q) standing for p/q with q > 0.  A piece
+        is cut only where lo or hi lies strictly inside it: piece first at
+        lo when lo lies right of its left end, and piece last at hi when hi
+        lies left of its right end.  Each piece between contributes its
+        stored (min, max).  A cut piece is evaluated at its cut end or ends
+        only, and its direction orders the two end values: an inc piece is
+        least at its left end, a dec piece at its right.  Every denominator
+        is positive, so the least and greatest are chosen by
+        cross-multiplication.
         """
+        (s_n, s_d), (t_n, t_d) = self._bps[first], self._bps[last + 1]
+        left = lo if lo[0] * s_d > s_n * lo[1] else None
+        right = hi if hi[0] * t_d < t_n * hi[1] else None
         if first == last:
             return self._clipped(first, left, right)
         (low_n, low_d), (high_n, high_d) = self._clipped(first, left, None)
@@ -642,7 +648,7 @@ class PiecewiseMonotoneFn:
         return (low_n, low_d), (high_n, high_d)
 
     def _clipped(self, k: int, a, b) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """(min, max) of piece k over [a, b] as int pairs, cuts as in ``_span``."""
+        """(min, max) of piece k over [a, b] as int pairs; None is its own end."""
         direction, poly = self.pieces[k]
         low, high = self._ranges[k]
         if direction == "dec":
@@ -746,60 +752,44 @@ def _power_sums(
     return (total, scale), (shifted, scale)
 
 
-def _cell_ranges(
-    fn: PiecewiseMonotoneFn, size: int, cells: Sequence[int]
-) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:
-    """fn._span over each i of the ascending cells [i/size, (i+1)/size],
-    the int pairs that fn.range_over would reduce.
-
-    Piece k on [s, t] meets cell i iff s*size - 1 <= i <= t*size, which is
-    decided on the breakpoints' integer numerators and denominators; the
-    first and last piece a cell meets only move forward as i grows, so one
-    sweep finds them all without comparing rationals.
-    """
-    bps = fn._bps
-    top = len(fn.pieces) - 1
-    first = 0
-    for i in cells:
-        while bps[first + 1][0] * size < i * bps[first + 1][1]:
-            first += 1
-        last = first
-        while last < top and bps[last + 1][0] * size <= (i + 1) * bps[last + 1][1]:
-            last += 1
-        (s_num, s_den), (t_num, t_den) = bps[first], bps[last + 1]
-        left = (i, size) if i * s_den > s_num * size else None
-        right = (i + 1, size) if (i + 1) * t_den < t_num * size else None
-        yield fn._span(first, last, left, right)
-
-
 def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """Sums over the 2^n cells of the lower and of the upper endpoints of h,
     as int pairs (num, den) with den > 0.
+
+    One walk over the interior breakpoints finds both kinds of cell.
+    Breakpoint k + 1 touches cell i when it lies inside [i/size,
+    (i+1)/size], and cells i - 1 and i when it equals i/size; each cell
+    it touches meets pieces k and k + 1, and is read once, through
+    ``fn._span`` over every piece it meets.  Piece k's run lies strictly
+    between the last cell touching its left end and the first touching
+    its right end, from cell 0 and to cell size - 1 at the ends of
+    [0, 1], and is one ``_power_sums``.
 
     Each addend is an int pair; the sum is kept over the lcm of the
     denominators seen, at one gcd per addition, and never reduced.
     """
     size = 2 ** n
     fn = h.fn
-    bps = fn._bps
+    top = len(fn.pieces) - 1
     addends = []
-    for (direction, poly), (s_num, s_den), (t_num, t_den) in zip(fn.pieces, bps, bps[1:]):
-        # cells i with s < i/size and (i+1)/size < t, except at 0 and 1
-        a = 0 if s_num == 0 else s_num * size // s_den + 1
-        b = size - 1 if t_num == t_den else -(-t_num * size // t_den) - 2
-        if a > b:
-            continue
-        low, high = _power_sums(poly, size, a, b)
-        addends.append((high, low) if direction == "dec" else (low, high))
-    # the cells that touch an interior breakpoint, ascending: i when b lies
-    # inside [i/size, (i+1)/size], and i - 1 and i when b = i/size
-    cells: List[int] = []
-    for bp_num, bp_den in bps[1:-1]:
-        i, r = divmod(bp_num * size, bp_den)
-        for c in (i - 1, i) if r == 0 else (i,):
-            if not cells or cells[-1] != c:
-                cells.append(c)
-    addends.extend(_cell_ranges(fn, size, cells))
+    touched = {}  # cell: (first piece, last piece), in ascending cells
+    start = 0  # the first cell of piece k's run
+    for k, (direction, poly) in enumerate(fn.pieces):
+        if k < top:
+            # the cells near..i touch breakpoint k + 1
+            num, den = fn._bps[k + 1]
+            i, r = divmod(num * size, den)
+            near = i if r else i - 1
+        else:
+            near, i = size, size - 1  # the last run ends at the last cell
+        if start < near:
+            low, high = _power_sums(poly, size, start, near - 1)
+            addends.append((high, low) if direction == "dec" else (low, high))
+        for c in range(near, i + 1):
+            touched[c] = touched.get(c, (k,))[0], k + 1
+        start = i + 1
+    for c, (first, last) in touched.items():
+        addends.append(fn._span(first, last, (c, size), (c + 1, size)))
     lo_num, hi_num, lo_den, hi_den = 0, 0, 1, 1
     for (ln, ld), (hn, hd) in addends:
         g = gcd(lo_den, ld)

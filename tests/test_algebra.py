@@ -121,6 +121,24 @@ class TestScalars:
             ival(0, text)
 
 
+    @pytest.mark.parametrize(
+        "x", [ZERO, ONE, INFINITY, ext("2/6"), ext(7), ext(decimal_str(10 ** 4400 + 1) + "/3")]
+    )
+    def test_copy_and_pickle(self, x):
+        twins = [copy.copy(x), copy.deepcopy(x)]
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        twins += [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]
+        for twin in twins:
+            assert type(twin) is ExtNonNeg
+            assert (twin._n, twin._d) == (x._n, x._d) and hash(twin) == hash(x)
+
+    def test_pickle_checks_what_it_reads(self):
+        # the rebuild goes through the constructor, which rejects bad text
+        forged = pickle.dumps(ext("1/3"), 0).replace(b"1/3", b"1/0")
+        with pytest.raises(ValueError, match="zero denominator"):
+            pickle.loads(forged)
+
+
 class TestIntervals:
     def test_add_componentwise(self):
         assert ival(1, 2) + ival(3, 5) == ival(4, 7)
@@ -178,8 +196,7 @@ class TestIntervals:
     )
     def test_copy_and_pickle(self, x):
         twins = [copy.copy(x), copy.deepcopy(x)]
-        # protocols 0 and 1 cannot pickle the slotted scalar endpoints
-        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         twins += [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]
         for twin in twins:
             assert type(twin) is IntervalValue

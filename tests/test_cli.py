@@ -11,10 +11,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intval import cli, lebesgue
-from intval.algebra import INFINITY, ext
+from intval.algebra import INFINITY, decimal_str, ext
 from intval.errors import IntvalError, LiteralTooLarge, ParseError
 from intval.laws import LawResult
 from intval.literals import parse_rational, rational_pair
@@ -392,12 +392,31 @@ _RATIONALS = st.tuples(
 )
 
 
+def _round_of_the_fraction(value: Fraction, decimals: int) -> str:
+    """round() of the Fraction as text, which _approx gives byte for byte
+    without building one."""
+    text = decimal_str(round(value * 10**decimals)).rjust(decimals + 1, "0")
+    return f"{text[:-decimals]}.{text[-decimals:]}" if decimals else text
+
+
 class TestApprox:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.one_of(_TIES, _RATIONALS))
+    @example((Fraction(5, 2), 0))
+    @example((Fraction(7, 3), 0))
     def test_rounds_half_to_even(self, case):
         value, decimals = case
-        assert cli._approx(ext(value), decimals) == _half_even_oracle(value, decimals)
+        got = cli._approx(ext(value), decimals)
+        assert got == _half_even_oracle(value, decimals)
+        assert got == _round_of_the_fraction(value, decimals)
+
+    def test_rounds_as_the_fraction_did_at_4300_places(self):
+        # ties, both neighbours of a tie and thirds, past str()'s digit
+        # limit (hypothesis cannot repr these values)
+        tie = Fraction(1, 2 * 10**4300)
+        for value in (tie, 3 * tie, tie + Fraction(1, 10**4400), tie - Fraction(1, 10**4400),
+                      Fraction(2, 3), Fraction(10**4299 + 1, 3), Fraction(7)):
+            assert cli._approx(ext(value), 4300) == _round_of_the_fraction(value, 4300)
 
     def test_ties_go_to_the_even_neighbour(self):
         assert [cli._approx(ext(Fraction(k, 2)), 0) for k in (1, 3, 5, 7)] == [
@@ -828,14 +847,15 @@ class TestRepeatedCalls:
         # one top-level parser and one per subcommand, built on the first call
         assert json.loads(proc.stdout) == [0, True, 4, 4, 4]
 
-    # the modules an integrate or eval run does without, and the option of
-    # another run that loads each one
+    # the modules an integrate or eval run does without, the option of
+    # another run that might load each one, and whether it does:
+    # --approx-decimals rounds the int pairs and loads no fractions
     DEFERRED = {
-        "fractions": ["integrate", *FN, "--approx-decimals", "3"],
-        "decimal": ["integrate", *FN, "--approx-decimals", "3"],
-        "numbers": ["integrate", *FN, "--approx-decimals", "3"],
-        "csv": ["integrate", *FN, "--format", "csv"],
-        "intval.laws": ["laws", "--cases", "1"],
+        "fractions": (["integrate", *FN, "--approx-decimals", "3"], False),
+        "decimal": (["integrate", *FN, "--approx-decimals", "3"], False),
+        "numbers": (["integrate", *FN, "--approx-decimals", "3"], False),
+        "csv": (["integrate", *FN, "--format", "csv"], True),
+        "intval.laws": (["laws", "--cases", "1"], True),
     }
 
     def test_integrate_and_eval_load_no_fractions_csv_or_laws(self):
@@ -866,19 +886,20 @@ class TestRepeatedCalls:
 
     @pytest.mark.parametrize("name", sorted(DEFERRED))
     def test_the_option_that_needs_a_module_loads_it(self, name):
+        argv, loads = self.DEFERRED[name]
         script = "\n".join([
             "import io, json, sys",
             "from contextlib import redirect_stdout",
             "import intval.cli",
             f"before = {name!r} in sys.modules",
             "with redirect_stdout(io.StringIO()):",
-            f"    code = intval.cli.main({self.DEFERRED[name]!r})",
+            f"    code = intval.cli.main({argv!r})",
             f"print(json.dumps([before, code, {name!r} in sys.modules]))",
         ])
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, check=True, text=True
         )
-        assert json.loads(proc.stdout) == [False, 0, True]
+        assert json.loads(proc.stdout) == [False, 0, loads]
 
     def test_import_loads_no_dataclasses_or_inspect(self):
         script = "\n".join([

@@ -875,6 +875,22 @@ class TestRangeOver:
         with pytest.raises(OutOfRange, match=rf"^endpoints out of order: \[{lo},{hi}\]$"):
             _JUMPY.range_over(rational(lo), rational(hi))
 
+    def test_text_int_and_fraction_ends_agree(self):
+        # the ends are read as __call__ reads a point, so text is compared
+        # by value: "9/10" sorts after "10/10" as a string
+        identity = PiecewiseMonotoneFn([0, 1], [("inc", Polynomial.identity())])
+        assert identity.range_over("1/4", "1/2") == (Fraction(1, 4), Fraction(1, 2))
+        assert identity.range_over("9/10", "10/10") == (Fraction(9, 10), Fraction(1))
+        for lo, hi in [(0, 1), ("1/3", "1/2"), (0, "5/7"), ("2/5", 1), ("-1", "2")]:
+            want = _JUMPY.range_over(rational(lo), rational(hi))
+            assert _JUMPY.range_over(lo, hi) == want
+            assert _JUMPY.range_over(str(lo), str(hi)) == want
+            assert _JUMPY.range_over(Fraction(lo), Fraction(hi)) == want
+        with pytest.raises(OutOfRange, match=r"^endpoints out of order: \[1/2,1/4\]$"):
+            identity.range_over("2/4", "1/4")
+        with pytest.raises(OutOfRange, match=r"misses \[0, 1\]$"):
+            identity.range_over(2, "3")
+
     @settings(EXAMPLES, max_examples=200)
     @given(piecewise_fns(), st.data())
     def test_hypothesis_intervals_agree_with_the_oracle(self, fn, data):
@@ -1028,12 +1044,42 @@ class TestNonnegativePairCore:
             assert expected == _sympy_nonnegative(g, lo, hi)
 
 
+def _touched_cells(fn, size):
+    """The cells [i/size, (i+1)/size] that hold an interior breakpoint."""
+    cells = set()
+    for b in fn.breakpoints[1:-1]:
+        x = b * size
+        i = math.floor(x)
+        cells |= {i - 1, i} if x.denominator == 1 else {i}
+    return sorted(cells)
+
+
+def _record_spans(fn, n):
+    """(lo, hi, result) of each ``_span`` call of fn's closed-form level n."""
+    calls = []
+    original = PiecewiseMonotoneFn._span
+
+    def recording(self, first, last, lo, hi):
+        result = original(self, first, last, lo, hi)
+        calls.append((lo, hi, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PiecewiseMonotoneFn, "_span", recording)
+        lebesgue_n(n, canonical_extension(fn))
+    return calls
+
+
 def _cells_agree(fn, depths):
     for n in depths:
         size = 2 ** n
-        got = [_as_rationals(pairs) for pairs in lebesgue._cell_ranges(fn, size, range(size))]
-        want = [fn.range_over(rational(i, size), rational(i + 1, size)) for i in range(size)]
-        assert got == want, n
+        calls = _record_spans(fn, n)
+        cells = [lo[0] for lo, _, _ in calls]
+        assert cells == _touched_cells(fn, size), n
+        for (i, q), hi, pairs in calls:
+            assert q == size and hi == (i + 1, size), n
+            want = fn.range_over(rational(i, size), rational(i + 1, size))
+            assert _as_rationals(pairs) == want, (n, i)
 
 
 def _many_pieces(bps):
@@ -1047,12 +1093,13 @@ def _many_pieces(bps):
     return PiecewiseMonotoneFn([_rat(b) for b in bps], pieces)
 
 
-class TestCellRanges:
-    """The level loop's integer-indexed cells equal range_over on every cell."""
+class TestBreakpointCells:
+    """A level reads each cell that touches an interior breakpoint through
+    one ``_span`` call, and each call equals range_over on that cell."""
 
     @settings(EXAMPLES, max_examples=60)
     @given(piecewise_fns())
-    def test_every_cell_to_depth_8(self, fn):
+    def test_breakpoint_cells_to_depth_8(self, fn):
         _cells_agree(fn, range(9))
 
     @pytest.mark.parametrize(
@@ -1137,29 +1184,42 @@ class TestLevels:
         self._differential(fn, 12)
 
     def test_only_breakpoint_cells_are_evaluated(self, monkeypatch):
-        # every cell the level loop evaluates goes through _span, and no
-        # cell through range_over
-        spans = []
-        original = PiecewiseMonotoneFn._span
+        # every cell the level loop evaluates goes through _span, once per
+        # distinct cell that touches a breakpoint, no cell through
+        # range_over, and each piece's run through at most one _power_sums
+        spans, sums = [], []
+        span, power_sums = PiecewiseMonotoneFn._span, lebesgue._power_sums
 
-        def counting(self, first, last, left, right):
-            spans.append((first, last, left, right))
-            return original(self, first, last, left, right)
+        def counting_span(self, first, last, lo, hi):
+            spans.append(lo[0])
+            return span(self, first, last, lo, hi)
+
+        def counting_sums(poly, size, a, b):
+            sums.append((a, b))
+            return power_sums(poly, size, a, b)
 
         def forbidden(self, lo, hi):
             raise AssertionError("the level loop called range_over")
 
-        monkeypatch.setattr(PiecewiseMonotoneFn, "_span", counting)
+        monkeypatch.setattr(PiecewiseMonotoneFn, "_span", counting_span)
+        monkeypatch.setattr(lebesgue, "_power_sums", counting_sums)
         monkeypatch.setattr(PiecewiseMonotoneFn, "range_over", forbidden)
-        fn = fixture_functions()["tent"]  # interior breakpoints 1/2 and 3/4
-        h = canonical_extension(fn)
-        for n in (0, 1, 2, 12, 24):
-            spans.clear()
-            lebesgue_n(n, h)
-            assert 0 < len(spans) <= 2 * (len(fn.breakpoints) - 2), n
+        tent = fixture_functions()["tent"]  # interior breakpoints 1/2 and 3/4
+        crowded = _many_pieces([Fraction(k, 256) for k in range(32)] + [Fraction(1)])
+        for fn, depths in ((tent, (0, 1, 2, 12, 24)), (crowded, (0, 5, 8, 24))):
+            for n in depths:
+                spans.clear()
+                sums.clear()
+                lebesgue_n(n, canonical_extension(fn))
+                assert spans == _touched_cells(fn, 2 ** n), n
+                assert 0 < len(spans) <= 2 * (len(fn.breakpoints) - 2), n
+                # the runs are disjoint and ascending, at most one per piece
+                assert len(sums) <= len(fn.pieces), n
+                assert all(b < c for (_, b), (c, _) in zip(sums, sums[1:])), n
         spans.clear()
+        sums.clear()
         lebesgue_n(24, canonical_extension(fixture_functions()["square"]))
-        assert spans == []
+        assert spans == [] and sums == [(0, 2 ** 24 - 1)]
 
     def test_closed_form_builds_no_rationals(self, monkeypatch):
         # the sums run in int pairs, and the two endpoints are scalars built
