@@ -38,8 +38,20 @@ Both build them through ``_fraction``, the one place that imports
 is built through ``rational``, so a caller that stays on reduced pairs
 (the CLI's ``integrate`` and ``eval``) never loads ``fractions``, nor
 ``decimal`` and ``numbers`` with it.
-Text has one grammar, 'inf', 'p' or 'p/q' at any length: the constructor
-reads strings through ``parse_scalar``, the inverse of ``render_scalar``.
+Text has one grammar, 'inf', 'p' or 'p/q' at any length, and every number
+a caller hands the library is read one way: ``_read_pair`` returns its
+reduced int pair, (1, 0) for infinity, from an int, a scalar, a Fraction
+(its own numerator and denominator) or text, and raises TypeError on a
+float.  Text goes through ``_text_pair``, which ``parse_scalar``, the
+inverse of ``render_scalar``, shares; a leading '-' is read except in a
+scalar.  Its callers are ``rational``, ``ExtNonNeg`` and ``ext`` here, and
+in ``lebesgue`` ``Polynomial`` (coefficients, ``constant`` and calls),
+``nonnegative_on``, ``is_dyadic``, ``PiecewiseMonotoneFn`` (breakpoints,
+calls and ``range_over``) and, through ``rational``, ``DyadicInterval``
+(its ends and ``in``).
+Those that need a finite value read through ``_finite_pair``, one
+ValueError on infinity.  The literal parsers read their own tokens, with
+positions in their errors and a cap on digits.
 
 There is one arithmetic path.  The law suites spend their time in these
 few int operations, not in a rational type, so a faster rational library
@@ -78,7 +90,7 @@ from __future__ import annotations
 
 import operator
 from math import gcd
-from typing import Union
+from typing import Tuple, Union
 
 RatLike = Union[int, str, "Fraction", "ExtNonNeg"]
 
@@ -96,17 +108,61 @@ def _fraction(*args) -> "Fraction":
     return Fraction(*args)
 
 
-def rational(value, denominator=None) -> "Fraction":
-    """Build an exact rational (reduced form) from ints, strings or rationals.
+_FLOATS = "floats are not exact; pass a rational, int or string"
+_INFINITE = "infinity has no finite rational value"
 
-    Floats are rejected outright: a binary float smuggled in would carry
-    rounding error while looking exact downstream.
+
+def rational(value, denominator=None) -> "Fraction":
+    """Build an exact rational (reduced form).
+
+    One argument is read by ``_read_pair`` and must be finite; two are
+    handed to Fraction.  Floats are rejected outright: a binary float
+    smuggled in would carry rounding error while looking exact downstream.
     """
-    if isinstance(value, float) or isinstance(denominator, float):
-        raise TypeError("floats are not exact; pass a rational, int or string")
     if denominator is None:
-        return _fraction(value)
+        n, d = _read_pair(value)
+        if not d:
+            raise ValueError(_INFINITE)
+        # Fraction(n) skips the gcd that Fraction(n, d) takes
+        return _fraction(n) if d == 1 else _fraction(n, d)
+    if isinstance(value, float) or isinstance(denominator, float):
+        raise TypeError(_FLOATS)
     return _fraction(value, denominator)
+
+
+def _read_pair(value, signed: bool = True) -> Tuple[int, int]:
+    """The reduced int pair (n, d), d >= 1, of a number a caller hands the
+    library, or (1, 0) for infinity; the one reader of such numbers.
+
+    Reads ints, scalars, Fractions (their own numerator and denominator)
+    and text in ``parse_scalar``'s grammar at any length, after one '-'
+    when ``signed``.  Floats raise TypeError; anything else goes to
+    Fraction, which reads other exact rationals and raises TypeError.
+    """
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, ExtNonNeg):
+        return value._n, value._d
+    if type(value) is _fraction:
+        return value.as_integer_ratio()
+    if isinstance(value, str):
+        text = value.strip()
+        if signed and text[:1] == "-":
+            n, d = _text_pair(text[1:])
+            if d:
+                return -n, d
+        return _text_pair(text)
+    if isinstance(value, float):
+        raise TypeError(_FLOATS)
+    return _fraction(value).as_integer_ratio()
+
+
+def _finite_pair(value) -> Tuple[int, int]:
+    """``_read_pair(value)`` for callers that need a finite value."""
+    n, d = _read_pair(value)
+    if not d:
+        raise ValueError(_INFINITE)
+    return n, d
 
 
 class ExtNonNeg:
@@ -121,22 +177,12 @@ class ExtNonNeg:
     __slots__ = ("_n", "_d")
 
     def __init__(self, value: RatLike = 0):
+        # the reader's first case, inline: a call would add a third to
+        # the time of the commonest construction, from an int
         if type(value) is int:
             n, d = value, 1
-        elif isinstance(value, ExtNonNeg):
-            self._n, self._d = value._n, value._d
-            return
-        elif type(value) is _fraction:
-            # a Fraction, once _fraction has become the class; until then
-            # a Fraction takes the rational() branch below
-            n, d = value.numerator, value.denominator
-        elif isinstance(value, str):
-            value = parse_scalar(value)
-            self._n, self._d = value._n, value._d
-            return
         else:
-            q = rational(value)
-            n, d = q.numerator, q.denominator
+            n, d = _read_pair(value, False)
         if n < 0:
             raise ValueError(
                 f"extended nonnegative value must be >= 0, got {_pair_str(n, d)}"
@@ -163,7 +209,7 @@ class ExtNonNeg:
     def value(self) -> "Fraction":
         """The exact rational value; raises on infinity."""
         if not self._d:
-            raise ValueError("infinity has no finite rational value")
+            raise ValueError(_INFINITE)
         return _fraction(self._n, self._d)
 
     def __add__(self, other: "ExtNonNeg") -> "ExtNonNeg":
@@ -546,16 +592,21 @@ def parse_scalar(text: str) -> ExtNonNeg:
     p and q are runs of ASCII digits of any length, q nonzero; surrounding
     whitespace is ignored.  Anything else raises ValueError.
     """
-    text = text.strip()
+    return ExtNonNeg._make(*_text_pair(text.strip()))
+
+
+def _text_pair(text: str) -> Tuple[int, int]:
+    """'inf', 'p' or 'p/q' as a reduced pair, (1, 0) for inf; the grammar
+    of ``parse_scalar`` and ``_read_pair``."""
     if text == "inf":
-        return INFINITY
+        return 1, 0
     num, sep, den = text.partition("/")
     n = decimal_int(num)
     d = decimal_int(den) if sep else 1
     if not d:
         raise ValueError(f"zero denominator in scalar literal {text!r}")
     g = gcd(n, d)
-    return ExtNonNeg._make(n // g, d // g)
+    return n // g, d // g
 
 
 def parse_interval(text: str) -> IntervalValue:

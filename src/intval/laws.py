@@ -40,7 +40,7 @@ functional description; the randomized pass's multi-term kernels do
 composition law), and the tests check bind against that description
 (tests/oracle_valuations.py) on two-Dirac kernels whose terms merge.
 
-Randomized scope.  Generators below produce posets, monotone/antitone
+Randomized scope.  Generators below produce posets, monotone maps,
 tables, valuations, kernels and measures from fixed seeds; all randomness
 flows through one random.Random instance per family, so a (seed, cases)
 pair reproduces a run bit for bit.
@@ -153,7 +153,8 @@ class LawResult:
 
 # ---------------------------------------------------------------------------
 # Seeded random generators.  These are also the building blocks of the
-# randomized acceptance checks, so they are public.
+# randomized acceptance checks, so they are public; the tables that only
+# tests draw are in tests/oracle_tables.py.
 # ---------------------------------------------------------------------------
 
 _FINITE_POOL = tuple(
@@ -245,52 +246,6 @@ def random_monotone_map(
     return MonotoneMap(
         space, {p: chain[levels[p]] for p in space.points}, algebra, validate=False
     )
-
-
-def random_refining_pair(
-    rng: random.Random, space: FinitePoset
-) -> Tuple[MonotoneMap, MonotoneMap]:
-    """Two monotone interval maps (coarse, fine) with coarse <= fine pointwise.
-
-    The coarse map scales lower endpoints down by a constant factor and
-    widens upper endpoints by an antitone bump, which preserves
-    monotonicity on both sides.
-    """
-    fine = random_monotone_map(rng, space)
-    t = rng.choice((rational(0), rational(1, 2), rational(1)))
-    bump = random_antitone_table(rng, space)
-    table = {}
-    for p in space.points:
-        v = fine(p)
-        lo = ExtNonNeg(v.lo.value * t)
-        table[p] = IntervalValue(lo, v.hi + bump[p])
-    return MonotoneMap(space, table, INTERVALS), fine
-
-
-def random_monotone_table(
-    rng: random.Random, space: FinitePoset, allow_inf: bool = True
-) -> Dict:
-    """A random monotone scalar table (dict form)."""
-    return _chain_table(rng, space, allow_inf, ascending=True)
-
-
-def random_antitone_table(
-    rng: random.Random, space: FinitePoset, allow_inf: bool = True
-) -> Dict:
-    """A random antitone scalar table: higher points get smaller values."""
-    return _chain_table(rng, space, allow_inf, ascending=False)
-
-
-def _chain_table(rng: random.Random, space: FinitePoset, allow_inf: bool, ascending: bool) -> Dict:
-    """Chain levels on the points, read up a scalar chain or down it."""
-    depth = 3
-    levels = _levels(rng, space, depth)
-    chain = _scalar_chain(rng, depth + 1)
-    if not allow_inf:
-        chain = [c if not c.is_infinite else ExtNonNeg(rational(100)) for c in chain]
-    if not ascending:
-        chain.reverse()
-    return {p: chain[levels[p]] for p in space.points}
 
 
 def random_table(rng: random.Random, space: FinitePoset, allow_inf: bool = True) -> Dict:

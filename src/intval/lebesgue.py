@@ -80,7 +80,9 @@ from .algebra import (
     IZERO,
     ExtNonNeg,
     IntervalValue,
+    _finite_pair,
     _pair_str,
+    _read_pair,
     ext,
     ival_leq,
     rational,
@@ -94,7 +96,7 @@ DEFAULT_DEPTH_CAP = 24
 
 def is_dyadic(r) -> bool:
     """True iff r is an integer multiple of some 1/2^n."""
-    den = int(r.denominator)
+    den = _finite_pair(r)[1]
     return den & (den - 1) == 0
 
 
@@ -112,9 +114,9 @@ class DyadicInterval:
         lo = rational(lo)
         hi = rational(hi)
         if not is_dyadic(lo) or not is_dyadic(hi):
-            raise ValueError(f"endpoints must be dyadic: [{lo}, {hi}]")
+            raise ValueError(f"endpoints must be dyadic: [{rational_str(lo)}, {rational_str(hi)}]")
         if lo > hi:
-            raise ValueError(f"endpoints out of order: [{lo}, {hi}]")
+            raise ValueError(f"endpoints out of order: [{rational_str(lo)}, {rational_str(hi)}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -141,10 +143,10 @@ class DyadicInterval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
+        return self.lo <= rational(x) <= self.hi
 
     def __repr__(self) -> str:
-        return f"[{self.lo},{self.hi}]"
+        return f"[{rational_str(self.lo)},{rational_str(self.hi)}]"
 
 
 def _horner(num: Sequence[int], p: int, q: int) -> int:
@@ -277,11 +279,9 @@ class Polynomial:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Sequence[object]):
-        cs = [rational(c) for c in coeffs] or [rational(0)]
-        den = lcm(*(c.denominator for c in cs))
-        self.num, self.den = _canonical(
-            [c.numerator * (den // c.denominator) for c in cs], den
-        )
+        pairs = [_finite_pair(c) for c in coeffs] or [(0, 1)]
+        den = lcm(*(d for _, d in pairs))
+        self.num, self.den = _canonical([n * (den // d) for n, d in pairs], den)
 
     @classmethod
     def _of(cls, num: List[int], den: int) -> "Polynomial":
@@ -292,8 +292,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        c = rational(c)
-        return cls._of([c.numerator], c.denominator)
+        n, d = _finite_pair(c)
+        return cls._of([n], d)
 
     @classmethod
     def identity(cls) -> "Polynomial":
@@ -304,7 +304,7 @@ class Polynomial:
         return tuple(rational(a, self.den) for a in self.num)
 
     def __call__(self, x):
-        return rational(*self._pair(x.numerator, x.denominator))
+        return rational(*self._pair(*_finite_pair(x)))
 
     def _pair(self, p: int, q: int) -> Tuple[int, int]:
         """The value at p/q, for ints p and q > 0 in any common scale, as
@@ -465,8 +465,7 @@ def _proportional(a: Sequence[int], b: Sequence[int]) -> bool:
 def nonnegative_on(g: Polynomial, lo, hi) -> bool:
     """Exact decision of g(x) >= 0 for every x in [lo, hi], for rationals
     lo <= hi: ``_nonnegative_on`` on their reduced int pairs."""
-    lo, hi = rational(lo), rational(hi)
-    return _nonnegative_on(g, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+    return _nonnegative_on(g, _finite_pair(lo), _finite_pair(hi))
 
 
 def _nonnegative_on(g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int]) -> bool:
@@ -500,16 +499,6 @@ def _nonnegative_on(g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int]) -> 
     return signs[0] and _odd_roots(g, lo, hi) == 0
 
 
-def _breakpoint_pair(b) -> Tuple[int, int]:
-    """The reduced (numerator, denominator) of a breakpoint given as an int,
-    a scalar (``ExtNonNeg``) or anything ``rational`` reads.  Infinity's
-    pair (1, 0) fails the order checks of ``PiecewiseMonotoneFn``."""
-    if isinstance(b, ExtNonNeg):
-        return b._n, b._d
-    q = b if type(b) is int else rational(b)
-    return q.numerator, q.denominator
-
-
 def _bisect(bps: Sequence[Tuple[int, int]], n: int, d: int, lo: int, right: bool = False) -> int:
     """bisect_left(bps, n/d, lo), or bisect_right with right set, for
     ascending points bps given as int pairs (p, q), q > 0, and d > 0."""
@@ -537,8 +526,9 @@ class PiecewiseMonotoneFn:
     include both one-sided values, which is the tight enclosure of the
     jump.
 
-    Breakpoints may be given as ints, rationals, rational text or scalars
-    (``ExtNonNeg``, as the literal parser passes them).  They are stored
+    Breakpoints, points and range ends are read by ``algebra._read_pair``
+    (ints, rationals, scalars as the literal parser passes them, or text);
+    an infinite breakpoint fails the order checks.  Breakpoints are stored
     once, as reduced int pairs (numerator, denominator) in ``_bps``, and
     ``breakpoints``, the rationals, is a view built on request, as
     ``Polynomial.coeffs`` is.  Construction also stores each piece's (min,
@@ -555,7 +545,7 @@ class PiecewiseMonotoneFn:
         breakpoints: Sequence[object],
         pieces: Sequence[Tuple[str, Polynomial]],
     ):
-        bps = [_breakpoint_pair(b) for b in breakpoints]
+        bps = [_read_pair(b) for b in breakpoints]
         if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise ValueError("need k+1 breakpoints for k pieces")
         if bps[0] != (0, 1) or bps[-1] != (1, 1):
@@ -593,30 +583,28 @@ class PiecewiseMonotoneFn:
 
     def __call__(self, x):
         """Pointwise value; at interior breakpoints the left piece wins."""
-        x = rational(x)
-        if not (0 <= x <= 1):
-            raise OutOfRange(f"{x} is outside [0, 1]")
-        return self.pieces[_bisect(self._bps, x.numerator, x.denominator, 1) - 1][1](x)
+        n, d = _finite_pair(x)
+        if not 0 <= n <= d:
+            raise OutOfRange(f"{_pair_str(n, d)} is outside [0, 1]")
+        return rational(*self.pieces[_bisect(self._bps, n, d, 1) - 1][1]._pair(n, d))
 
     def range_over(self, lo, hi) -> Tuple[object, object]:
         """Exact (min, max) of the function over [lo, hi] within [0, 1].
 
-        The ends are read by ``rational``, as ``__call__`` reads x.  Finds
-        the pieces [lo, hi] meets by bisection on the breakpoint pairs and
-        reads them through ``_span``.  Raises OutOfRange when lo > hi or
-        [lo, hi] misses [0, 1].
+        The ends are read as ``__call__`` reads x, into reduced int pairs.
+        Finds the pieces [lo, hi] meets by bisection on the breakpoint
+        pairs and reads them through ``_span``.  Raises OutOfRange when
+        lo > hi or [lo, hi] misses [0, 1].
         """
-        lo, hi = rational(lo), rational(hi)
-        if lo > hi:
-            raise OutOfRange(f"endpoints out of order: [{lo},{hi}]")
-        bps = self._bps
-        lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        lo, hi = _finite_pair(lo), _finite_pair(hi)
+        if lo[0] * hi[1] > hi[0] * lo[1]:
+            raise OutOfRange(f"endpoints out of order: [{_pair_str(*lo)},{_pair_str(*hi)}]")
         # pieces k with bps[k] <= hi and lo <= bps[k + 1]
-        first = _bisect(bps, lo_n, lo_d, 1) - 1
-        last = min(_bisect(bps, hi_n, hi_d, 0, right=True), len(self.pieces)) - 1
+        first = _bisect(self._bps, *lo, 1) - 1
+        last = min(_bisect(self._bps, *hi, 0, right=True), len(self.pieces)) - 1
         if first > last:
-            raise OutOfRange(f"[{lo},{hi}] misses [0, 1]")
-        low, high = self._span(first, last, (lo_n, lo_d), (hi_n, hi_d))
+            raise OutOfRange(f"[{_pair_str(*lo)},{_pair_str(*hi)}] misses [0, 1]")
+        low, high = self._span(first, last, lo, hi)
         return rational(*low), rational(*high)
 
     def _span(self, first: int, last: int, lo, hi) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -817,7 +805,7 @@ def lebesgue_n(
     by cell, each value checked against its parent cell's (evaluated once
     per two cells); NotMonotone names both where the order fails.
     """
-    if n < 0:
+    if n < 0 or cap < 0:
         raise ValueError("depth must be nonnegative")
     if n > cap:
         raise DepthCapExceeded(f"depth {n} exceeds the cap {cap}", depth=cap)
@@ -861,7 +849,10 @@ def refine(
     None there is no width target, and the walk ends at the cap.  This is
     the one loop over refinement depths in the library.  NotMonotone
     propagates from the first level of a hand-written h that shows it.
+    A negative cap raises ValueError, at the first step of the walk.
     """
+    if cap < 0:
+        raise ValueError("depth must be nonnegative")
     eps = None if eps is None else ext(eps)
     level = None
     for n in range(cap + 1):
@@ -903,7 +894,8 @@ def ascends(levels: Sequence[IntervalValue]) -> bool:
 def chain_check(h: IntervalTestFn, n_max: int) -> bool:
     """Exact check that the dyadic levels ascend up to depth n_max.
 
-    n_max may not exceed DEFAULT_DEPTH_CAP.  NotMonotone propagates from a
+    n_max may not exceed DEFAULT_DEPTH_CAP, and a negative n_max raises
+    ValueError (through ``refine``).  NotMonotone propagates from a
     hand-written h (see ``lebesgue_n``).
     """
     cap = DEFAULT_DEPTH_CAP

@@ -26,6 +26,7 @@ import pytest
 
 from oracle_dyadic import FIXTURE_INTEGRALS, brute_force_level
 from oracle_support import down_closure
+from oracle_tables import random_antitone_table, random_monotone_table, random_refining_pair
 
 from intval.algebra import (
     INFINITY,
@@ -49,13 +50,10 @@ from intval.laws import (
     fixture_functions,
     fubini_exchange,
     monad_laws,
-    random_antitone_table,
     random_interval,
     random_measure,
     random_monotone_map,
-    random_monotone_table,
     random_poset,
-    random_refining_pair,
     random_table,
     random_valuation,
 )

@@ -12,7 +12,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracle_dyadic import FIXTURE_INTEGRALS, brute_force_level
 
-from intval.algebra import INFINITY, IntervalValue, ext, ival, ival_leq, rational, width
+from intval.algebra import (
+    INFINITY,
+    IntervalValue,
+    decimal_str,
+    ext,
+    ival,
+    ival_leq,
+    rational,
+    width,
+)
 from intval.errors import DepthCapExceeded, NonEvaluablePiece, NotMonotone, OutOfRange
 from intval.laws import fixture_functions
 from intval.lebesgue import (
@@ -144,9 +153,18 @@ class TestDyadicInterval:
         with pytest.raises(ValueError) as order:
             DyadicInterval(1, "1/2")
         assert str(order.value) == "endpoints out of order: [1, 1/2]"
+        # ends past int's 4300-digit limit render too
+        tiny, den = Fraction(1, 2**17000), decimal_str(2**17000)
+        with pytest.raises(ValueError) as dyadic:
+            DyadicInterval(tiny, rational(1, 3))
+        assert str(dyadic.value) == f"endpoints must be dyadic: [1/{den}, 1/3]"
+        with pytest.raises(ValueError) as order:
+            DyadicInterval(1, tiny)
+        assert str(order.value) == f"endpoints out of order: [1, 1/{den}]"
 
     def test_repr(self):
         assert repr(DyadicInterval("1/4", 1)) == "[1/4,1]"
+        assert repr(DyadicInterval(Fraction(1, 2**17000), 1)) == f"[1/{decimal_str(2**17000)},1]"
 
 
 class TestPolynomial:
@@ -1311,6 +1329,19 @@ class TestRefine:
         h = canonical_extension(fixture_functions()["half"])
         assert [n for n, _ in refine(h, None, cap=5)] == list(range(6))
 
+    def test_a_negative_cap_raises_before_any_level(self, monkeypatch):
+        h = self._id()
+        monkeypatch.setattr(lebesgue, "lebesgue_n", lambda n, h, **kw: pytest.fail("level"))
+        walks = [
+            lambda: lebesgue_n(0, h, cap=-1),  # the function itself, not the patched global
+            lambda: list(refine(h, None, cap=-1)),
+            lambda: list(refine(h, "1/8", cap=-1)),
+            lambda: lebesgue_integrate(h, "1/8", cap=-1),
+        ]
+        for walk in walks:
+            with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+                walk()
+
     def test_levels_are_computed_once_through_the_module_global(self, monkeypatch):
         depths = []
         real = lebesgue.lebesgue_n
@@ -1346,6 +1377,12 @@ class TestChainAndSqueeze:
         assert str(info.value) == "depth 25 exceeds the cap 24"
         assert info.value.depth == 24
         assert info.value.enclosure is None
+
+    def test_chain_check_rejects_a_negative_depth(self):
+        h = canonical_extension(fixture_functions()["id"])
+        with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+            chain_check(h, -1)
+        assert chain_check(h, 0)
 
     def test_squeeze_and_monotone_convergence(self):
         for name, fn in fixture_functions().items():

@@ -25,10 +25,8 @@ from intval.errors import (
     ZeroMeasure,
 )
 from intval.laws import (
-    random_antitone_table,
     random_measure,
     random_monotone_map,
-    random_monotone_table,
     random_poset,
     random_table,
     random_valuation,
@@ -46,6 +44,7 @@ from intval.measures import (
 from intval.spaces import MonotoneMap, antichain, chain, singleton
 from intval.valuations import dirac, evaluate
 from oracle_support import down_closure, is_mu_bounded
+from oracle_tables import random_antitone_table, random_monotone_table, random_refining_pair
 from oracle_valuations import exhaustive_tests
 
 
@@ -317,8 +316,6 @@ class TestIntervalIntegral:
             assert interval_integral(mu, scaled) == a * interval_integral(mu, h)
 
     def test_monotone_in_test_function(self):
-        from intval.laws import random_refining_pair
-
         rng = random.Random(18)
         for _ in range(300):
             space = random_poset(rng, 4)

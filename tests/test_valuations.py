@@ -31,6 +31,7 @@ from intval.valuations import (
     valuation_leq,
 )
 from oracle_support import down_closure, up_closure
+from oracle_tables import random_refining_pair
 from oracle_valuations import (
     SCALAR_TEST_GRID,
     assert_separates,
@@ -173,8 +174,6 @@ class TestLinearity:
             assert evaluate(nu, sum_h) == evaluate(nu, h) + evaluate(nu, h2)
 
     def test_monotone_in_test_function(self):
-        from intval.laws import random_refining_pair
-
         rng = random.Random(43)
         for _ in range(300):
             space = random_poset(rng, 4)
