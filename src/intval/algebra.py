@@ -236,24 +236,44 @@ class ExtNonNeg:
         # copy and pickle, at every protocol, rebuild through the checked text path
         return self.__class__, (render_scalar(self),)
 
+    # Orderings are between scalars only: against anything else they return
+    # NotImplemented, so Python raises TypeError.  A non-scalar is told by
+    # the AttributeError it raises at other._d, so a scalar pays no check.
+
     def __le__(self, other: "ExtNonNeg") -> bool:
-        if not other._d:
+        try:
+            od = other._d
+        except AttributeError:
+            return NotImplemented
+        if not od:
             return True
         if not self._d:
             return False
-        return self._n * other._d <= other._n * self._d
+        return self._n * od <= other._n * self._d
 
     def __lt__(self, other: "ExtNonNeg") -> bool:
+        try:
+            od = other._d
+        except AttributeError:
+            return NotImplemented
         if not self._d:
             return False
-        if not other._d:
+        if not od:
             return True
-        return self._n * other._d < other._n * self._d
+        return self._n * od < other._n * self._d
 
     def __ge__(self, other: "ExtNonNeg") -> bool:
+        try:
+            other._d
+        except AttributeError:
+            return NotImplemented
         return other <= self
 
     def __gt__(self, other: "ExtNonNeg") -> bool:
+        try:
+            other._d
+        except AttributeError:
+            return NotImplemented
         return other < self
 
     def __str__(self) -> str:

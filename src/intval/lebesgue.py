@@ -408,21 +408,24 @@ def _moebius(num: Sequence[int], lo: Tuple[int, int], hi: Tuple[int, int]) -> Li
     (lo, hi) are the positive roots of the result, with the same
     multiplicities.  One homogeneous Horner pass: x = N/D with
     N = q_lo q_hi (lo + hi t) and D = q_lo q_hi (1 + t), both integral.
-    Step k adds a coefficient times D^k = (q_lo q_hi)^k (1 + t)^k, built
-    from one running power and one Pascal row.
+    Step k multiplies the running sum by the linear factor N = a + b t,
+    a = p_lo q_hi and b = p_hi q_lo, and adds a coefficient times
+    D^k = (q_lo q_hi)^k (1 + t)^k, built from one running power and one
+    Pascal row, in one comprehension.
     """
     (lo_n, lo_d), (hi_n, hi_d) = lo, hi
     scale = lo_d * hi_d
-    n = (lo_n * hi_d, hi_n * lo_d)
+    a, b = lo_n * hi_d, hi_n * lo_d
     acc = [num[-1]]
     power, row = 1, [1]
     for c in reversed(num[:-1]):
-        acc = _mul_ints(acc, n)
         power *= scale
-        row = [a + b for a, b in zip(row + [0], [0] + row)]
+        row = [u + v for u, v in zip(row + [0], [0] + row)]
         if c:
             c *= power
-            acc = [a + c * b for a, b in zip(acc, row)]
+            acc = [a * u + b * v + c * r for u, v, r in zip(acc + [0], [0] + acc, row)]
+        else:
+            acc = [a * u + b * v for u, v in zip(acc + [0], [0] + acc)]
     return acc
 
 

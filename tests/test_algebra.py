@@ -89,6 +89,33 @@ class TestScalars:
         assert not INFINITY < INFINITY
         assert INFINITY <= INFINITY
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "1 <= ext(1)",
+            "Fraction(1, 2) <= ext(1)",
+            "ext(1) >= Fraction(1)",
+            "ext(1) > 0",
+            "ext(1) <= Fraction(1)",
+            "ext(1) < 2",
+        ],
+    )
+    def test_ordering_against_a_non_scalar_is_a_type_error(self, expr):
+        # each side returns NotImplemented, so Python raises TypeError
+        # (not RecursionError or AttributeError)
+        with pytest.raises(TypeError, match="not supported between instances"):
+            eval(expr, {"ext": ext, "Fraction": Fraction})
+
+    def test_equality_with_a_non_scalar_is_false_and_hash_is_the_pair(self):
+        assert (ext(1) == Fraction(1)) is False
+        assert hash(ext("1/2")) == hash((1, 2)) and hash(INFINITY) == hash((1, 0))
+
+    @pytest.mark.parametrize("i, j", iproduct(range(5), repeat=2))
+    def test_the_four_orderings_agree(self, i, j):
+        ascending = [ZERO, ext("1/3"), ONE, ext(2), INFINITY]
+        a, b = ascending[i], ascending[j]
+        assert (a <= b, a < b, a >= b, a > b) == (i <= j, i < j, i >= j, i > j)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ExtNonNeg(-1)

@@ -19,6 +19,7 @@ from intval.literals import (
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_NESTING,
+    _RAW_DEN_BITS,
     _Parser,
     _position,
     _rough_bound,
@@ -373,6 +374,42 @@ class TestExpressionParser:
     def test_matches_sympy(self, text):
         assert _poly(text) == Polynomial(_sympy_coeffs(text))
 
+    # a term's last product with a constant, and its sign, are folded into
+    # the sum as one int scale
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a constant factor last and first
+            "(x+1)^2*3/4", "3/4*(x+1)^2",
+            # folded negated terms
+            "1 - 3/4*(x - 1/3)^2", "-2*x + x", "x - 2*x",
+            # left associativity of the folded quotient
+            "x/2/3", "x*2/3",
+        ],
+    )
+    def test_folded_terms_match_sympy(self, text):
+        assert _poly(text) == Polynomial(_sympy_coeffs(text))
+
+    def test_a_quotient_chain_is_not_a_product_chain(self):
+        assert _poly("x/2/3") == Polynomial([0, rational(1, 6)])
+        assert _poly("x*2/3") == Polynomial([0, rational(2, 3)])
+
+    def test_a_zero_factor_is_trimmed(self):
+        text = "x - 0*(x+1)^3"
+        raw_num, raw_den = _Parser(text).poly_expr()
+        assert len(raw_num) == 2
+        assert _poly(text) == Polynomial(_sympy_coeffs(text)) == Polynomial([0, 1])
+        assert _poly(text).degree == 1
+
+    def test_a_sum_over_the_raw_denominator_length_is_canonical(self):
+        # each term's denominator is under _RAW_DEN_BITS, the sum's is over
+        # it and has the common factor 2, which the sum takes out
+        text = "1/(2*(3^40)^2) + 1/(2*(5^40)^2)"
+        raw_num, raw_den = _Parser(text).poly_expr()
+        assert raw_den == 15 ** 80 and raw_den.bit_length() > _RAW_DEN_BITS
+        assert raw_num == [(3 ** 80 + 5 ** 80) // 2]
+        assert _poly(text) == Polynomial(_sympy_coeffs(text))
+
     def test_flat_sum_of_5000_terms(self):
         terms = [(k % 7 - 3, k % 5 + 1, k % 4) for k in range(5000)]
         text = " + ".join(f"{a}/{b}*x^{e}" for a, b, e in terms)
@@ -673,6 +710,35 @@ class TestSizeCaps:
         message, col = verdict
         with pytest.raises(LiteralTooLarge) as info:
             parse_piecewise(literal)
+        assert str(info.value) == f"line 1, col {col}: {message}"
+
+    # products whose _rough_bound is over MAX_COEFF_BITS, so the verdict
+    # is _size_bound's: at the cap (accepted) and just over it (rejected),
+    # alone, negated and with a constant factor; recorded before constant
+    # factors and signs were folded into the sum
+    _BIG = "((2^60)^21)^13"  # 2^16380
+
+    @pytest.mark.parametrize(
+        "direction, text, verdict",
+        [
+            ("inc", f"(x + 1/{_BIG}) * (x + 1/{_BIG})", None),
+            ("inc", f"(x + 1/{_BIG}) * (x + 1/(2*{_BIG}))", ("65538", 47)),
+            ("dec", f"4 - (x + 1/{_BIG}) * (x + 1/{_BIG})", None),
+            ("dec", f"4 - (x + 1/{_BIG}) * (x + 1/(2*{_BIG}))", ("65538", 51)),
+            ("inc", f"3/4*(x + 1/{_BIG}) * (x + 1/{_BIG})", ("65546", 51)),
+        ],
+    )
+    def test_size_bound_decides_at_the_boundary(self, direction, text, verdict):
+        factor = _Parser(f"(x + 1/{self._BIG})").poly_expr()
+        assert 2 * _rough_bound(*factor) > MAX_COEFF_BITS == 2 * _size_bound(*factor)
+        literal = f"piecewise {{ [0,1] {direction}: {text} }}"
+        if verdict is None:
+            parse_piecewise(literal)
+            return
+        bits, col = verdict
+        with pytest.raises(LiteralTooLarge) as info:
+            parse_piecewise(literal)
+        message = f"coefficients of up to {bits} bits exceed the cap {MAX_COEFF_BITS}"
         assert str(info.value) == f"line 1, col {col}: {message}"
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

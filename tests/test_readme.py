@@ -3,6 +3,8 @@
 import json
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,31 @@ def _command(name):
 def test_integrate_example(capsys):
     assert cli.main(_command("integrate")) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "6,2667/8192,2795/8192,1/64"
+
+
+def test_integrate_example_as_python_m_intval():
+    def run(argv):
+        return subprocess.run(
+            [sys.executable, "-m", "intval", *argv], capture_output=True, text=True
+        )
+
+    argv = _command("integrate")
+    proc = run(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = proc.stdout.splitlines()
+    assert (rows[0], rows[-1], len(rows)) == ("n,lo,hi,width", "6,2667/8192,2795/8192,1/64", 8)
+    argv[argv.index("--eps") + 1] = "0"
+    proc = run(argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: --eps must be a positive rational")
+
+
+def test_importing_the_cli_does_not_load_the_main_module():
+    script = "import sys, intval.cli; print('intval.__main__' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, check=True, text=True
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_eval_example(capsys):
