@@ -13,10 +13,11 @@ str() limit too (algebra.decimal_str); an optional --approx-decimals
 column, with at most literals.MAX_DIGITS digits after the point, adds
 clearly-labeled decimal approximations.
 Output is deterministic given the inputs and seed, byte for byte.
-The law suites and the csv module are imported by the code that uses
-them, and integrate and eval compute on int pairs, down to the rounding
-of --approx-decimals, so an integrate or eval run loads neither, nor
-fractions.
+The law suites, the csv module and the poset and valuation modules that
+only eval needs are imported by the code that uses them, and integrate
+and eval compute on int pairs, down to the rounding of --approx-decimals,
+so an integrate run loads none of them, an eval run only the last two,
+and neither loads fractions.
 
 Exit codes: 0 success; 1 usage, parse or validation failure (one 'error:'
 line from main, with a line/column diagnostic where available); 2 width target
@@ -44,8 +45,6 @@ from .literals import (
     parse_valuation,
     rational_pair,
 )
-from .spaces import MonotoneMap
-from .valuations import ElementaryValuation, evaluate
 
 # Largest --depth-cap accepted; canonical extensions take closed-form levels
 # at any depth, so it bounds the table's length rather than the work.
@@ -136,6 +135,9 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .spaces import MonotoneMap
+    from .valuations import ElementaryValuation, evaluate
+
     space = parse_poset(_read_spec(args.poset, "poset"))
     terms, val_algebra = parse_valuation(_read_spec(args.val, "val"))
     _, table, fn_algebra = parse_fn(_read_spec(args.fn, "fn"))

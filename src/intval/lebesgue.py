@@ -471,9 +471,11 @@ def nonnegative_on(g: Polynomial, lo, hi) -> bool:
     return _nonnegative_on(g, _finite_pair(lo), _finite_pair(hi))
 
 
-def _nonnegative_on(g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int]) -> bool:
+def _nonnegative_on(
+    g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int], negate: bool = False
+) -> bool:
     """Exact decision of g(x) >= 0 for every x in [lo, hi], for points
-    lo <= hi given as int pairs (p, q), q > 0.
+    lo <= hi given as int pairs (p, q), q > 0; with negate, of -g(x) >= 0.
 
     For lo < hi this is the question on (lo, hi): by continuity, a negative
     value at an end makes g negative just inside.  First a certificate: by
@@ -490,10 +492,14 @@ def _nonnegative_on(g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int]) -> 
     has no root of odd multiplicity inside, the only places where it
     changes sign.  As t -> 0+, x -> lo+ and P(t) takes the sign of its
     lowest nonzero coefficient, so ``signs[0]`` is g's sign just right of lo.
+
+    negate reads every sign flipped, so no -g is built; -g has g's roots,
+    so ``_odd_roots`` reads g either way.
     """
     if g.is_constant:
-        return g.num[0] >= 0
-    signs = [c > 0 for c in _moebius(g.num, lo, hi) if c]
+        return g.num[0] <= 0 if negate else g.num[0] >= 0
+    coeffs = _moebius(g.num, lo, hi)
+    signs = [c < 0 for c in coeffs if c] if negate else [c > 0 for c in coeffs if c]
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if changes == 0:
         return all(signs)
@@ -561,7 +567,7 @@ class PiecewiseMonotoneFn:
             if direction not in ("inc", "dec"):
                 raise ValueError(f"unknown direction {direction!r}")
             slope = poly.derivative()
-            if not _nonnegative_on(slope if direction == "inc" else -slope, lo, hi):
+            if not _nonnegative_on(slope, lo, hi, direction == "dec"):
                 raise NonEvaluablePiece(
                     f"piece on [{_pair_str(*lo)},{_pair_str(*hi)}] is not {direction}; "
                     f"split the segment at the turning point"
@@ -806,7 +812,9 @@ def lebesgue_n(
     sums are taken in closed form (see the module docstring), with a
     number of operations independent of n.  Any other h is summed cell
     by cell, each value checked against its parent cell's (evaluated once
-    per two cells); NotMonotone names both where the order fails.
+    per two cells); NotMonotone names both where the order fails.  A
+    PiecewiseMonotoneFn itself raises TypeError: its interval extension is
+    ``canonical_extension(f)``.
     """
     if n < 0 or cap < 0:
         raise ValueError("depth must be nonnegative")
@@ -824,6 +832,11 @@ def lebesgue_n(
         if lo._n * hi._d > hi._n * lo._d:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
         return IntervalValue._make(lo, hi)
+    if isinstance(h, PiecewiseMonotoneFn):
+        raise TypeError(
+            "a PiecewiseMonotoneFn is not an interval test function; "
+            "pass canonical_extension(f)"
+        )
     step = rational(1, 2 ** n)
     w = IntervalValue(step, step)
     acc = IZERO

@@ -48,13 +48,15 @@ from __future__ import annotations
 import re
 from itertools import zip_longest
 from math import gcd
-from typing import Dict, Iterator, List, NoReturn, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NoReturn, Sequence, Tuple
 
 from .algebra import INTERVALS, SCALARS, ExtNonNeg, IntervalValue, ValueAlgebra, rational
 from .errors import LiteralTooLarge, ParseError
 from .lebesgue import PiecewiseMonotoneFn, Polynomial
 from .lebesgue import _canonical, _mul_ints, _power, _trimmed
-from .spaces import FinitePoset
+
+if TYPE_CHECKING:
+    from .spaces import FinitePoset
 
 # Largest polynomial degree, and largest exponent, a piecewise literal may
 # use.  Without it x^8000 alone takes minutes to expand.
@@ -218,8 +220,11 @@ class _Parser:
     # A term's sign, and the constant factor of its last product, are not
     # applied to the term: they are carried as one int scale and multiplied
     # in by the comprehension that aligns the term's denominator with the
-    # sum's and adds it.  The folded product's caps are checked on its two
-    # operands by the same bounds as a product that is built.
+    # sum's and adds it.  A first term has no sum to fold into: its sign is
+    # folded into the constant factor of its last product, if it has one,
+    # so the term is built with one list.  The folded product's caps are
+    # checked on its two operands by the same bounds as a product that is
+    # built.
 
     def poly_piece(self) -> Polynomial:
         return Polynomial._of(*self.poly_expr())
@@ -237,7 +242,8 @@ class _Parser:
         ')' pops them, so the loop does not recurse.  A term after the first
         of a sum is added to it in one comprehension, times an int scale:
         the term's sign, times the constant operand of its last product, if
-        it has one.  That product is not built, but its caps are checked on
+        it has one.  A first term's sign is multiplied into that operand
+        instead.  That product is not built, but its caps are checked on
         the same operands as when it is; every cap check is an inline
         comparison that calls check only when over.
         """
@@ -305,8 +311,11 @@ class _Parser:
                     # trailing zeros
                     if n == 1 or m == 1:
                         c, num = (num[0], lnum) if n == 1 else (lnum[0], num)
-                        if total is not None and tok != "*" and tok != "/":
-                            scale = c  # the term's last factor: fold c into the sum
+                        last = tok != "*" and tok != "/"  # the term's last factor
+                        if last and total is None and negate:
+                            c, negate = -c, False  # a first term's sign, folded into c
+                        if last and total is not None:
+                            scale = c  # fold c into the sum
                         elif c != 1:
                             num = [c * v for v in num] if c else [0]
                     else:
@@ -458,6 +467,8 @@ def rational_pair(text: str) -> Tuple[int, int]:
 
 def parse_poset(text: str) -> FinitePoset:
     """Parse ``poset { a; b; a <= b }``; names are declared on first mention."""
+    from .spaces import FinitePoset
+
     p = _Parser(text)
     names: Dict[str, None] = {}  # in order of first mention
     relation: List[Tuple[str, str]] = []

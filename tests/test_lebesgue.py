@@ -1061,6 +1061,37 @@ class TestNonnegativePairCore:
         if max(lo.denominator, hi.denominator) < 10 ** 7:
             assert expected == _sympy_nonnegative(g, lo, hi)
 
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        polys,
+        st.fractions(-2, 2, max_denominator=10 ** 6),
+        st.fractions(0, 2, max_denominator=10 ** 6),
+    )
+    @example(Polynomial([rational(-1, 3), 1]), Fraction(0), Fraction(1))
+    @example(Polynomial([rational(-1, 9), 0, 1]), Fraction(1, 3), Fraction(0))
+    @example(Polynomial([-2]), Fraction(0), Fraction(1))
+    @example(Polynomial([0]), Fraction(0), Fraction(1))
+    def test_negate_decides_the_negated_polynomial(self, g, lo, size):
+        # negate reads g's signs flipped; no -g is built
+        hi = lo + size
+        got = lebesgue._nonnegative_on(g, _pt(lo), _pt(hi), True)
+        assert got is nonnegative_on(-g, lo, hi)
+        assert got == _sympy_nonnegative(-g, lo, hi)
+
+    def test_a_dec_piece_is_checked_without_its_negated_slope(self, monkeypatch):
+        # one Polynomial per piece, its slope, whatever its direction
+        built = []
+        original = Polynomial.__dict__["_of"].__func__
+        monkeypatch.setattr(
+            Polynomial, "_of", classmethod(lambda cls, *a: built.append(a) or original(cls, *a))
+        )
+        pieces = [("inc", Polynomial([0, 1])), ("dec", Polynomial([3, -2, 1])),
+                  ("dec", Polynomial([2, -1]))]
+        PiecewiseMonotoneFn([0, rational(1, 4), rational(1, 2), 1], pieces)
+        assert len(built) == len(pieces)
+        with pytest.raises(NonEvaluablePiece, match="is not dec"):
+            PiecewiseMonotoneFn([0, 1], [("dec", Polynomial([0, 1]))])
+
 
 def _touched_cells(fn, size):
     """The cells [i/size, (i+1)/size] that hold an interior breakpoint."""
@@ -1440,6 +1471,23 @@ class TestInfinityBranch:
 
 
 class TestEvaluatorValidation:
+    def test_a_raw_piecewise_function_names_canonical_extension(self):
+        f = parse_piecewise("piecewise { [0,1] inc: x }")
+        message = r"^a PiecewiseMonotoneFn .*canonical_extension\(f\)$"
+        for n in (0, 3):
+            with pytest.raises(TypeError, match=message):
+                lebesgue_n(n, f)
+        seen = []
+        with pytest.raises(TypeError, match=message):
+            for level in refine(f, "1/4"):
+                seen.append(level)
+        assert seen == []
+        with pytest.raises(TypeError, match=message):
+            lebesgue_integrate(f, "1/4")
+        with pytest.raises(TypeError, match=message):
+            chain_check(f, 3)
+        assert lebesgue_integrate(canonical_extension(f), "1/4") == (ival("3/8", "5/8"), 2)
+
     def test_non_monotone_evaluator_rejected(self):
         calls = []
 

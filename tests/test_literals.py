@@ -385,6 +385,9 @@ class TestExpressionParser:
             "1 - 3/4*(x - 1/3)^2", "-2*x + x", "x - 2*x",
             # left associativity of the folded quotient
             "x/2/3", "x*2/3",
+            # a negated first term's sign folded into its constant factor
+            "-2*x + 1", "-3/4*(x - 1)^2 + x", "-2*x", "-x*2", "-1*x + 1", "-0*x + 1",
+            "2*-3*x + 1", "-x/2 + 1", "-(2*x) + 1", "-(-3*x)*2", "-(x - 1)^2*1/4 - x",
         ],
     )
     def test_folded_terms_match_sympy(self, text):
