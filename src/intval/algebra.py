@@ -213,10 +213,15 @@ class ExtNonNeg:
         return _fraction(self._n, self._d)
 
     def __add__(self, other: "ExtNonNeg") -> "ExtNonNeg":
-        ad, bd = self._d, other._d
+        # a non-scalar raises AttributeError here, so Python raises TypeError
+        try:
+            bn, bd = other._n, other._d
+        except AttributeError:
+            return NotImplemented
+        ad = self._d
         if not ad or not bd:
             return INFINITY
-        n = self._n * bd + other._n * ad
+        n = self._n * bd + bn * ad
         d = ad * bd
         g = gcd(n, d)
         obj = _new(ExtNonNeg)
@@ -392,14 +397,21 @@ class IntervalValue:
     # and builds its result in place, through the slot descriptors, with
     # the scalar rules written out rather than called (see the module
     # docstring for which rule lives where and the test that ties them).
+    # The other operand's pairs are read first: a non-interval raises
+    # AttributeError there, and NotImplemented makes Python raise TypeError.
 
     def __add__(self, other: "IntervalValue") -> "IntervalValue":
-        lo, hi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        lo, hi = self.lo, self.hi
+        try:
+            olo, ohi = other.lo, other.hi
+            cn, cd, en, ed = olo._n, olo._d, ohi._n, ohi._d
+        except AttributeError:
+            return NotImplemented
         obj = _new(IntervalValue)
-        ad, bd = lo._d, olo._d
-        if ad and bd:
-            n = lo._n * bd + olo._n * ad
-            d = ad * bd
+        ad = lo._d
+        if ad and cd:
+            n = lo._n * cd + cn * ad
+            d = ad * cd
             g = gcd(n, d)
             s = _new(ExtNonNeg)
             s._n = n // g
@@ -407,10 +419,10 @@ class IntervalValue:
             _set_lo(obj, s)
         else:
             _set_lo(obj, INFINITY)
-        ad, bd = hi._d, ohi._d
-        if ad and bd:
-            n = hi._n * bd + ohi._n * ad
-            d = ad * bd
+        ad = hi._d
+        if ad and ed:
+            n = hi._n * ed + en * ad
+            d = ad * ed
             g = gcd(n, d)
             s = _new(ExtNonNeg)
             s._n = n // g
@@ -427,11 +439,14 @@ class IntervalValue:
         # included.  Sharing is safe because values are immutable, and it
         # lets == on normal forms stop at the identity test.
         lo, hi = self.lo, self.hi
+        try:
+            olo, ohi = other.lo, other.hi
+            cn, cd, en, ed = olo._n, olo._d, ohi._n, ohi._d
+        except AttributeError:
+            return NotImplemented
         an, ad, bn, bd = lo._n, lo._d, hi._n, hi._d
         if an == ad and bn == bd:
             return other
-        olo, ohi = other.lo, other.hi
-        cn, cd, en, ed = olo._n, olo._d, ohi._n, ohi._d
         if cn == cd and en == ed:
             return self
         # lo <= hi is preserved: mul_left <= mul_right pointwise and both

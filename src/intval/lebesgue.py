@@ -27,11 +27,13 @@ First, Descartes' rule of signs after the substitution
 x = (lo + hi t)/(1 + t) bounds the roots of p' inside the segment by the
 sign changes V of one integer polynomial: V == 0 proves p' keeps one
 sign there, and V == 1 proves p' crosses zero once, so p turns.  Only
-when V >= 2 do Sturm sequences over the rationals, one per multiplicity
-level of p', count its roots of odd multiplicity inside the segment: p'
-keeps its sign there exactly when there are none, and the certificate's
-lowest coefficient gives that sign.  A piece that fails the check must
-be split by the caller at its turning point.
+when V >= 2 is a Sturm sequence over the rationals built, of p' or, when
+p' has repeated roots, of the one square-free polynomial that Yun's
+decomposition gives for its roots of odd multiplicity; it counts those
+roots inside the segment.  p' keeps its sign there exactly when there
+are none, and the certificate's lowest coefficient gives that sign.  A
+piece that fails the check must be split by the caller at its turning
+point.
 
 For a canonical extension the level is computed in closed form rather
 than cell by cell.  A cell that touches no interior breakpoint lies
@@ -433,36 +435,36 @@ def _odd_roots(g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int]) -> int:
     """How many distinct roots of g in (lo, hi) have odd multiplicity,
     for nonconstant g and points lo < hi given as int pairs (p, q), q > 0.
 
-    h_1 = g and h_(j+1) = gcd(h_j, h_j'), the last member of h_j's Sturm
-    chain, give square-free parts h_j / h_(j+1) whose roots are g's roots
-    of multiplicity >= j (Yun), so with N_j their counts inside,
-    N_1 - N_2 + N_3 - ... counts each root of odd multiplicity once.  When
-    every root of h_j is double, its square-free part is h_(j+1) up to a
-    constant: h_(j+1) is square-free, N_(j+1) = N_j, and the sum ends with
-    N_j - N_j, so neither count is taken.
+    gcd(g, g') is the last member of g's Sturm chain, which counts when
+    it is constant.  Otherwise Yun's recurrence (SYMSAC 1976) from
+    b = g / gcd, c = g' / gcd repeats d = c - b', a_i = gcd(b, d),
+    b = b / a_i, c = d / a_i until b is constant: a_i is the square-free
+    product of g's factors of multiplicity i, and one more chain counts
+    the roots of the product of the a_i of odd i.
     """
-    total, sign = 0, 1
     chain = _sturm_chain(g)
+    if not chain[-1].is_constant:
+        b, c = divmod(g, chain[-1])[0], divmod(g.derivative(), chain[-1])[0]
+        odd, i = Polynomial.constant(1), 1
+        while not b.is_constant:
+            d = c - b.derivative()
+            a = Polynomial._of(_gcd(d.num, b.num), 1)
+            if i % 2:
+                odd = odd * a
+            b, c, i = divmod(b, a)[0], divmod(d, a)[0], i + 1
+        # a constant is its own chain, with no roots
+        chain = [odd] if odd.is_constant else _sturm_chain(odd)
+    # chain[0] is square-free: V(lo) - V(hi) counts its roots in (lo, hi]
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi) - (_sign(chain[0], hi) == 0)
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """A primitive gcd of integer polynomials a and b != 0, by pseudo-remainders."""
     while True:
-        gcd_part = chain[-1]
-        if not gcd_part.is_constant:
-            part = divmod(chain[0], gcd_part)[0]
-            if _proportional(part.num, gcd_part.num):
-                return total
-            chain = _sturm_chain(part)
-        # chain[0] is square-free: V(lo) - V(hi) counts its roots in (lo, hi]
-        count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-        total += sign * (count - (_sign(chain[0], hi) == 0))
-        if gcd_part.is_constant:
-            return total
-        sign = -sign
-        chain = _sturm_chain(gcd_part)
-
-
-def _proportional(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether the nonzero integer polynomials a and b are multiples of
-    each other by a constant."""
-    return len(a) == len(b) and all(a[-1] * v == b[-1] * u for u, v in zip(a, b))
+        r = _pseudo_divmod(a, b)[2]
+        if r == [0]:
+            return _primitive(b)
+        a, b = b, _primitive(r)
 
 
 def nonnegative_on(g: Polynomial, lo, hi) -> bool:
@@ -492,6 +494,12 @@ def _nonnegative_on(
     has no root of odd multiplicity inside, the only places where it
     changes sign.  As t -> 0+, x -> lo+ and P(t) takes the sign of its
     lowest nonzero coefficient, so ``signs[0]`` is g's sign just right of lo.
+
+    The decision order and its cost: if V <= 1, the one transform
+    decides.  If V >= 2, ``_odd_roots`` builds g's Sturm chain, takes
+    Yun's gcds of polynomials of degree no larger than g's square-free
+    part, one per multiplicity up to the highest, and builds at most one
+    more chain.
 
     negate reads every sign flipped, so no -g is built; -g has g's roots,
     so ``_odd_roots`` reads g either way.

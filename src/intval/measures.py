@@ -62,7 +62,7 @@ from .algebra import (
     mul_right,
 )
 from .errors import NotMonotone, SpaceMismatch, UnboundedMeasure, ZeroMeasure
-from .spaces import FinitePoset, MonotoneMap, Point, endpoint_maps
+from .spaces import FinitePoset, MonotoneMap, Point, PointFn, _apply, endpoint_maps
 from .valuations import ElementaryValuation, _point_key, evaluate
 
 # An integrand: a table of values, total on the measure's space.
@@ -187,7 +187,7 @@ def choquet_integral(f: Table, mu: FiniteSupportMeasure) -> ExtNonNeg:
     return total
 
 
-def pushforward(g, mu: FiniteSupportMeasure, target: FinitePoset) -> FiniteSupportMeasure:
+def pushforward(g: PointFn, mu: FiniteSupportMeasure, target: FinitePoset) -> FiniteSupportMeasure:
     """Transport masses along a point map and merge collisions.
 
     Satisfies the change-of-variables identity
@@ -195,7 +195,7 @@ def pushforward(g, mu: FiniteSupportMeasure, target: FinitePoset) -> FiniteSuppo
     """
     out: Dict[Point, ExtNonNeg] = {}
     for point, m in mu.items():
-        y = g[point] if isinstance(g, Mapping) else g(point)
+        y = _apply(g, point)
         target.require(y)
         out[y] = out.get(y, ZERO) + m
     return FiniteSupportMeasure(target, out)

@@ -46,20 +46,14 @@ objects are built.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Union
+from typing import Mapping
 
 from .algebra import INTERVALS, ValueAlgebra
 from .errors import NotMonotone, PointNotInSpace, SpaceMismatch
-from .spaces import FinitePoset, Point, product_poset
+from .spaces import FinitePoset, Point, PointFn, _apply, product_poset
 from .valuations import ElementaryValuation, dirac, separating_function
 
-PointFn = Union[Mapping[Point, Point], Callable[[Point], Point]]
-
 _new = object.__new__
-
-
-def _apply(g: PointFn, x: Point) -> Point:
-    return g[x] if isinstance(g, Mapping) else g(x)
 
 
 class Kernel:

@@ -23,12 +23,24 @@ factors' bitmasks, and the covers are the factors' covers, lifted.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .algebra import INTERVALS, ExtNonNeg, ValueAlgebra
 from .errors import NotMonotone, PointNotInSpace
 
 Point = Hashable
+PointFn = Union[Mapping[Point, Point], Callable[[Point], Point]]
+
+
+def _apply(g: PointFn, x: Point) -> Point:
+    """g(x) for a point map given as a dict or a callable; a dict without
+    an image for x raises PointNotInSpace."""
+    if not isinstance(g, Mapping):
+        return g(x)
+    try:
+        return g[x]
+    except KeyError:
+        raise PointNotInSpace(f"point map has no image for {x!r}") from None
 
 
 class FinitePoset:

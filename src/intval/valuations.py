@@ -467,8 +467,8 @@ def bottom_valuation(space: FinitePoset, algebra: ValueAlgebra = INTERVALS) -> E
     """The least valuation: the algebra's bottom element times any Dirac.
 
     Its value on every test function is the bottom element, because bottom
-    is multiplicatively absorbing in the interval algebra.
+    is multiplicatively absorbing in the interval algebra.  An empty space
+    has no Dirac, and raises the empty sum's ValueError.
     """
-    return ElementaryValuation(
-        space, [(algebra.bottom, space.points[0])], algebra, validate=False
-    )
+    terms = [(algebra.bottom, p) for p in space.points[:1]]
+    return ElementaryValuation(space, terms, algebra, validate=False)

@@ -106,6 +106,11 @@ class TestScalars:
         with pytest.raises(TypeError, match="not supported between instances"):
             eval(expr, {"ext": ext, "Fraction": Fraction})
 
+    @pytest.mark.parametrize("expr", ["ext(1) + 1", "1 + ext(1)", "ext('inf') + 1", "ext(1) + 'x'"])
+    def test_sum_with_a_non_scalar_is_a_type_error(self, expr):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            eval(expr, {"ext": ext})
+
     def test_equality_with_a_non_scalar_is_false_and_hash_is_the_pair(self):
         assert (ext(1) == Fraction(1)) is False
         assert hash(ext("1/2")) == hash((1, 2)) and hash(INFINITY) == hash((1, 0))
@@ -188,6 +193,25 @@ class TestIntervals:
 
     def test_mul_unit(self):
         assert IONE * ival("1/7", 3) == ival("1/7", 3)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "IONE * 5",
+            "5 * IONE",
+            "ival(1, 1) * 'x'",
+            "ival(1, 2) + 1",
+            "1 + ival(1, 2)",
+            "ival(1, 2) * 2",
+            "IZERO + ext(1)",
+            "BOTTOM * ext(1)",
+        ],
+    )
+    def test_operations_with_a_non_interval_are_type_errors(self, expr):
+        # the [1, 1] shortcut too reads the other operand first: each side
+        # returns NotImplemented, not the operand or an AttributeError
+        with pytest.raises(TypeError):
+            eval(expr, {"IONE": IONE, "IZERO": IZERO, "BOTTOM": BOTTOM, "ival": ival, "ext": ext})
 
     def test_zero_times_precise_infinity(self):
         assert IZERO * ival("inf", "inf") == ival(0, "inf")

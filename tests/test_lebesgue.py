@@ -741,7 +741,41 @@ class TestExactMonotonicity:
         assert elapsed < 2.0, elapsed
 
 
+@st.composite
+def high_multiplicity_polys(draw):
+    """A product of up to three rational linear factors and x^2 - 1/2, each
+    to a multiplicity of 1 to 7."""
+    roots = draw(st.lists(_roots, min_size=0, max_size=3, unique=True))
+    factors = [Polynomial([-_rat(r), 1]) for r in roots]
+    if draw(st.booleans()) or not factors:
+        factors.append(Polynomial([rational(-1, 2), 0, 1]))
+    poly = Polynomial.constant(draw(st.sampled_from((1, -1, rational(2, 9)))))
+    for f in factors:
+        poly = poly * f ** draw(st.integers(1, 7))
+    return poly
+
+
 class TestOddRoots:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(high_multiplicity_polys(), _roots, _roots)
+    def test_high_multiplicities_agree_with_sympy(self, g, lo, hi):
+        assume(lo < hi)
+        assert lebesgue._odd_roots(g, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (Polynomial([rational(-1, 3), 1]) ** 62, 0),
+            (-(Polynomial([rational(-1, 3), 1]) ** 63), 1),
+            (Polynomial([rational(-1, 3), 1]) ** 31 * Polynomial([rational(-1, 2), 1]) ** 31, 2),
+        ],
+    )
+    def test_high_multiplicities_build_at_most_two_chains(self, monkeypatch, g, expected):
+        # g's own chain, and one for the product of its odd-multiplicity factors
+        calls = _count_sturm_chains(monkeypatch)
+        assert lebesgue._odd_roots(g, (0, 1), (1, 1)) == expected
+        assert 1 <= len(calls) <= 2
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(repeated_root_polys(), _roots, _roots)
     def test_repeated_roots_agree_with_sympy(self, g, lo, hi):

@@ -145,6 +145,12 @@ class TestPushforward:
         out = pushforward(lambda q: "x", mu, p)
         assert out == FiniteSupportMeasure(p, {"x": 3})
 
+    def test_a_dict_without_an_image_names_the_point(self):
+        mu = FiniteSupportMeasure(antichain(["a", "b"]), {"a": 1, "b": 2})
+        with pytest.raises(PointNotInSpace) as caught:
+            pushforward({"b": "u"}, mu, singleton("u"))
+        assert str(caught.value) == "point map has no image for 'a'"
+
     def test_change_of_variables(self):
         rng = random.Random(12)
         for _ in range(300):

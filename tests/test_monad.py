@@ -366,6 +366,14 @@ class TestMap:
         with pytest.raises(NotMonotone):
             map_valuation({"a": "b", "b": "a"}, nu, p)
 
+    def test_a_dict_without_an_image_names_the_point(self, spaces):
+        _, Y = spaces
+        nu = dirac(chain(["a", "b"]), "a")
+        # "b" carries no mass, but the map must still send it into Y
+        with pytest.raises(PointNotInSpace) as caught:
+            map_valuation({"a": "u"}, nu, Y)
+        assert str(caught.value) == "point map has no image for 'b'"
+
     def test_map_is_unit_then_bind(self):
         rng = random.Random(6)
         for _ in range(50):

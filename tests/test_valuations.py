@@ -84,6 +84,11 @@ class TestEvaluate:
     def test_bottom_valuation_evaluates_to_bottom(self, xy, h_xy):
         assert evaluate(bottom_valuation(xy), h_xy) == BOTTOM
 
+    @pytest.mark.parametrize("algebra", [INTERVALS, SCALARS])
+    def test_bottom_valuation_on_an_empty_poset_is_the_empty_sum(self, algebra):
+        with pytest.raises(ValueError, match="the empty sum is not a valuation"):
+            bottom_valuation(FinitePoset([]), algebra)
+
     def test_space_mismatch(self, h_xy):
         other = singleton("z")
         with pytest.raises(SpaceMismatch):
