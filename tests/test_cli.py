@@ -742,18 +742,35 @@ class TestUsageErrors:
             (["laws", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
             (["integrate"], "the following arguments are required: --fn"),
             (["eval", "--poset", "x"], "the following arguments are required: --val, --fn"),
-            (["laws", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            (
+                ["laws", "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'table')",
+            ),
+            (
+                ["integrate", "--fn", "x", "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')",
+            ),
             ([], "the following arguments are required: command"),
+            (
+                ["foo"],
+                "argument command: invalid choice: 'foo' (choose from 'integrate', 'eval', 'laws')",
+            ),
+            (["integrate", "--f", "x"], "ambiguous option: --f could match --fn, --format"),
+            (["integrate", "--fn"], "argument --fn: expected one argument"),
+            (["laws", "extra"], "unrecognized arguments: extra"),
         ],
-        ids=["cases-not-int", "integrate-no-fn", "eval-no-val", "unknown-format", "no-command"],
+        ids=[
+            "cases-not-int", "integrate-no-fn", "eval-no-val", "unknown-format",
+            "unknown-integrate-format", "no-command", "unknown-command", "ambiguous-option",
+            "missing-value", "extra-argument",
+        ],
     )
 
     @staticmethod
     def _check(code, out, err, message):
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: {message}")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err == f"error: {message}\n"
 
     @CASES
     def test_in_process(self, argv, message, capsys):
@@ -772,6 +789,69 @@ class TestUsageErrors:
         assert exc.value.code == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: intval laws") and err == ""
+
+    HELP_SCREENS = {
+        "": """\
+usage: intval [-h] {integrate,eval,laws} ...
+
+Exact interval-valued valuations and guaranteed-enclosure integration.
+
+positional arguments:
+  {integrate,eval,laws}
+    integrate           enclose a unit-interval integral
+    eval                evaluate a valuation on a test function
+    laws                run the algebraic law suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "integrate": """\
+usage: intval integrate [-h] --fn FN [--eps EPS] [--depth-cap DEPTH_CAP]
+                        [--format {json,csv}]
+                        [--approx-decimals APPROX_DECIMALS]
+
+options:
+  -h, --help            show this help message and exit
+  --fn FN               piecewise literal or path to one
+  --eps EPS             target enclosure width (rational)
+  --depth-cap DEPTH_CAP
+                        deepest refinement level, 0 to 30 (default 24)
+  --format {json,csv}
+  --approx-decimals APPROX_DECIMALS
+                        add decimal columns with 0 to 4300 digits after the
+                        point
+""",
+        "eval": """\
+usage: intval eval [-h] --poset POSET --val VAL --fn FN [--format {json,csv}]
+
+options:
+  -h, --help           show this help message and exit
+  --poset POSET        poset literal or path
+  --val VAL            valuation literal or path
+  --fn FN              fn literal or path
+  --format {json,csv}
+""",
+        "laws": """\
+usage: intval laws [-h] [--seed SEED] [--cases CASES]
+                   [--format {json,csv,table}]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --cases CASES         randomized draws per law family (default: each
+                        family's own count); lebesgue-chain reads it as its
+                        depth, capped at 12. The exhaustive cases always run
+  --format {json,csv,table}
+""",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP_SCREENS))
+    def test_help_screen_at_80_columns(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (self.HELP_SCREENS[command], "")
 
 
 class TestRepeatedCalls:
