@@ -19,6 +19,14 @@ and eval compute on int pairs, down to the rounding of --approx-decimals,
 so an integrate run loads none of them, an eval run only the last two,
 and neither loads fractions.
 
+argv is read against one table of each command's options, under
+argparse's rules and with its messages (tests/oracle_cli.py holds the
+argparse parser it must agree with); no parser object is built.  --help
+prints argparse's help screen as it reads at 80 columns, at any terminal
+width.  integrate and eval write their JSON with f-strings, since none of
+their values needs escaping, so neither argparse nor json is imported;
+only laws --format json imports json.
+
 Exit codes: 0 success; 1 usage, parse or validation failure (one 'error:'
 line from main, with a line/column diagnostic where available); 2 width target
 not reached by the depth cap (the partial table is still emitted); 3 law
@@ -27,12 +35,11 @@ violation (the counterexample is printed).
 
 from __future__ import annotations
 
-import argparse
 import io
-import json
 import re
 import sys
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import List, NoReturn, Optional, Tuple
 
 from .algebra import ExtNonNeg, decimal_str, render_scalar, width
 from .errors import DepthCapExceeded, IntvalError, LiteralTooLarge, ParseError
@@ -101,6 +108,18 @@ def _parse_eps(text: str) -> ExtNonNeg:
     return ExtNonNeg._make(num, den)
 
 
+def _integrate_json(rows: List[list], converged: bool, depth: int) -> str:
+    """json.dumps of integrate's document, rows keyed n, lo, hi, width and
+    then lo_approx, hi_approx if present.  Nothing needs escaping: every
+    value is an int or a rendered number (digits, '/', '.' or 'inf')."""
+    objects = ", ".join([
+        f'{{"n": {r[0]}, "lo": "{r[1]}", "hi": "{r[2]}", "width": "{r[3]}"'
+        + (f', "lo_approx": "{r[4]}", "hi_approx": "{r[5]}"}}' if len(r) > 4 else "}")
+        for r in rows
+    ])
+    return f'{{"rows": [{objects}], "converged": {"true" if converged else "false"}, "depth": {depth}}}\n'
+
+
 def cmd_integrate(args) -> int:
     eps = _parse_eps(args.eps)
     if not 0 <= args.depth_cap <= MAX_DEPTH_CAP:
@@ -111,26 +130,28 @@ def cmd_integrate(args) -> int:
     if decimals is not None and decimals > MAX_DIGITS:
         raise IntvalError(f"--approx-decimals must be <= {MAX_DIGITS}")
     fn = parse_piecewise(_read_spec(args.fn, "piecewise"))
+    header = ["n", "lo", "hi", "width"]
+    if decimals is not None:
+        header += ["lo_approx", "hi_approx"]
     rows = []
     try:
         for n, enclosure in refine(canonical_extension(fn), eps, cap=args.depth_cap):
-            row = {
-                "n": n,
-                "lo": render_scalar(enclosure.lo),
-                "hi": render_scalar(enclosure.hi),
-                "width": render_scalar(width(enclosure)),
-            }
+            row = [
+                n,
+                render_scalar(enclosure.lo),
+                render_scalar(enclosure.hi),
+                render_scalar(width(enclosure)),
+            ]
             if decimals is not None:
-                row["lo_approx"] = _approx(enclosure.lo, decimals)
-                row["hi_approx"] = _approx(enclosure.hi, decimals)
+                row += (_approx(enclosure.lo, decimals), _approx(enclosure.hi, decimals))
             rows.append(row)
         converged, depth = True, n
     except DepthCapExceeded as exc:
         converged, depth = False, exc.depth
     if args.format == "csv":
-        sys.stdout.write(_csv([list(rows[0])] + [list(row.values()) for row in rows]))
+        sys.stdout.write(_csv([header] + rows))
     else:
-        sys.stdout.write(json.dumps({"rows": rows, "converged": converged, "depth": depth}) + "\n")
+        sys.stdout.write(_integrate_json(rows, converged, depth))
     return 0 if converged else 2
 
 
@@ -150,7 +171,8 @@ def cmd_eval(args) -> int:
     if args.format == "csv":
         sys.stdout.write(_csv([["value"], [rendered]]))
     else:
-        sys.stdout.write(json.dumps({"value": rendered}) + "\n")
+        # a rendered scalar or interval: digits, '/', '[', ',', ']' or 'inf'
+        sys.stdout.write(f'{{"value": "{rendered}"}}\n')
     return 0
 
 
@@ -165,6 +187,9 @@ def cmd_laws(args) -> int:
         table = [[r.family, r.cases, r.failures, "yes" if r.passed else "no"] for r in results]
         sys.stdout.write(_csv([["family", "cases", "failures", "passed"]] + table))
     elif args.format == "json":
+        # counterexamples are free text, which json escapes
+        import json
+
         families = [
             {
                 "family": r.family,
@@ -187,66 +212,207 @@ def cmd_laws(args) -> int:
     return 3 if failed else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise, so main reports them
-    as it reports every other input error: one 'error:' line, exit 1."""
+# Each command's runner and options, in help order.  An option maps to
+# (default, kind, required), kind being int, str or a tuple of choices;
+# its value lands on the attribute named after it (--depth-cap: depth_cap).
+_COMMANDS = {
+    "integrate": (cmd_integrate, {
+        "--fn": (None, str, True),
+        "--eps": ("1/1024", str, False),
+        "--depth-cap": (DEFAULT_DEPTH_CAP, int, False),
+        "--format": ("json", ("json", "csv"), False),
+        "--approx-decimals": (None, int, False),
+    }),
+    "eval": (cmd_eval, {
+        "--poset": (None, str, True),
+        "--val": (None, str, True),
+        "--fn": (None, str, True),
+        "--format": ("json", ("json", "csv"), False),
+    }),
+    "laws": (cmd_laws, {
+        "--seed": (0, int, False),
+        "--cases": (None, int, False),
+        "--format": ("table", ("json", "csv", "table"), False),
+    }),
+}
 
-    def error(self, message: str):
-        raise IntvalError(message)
+_HELP_OPTIONS = ("-h", "--help")
+
+# argparse's help screens at 80 columns, the top level's under ""
+_HELP = {
+    "": """\
+usage: intval [-h] {integrate,eval,laws} ...
+
+Exact interval-valued valuations and guaranteed-enclosure integration.
+
+positional arguments:
+  {integrate,eval,laws}
+    integrate           enclose a unit-interval integral
+    eval                evaluate a valuation on a test function
+    laws                run the algebraic law suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "integrate": f"""\
+usage: intval integrate [-h] --fn FN [--eps EPS] [--depth-cap DEPTH_CAP]
+                        [--format {{json,csv}}]
+                        [--approx-decimals APPROX_DECIMALS]
+
+options:
+  -h, --help            show this help message and exit
+  --fn FN               piecewise literal or path to one
+  --eps EPS             target enclosure width (rational)
+  --depth-cap DEPTH_CAP
+                        deepest refinement level, 0 to {MAX_DEPTH_CAP} (default {DEFAULT_DEPTH_CAP})
+  --format {{json,csv}}
+  --approx-decimals APPROX_DECIMALS
+                        add decimal columns with 0 to {MAX_DIGITS} digits after the
+                        point
+""",
+    "eval": """\
+usage: intval eval [-h] --poset POSET --val VAL --fn FN [--format {json,csv}]
+
+options:
+  -h, --help           show this help message and exit
+  --poset POSET        poset literal or path
+  --val VAL            valuation literal or path
+  --fn FN              fn literal or path
+  --format {json,csv}
+""",
+    "laws": """\
+usage: intval laws [-h] [--seed SEED] [--cases CASES]
+                   [--format {json,csv,table}]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --cases CASES         randomized draws per law family (default: each
+                        family's own count); lebesgue-chain reads it as its
+                        depth, capped at 12. The exhaustive cases always run
+  --format {json,csv,table}
+""",
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="intval",
-        description="Exact interval-valued valuations and guaranteed-enclosure integration.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_int = sub.add_parser("integrate", help="enclose a unit-interval integral")
-    p_int.add_argument("--fn", required=True, help="piecewise literal or path to one")
-    p_int.add_argument("--eps", default="1/1024", help="target enclosure width (rational)")
-    cap_help = f"deepest refinement level, 0 to {MAX_DEPTH_CAP} (default {DEFAULT_DEPTH_CAP})"
-    p_int.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, help=cap_help)
-    p_int.add_argument("--format", choices=("json", "csv"), default="json")
-    p_int.add_argument(
-        "--approx-decimals", type=int, default=None,
-        help=f"add decimal columns with 0 to {MAX_DIGITS} digits after the point",
-    )
-    p_int.set_defaults(run=cmd_integrate)
-
-    p_eval = sub.add_parser("eval", help="evaluate a valuation on a test function")
-    p_eval.add_argument("--poset", required=True, help="poset literal or path")
-    p_eval.add_argument("--val", required=True, help="valuation literal or path")
-    p_eval.add_argument("--fn", required=True, help="fn literal or path")
-    p_eval.add_argument("--format", choices=("json", "csv"), default="json")
-    p_eval.set_defaults(run=cmd_eval)
-
-    p_laws = sub.add_parser("laws", help="run the algebraic law suites")
-    p_laws.add_argument("--seed", type=int, default=0)
-    p_laws.add_argument(
-        "--cases", type=int, default=None,
-        help="randomized draws per law family (default: each family's own count); "
-        "lebesgue-chain reads it as its depth, capped at 12. "
-        "The exhaustive cases always run",
-    )
-    p_laws.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p_laws.set_defaults(run=cmd_laws)
-
-    return parser
+def _option(token: str, names: Tuple[str, ...]) -> Optional[tuple]:
+    """How argparse reads a token given the option names: None for a value,
+    else (the option it names, None if unknown; the value it carries or
+    None).  An unknown token that starts with '-' is an option unless it
+    looks like a negative number or holds a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        # a prefix of long options, unique or ambiguous
+        matches = [option for option in names if option.startswith(name)]
+        value = value if eq else None
+    else:
+        # a short option takes the rest of the token as its value
+        matches = [token[:2]] if token[:2] in names else []
+        value = token[2:]
+    if len(matches) > 1:
+        raise IntvalError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
 
 
-# The parser main reuses, built on its first call rather than at import.
-# parse_args keeps nothing between calls: each returns a fresh Namespace
-# filled from the defaults fixed in build_parser.
-_parser: Optional[argparse.ArgumentParser] = None
+def _help(name: str, value: Optional[str], command: str) -> NoReturn:
+    """-h or --help: print the help screen and exit 0.  A value is an
+    error, except that -h reads the letters of '-hh' as more -h options."""
+    if value is not None:
+        rest = value.lstrip("h") if name == "-h" else value
+        if rest or not value:
+            raise IntvalError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    # as argparse prints it: to stderr without a stdout, and not at all
+    # when neither can take it
+    try:
+        (sys.stdout or sys.stderr).write(_HELP[command])
+    except (AttributeError, OSError):
+        pass
+    raise SystemExit(0)
+
+
+def _read_args(argv: List[str]) -> SimpleNamespace:
+    """argv read as argparse reads it for the parser tests/oracle_cli.py
+    builds: the top level takes -h/--help up to the command, and the
+    command reads its options, each '--opt value' or '--opt=value', the
+    last of each one winning.  Usage errors raise IntvalError with
+    argparse's message.  Unlike argparse, which stores '--opt=--' as an
+    empty list, the reader gives that option the value '--'."""
+    extras = []
+    for i, token in enumerate(argv):
+        option = None if token == "--" else _option(token, _HELP_OPTIONS)
+        if option is None:
+            # a lone trailing '--' names no command; any other value is one
+            if token != "--" or i + 1 < len(argv):
+                break
+        elif option[0] is None:
+            extras.append(token)
+        else:
+            _help(*option, "")
+    else:
+        raise IntvalError("the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1 :]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise IntvalError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    run, options = _COMMANDS[command]
+    names = (*_HELP_OPTIONS, *options)
+    # each token is classified before any is read, and '--' makes itself
+    # and every token after it unrecognized
+    parsed = []
+    for j, token in enumerate(rest):
+        if token == "--":
+            parsed += [(None, None)] * (len(rest) - j)
+            break
+        parsed.append(_option(token, names))
+    values = {name: default for name, (default, _, _) in options.items()}
+    j = 0
+    while j < len(rest):
+        option = parsed[j]
+        j += 1
+        if option is None or option[0] is None:
+            extras.append(rest[j - 1])
+            continue
+        name, value = option
+        if name in _HELP_OPTIONS:
+            _help(name, value, command)
+        if value is None:
+            if j == len(rest) or parsed[j] is not None:
+                raise IntvalError(f"argument {name}: expected one argument")
+            value = rest[j]
+            j += 1
+        kind = options[name][1]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise IntvalError(f"argument {name}: invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise IntvalError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        values[name] = value
+    # a required option has no default, and a given value is never None
+    missing = [name for name, spec in options.items() if spec[2] and values[name] is None]
+    if missing:
+        raise IntvalError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise IntvalError(f"unrecognized arguments: {' '.join(extras)}")
+    dests = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, **dests, run=run)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _read_args(sys.argv[1:] if argv is None else list(argv))
         return args.run(args)
     except (IntvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

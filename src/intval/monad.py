@@ -200,17 +200,18 @@ def map_valuation(g: PointFn, nu: ElementaryValuation, target: FinitePoset) -> E
     Satisfies evaluate(map_valuation(g, nu), k) = evaluate(nu, k o g) for
     every test function k, the usual image-measure identity.  g must send
     every source point into the target and be monotone, which is checked
-    on the source's covering pairs.
+    on the source's covering pairs.  g is applied once per source point.
     """
     source = nu.space
+    images = {}
     for x in source.points:
-        y = _apply(g, x)
+        y = images[x] = _apply(g, x)
         if y not in target:
             raise PointNotInSpace(f"image point {y!r} is not in the target")
     for a, b in source.cover_pairs():
-        if not target.leq(_apply(g, a), _apply(g, b)):
+        if not target.leq(images[a], images[b]):
             raise NotMonotone(f"point map not monotone at {a!r} <= {b!r}")
-    terms = [(c, _apply(g, p)) for c, p in nu.terms]
+    terms = [(c, images[p]) for c, p in nu.terms]
     return ElementaryValuation(terms=terms, space=target, algebra=nu.algebra, validate=False)
 
 

@@ -56,7 +56,10 @@ class FinitePoset:
         succ: List[set] = [set() for _ in pts]
         for a, b in relation:
             if a not in index or b not in index:
-                raise PointNotInSpace(f"relation mentions unknown point {a!r} or {b!r}")
+                unknown = [p for p in dict.fromkeys((a, b)) if p not in index]
+                if len(unknown) == 2:
+                    raise PointNotInSpace(f"relation mentions unknown points {a!r} and {b!r}")
+                raise PointNotInSpace(f"relation mentions unknown point {unknown[0]!r}")
             if a != b:
                 succ[index[a]].add(index[b])
         # Kahn's algorithm: a topological order of the given pairs, then each

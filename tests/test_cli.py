@@ -1,3 +1,5 @@
+import ast
+import contextlib
 import csv
 import decimal
 import hashlib
@@ -9,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +21,7 @@ from intval.algebra import INFINITY, decimal_str, ext
 from intval.errors import IntvalError, LiteralTooLarge, ParseError
 from intval.laws import LawResult
 from intval.literals import parse_rational, rational_pair
+from oracle_cli import build_parser
 
 
 def _from_decimal(text):
@@ -29,9 +33,16 @@ def _from_decimal(text):
     return value
 
 
+def assert_written_as_json_dumps(out):
+    """A JSON document main prints is json.dumps of what it encodes."""
+    if out.startswith("{"):
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+
 def run_cli(args, monkeypatch=None, capsys=None):
     code = cli.main(args)
     out, err = capsys.readouterr()
+    assert_written_as_json_dumps(out)
     return code, out, err
 
 
@@ -854,9 +865,175 @@ options:
         assert capsys.readouterr() == (self.HELP_SCREENS[command], "")
 
 
+def _argv_alphabet():
+    """argv drawn from a fixed alphabet: the command names and 'foo'; every
+    prefix of every option, unique in some commands and ambiguous in others,
+    alone or with '=value'; -h, --help, --, --bogus and extra; and values
+    that are ints with a sign, spaces or '_', choices, literals, negative
+    numbers and other values that start with '-'.  A third of the draws
+    give a command its required options and often valid others."""
+    options = {
+        "integrate": ["--fn", "--eps", "--depth-cap", "--format", "--approx-decimals"],
+        "eval": ["--poset", "--val", "--fn", "--format"],
+        "laws": ["--seed", "--cases", "--format"],
+    }
+    required = {"integrate": ["--fn"], "eval": ["--poset", "--val", "--fn"], "laws": []}
+    prefixes = {
+        command: sorted({o[:k] for o in ["--help", *names] for k in range(3, len(o) + 1)})
+        for command, names in options.items()
+    }
+    every_prefix = ["-h"] + sorted(set().union(*prefixes.values()))
+    values = [
+        "+3", "-3", " 7 ", "1_0", "- 3", "-3 ", "12", "", "x", "json", "csv", "table", "xml",
+        "piecewise { [0,1] inc: x }", "-1", "-1/2", "-", "-x y",
+    ]
+    words = ["integrate", "eval", "laws", "foo", "-h", "--help", "--", "--bogus", "extra"]
+    token = st.one_of(
+        st.sampled_from(words + values),
+        st.sampled_from(every_prefix),
+        st.builds("{}={}".format, st.sampled_from(every_prefix), st.sampled_from(values)),
+    )
+    loose = st.lists(
+        st.one_of(
+            token.map(lambda t: [t]),
+            st.tuples(st.sampled_from(every_prefix), st.sampled_from(values)).map(list),
+        ),
+        max_size=6,
+    ).map(lambda groups: [t for group in groups for t in group])
+
+    def written(command, pairs):
+        pairs = [(option, "x", False) for option in required[command]] + pairs
+        return [command] + [
+            t for option, value, joined in pairs
+            for t in ([f"{option}={value}"] if joined else [option, value])
+        ]
+
+    def well_formed(command):
+        pair = st.tuples(
+            st.sampled_from(prefixes[command]),
+            st.sampled_from(["+3", " 7 ", "1_0", "-1", "json", "csv", "table", "x"]),
+            st.booleans(),
+        )
+        return st.lists(pair, max_size=3).map(lambda pairs: written(command, pairs))
+
+    return st.one_of(
+        st.lists(token, max_size=4),
+        st.builds(lambda command, rest: [command, *rest], st.sampled_from(words[:4]), loose),
+        st.sampled_from(sorted(options)).flatmap(well_formed),
+    )
+
+
+class TestArgvParity:
+    """The option-table reader reads every argv as the argparse parser in
+    tests/oracle_cli.py does: the same values, the same help screen (at 80
+    columns), or an error with the same message.  The one exception is
+    '--opt=--', which argparse stores as an empty list."""
+
+    ORACLE = build_parser()
+
+    @staticmethod
+    def _outcome(read, argv):
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                args = read(list(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue()
+        except IntvalError as exc:
+            assert type(exc) is IntvalError
+            return "error", str(exc)
+        assert out.getvalue() == ""
+        return "args", vars(args)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(_argv_alphabet())
+    @example(["--", "integrate"])
+    @example(["integrate", "--"])
+    @example(["--"])
+    @example(["--bogus", "laws", "extra"])
+    @example(["laws", "-hh"])
+    @example(["laws", "-hhx"])
+    @example(["laws", "-h="])
+    @example(["laws", "-h=hh"])
+    @example(["laws", "--help="])
+    @example(["-hx", "laws"])
+    @example(["integrate", "--fn", "x", "--", "--help"])
+    @example(["integrate", "--fn=--fn", "--eps", "-.5", "--depth-cap", "-1\n"])
+    @example(["eval", "--f=x y", "--poset=p"])
+    @example(["integrate", "--=x"])
+    def test_reader_agrees_with_argparse(self, argv):
+        # parse_args keeps nothing between calls, and formats help when asked
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            expected = self._outcome(self.ORACLE.parse_args, argv)
+        assert self._outcome(cli._read_args, argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["integrate", "--fn=--"], "cannot read '--': "),
+            (["laws", "--cases=--"], "argument --cases: invalid int value: '--'"),
+            (["eval", "--poset", "p", "--val", "v", "--fn", "f", "--format=--"],
+             "argument --format: invalid choice: '--' (choose from 'json', 'csv')"),
+        ],
+        ids=["fn", "cases", "format"],
+    )
+    def test_a_double_dash_after_equals_is_a_value(self, argv, message, capsys):
+        # argparse drops it and stores an empty list, which ended in a
+        # traceback; the reader reads '--' like any other value
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_help_without_a_stdout_goes_to_stderr(self, monkeypatch, capsys):
+        # as argparse does when file descriptor 1 is closed
+        monkeypatch.setattr(sys, "stdout", None)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["laws", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == TestUsageErrors.HELP_SCREENS["laws"]
+
+    @pytest.mark.parametrize("columns", ["20", "200"])
+    def test_help_screen_is_the_same_at_any_width(self, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        out = io.StringIO()
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(out):
+            cli.main(["integrate", "-h"])
+        assert out.getvalue() == TestUsageErrors.HELP_SCREENS["integrate"]
+
+
+class TestJsonParity:
+    """integrate's document is json.dumps of its rows, byte for byte."""
+
+    KEYS = ["n", "lo", "hi", "width", "lo_approx", "hi_approx"]
+    SCALAR = st.one_of(
+        st.just(INFINITY),
+        st.builds(ext, st.fractions(min_value=0, max_value=10 ** 30, max_denominator=10 ** 20)),
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), SCALAR, SCALAR, SCALAR), max_size=5),
+        st.one_of(st.none(), st.integers(0, 12)),
+        st.booleans(),
+        st.integers(0, 30),
+    )
+    def test_writer_matches_json_dumps(self, levels, decimals, converged, depth):
+        rows = []
+        for n, lo, hi, w in levels:
+            rows.append([n, *map(cli.render_scalar, (lo, hi, w))])
+            if decimals is not None:
+                rows[-1] += [cli._approx(lo, decimals), cli._approx(hi, decimals)]
+        doc = {
+            "rows": [dict(zip(self.KEYS, row)) for row in rows],
+            "converged": converged,
+            "depth": depth,
+        }
+        assert cli._integrate_json(rows, converged, depth) == json.dumps(doc) + "\n"
+
+
 class TestRepeatedCalls:
-    """main builds its parser once per process, and each call parses afresh:
-    no option of one call leaks into the next."""
+    """main keeps nothing between calls: no option of one call leaks into
+    the next."""
 
     FN = ["--fn", "piecewise { [0,1/2] inc: 2*x; [1/2,1] dec: 2 - 2*x }", "--eps", "1/8"]
 
@@ -875,6 +1052,7 @@ class TestRepeatedCalls:
         except SystemExit as exc:
             code = f"exit {exc.code}"
         out, err = capsys.readouterr()
+        assert_written_as_json_dumps(out)
         return code, out, err
 
     @pytest.mark.parametrize(
@@ -889,43 +1067,44 @@ class TestRepeatedCalls:
         ],
         ids=["format", "approx", "cases", "seed-format", "help", "error"],
     )
-    def test_second_call_prints_what_a_fresh_parser_prints(
-        self, first, second, echo_laws, monkeypatch, capsys
-    ):
-        fresh = []
-        for argv in (first, second):
-            monkeypatch.setattr(cli, "_parser", None)
-            fresh.append(self._call(argv, capsys))
-        monkeypatch.setattr(cli, "_parser", None)
-        assert self._call(first, capsys) == fresh[0]
-        parser = cli._parser
-        assert self._call(second, capsys) == fresh[1]
-        assert cli._parser is parser
-        assert fresh[0] != fresh[1]
+    def test_second_call_prints_what_it_prints_alone(self, first, second, echo_laws, capsys):
+        alone = self._call(second, capsys)
+        assert self._call(first, capsys) != alone
+        assert self._call(second, capsys) == alone
 
-    def test_import_builds_no_parser_and_main_builds_one(self):
+    def test_cli_runs_load_no_argparse_gettext_or_json(self):
+        # the probe prints a literal rather than import json itself
         script = "\n".join([
-            "import argparse, contextlib, io, json",
-            "built = []",
-            "init = argparse.ArgumentParser.__init__",
-            "def counting(self, *args, **kwargs):",
-            "    built.append(kwargs.get('prog'))",
-            "    init(self, *args, **kwargs)",
-            "argparse.ArgumentParser.__init__ = counting",
-            "import intval.cli as cli",
-            "counts = [len(built), cli._parser is None]",
-            "argv = ['integrate', '--fn', 'piecewise { [0,1] inc: x }', '--eps', '1/4']",
-            "for _ in range(3):",
-            "    with contextlib.redirect_stdout(io.StringIO()):",
-            "        cli.main(argv)",
-            "    counts.append(len(built))",
-            "print(json.dumps(counts))",
+            "import io, sys",
+            "from contextlib import redirect_stdout",
+            "unwanted = ['argparse', 'gettext', 'json']",
+            "def loaded():",
+            "    return [name for name in unwanted if name in sys.modules]",
+            "import intval.cli",
+            "steps = [loaded()]",
+            "runs = [",
+            f"    {['integrate', *self.FN]!r},",
+            f"    {['integrate', *self.FN, '--format', 'csv', '--approx-decimals', '2']!r},",
+            "    ['eval', '--poset', 'poset { a; b; a <= b }',",
+            "     '--val', 'val { [1/2,1/2] @ a; [1/4,1/3] @ b }',",
+            "     '--fn', 'fn h { a -> [0,3]; b -> [1,2] }'],",
+            "]",
+            "for argv in runs:",
+            "    with redirect_stdout(io.StringIO()):",
+            "        assert intval.cli.main(argv) == 0",
+            "    steps.append(loaded())",
+            "import intval.laws",
+            "intval.laws.run_all = lambda seed, cases: [intval.laws.LawResult('stub', 1, 0)]",
+            "steps.append(loaded())",
+            "with redirect_stdout(io.StringIO()):",
+            "    assert intval.cli.main(['laws', '--format', 'json']) == 0",
+            "steps.append(loaded())",
+            "print(steps)",
         ])
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, check=True, text=True
         )
-        # one top-level parser and one per subcommand, built on the first call
-        assert json.loads(proc.stdout) == [0, True, 4, 4, 4]
+        assert ast.literal_eval(proc.stdout) == [[], [], [], [], [], ["json"]]
 
     # the modules an integrate or eval run does without, the option of
     # another run that might load each one, and whether it does:

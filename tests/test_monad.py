@@ -374,6 +374,29 @@ class TestMap:
             map_valuation({"a": "u"}, nu, Y)
         assert str(caught.value) == "point map has no image for 'b'"
 
+    def test_the_point_map_is_applied_once_per_source_point(self):
+        p = chain(["a", "b", "c", "d"])
+        nu = ElementaryValuation(p, [(ival(1, 2), x) for x in p.points])
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x
+
+        assert map_valuation(g, nu, p) == nu
+        assert sorted(calls) == sorted(p.points)
+
+    def test_the_first_fault_in_point_order_is_reported(self):
+        p = chain(["a", "b", "c"])
+        nu = dirac(p, "a")
+        # 'b' and 'c' are swapped, and 'c' has no image in the target
+        with pytest.raises(PointNotInSpace) as caught:
+            map_valuation({"a": "a", "b": "c", "c": "z"}, nu, p)
+        assert str(caught.value) == "image point 'z' is not in the target"
+        with pytest.raises(NotMonotone) as caught:
+            map_valuation({"a": "a", "b": "c", "c": "b"}, nu, p)
+        assert str(caught.value) == "point map not monotone at 'b' <= 'c'"
+
     def test_map_is_unit_then_bind(self):
         rng = random.Random(6)
         for _ in range(50):

@@ -78,7 +78,7 @@ def test_eval_example(capsys):
 
 
 def test_laws_example_parses():
-    args = cli.build_parser().parse_args(_command("laws"))
+    args = cli._read_args(_command("laws"))
     assert args.run is cli.cmd_laws
 
 

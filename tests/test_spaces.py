@@ -41,8 +41,23 @@ class TestFinitePoset:
             FinitePoset(["a", "a"], [])
 
     def test_rejects_unknown_relation_points(self):
-        with pytest.raises(PointNotInSpace):
+        with pytest.raises(PointNotInSpace) as caught:
             FinitePoset(["a"], [("a", "b")])
+        assert str(caught.value) == "relation mentions unknown point 'b'"
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (("b", "a"), "relation mentions unknown point 'b'"),
+            (("b", "c"), "relation mentions unknown points 'b' and 'c'"),
+            (("b", "b"), "relation mentions unknown point 'b'"),
+        ],
+        ids=["left", "both", "same"],
+    )
+    def test_names_only_the_unknown_points_of_a_pair(self, pair, message):
+        with pytest.raises(PointNotInSpace) as caught:
+            FinitePoset(["a"], [pair])
+        assert str(caught.value) == message
 
     def test_equality_ignores_listing_order(self):
         p = FinitePoset(["a", "b"], [("a", "b")])
