@@ -28,7 +28,12 @@ comparisons, the unit and zero tests are n == d and n == 0, products cancel
 across with math.gcd, sums take one gcd and the order cross-multiplies.
 An interval product with a [1, 1] factor returns the other operand itself
 rather than a copy, as a scalar product with a finite unit factor does.
-Values are immutable, so sharing one is safe, and results that share their
+Where [0, 0] does not absorb (above), [0, inf] does: mul_left(0, c) = 0
+and mul_right(inf, d) = inf for every c and d, so past the unit test an
+interval product with a [0, inf] factor returns that factor itself.  The
+rule is interval-only: the endpoint rules it skips return ZERO and
+INFINITY already, so it has no scalar copy to keep in step with.  Values
+are immutable, so sharing one is safe, and results that share their
 inputs' coefficients compare equal at the identity test, which makes == on
 normal forms (tuples of terms) cheap.
 ``ExtNonNeg.value`` builds the exact ``fractions.Fraction`` on demand for
@@ -61,15 +66,16 @@ once as the scalar function and once inside the interval operation, each
 of which runs in one frame on the reduced pairs: ``IntervalValue.__add__``
 carries ExtNonNeg.__add__ for both endpoints, ``IntervalValue.__mul__``
 carries mul_left for the lower endpoint and mul_right for the upper one
-(0 * inf, unit and zero shortcuts included), ``IntervalValue.__eq__``
+(0 * inf, unit and zero shortcuts included; the [0, inf] factor rule
+has no scalar counterpart), ``IntervalValue.__eq__``
 carries ExtNonNeg.__eq__ and ``ival_leq`` carries ExtNonNeg.__le__.  The
 copies are tied to the scalar functions by test, not by a call:
 TestProductsAgainstReference in tests/test_algebra.py checks the scalar
 functions and the interval operations against one Fraction model.  The
-unit shortcut is not a second path: every interval product that is
-computed dispatches through ``IntervalValue.__mul__``, which tests for
-[1, 1] on the reduced pairs before either endpoint rule.  One caller
-computes none:
+unit and [0, inf] shortcuts are not a second path: every interval product
+that is computed dispatches through ``IntervalValue.__mul__``, which tests
+for [1, 1] and then [0, inf] on the reduced pairs before either endpoint
+rule.  One caller computes none:
 ``monad.bind`` on a unit Dirac, ``algebra.one`` at a single point x,
 returns the kernel's image f(x) itself.  That is exact, not a cache: the
 products it skips are unit products, which would hand back each of f(x)'s
@@ -436,8 +442,11 @@ class IntervalValue:
         # A [1, 1] factor (n == d at both endpoints; infinity is (1, 0), so
         # [1, inf] is not one) returns the other operand itself: exact,
         # since mul_left(1, a) = a and mul_right(1, b) = b, infinity
-        # included.  Sharing is safe because values are immutable, and it
-        # lets == on normal forms stop at the identity test.
+        # included.  Past the units, a [0, inf] factor (n == 0 below,
+        # d == 0 above) returns itself: exact, since mul_left(0, c) = 0 and
+        # mul_right(inf, d) = inf for every c and d.  Sharing is safe
+        # because values are immutable, and it lets == on normal forms
+        # stop at the identity test.
         lo, hi = self.lo, self.hi
         try:
             olo, ohi = other.lo, other.hi
@@ -449,6 +458,10 @@ class IntervalValue:
             return other
         if cn == cd and en == ed:
             return self
+        if not an and not bd:
+            return self
+        if not cn and not ed:
+            return other
         # lo <= hi is preserved: mul_left <= mul_right pointwise and both
         # are monotone in each argument.
         obj = _new(IntervalValue)

@@ -27,10 +27,21 @@ width.  integrate and eval write their JSON with f-strings, since none of
 their values needs escaping, so neither argparse nor json is imported;
 only laws --format json imports json.
 
-Exit codes: 0 success; 1 usage, parse or validation failure (one 'error:'
-line from main, with a line/column diagnostic where available); 2 width target
-not reached by the depth cap (the partial table is still emitted); 3 law
-violation (the counterexample is printed).
+Each command returns its whole output, and main writes it with one call
+of ``_write``, which flushes, so that a stream that cannot take it fails
+there and not at interpreter exit.  A closed stdout, a full disk and
+every other OSError, a broken pipe included, end the run with one
+'error: cannot write output: ...' line on stderr and exit 1: a reader that
+stops early has not received a result, so the run does not claim one.
+The failed stream is closed, which discards what it could not write, so
+nothing more is printed at shutdown.  --help is written the same way, to
+stderr when there is no stdout.
+
+Exit codes: 0 success; 1 usage, parse or validation failure, or output
+that could not be written (one 'error:' line from main, with a
+line/column diagnostic where available); 2 width target not reached by
+the depth cap (the partial table is still emitted); 3 law violation (the
+counterexample is printed).
 """
 
 from __future__ import annotations
@@ -120,7 +131,24 @@ def _integrate_json(rows: List[list], converged: bool, depth: int) -> str:
     return f'{{"rows": [{objects}], "converged": {"true" if converged else "false"}, "depth": {depth}}}\n'
 
 
-def cmd_integrate(args) -> int:
+def _write(text: str, out) -> None:
+    """Write text to out and flush it, or raise IntvalError: the one way
+    output leaves the CLI (see the module docstring)."""
+    if out is None:
+        raise IntvalError("cannot write output: standard output is closed")
+    try:
+        out.write(text)
+        out.flush()
+    except (OSError, ValueError) as exc:
+        # ValueError: a stream already closed, or text it cannot encode
+        try:
+            out.close()
+        except (OSError, ValueError):
+            pass
+        raise IntvalError(f"cannot write output: {exc}") from None
+
+
+def cmd_integrate(args) -> Tuple[int, str]:
     eps = _parse_eps(args.eps)
     if not 0 <= args.depth_cap <= MAX_DEPTH_CAP:
         raise IntvalError(f"--depth-cap must lie in [0, {MAX_DEPTH_CAP}]")
@@ -149,13 +177,13 @@ def cmd_integrate(args) -> int:
     except DepthCapExceeded as exc:
         converged, depth = False, exc.depth
     if args.format == "csv":
-        sys.stdout.write(_csv([header] + rows))
+        text = _csv([header] + rows)
     else:
-        sys.stdout.write(_integrate_json(rows, converged, depth))
-    return 0 if converged else 2
+        text = _integrate_json(rows, converged, depth)
+    return 0 if converged else 2, text
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Tuple[int, str]:
     from .spaces import MonotoneMap
     from .valuations import ElementaryValuation, evaluate
 
@@ -169,14 +197,12 @@ def cmd_eval(args) -> int:
     nu = ElementaryValuation(space, terms, val_algebra)
     rendered = val_algebra.render(evaluate(nu, MonotoneMap(space, table, fn_algebra)))
     if args.format == "csv":
-        sys.stdout.write(_csv([["value"], [rendered]]))
-    else:
-        # a rendered scalar or interval: digits, '/', '[', ',', ']' or 'inf'
-        sys.stdout.write(f'{{"value": "{rendered}"}}\n')
-    return 0
+        return 0, _csv([["value"], [rendered]])
+    # a rendered scalar or interval: digits, '/', '[', ',', ']' or 'inf'
+    return 0, f'{{"value": "{rendered}"}}\n'
 
 
-def cmd_laws(args) -> int:
+def cmd_laws(args) -> Tuple[int, str]:
     if args.cases is not None and args.cases < 1:
         raise IntvalError("--cases must be >= 1")
     from .laws import run_all
@@ -185,7 +211,7 @@ def cmd_laws(args) -> int:
     failed = [r for r in results if not r.passed]
     if args.format == "csv":
         table = [[r.family, r.cases, r.failures, "yes" if r.passed else "no"] for r in results]
-        sys.stdout.write(_csv([["family", "cases", "failures", "passed"]] + table))
+        lines = [_csv([["family", "cases", "failures", "passed"]] + table)]
     elif args.format == "json":
         # counterexamples are free text, which json escapes
         import json
@@ -200,16 +226,16 @@ def cmd_laws(args) -> int:
             for r in results
         ]
         doc = {"families": families, "passed": not failed}
-        sys.stdout.write(json.dumps(doc) + "\n")
+        lines = [json.dumps(doc) + "\n"]
     else:
         name_w = max(len(r.family) for r in results)
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            sys.stdout.write(f"{r.family.ljust(name_w)}  {r.cases:>8} cases  {status}\n")
+        lines = [
+            f"{r.family.ljust(name_w)}  {r.cases:>8} cases  {'pass' if r.passed else 'FAIL'}\n"
+            for r in results
+        ]
     if args.format != "json":
-        for r in failed:
-            sys.stdout.write(f"counterexample ({r.family}): {r.counterexample}\n")
-    return 3 if failed else 0
+        lines += [f"counterexample ({r.family}): {r.counterexample}\n" for r in failed]
+    return 3 if failed else 0, "".join(lines)
 
 
 # Each command's runner and options, in help order.  An option maps to
@@ -325,18 +351,15 @@ def _option(token: str, names: Tuple[str, ...]) -> Optional[tuple]:
 
 
 def _help(name: str, value: Optional[str], command: str) -> NoReturn:
-    """-h or --help: print the help screen and exit 0.  A value is an
-    error, except that -h reads the letters of '-hh' as more -h options."""
+    """-h or --help: print the help screen and exit 0, or raise
+    IntvalError if it cannot be written.  A value is an error, except
+    that -h reads the letters of '-hh' as more -h options."""
     if value is not None:
         rest = value.lstrip("h") if name == "-h" else value
         if rest or not value:
             raise IntvalError(f"argument -h/--help: ignored explicit argument {rest!r}")
-    # as argparse prints it: to stderr without a stdout, and not at all
-    # when neither can take it
-    try:
-        (sys.stdout or sys.stderr).write(_HELP[command])
-    except (AttributeError, OSError):
-        pass
+    # to stderr without a stdout, as argparse prints it
+    _write(_HELP[command], sys.stdout or sys.stderr)
     raise SystemExit(0)
 
 
@@ -413,7 +436,9 @@ def _read_args(argv: List[str]) -> SimpleNamespace:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _read_args(sys.argv[1:] if argv is None else list(argv))
-        return args.run(args)
+        code, text = args.run(args)
+        _write(text, sys.stdout)
+        return code
     except (IntvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

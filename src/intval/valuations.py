@@ -59,7 +59,14 @@ _new = object.__new__
 
 
 class ElementaryValuation:
-    """A normal-form weighted sum of Dirac masses on a finite poset."""
+    """A normal-form weighted sum of Dirac masses on a finite poset.
+
+    ``==`` is structural equality of normal forms, as the module docstring
+    says: sound but incomplete for functional equality, which is
+    ``valuation_leq`` both ways.  One object is equal to itself at the
+    identity test, before any coefficient is compared, and ``!=`` is the
+    negation of ``==``, with NotImplemented for a foreign type.
+    """
 
     __slots__ = ("space", "algebra", "terms")
 
@@ -103,6 +110,8 @@ class ElementaryValuation:
         )
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ElementaryValuation):
             return NotImplemented
         return (
@@ -110,6 +119,14 @@ class ElementaryValuation:
             and self.algebra is other.algebra
             and self.terms == other.terms
         )
+
+    def __ne__(self, other) -> bool:
+        # written out so that one object is decided in this frame; the
+        # inherited __ne__ reaches __eq__ through object's slot
+        if self is other:
+            return False
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         return hash((self.space, self.algebra.name, self.terms))

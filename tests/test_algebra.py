@@ -529,12 +529,16 @@ def _check_intervals(x, y):
     assert _agrees(got.hi, _reference_product(b, d, None))
     lo, hi = mul_left(x.lo, y.lo), mul_right(x.hi, y.hi)
     assert got == IntervalValue._make(lo, hi)
-    # past the [1, 1] shortcut (TestUnitFactor), where a scalar product
+    # past the [1, 1] shortcut (TestUnitFactor), a [0, inf] factor is the
+    # product itself (TestBottomFactor); past both, where a scalar product
     # returns an operand or a constant, so does the interval product
     if IONE not in (x, y):
-        for end, scalar, operands in ((got.lo, lo, (x.lo, y.lo)), (got.hi, hi, (x.hi, y.hi))):
-            if any(scalar is v for v in operands + (ZERO, INFINITY)):
-                assert end is scalar
+        if BOTTOM in (x, y):
+            assert got is (x if x == BOTTOM else y)
+        else:
+            for end, scalar, operands in ((got.lo, lo, (x.lo, y.lo)), (got.hi, hi, (x.hi, y.hi))):
+                if any(scalar is v for v in operands + (ZERO, INFINITY)):
+                    assert end is scalar
     for v in (total, got):
         assert _reference_le(_as_reference(v.lo), _as_reference(v.hi))
     same = (a, b) == (c, d)
@@ -595,10 +599,59 @@ class TestUnitFactor:
         for x in _UNIT_CORNERS + [IONE, ival("1/2", 3)]:
             got = u * x
             assert got == IntervalValue._make(mul_left(u.lo, x.lo), mul_right(u.hi, x.hi))
-            if x is not IONE:
+            # a [0, inf] x absorbs the product (TestBottomFactor)
+            if x == BOTTOM:
+                assert got is x
+            elif x is not IONE:
                 assert got is not x and got is not u
         assert parse_interval("[1,inf]") * IZERO == ival(0, "inf")
         assert IZERO * parse_interval("[1,inf]") == ival(0, "inf")
+
+
+def _fresh_infinities():
+    """inf built afresh in each way a caller can build it."""
+    return [ExtNonNeg("inf"), ext(" inf "), parse_scalar("inf"), ExtNonNeg._make(1, 0)]
+
+
+class TestBottomFactor:
+    """Past the unit rule, a [0, inf] factor returns itself, and it is the
+    full product's value: [0, inf] absorbs every interval."""
+
+    @staticmethod
+    def _bottoms():
+        """[0, inf] as the algebra's BOTTOM, built by ival, parsed, from
+        fresh scalars and as a computed product."""
+        builds = [BOTTOM, ival(0, "inf"), parse_interval("[0,inf]"), IZERO * ival("inf", "inf")]
+        for zero in _fresh_builds(0):
+            builds += [IntervalValue(zero, inf) for inf in _fresh_infinities()]
+        return builds
+
+    @staticmethod
+    def _check(b, x):
+        assert b * x is b
+        # a [0, inf] x is itself the first factor to be tested, and returns x
+        assert x * b is (x if x == BOTTOM else b)
+        assert b * x == IntervalValue._make(mul_left(b.lo, x.lo), mul_right(b.hi, x.hi))
+        assert x * b == IntervalValue._make(mul_left(x.lo, b.lo), mul_right(x.hi, b.hi))
+
+    def test_builds_are_distinct_objects(self):
+        bottoms = self._bottoms()
+        assert len({id(b) for b in bottoms}) == len(bottoms)
+        assert all(b == BOTTOM for b in bottoms)
+
+    @pytest.mark.parametrize("x", _ZERO_INF_CORNERS + [IONE], ids=str)
+    def test_corners(self, x):
+        for b in self._bottoms():
+            self._check(b, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operands, _operands)
+    @example(Fraction(0), Fraction(1))
+    @example(Fraction(0), None)
+    def test_drawn_intervals(self, a, c):
+        x = _interval_of(a, c)
+        for b in self._bottoms():
+            self._check(b, x)
 
 
 class TestValueAlgebra:

@@ -2,6 +2,8 @@ import ast
 import contextlib
 import csv
 import decimal
+import errno
+import functools
 import hashlib
 import io
 import json
@@ -1174,6 +1176,87 @@ class TestRepeatedCalls:
             [sys.executable, "-c", script], capture_output=True, check=True, text=True
         )
         assert json.loads(proc.stdout) == [[], []]
+
+
+class TestOutputStreams:
+    """Every run ends in a result or one 'error:' line, whatever stdout
+    does: closed, a pipe whose reader has gone, or a device that is full.
+    Nothing is printed at interpreter exit, where a failed flush would
+    print 'Exception ignored' and exit 120."""
+
+    RUNS = {
+        "integrate-json": ["integrate", "--fn", "piecewise { [0,1] inc: x }", "--eps", "1/8"],
+        "integrate-csv": [
+            "integrate", "--fn", "piecewise { [0,1] inc: x }", "--eps", "1/8", "--format", "csv",
+        ],
+        "eval": [
+            "eval", "--poset", "poset { a; b; a <= b }",
+            "--val", "val { [1/2,1/2] @ a; [1/4,1/3] @ b }",
+            "--fn", "fn h { a -> [0,3]; b -> [1,2] }",
+        ],
+        "laws-json": ["laws", "--cases", "1", "--format", "json"],
+    }
+
+    # what each condition's diagnostic says after 'cannot write output: '
+    REASONS = {
+        "closed": "standard output is closed",
+        "pipe": f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}",
+        "full": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}",
+    }
+
+    @staticmethod
+    def _run(argv, stream):
+        cmd = [sys.executable, "-m", "intval", *argv]
+        # stdout buffered, as it is by default: unwritten output then waits
+        # for a flush, which must not be left to interpreter exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        run = functools.partial(subprocess.run, cmd, env=env, stderr=subprocess.PIPE, text=True)
+        if stream == "closed":
+            return run(preexec_fn=lambda: os.close(1))
+        if stream == "pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                return run(stdout=write_end)
+            finally:
+                os.close(write_end)
+        if not os.path.exists("/dev/full"):
+            pytest.skip("this platform has no /dev/full")
+        with open("/dev/full", "wb") as full:
+            return run(stdout=full)
+
+    @pytest.mark.parametrize("stream", sorted(REASONS))
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_a_failed_write_is_one_error_line(self, run, stream):
+        proc = self._run(self.RUNS[run], stream)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write output: {self.REASONS[stream]}\n"
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("stream", sorted(REASONS))
+    def test_help(self, stream):
+        proc = self._run(["integrate", "--help"], stream)
+        if stream == "closed":
+            # to stderr without a stdout, as argparse prints it
+            assert (proc.returncode, proc.stderr) == (0, TestUsageErrors.HELP_SCREENS["integrate"])
+        else:
+            assert proc.returncode == 1
+            assert proc.stderr == f"error: cannot write output: {self.REASONS[stream]}\n"
+
+    def test_in_process_failure_closes_the_stream(self, monkeypatch, capsys):
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        full = Full()
+        monkeypatch.setattr(sys, "stdout", full)
+        assert cli.main(self.RUNS["eval"]) == 1
+        assert capsys.readouterr().err == f"error: cannot write output: {self.REASONS['full']}\n"
+        # closed, so the interpreter has nothing left to flush at exit; a
+        # second run on it is the same error, not a traceback
+        assert full.closed
+        assert cli.main(self.RUNS["eval"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
 class TestDeterminism:

@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from intval.algebra import IONE, ONE, ZERO, ExtNonNeg, IntervalValue, ival, mul_left, mul_right
+from intval.algebra import (
+    BOTTOM,
+    IONE,
+    ONE,
+    ZERO,
+    ExtNonNeg,
+    IntervalValue,
+    ival,
+    mul_left,
+    mul_right,
+)
 from intval.laws import (
     COEFF_GRID,
     FAMILIES,
@@ -19,7 +29,7 @@ from intval.laws import (
     _shrink_valuation,
 )
 from intval import laws, measures, monad
-from intval.monad import Kernel, bind
+from intval.monad import Kernel, bind, kleisli_compose
 from intval.spaces import all_monotone_point_maps, antichain, chain, enumerate_posets
 from intval.valuations import (
     ElementaryValuation,
@@ -287,6 +297,31 @@ class TestEnumerators:
                 for f, (y, c) in zip(kernels, expected):
                     nu = ElementaryValuation(Y, [(c, y)])
                     assert all(f(x) == nu for x in X.points)
+
+
+class TestCoreSharing:
+    """Law (iii)'s core passes a [0, inf] kernel coefficient through both
+    sides unrebuilt: a [0, inf] factor is its own product, so the two
+    sides' coefficients are one object and == stops at the identity test."""
+
+    def test_both_sides_hold_the_kernels_own_bottom(self):
+        nus, fs, gs = next(laws._composition_blocks(enumerate_posets(3)))
+        g_coefficients = []
+        for f in fs:
+            for g in gs:
+                gf = kleisli_compose(g, f)
+                for nu in nus:
+                    ((_, x),) = nu.terms
+                    ((c, y),) = f(x).terms
+                    if c != BOTTOM:
+                        continue
+                    ((left, _),) = bind(gf, nu).terms
+                    ((right, _),) = bind(g, bind(f, nu)).terms
+                    assert left is right is c
+                    ((d, _),) = g(y).terms
+                    g_coefficients.append(d)
+        # one case multiplies c by [1, 1], the other by [0, inf]
+        assert g_coefficients == [IONE, BOTTOM]
 
 
 def _first_wins_bind(f, nu):

@@ -220,6 +220,39 @@ class TestNormalForm:
         assert ElementaryValuation(xy, terms, algebra) == nu
 
 
+class TestEquality:
+    """== compares normal forms, and != is its negation; one object is
+    equal to itself, and a foreign type is unequal both ways."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([INTERVALS, SCALARS]),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_ne_is_the_negation_of_eq(self, seed, algebra, max_terms, on_twin):
+        rng = random.Random(seed)
+        space = random_poset(rng, 3)
+        # an equal poset that is not the same object
+        twin = FinitePoset(space.points, space.cover_pairs())
+        assert twin == space and twin is not space
+        mu = random_valuation(rng, space, max_terms, algebra)
+        nu = random_valuation(rng, twin if on_twin else space, max_terms, algebra)
+        copy = ElementaryValuation(twin if on_twin else space, mu.terms, algebra)
+        for a, b in [(mu, nu), (nu, mu), (mu, copy), (copy, mu), (mu, mu)]:
+            assert (a != b) is not (a == b)
+            if a == b:
+                assert hash(a) == hash(b)
+        assert mu == copy and mu is not copy
+        assert mu == mu and (mu != mu) is False
+
+    def test_a_foreign_type_is_unequal(self, xy):
+        nu = dirac(xy, "x")
+        assert (nu == 5) is False and (5 == nu) is False
+        assert (nu != 5) is True and (5 != nu) is True
+        assert nu.__eq__(5) is NotImplemented and nu.__ne__(5) is NotImplemented
+
 
 def _coefficient(rng, algebra):
     return random_interval(rng) if algebra is INTERVALS else random_scalar(rng)
