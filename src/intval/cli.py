@@ -11,7 +11,8 @@ Three subcommands:
 All numbers in reports are exact rational strings, past Python's 4300-digit
 str() limit too (algebra.decimal_str); an optional --approx-decimals
 column, with at most literals.MAX_DIGITS digits after the point, adds
-clearly-labeled decimal approximations.
+clearly-labeled decimal approximations, lo rounded down and hi up so that
+they enclose the level.
 Output is deterministic given the inputs and seed, byte for byte.
 The law suites, the csv module and the poset and valuation modules that
 only eval needs are imported by the code that uses them, and integrate
@@ -19,13 +20,17 @@ and eval compute on int pairs, down to the rounding of --approx-decimals,
 so an integrate run loads none of them, an eval run only the last two,
 and neither loads fractions.
 
-argv is read against one table of each command's options, under
-argparse's rules and with its messages (tests/oracle_cli.py holds the
-argparse parser it must agree with); no parser object is built.  --help
-prints argparse's help screen as it reads at 80 columns, at any terminal
-width.  integrate and eval write their JSON with f-strings, since none of
-their values needs escaping, so neither argparse nor json is imported;
-only laws --format json imports json.
+Every option is declared once, in _COMMANDS.  The well-formed argv of a
+real run (a command, then options by their full names with their values)
+is read from that table by a small reader; everything else (--help, a
+prefix, a negative number, '--', a usage error) goes to argparse, with a
+parser built from the same table when it is needed, so argparse is
+imported only then.  Either way the values and messages are argparse's
+(tests/oracle_cli.py holds the parser they must agree with), and --help
+prints argparse's screen as it reads at 80 columns, at any terminal
+width.  integrate and eval write their JSON with f-strings, since none
+of their values needs escaping, so json is not imported either; only
+laws --format json imports json.
 
 Each command returns its whole output, and main writes it with one call
 of ``_write``, which flushes, so that a stream that cannot take it fails
@@ -34,8 +39,10 @@ every other OSError, a broken pipe included, end the run with one
 'error: cannot write output: ...' line on stderr and exit 1: a reader that
 stops early has not received a result, so the run does not claim one.
 The failed stream is closed, which discards what it could not write, so
-nothing more is printed at shutdown.  --help is written the same way, to
-stderr when there is no stdout.
+nothing more is printed at shutdown.  Under python -u the encoded bytes
+go to the raw file in a loop, since the text layer drops what a short
+write leaves.  --help is written the same way, to stderr when there is
+no stdout.
 
 Exit codes: 0 success; 1 usage, parse or validation failure, or output
 that could not be written (one 'error:' line from main, with a
@@ -82,13 +89,14 @@ def _read_spec(arg: str, keyword: str) -> str:
         raise IntvalError(f"cannot read {arg!r}: {exc}") from None
 
 
-def _approx(value: ExtNonNeg, decimals: int) -> str:
-    """Decimal approximation, round half to even, clearly not exact."""
+def _approx(value: ExtNonNeg, decimals: int, up: bool) -> str:
+    """Decimal approximation, clearly not exact, rounded down (the floor)
+    or, when up, up (the ceiling): lo_approx rounds down and hi_approx up,
+    so that the decimal pair encloses the level."""
     if value.is_infinite:
         return "inf"
-    # round() of the Fraction, on the reduced pair: up past half, or at half when odd
     q, r = divmod(value._n * 10 ** decimals, value._d)
-    if 2 * r > value._d or (2 * r == value._d and q & 1):
+    if up and r:
         q += 1
     text = decimal_str(q).rjust(decimals + 1, "0")
     if decimals == 0:
@@ -136,9 +144,17 @@ def _write(text: str, out) -> None:
     output leaves the CLI (see the module docstring)."""
     if out is None:
         raise IntvalError("cannot write output: standard output is closed")
+    buffer = getattr(out, "buffer", None)
     try:
-        out.write(text)
-        out.flush()
+        if isinstance(buffer, io.RawIOBase):
+            # unbuffered (python -u): the text layer drops what a short
+            # raw write leaves, so the bytes go out here until all are taken
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[buffer.write(data):]
+        else:
+            out.write(text)
+            out.flush()
     except (OSError, ValueError) as exc:
         # ValueError: a stream already closed, or text it cannot encode
         try:
@@ -171,7 +187,10 @@ def cmd_integrate(args) -> Tuple[int, str]:
                 render_scalar(width(enclosure)),
             ]
             if decimals is not None:
-                row += (_approx(enclosure.lo, decimals), _approx(enclosure.hi, decimals))
+                row += (
+                    _approx(enclosure.lo, decimals, False),
+                    _approx(enclosure.hi, decimals, True),
+                )
             rows.append(row)
         converged, depth = True, n
     except DepthCapExceeded as exc:
@@ -238,199 +257,123 @@ def cmd_laws(args) -> Tuple[int, str]:
     return 3 if failed else 0, "".join(lines)
 
 
-# Each command's runner and options, in help order.  An option maps to
-# (default, kind, required), kind being int, str or a tuple of choices;
-# its value lands on the attribute named after it (--depth-cap: depth_cap).
+# Each command's runner, help line and options, in help order.  An option
+# maps to (default, kind, required, help), kind being int, str or a tuple
+# of choices; its value lands on the attribute named after it (--depth-cap:
+# depth_cap).
 _COMMANDS = {
-    "integrate": (cmd_integrate, {
-        "--fn": (None, str, True),
-        "--eps": ("1/1024", str, False),
-        "--depth-cap": (DEFAULT_DEPTH_CAP, int, False),
-        "--format": ("json", ("json", "csv"), False),
-        "--approx-decimals": (None, int, False),
+    "integrate": (cmd_integrate, "enclose a unit-interval integral", {
+        "--fn": (None, str, True, "piecewise literal or path to one"),
+        "--eps": ("1/1024", str, False, "target enclosure width (rational)"),
+        "--depth-cap": (
+            DEFAULT_DEPTH_CAP, int, False,
+            f"deepest refinement level, 0 to {MAX_DEPTH_CAP} (default {DEFAULT_DEPTH_CAP})",
+        ),
+        "--format": ("json", ("json", "csv"), False, None),
+        "--approx-decimals": (
+            None, int, False, f"add decimal columns with 0 to {MAX_DIGITS} digits after the point",
+        ),
     }),
-    "eval": (cmd_eval, {
-        "--poset": (None, str, True),
-        "--val": (None, str, True),
-        "--fn": (None, str, True),
-        "--format": ("json", ("json", "csv"), False),
+    "eval": (cmd_eval, "evaluate a valuation on a test function", {
+        "--poset": (None, str, True, "poset literal or path"),
+        "--val": (None, str, True, "valuation literal or path"),
+        "--fn": (None, str, True, "fn literal or path"),
+        "--format": ("json", ("json", "csv"), False, None),
     }),
-    "laws": (cmd_laws, {
-        "--seed": (0, int, False),
-        "--cases": (None, int, False),
-        "--format": ("table", ("json", "csv", "table"), False),
+    "laws": (cmd_laws, "run the algebraic law suites", {
+        "--seed": (0, int, False, None),
+        "--cases": (
+            None, int, False,
+            "randomized draws per law family (default: each family's own count); "
+            "lebesgue-chain reads it as its depth, capped at 12. "
+            "The exhaustive cases always run",
+        ),
+        "--format": ("table", ("json", "csv", "table"), False, None),
     }),
 }
 
-_HELP_OPTIONS = ("-h", "--help")
 
-# argparse's help screens at 80 columns, the top level's under ""
-_HELP = {
-    "": """\
-usage: intval [-h] {integrate,eval,laws} ...
-
-Exact interval-valued valuations and guaranteed-enclosure integration.
-
-positional arguments:
-  {integrate,eval,laws}
-    integrate           enclose a unit-interval integral
-    eval                evaluate a valuation on a test function
-    laws                run the algebraic law suites
-
-options:
-  -h, --help            show this help message and exit
-""",
-    "integrate": f"""\
-usage: intval integrate [-h] --fn FN [--eps EPS] [--depth-cap DEPTH_CAP]
-                        [--format {{json,csv}}]
-                        [--approx-decimals APPROX_DECIMALS]
-
-options:
-  -h, --help            show this help message and exit
-  --fn FN               piecewise literal or path to one
-  --eps EPS             target enclosure width (rational)
-  --depth-cap DEPTH_CAP
-                        deepest refinement level, 0 to {MAX_DEPTH_CAP} (default {DEFAULT_DEPTH_CAP})
-  --format {{json,csv}}
-  --approx-decimals APPROX_DECIMALS
-                        add decimal columns with 0 to {MAX_DIGITS} digits after the
-                        point
-""",
-    "eval": """\
-usage: intval eval [-h] --poset POSET --val VAL --fn FN [--format {json,csv}]
-
-options:
-  -h, --help           show this help message and exit
-  --poset POSET        poset literal or path
-  --val VAL            valuation literal or path
-  --fn FN              fn literal or path
-  --format {json,csv}
-""",
-    "laws": """\
-usage: intval laws [-h] [--seed SEED] [--cases CASES]
-                   [--format {json,csv,table}]
-
-options:
-  -h, --help            show this help message and exit
-  --seed SEED
-  --cases CASES         randomized draws per law family (default: each
-                        family's own count); lebesgue-chain reads it as its
-                        depth, capped at 12. The exhaustive cases always run
-  --format {json,csv,table}
-""",
-}
+def _value(name: str, kind, value: str):
+    """An option's value read as its kind, or IntvalError with argparse's
+    message."""
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise IntvalError(f"argument {name}: invalid int value: {value!r}") from None
+    if kind is not str and value not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise IntvalError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
-def _option(token: str, names: Tuple[str, ...]) -> Optional[tuple]:
-    """How argparse reads a token given the option names: None for a value,
-    else (the option it names, None if unknown; the value it carries or
-    None).  An unknown token that starts with '-' is an option unless it
-    looks like a negative number or holds a space."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in names:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in names:
-        return name, value
-    if token[1] == "-":
-        # a prefix of long options, unique or ambiguous
-        matches = [option for option in names if option.startswith(name)]
-        value = value if eq else None
-    else:
-        # a short option takes the rest of the token as its value
-        matches = [token[:2]] if token[:2] in names else []
-        value = token[2:]
-    if len(matches) > 1:
-        raise IntvalError(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
+def _parse(argv: List[str]):
+    """argv read by argparse, with a parser built from _COMMANDS.  Usage
+    errors raise IntvalError with argparse's message, and --help prints
+    its screen as it reads at 80 columns, at any terminal width, then
+    exits 0.  argparse stores '--opt=--' as an empty list; that option
+    is given the value '--' instead."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            raise IntvalError(message)
+
+        def print_help(self, file=None) -> None:
+            # to stderr without a stdout, as argparse prints it
+            _write(self.format_help(), sys.stdout or sys.stderr)
+
+    def formatter(prog: str) -> argparse.HelpFormatter:
+        return argparse.HelpFormatter(prog, width=78)
+
+    description = "Exact interval-valued valuations and guaranteed-enclosure integration."
+    parser = _Parser(prog="intval", description=description, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (run, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line, formatter_class=formatter)
+        for name, (default, kind, required, text) in options.items():
+            p.add_argument(
+                name, default=default, required=required, help=text,
+                type=int if kind is int else None,
+                choices=None if kind in (int, str) else kind,
+            )
+        p.set_defaults(run=run)
+    args = parser.parse_args(argv)
+    for name, (_, kind, _, _) in _COMMANDS[args.command][2].items():
+        dest = name[2:].replace("-", "_")
+        if getattr(args, dest) == []:
+            setattr(args, dest, _value(name, kind, "--"))
+    return args
 
 
-def _help(name: str, value: Optional[str], command: str) -> NoReturn:
-    """-h or --help: print the help screen and exit 0, or raise
-    IntvalError if it cannot be written.  A value is an error, except
-    that -h reads the letters of '-hh' as more -h options."""
-    if value is not None:
-        rest = value.lstrip("h") if name == "-h" else value
-        if rest or not value:
-            raise IntvalError(f"argument -h/--help: ignored explicit argument {rest!r}")
-    # to stderr without a stdout, as argparse prints it
-    _write(_HELP[command], sys.stdout or sys.stderr)
-    raise SystemExit(0)
-
-
-def _read_args(argv: List[str]) -> SimpleNamespace:
-    """argv read as argparse reads it for the parser tests/oracle_cli.py
-    builds: the top level takes -h/--help up to the command, and the
-    command reads its options, each '--opt value' or '--opt=value', the
-    last of each one winning.  Usage errors raise IntvalError with
-    argparse's message.  Unlike argparse, which stores '--opt=--' as an
-    empty list, the reader gives that option the value '--'."""
-    extras = []
-    for i, token in enumerate(argv):
-        option = None if token == "--" else _option(token, _HELP_OPTIONS)
-        if option is None:
-            # a lone trailing '--' names no command; any other value is one
-            if token != "--" or i + 1 < len(argv):
+def _read_args(argv: List[str]):
+    """argv read as _parse reads it.  A command, then its options by their
+    full names, each '--opt value' or '--opt=value' with a value that is
+    '-' or does not start with '-', and every required option given, the
+    last of each one winning: the argv of every real run is read here,
+    without importing argparse.  Any other argv goes to _parse."""
+    if argv and argv[0] in _COMMANDS:
+        run, _, options = _COMMANDS[argv[0]]
+        pairs = []
+        tokens = iter(argv[1:])
+        for token in tokens:
+            name, eq, value = token.partition("=")
+            if not eq:
+                # a missing value is left to argparse, like one starting with '-'
+                value = next(tokens, "--")
+            if name not in options or (value.startswith("-") and value != "-"):
                 break
-        elif option[0] is None:
-            extras.append(token)
+            pairs.append((name, value))
         else:
-            _help(*option, "")
-    else:
-        raise IntvalError("the following arguments are required: command")
-    command, rest = argv[i], argv[i + 1 :]
-    if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        raise IntvalError(f"argument command: invalid choice: {command!r} (choose from {choices})")
-    run, options = _COMMANDS[command]
-    names = (*_HELP_OPTIONS, *options)
-    # each token is classified before any is read, and '--' makes itself
-    # and every token after it unrecognized
-    parsed = []
-    for j, token in enumerate(rest):
-        if token == "--":
-            parsed += [(None, None)] * (len(rest) - j)
-            break
-        parsed.append(_option(token, names))
-    values = {name: default for name, (default, _, _) in options.items()}
-    j = 0
-    while j < len(rest):
-        option = parsed[j]
-        j += 1
-        if option is None or option[0] is None:
-            extras.append(rest[j - 1])
-            continue
-        name, value = option
-        if name in _HELP_OPTIONS:
-            _help(name, value, command)
-        if value is None:
-            if j == len(rest) or parsed[j] is not None:
-                raise IntvalError(f"argument {name}: expected one argument")
-            value = rest[j]
-            j += 1
-        kind = options[name][1]
-        if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise IntvalError(f"argument {name}: invalid int value: {value!r}") from None
-        elif kind is not str and value not in kind:
-            choices = ", ".join(map(repr, kind))
-            raise IntvalError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
-        values[name] = value
-    # a required option has no default, and a given value is never None
-    missing = [name for name, spec in options.items() if spec[2] and values[name] is None]
-    if missing:
-        raise IntvalError(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        raise IntvalError(f"unrecognized arguments: {' '.join(extras)}")
-    dests = {name[2:].replace("-", "_"): value for name, value in values.items()}
-    return SimpleNamespace(command=command, **dests, run=run)
+            given = {name for name, _ in pairs}
+            if all(name in given for name, spec in options.items() if spec[2]):
+                # only now: an argv left to argparse gets argparse's first error
+                values = {name: spec[0] for name, spec in options.items()}
+                for name, value in pairs:
+                    values[name] = _value(name, options[name][1], value)
+                dests = {name[2:].replace("-", "_"): value for name, value in values.items()}
+                return SimpleNamespace(command=argv[0], **dests, run=run)
+    return _parse(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

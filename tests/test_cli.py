@@ -7,6 +7,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -180,6 +181,13 @@ class TestIntegrate:
         lines = out.splitlines()
         assert lines[0] == "n,lo,hi,width,lo_approx,hi_approx"
         assert lines[-1].endswith("0.375,0.625")
+        # a third is enclosed by its decimals, not rounded to 0.33 on both sides
+        code, out, _ = run_cli(
+            ["integrate", "--fn", "piecewise { [0,1] inc: x^2 }", "--eps", "1/1000",
+             "--format", "csv", "--approx-decimals", "2"],
+            capsys=capsys,
+        )
+        assert out.splitlines()[-1] == "10,698027/2097152,700075/2097152,1/1024,0.33,0.34"
 
     def test_negative_approx_decimals_exits_1(self, capsys):
         code, out, err = run_cli(
@@ -378,18 +386,22 @@ class TestIntegrate:
         assert err == f"error: --depth-cap must lie in [0, {cli.MAX_DEPTH_CAP}]\n"
 
 
-def _half_even_oracle(value: Fraction, decimals: int) -> str:
-    """value rounded half to even to `decimals` places by the decimal module.
+def _directed_oracle(value: Fraction, decimals: int, up: bool) -> str:
+    """value rounded to `decimals` places by the decimal module, down
+    (ROUND_FLOOR) or, when up, up (ROUND_CEILING).
 
-    The precision covers every digit of the scaled quotient and of its
-    denominator, so the one division rounds to within less than half the
-    gap between value and the nearest tie, and an exact tie is exact.
+    The division rounds in the same direction, at a precision that covers
+    every digit of the scaled quotient and more than those of its
+    denominator: an integer quotient is exact, and any other lies at least
+    1/denominator from an integer, farther than the division's error.
     """
     num, den = value.numerator * 10**decimals, value.denominator
+    rounding = decimal.ROUND_CEILING if up else decimal.ROUND_FLOOR
     with decimal.localcontext() as ctx:
         ctx.prec = len(str(num)) + 2 * len(str(den)) + 10
+        ctx.rounding = rounding
         q = (decimal.Decimal(num) / decimal.Decimal(den)).quantize(
-            decimal.Decimal(1), rounding=decimal.ROUND_HALF_EVEN
+            decimal.Decimal(1), rounding=rounding
         )
         return format(q.scaleb(-decimals), f".{decimals}f")
 
@@ -399,45 +411,85 @@ _TIES = st.builds(
     st.integers(0, 10**12),
     st.integers(0, 8),
 )
+_EXACT = st.builds(
+    lambda k, d, e: (Fraction(k, 10**d), d + e),
+    st.integers(0, 10**12),
+    st.integers(0, 8),
+    st.integers(0, 3),
+)
 _RATIONALS = st.tuples(
     st.fractions(min_value=0, max_value=10**9, max_denominator=10**9),
     st.integers(0, 40),
 )
 
 
-def _round_of_the_fraction(value: Fraction, decimals: int) -> str:
-    """round() of the Fraction as text, which _approx gives byte for byte
-    without building one."""
-    text = decimal_str(round(value * 10**decimals)).rjust(decimals + 1, "0")
+def _of_the_fraction(value: Fraction, decimals: int, up: bool) -> str:
+    """The floor, or when up the ceiling, of the Fraction as text, which
+    _approx gives byte for byte without building one."""
+    scaled = value * 10**decimals
+    text = decimal_str(math.ceil(scaled) if up else math.floor(scaled)).rjust(decimals + 1, "0")
     return f"{text[:-decimals]}.{text[-decimals:]}" if decimals else text
 
 
 class TestApprox:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(st.one_of(_TIES, _RATIONALS))
+    @given(st.one_of(_TIES, _EXACT, _RATIONALS))
     @example((Fraction(5, 2), 0))
     @example((Fraction(7, 3), 0))
-    def test_rounds_half_to_even(self, case):
+    @example((Fraction(1, 4), 2))
+    def test_rounds_down_and_up(self, case):
         value, decimals = case
-        got = cli._approx(ext(value), decimals)
-        assert got == _half_even_oracle(value, decimals)
-        assert got == _round_of_the_fraction(value, decimals)
+        for up in (False, True):
+            got = cli._approx(ext(value), decimals, up)
+            assert got == _directed_oracle(value, decimals, up)
+            assert got == _of_the_fraction(value, decimals, up)
 
-    def test_rounds_as_the_fraction_did_at_4300_places(self):
-        # ties, both neighbours of a tie and thirds, past str()'s digit
-        # limit (hypothesis cannot repr these values)
+    def test_rounds_as_the_fraction_does_at_4300_places(self):
+        # ties, both neighbours of a tie, thirds and an integer, past
+        # str()'s digit limit (hypothesis cannot repr these values)
         tie = Fraction(1, 2 * 10**4300)
         for value in (tie, 3 * tie, tie + Fraction(1, 10**4400), tie - Fraction(1, 10**4400),
                       Fraction(2, 3), Fraction(10**4299 + 1, 3), Fraction(7)):
-            assert cli._approx(ext(value), 4300) == _round_of_the_fraction(value, 4300)
+            for up in (False, True):
+                assert cli._approx(ext(value), 4300, up) == _of_the_fraction(value, 4300, up)
 
-    def test_ties_go_to_the_even_neighbour(self):
-        assert [cli._approx(ext(Fraction(k, 2)), 0) for k in (1, 3, 5, 7)] == [
-            "0", "2", "2", "4",
-        ]
-        assert cli._approx(ext(Fraction(125, 1000)), 2) == "0.12"
-        assert cli._approx(ext(Fraction(375, 1000)), 2) == "0.38"
-        assert cli._approx(INFINITY, 3) == "inf"
+    def test_down_is_the_floor_and_up_the_ceiling(self):
+        halves = [ext(Fraction(k, 2)) for k in (1, 3, 5, 7)]
+        assert [cli._approx(h, 0, False) for h in halves] == ["0", "1", "2", "3"]
+        assert [cli._approx(h, 0, True) for h in halves] == ["1", "2", "3", "4"]
+        for value, down, up in [
+            (Fraction(125, 1000), "0.12", "0.13"),
+            (Fraction(375, 1000), "0.37", "0.38"),
+            (Fraction(1, 3), "0.33", "0.34"),
+            (Fraction(1, 4), "0.25", "0.25"),
+        ]:
+            assert (cli._approx(ext(value), 2, False), cli._approx(ext(value), 2, True)) == (
+                down, up,
+            )
+        assert cli._approx(INFINITY, 3, False) == cli._approx(INFINITY, 3, True) == "inf"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+        st.integers(1, 6),
+        st.sampled_from(["inc", "dec"]),
+        st.integers(0, 12),
+        st.integers(0, 6),
+    )
+    def test_decimal_columns_enclose_the_level(self, c, k, direction, e, decimals):
+        body = f"{c}*x^{k}" if direction == "inc" else f"{c}*(1 - x)^{k}"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([
+                "integrate", "--fn", f"piecewise {{ [0,1] {direction}: {body} }}",
+                "--eps", f"1/{2**e}", "--format", "csv", "--approx-decimals", str(decimals),
+            ])
+        assert code == 0
+        ulp = Fraction(1, 10**decimals)
+        for row in csv.DictReader(io.StringIO(out.getvalue())):
+            lo, hi = Fraction(row["lo"]), Fraction(row["hi"])
+            lo_approx, hi_approx = Fraction(row["lo_approx"]), Fraction(row["hi_approx"])
+            assert lo - ulp < lo_approx <= lo <= hi <= hi_approx < hi + ulp
 
 
 class TestEval:
@@ -874,12 +926,11 @@ def _argv_alphabet():
     that are ints with a sign, spaces or '_', choices, literals, negative
     numbers and other values that start with '-'.  A third of the draws
     give a command its required options and often valid others."""
-    options = {
-        "integrate": ["--fn", "--eps", "--depth-cap", "--format", "--approx-decimals"],
-        "eval": ["--poset", "--val", "--fn", "--format"],
-        "laws": ["--seed", "--cases", "--format"],
+    options = {command: list(spec[2]) for command, spec in cli._COMMANDS.items()}
+    required = {
+        command: [name for name, option in spec[2].items() if option[2]]
+        for command, spec in cli._COMMANDS.items()
     }
-    required = {"integrate": ["--fn"], "eval": ["--poset", "--val", "--fn"], "laws": []}
     prefixes = {
         command: sorted({o[:k] for o in ["--help", *names] for k in range(3, len(o) + 1)})
         for command, names in options.items()
@@ -963,6 +1014,7 @@ class TestArgvParity:
     @example(["integrate", "--fn=--fn", "--eps", "-.5", "--depth-cap", "-1\n"])
     @example(["eval", "--f=x y", "--poset=p"])
     @example(["integrate", "--=x"])
+    @example(["integrate", "--fn", "-"])
     def test_reader_agrees_with_argparse(self, argv):
         # parse_args keeps nothing between calls, and formats help when asked
         with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
@@ -976,8 +1028,12 @@ class TestArgvParity:
             (["laws", "--cases=--"], "argument --cases: invalid int value: '--'"),
             (["eval", "--poset", "p", "--val", "v", "--fn", "f", "--format=--"],
              "argument --format: invalid choice: '--' (choose from 'json', 'csv')"),
+            (["laws", "--ca=--"], "argument --cases: invalid int value: '--'"),
+            (["laws", "--fo=--"],
+             "argument --format: invalid choice: '--' (choose from 'json', 'csv', 'table')"),
+            (["laws", "--seed", "-1", "--cases=--"], "argument --cases: invalid int value: '--'"),
         ],
-        ids=["fn", "cases", "format"],
+        ids=["fn", "cases", "format", "cases-prefix", "format-prefix", "after-a-negative-seed"],
     )
     def test_a_double_dash_after_equals_is_a_value(self, argv, message, capsys):
         # argparse drops it and stores an empty list, which ended in a
@@ -993,6 +1049,30 @@ class TestArgvParity:
             cli.main(["laws", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().err == TestUsageErrors.HELP_SCREENS["laws"]
+
+    def test_a_prefix_is_read_by_argparse(self):
+        # the table reader takes only full option names; argparse, loaded
+        # for this argv alone, reads --dep as --depth-cap
+        script = "\n".join([
+            "import io, sys",
+            "from contextlib import redirect_stdout",
+            "import intval.cli",
+            "runs = []",
+            "for option in ['--depth-cap', '--dep']:",
+            "    out = io.StringIO()",
+            "    with redirect_stdout(out):",
+            "        code = intval.cli.main(",
+            "            ['integrate', '--fn', 'piecewise { [0,1] inc: x }', option, '3'])",
+            "    runs.append((code, out.getvalue(), 'argparse' in sys.modules))",
+            "print(repr(runs))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True, text=True
+        )
+        (code, rows, before), (prefix_code, prefix_rows, after) = ast.literal_eval(proc.stdout)
+        assert (code, before, after) == (2, False, True)
+        assert (prefix_code, prefix_rows) == (code, rows)
+        assert '"depth": 3' in rows
 
     @pytest.mark.parametrize("columns", ["20", "200"])
     def test_help_screen_is_the_same_at_any_width(self, columns, monkeypatch):
@@ -1024,7 +1104,7 @@ class TestJsonParity:
         for n, lo, hi, w in levels:
             rows.append([n, *map(cli.render_scalar, (lo, hi, w))])
             if decimals is not None:
-                rows[-1] += [cli._approx(lo, decimals), cli._approx(hi, decimals)]
+                rows[-1] += [cli._approx(lo, decimals, False), cli._approx(hi, decimals, True)]
         doc = {
             "rows": [dict(zip(self.KEYS, row)) for row in rows],
             "converged": converged,
@@ -1242,6 +1322,28 @@ class TestOutputStreams:
         else:
             assert proc.returncode == 1
             assert proc.stderr == f"error: cannot write output: {self.REASONS[stream]}\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_stops_mid_document(self, unbuffered):
+        # about 200 kB, more than a pipe holds, to a reader that takes 100
+        # bytes and closes.  Under python -u stdout's bytes go to a raw
+        # file, whose short write the text layer would drop unreported
+        argv = [
+            "integrate", "--fn", "piecewise { [0,1] inc: x^2 }", "--eps", "1/1000000000",
+            "--approx-decimals", "4000",
+        ]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "intval", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == f"error: cannot write output: {self.REASONS['pipe']}\n"
 
     def test_in_process_failure_closes_the_stream(self, monkeypatch, capsys):
         class Full(io.StringIO):
