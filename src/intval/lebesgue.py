@@ -45,13 +45,17 @@ differences give exactly from degree + 1 values:
     sum_{i=a}^{b} q(i) = sum_j (Delta^j q)(a) * C(b - a + 1, j + 1).
 
 Only the cells that touch an interior breakpoint, at most two per
-breakpoint, are evaluated directly, since they take both pieces' values
+breakpoint, are read directly, since they take both pieces' values
 there.  One walk over the breakpoints finds these cells, the pieces each
 meets and the runs between them, so the cost of a level does not depend
-on the depth.  Hand-written test functions
-keep the per-cell sum, which is also the oracle for the closed form and
-checks every cell against its parent, so each level it returns ascends
-from the one before; canonical extensions are monotone by construction.
+on the depth.  Each piece is evaluated once per grid point strictly
+inside it, at most degree + 2 times a level: a run's end values q(a)
+and q(b + 1) are the ones the touched cells beside it take, and every
+value at a breakpoint is read from the function's stored ends.
+Hand-written test functions keep the per-cell sum, which is also the
+oracle for the closed form and checks every cell against its parent, so
+each level it returns ascends from the one before; canonical extensions
+are monotone by construction.
 
 A ``Polynomial`` is stored as integer coefficients over one positive
 common denominator, in lowest terms (the layout of FLINT's fmpq_poly);
@@ -60,10 +64,12 @@ is integer Horner on q^deg * f(p/q), giving the value as an unreduced
 int pair (numerator, positive denominator), so a Sturm sign costs no
 rational, the power sums above take forward differences of integers, and
 the Sturm chain is built by pseudo-division on primitive integer parts.
-A level stays in ints until it is returned: breakpoints, piece ranges
-and cell values are int pairs, compared by cross-multiplication, and the
-endpoint sums are kept over the lcm of their denominators, so a level
-reduces one pair per endpoint into its scalar and builds no rational.
+A level stays in ints until it is returned.  Every value it adds has a
+denominator dividing D_n = L * 2^(n M), where L is the lcm of the
+pieces' denominators and of their stored end values' and M the highest
+degree, so each is scaled onto D_n by an exact integer, and a level
+reduces one numerator per endpoint against D_n * 2^n into its scalar
+and builds no rational.
 The monotonicity check runs on the breakpoint pairs too, so parsing and
 integrating a piecewise literal never builds a ``fractions.Fraction``;
 ``range_over`` and ``breakpoints`` build them for their callers.
@@ -89,7 +95,6 @@ from .algebra import (
     ival_leq,
     rational,
     rational_str,
-    width,
 )
 from .errors import DepthCapExceeded, NonEvaluablePiece, NotMonotone, OutOfRange
 
@@ -548,14 +553,19 @@ class PiecewiseMonotoneFn:
     an infinite breakpoint fails the order checks.  Breakpoints are stored
     once, as reduced int pairs (numerator, denominator) in ``_bps``, and
     ``breakpoints``, the rationals, is a view built on request, as
-    ``Polynomial.coeffs`` is.  Construction also stores each piece's (min,
-    max) over its whole segment, its two end values ordered by the declared
-    direction, as unreduced int pairs with positive denominators, for
-    ``_span`` to read; ``range_over`` and the closed-form levels both call
-    it.
+    ``Polynomial.coeffs`` is.
+
+    Construction also builds ``_plan``, everything a closed-form level
+    reads, once: (L, M, ends, records).  ``ends`` holds each piece's
+    values at its left and right breakpoints, two per piece in order, as
+    integer numerators over L, the lcm of their denominators (every
+    piece's ``den`` divides it too); M is the highest degree; a record is
+    (direction is 'inc', ``num``, L // ``den``, degree) per piece.
+    ``_span`` reads ``ends``; ``range_over`` and the closed-form levels
+    both call it.
     """
 
-    __slots__ = ("pieces", "_bps", "_ranges")
+    __slots__ = ("pieces", "_bps", "_plan")
 
     def __init__(
         self,
@@ -570,7 +580,7 @@ class PiecewiseMonotoneFn:
         if any(an * bd >= bn * ad for (an, ad), (bn, bd) in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly ascending")
         checked = []
-        ranges = []
+        ends = []
         for (direction, poly), lo, hi in zip(pieces, bps, bps[1:]):
             if direction not in ("inc", "dec"):
                 raise ValueError(f"unknown direction {direction!r}")
@@ -580,19 +590,25 @@ class PiecewiseMonotoneFn:
                     f"piece on [{_pair_str(*lo)},{_pair_str(*hi)}] is not {direction}; "
                     f"split the segment at the turning point"
                 )
-            low = poly._pair(*lo)
-            high = poly._pair(*hi)
-            if direction == "dec":
-                low, high = high, low
-            if low[0] < 0:
+            left, right = poly._pair(*lo), poly._pair(*hi)
+            if (right if direction == "dec" else left)[0] < 0:
                 raise ValueError(
                     f"piece on [{_pair_str(*lo)},{_pair_str(*hi)}] takes negative values"
                 )
-            ranges.append((low, high))
+            ends += left, right
             checked.append((direction, poly))
+        den = lcm(*(d for _, d in ends))
         self.pieces = tuple(checked)
         self._bps = tuple(bps)
-        self._ranges = tuple(ranges)
+        self._plan = (
+            den,
+            max(poly.degree for _, poly in checked),
+            tuple(v * (den // d) for v, d in ends),
+            tuple(
+                (direction == "inc", poly.num, den // poly.den, poly.degree)
+                for direction, poly in checked
+            ),
+        )
 
     @property
     def breakpoints(self) -> Tuple[object, ...]:
@@ -610,8 +626,11 @@ class PiecewiseMonotoneFn:
 
         The ends are read as ``__call__`` reads x, into reduced int pairs.
         Finds the pieces [lo, hi] meets by bisection on the breakpoint
-        pairs and reads them through ``_span``.  Raises OutOfRange when
-        lo > hi or [lo, hi] misses [0, 1].
+        pairs, evaluates the first at lo only when lo lies right of its
+        left end and the last at hi only when hi lies left of its right
+        end, and passes those values (the stored ones otherwise) to
+        ``_span``.  Raises OutOfRange when lo > hi or [lo, hi] misses
+        [0, 1].
         """
         lo, hi = _finite_pair(lo), _finite_pair(hi)
         if lo[0] * hi[1] > hi[0] * lo[1]:
@@ -621,44 +640,44 @@ class PiecewiseMonotoneFn:
         last = min(_bisect(self._bps, *hi, 0, right=True), len(self.pieces)) - 1
         if first > last:
             raise OutOfRange(f"[{_pair_str(*lo)},{_pair_str(*hi)}] misses [0, 1]")
-        low, high = self._span(first, last, lo, hi)
+        (s_n, s_d), (t_n, t_d) = self._bps[first], self._bps[last + 1]
+        den, _, ends, _ = self._plan
+        if lo[0] * s_d > s_n * lo[1]:
+            low = self.pieces[first][1]._pair(*lo)
+        else:
+            low = ends[2 * first], den
+        if hi[0] * t_d < t_n * hi[1]:
+            high = self.pieces[last][1]._pair(*hi)
+        else:
+            high = ends[2 * last + 1], den
+        low, high = self._span(first, last, low, high)
         return rational(*low), rational(*high)
 
-    def _span(self, first: int, last: int, lo, hi) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """(min, max) over [lo, hi] of pieces first..last, the pieces that
-        [lo, hi] meets, as unreduced int pairs.
+    def _span(self, first: int, last: int, low, high) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """(min, max) over a cell of pieces first..last, the pieces that
+        the cell meets, as unreduced int pairs.
 
-        lo and hi are points (p, q) standing for p/q with q > 0.  A piece
-        is cut only where lo or hi lies strictly inside it: piece first at
-        lo when lo lies right of its left end, and piece last at hi when hi
-        lies left of its right end.  Each piece between contributes its
-        stored (min, max).  A cut piece is evaluated at its cut end or ends
-        only, and its direction orders the two end values: an inc piece is
-        least at its left end, a dec piece at its right.  Every denominator
-        is positive, so the least and greatest are chosen by
-        cross-multiplication.
+        low is piece first's value at the cell's left end, or at its own
+        left end when the cell starts there or before, and high is piece
+        last's value at the cell's right end, or at its own right end:
+        int pairs (p, q) standing for p/q with q > 0.  A monotone piece
+        takes its extrema at the ends of its part of the cell, so the
+        cell's are among low, high and the stored ``ends`` between them:
+        piece first's right end, both ends of every piece between and
+        piece last's left end.  Those share the denominator L and are
+        compared as ints; low and high by cross-multiplication.
         """
-        (s_n, s_d), (t_n, t_d) = self._bps[first], self._bps[last + 1]
-        left = lo if lo[0] * s_d > s_n * lo[1] else None
-        right = hi if hi[0] * t_d < t_n * hi[1] else None
-        if first == last:
-            return self._clipped(first, left, right)
-        (low_n, low_d), (high_n, high_d) = self._clipped(first, left, None)
-        rest = (*self._ranges[first + 1 : last], self._clipped(last, None, right))
-        for (a, b), (c, d) in rest:
-            if a * low_d < low_n * b:
-                low_n, low_d = a, b
-            if c * high_d > high_n * d:
-                high_n, high_d = c, d
-        return (low_n, low_d), (high_n, high_d)
-
-    def _clipped(self, k: int, a, b) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """(min, max) of piece k over [a, b] as int pairs; None is its own end."""
-        direction, poly = self.pieces[k]
-        low, high = self._ranges[k]
-        if direction == "dec":
-            a, b = b, a
-        return (low if a is None else poly._pair(*a)), (high if b is None else poly._pair(*b))
+        if low[0] * high[1] > high[0] * low[1]:
+            low, high = high, low
+        if first < last:
+            den, _, ends, _ = self._plan
+            inner = ends[2 * first + 1 : 2 * last + 1]
+            least, greatest = min(inner), max(inner)
+            if least * low[1] < low[0] * den:
+                low = least, den
+            if greatest * high[1] > high[0] * den:
+                high = greatest, den
+        return low, high
 
     def __repr__(self) -> str:
         segs = []
@@ -733,33 +752,32 @@ def dyadic_grid(n: int) -> List[DyadicInterval]:
 
 
 def _power_sums(
-    poly: Polynomial, size: int, a: int, b: int
-) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """(sum of q(i), sum of q(i + 1)) over i = a..b, where q(i) = poly(i/size),
-    as unreduced int pairs over one positive denominator.
+    num: Sequence[int], size: int, a: int, b: int, first: int, after: int
+) -> Tuple[int, int]:
+    """(sum of q(i), sum of q(i + 1)) over i = a..b, where q(i) =
+    size^deg * A(i/size) for the integer polynomial A = num, given
+    first = q(a) and after = q(b + 1).
 
     Newton's forward differences: the sum is sum_j (Delta^j q)(a) *
     C(b - a + 1, j + 1), and Delta^j q vanishes beyond the degree.  With
     fewer cells than coefficients the same formula sums them directly.
-    The differences are taken of the integers den * size^deg * q(i), and
-    that scale is the denominator of both sums.
+    Only q(a + 1), ..., q(a + deg) are evaluated here, and only those
+    below b + 1.
     """
-    num = poly.num
     count = b - a + 1
-    diffs = [_horner(num, a + j, size) for j in range(min(count, len(num)))]
-    q_a = diffs[0]
+    diffs = [first] + [_horner(num, a + j, size) for j in range(1, min(count, len(num)))]
     total = 0
     for j in range(len(diffs)):
-        total += diffs[0] * comb(count, j + 1)
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    scale = poly.den * size ** poly.degree
-    shifted = total - q_a + _horner(num, b + 1, size)
-    return (total, scale), (shifted, scale)
+        # differenced in place: diffs[j] is now (Delta^j q)(a)
+        total += diffs[j] * comb(count, j + 1)
+        for i in range(len(diffs) - 1, j, -1):
+            diffs[i] -= diffs[i - 1]
+    return total, total - first + after
 
 
-def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[int, int, int]:
     """Sums over the 2^n cells of the lower and of the upper endpoints of h,
-    as int pairs (num, den) with den > 0.
+    as (lower, upper, D) for the sums lower/D and upper/D, D > 0.
 
     One walk over the interior breakpoints finds both kinds of cell.
     Breakpoint k + 1 touches cell i when it lies inside [i/size,
@@ -770,40 +788,72 @@ def _closed_form_sums(h: CanonicalExtension, n: int) -> Tuple[Tuple[int, int], T
     its right end, from cell 0 and to cell size - 1 at the ends of
     [0, 1], and is one ``_power_sums``.
 
-    Each addend is an int pair; the sum is kept over the lcm of the
-    denominators seen, at one gcd per addition, and never reduced.
+    Piece k is evaluated only at grid points strictly inside it, each
+    once: its run's ends q(a) and q(b + 1) are also the values that the
+    touched cells beside the run take from piece k, and its value at 0
+    or 1 is read off its coefficients.  A touched cell takes every other
+    value, where piece k ends inside it, from the stored ``ends``.  So a
+    level evaluates a piece of degree d at most d + 2 times, and a piece
+    that no run of cells reaches not at all.
+
+    Every run sum and grid value of piece k lies over den_k *
+    2^(n deg_k), and every stored end over L, so all of them lie over
+    D = L * 2^(n M) (see ``PiecewiseMonotoneFn``): each is scaled onto D
+    by an exact integer, and the sums are never reduced here.
     """
-    size = 2 ** n
     fn = h.fn
-    top = len(fn.pieces) - 1
-    addends = []
-    touched = {}  # cell: (first piece, last piece), in ascending cells
+    den, top_degree, ends, records = fn._plan
+    size = 1 << n
+    shift = n * top_degree
+    whole = den << shift
+    top = len(records) - 1
+    lower = upper = 0
+    touched = {}  # cell: [first piece, last piece, value at its left end, at its right end]
     start = 0  # the first cell of piece k's run
-    for k, (direction, poly) in enumerate(fn.pieces):
+    for k, (inc, num, scale, degree) in enumerate(records):
         if k < top:
             # the cells near..i touch breakpoint k + 1
-            num, den = fn._bps[k + 1]
-            i, r = divmod(num * size, den)
+            bn, bd = fn._bps[k + 1]
+            i, r = divmod(bn << n, bd)
             near = i if r else i - 1
         else:
             near, i = size, size - 1  # the last run ends at the last cell
-        if start < near:
-            low, high = _power_sums(poly, size, start, near - 1)
-            addends.append((high, low) if direction == "dec" else (low, high))
+        if start <= near:
+            # grid values over den_k * size^deg_k, and f scales them onto D
+            f = scale << (shift - n * degree)
+            if not start:
+                at_start = num[0] << n * degree  # p(0) = num[0] / den
+            elif start < size:
+                at_start = _horner(num, start, size)
+            else:
+                at_start = sum(num) << n * degree  # p(1) = sum(num) / den
+            if near == start:
+                at_near = at_start
+            elif near < size:
+                at_near = _horner(num, near, size)
+            else:
+                at_near = sum(num) << n * degree
+            if start < near:
+                low, high = _power_sums(num, size, start, near - 1, at_start, at_near)
+                if not inc:
+                    low, high = high, low
+                lower += low * f
+                upper += high * f
+            if k:
+                touched[start - 1][3] = at_start * f
+            if k < top:
+                touched[near] = [k, k + 1, at_near * f, None]
         for c in range(near, i + 1):
-            touched[c] = touched.get(c, (k,))[0], k + 1
+            touched.setdefault(c, [k, k + 1, None, None])[1] = k + 1
         start = i + 1
-    for c, (first, last) in touched.items():
-        addends.append(fn._span(first, last, (c, size), (c + 1, size)))
-    lo_num, hi_num, lo_den, hi_den = 0, 0, 1, 1
-    for (ln, ld), (hn, hd) in addends:
-        g = gcd(lo_den, ld)
-        lo_num = lo_num * (ld // g) + ln * (lo_den // g)
-        lo_den = lo_den // g * ld
-        g = gcd(hi_den, hd)
-        hi_num = hi_num * (hd // g) + hn * (hi_den // g)
-        hi_den = hi_den // g * hd
-    return (lo_num, lo_den), (hi_num, hi_den)
+    for first, last, low, high in touched.values():
+        # None: the piece ends inside the cell, at a stored end
+        low = (ends[2 * first + 1], den) if low is None else (low, whole)
+        high = (ends[2 * last], den) if high is None else (high, whole)
+        (low, low_den), (high, high_den) = fn._span(first, last, low, high)
+        lower += low if low_den == whole else low << shift
+        upper += high if high_den == whole else high << shift
+    return lower, upper, whole
 
 
 def lebesgue_n(
@@ -829,14 +879,13 @@ def lebesgue_n(
     if n > cap:
         raise DepthCapExceeded(f"depth {n} exceeds the cap {cap}", depth=cap)
     if isinstance(h, CanonicalExtension):
-        (lo_num, lo_den), (hi_num, hi_den) = _closed_form_sums(h, n)
+        lo_num, hi_num, den = _closed_form_sums(h, n)
         # each cell weighs 1/2^n; each endpoint is reduced once
-        lo_den <<= n
-        hi_den <<= n
-        g = gcd(lo_num, lo_den)
-        lo = ExtNonNeg._make(lo_num // g, lo_den // g)
-        g = gcd(hi_num, hi_den)
-        hi = ExtNonNeg._make(hi_num // g, hi_den // g)
+        den <<= n
+        g = gcd(lo_num, den)
+        lo = ExtNonNeg._make(lo_num // g, den // g)
+        g = gcd(hi_num, den)
+        hi = ExtNonNeg._make(hi_num // g, den // g)
         if lo._n * hi._d > hi._n * lo._d:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
         return IntervalValue._make(lo, hi)
@@ -863,6 +912,19 @@ def lebesgue_n(
     return acc
 
 
+def _within(level: IntervalValue, eps: ExtNonNeg) -> bool:
+    """width(level) <= eps, decided on the endpoints without building the
+    width: for finite ends lo = a/b and hi = c/d and eps = e/f,
+    (c b - a d) / (b d) <= e / f is (c b - a d) f <= e b d.  [inf, inf]
+    has width 0 and [a, inf] width inf, as ``width`` reads them."""
+    lo, hi = level.lo, level.hi
+    if not hi._d:
+        return not lo._d or not eps._d
+    if not eps._d:
+        return True
+    return (hi._n * lo._d - lo._n * hi._d) * eps._d <= eps._n * hi._d * lo._d
+
+
 def refine(
     h: IntervalTestFn, eps, *, cap: int = DEFAULT_DEPTH_CAP
 ) -> Iterator[Tuple[int, IntervalValue]]:
@@ -882,7 +944,7 @@ def refine(
     for n in range(cap + 1):
         level = lebesgue_n(n, h, cap=cap)
         yield n, level
-        if eps is not None and width(level) <= eps:
+        if eps is not None and _within(level, eps):
             return
     if eps is not None:
         message = f"width target {eps} not reached by depth {cap}"

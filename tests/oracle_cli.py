@@ -3,12 +3,15 @@
 The argparse parser that ``intval.cli`` built before it read argv from
 one option table.  Its usage errors raise ``IntvalError`` with
 argparse's message, and ``--help`` prints argparse's help screen and
-raises ``SystemExit(0)``; the table reader must do the same on every
-argv, with the same parsed values.  The help screens match the reader's
-when ``COLUMNS`` is 80, the width the reader's text was taken at.  One
-input is read differently on purpose: argparse stores ``--opt=--`` as an
-empty list, on which the commands failed with a traceback, and the
-reader stores the string ``'--'``.
+raises ``SystemExit(0)``; the CLI must do the same on every argv, with
+the same parsed values.  ``cli._read_args`` reads a well-formed argv
+from the table itself and leaves every other argv to ``cli._parse``,
+which builds an argparse parser from the same table with a fixed help
+width of 78, the width argparse takes when ``COLUMNS`` is 80.  This
+parser reads ``COLUMNS``, so its help screens match the CLI's when
+``COLUMNS`` is 80.  One input is read differently on purpose: argparse
+stores ``--opt=--`` as an empty list, on which the commands failed with
+a traceback, and ``cli._parse`` reads that list as the value ``'--'``.
 """
 
 import argparse

@@ -444,14 +444,22 @@ def _as_rationals(pairs):
     return tuple(rational(num, den) for num, den in pairs)
 
 
+def _power_sums(poly, size, a, b):
+    """lebesgue._power_sums of poly's integer form, given its values at a
+    and b + 1, as the rationals it stands for."""
+    first, after = (lebesgue._horner(poly.num, c, size) for c in (a, b + 1))
+    scale = poly.den * size ** poly.degree
+    sums = lebesgue._power_sums(poly.num, size, a, b, first, after)
+    return _as_rationals([(s, scale) for s in sums])
+
+
 class TestPowerSums:
     @EXAMPLES
     @given(polys, st.sampled_from((1, 2, 3, 12, 64, 1024)), st.data())
     def test_matches_the_direct_sum(self, poly, size, data):
         a = data.draw(st.integers(0, size - 1))
         b = data.draw(st.integers(a, min(size - 1, a + 40)))
-        got = _as_rationals(lebesgue._power_sums(poly, size, a, b))
-        assert got == _direct_sums(poly, size, a, b)
+        assert _power_sums(poly, size, a, b) == _direct_sums(poly, size, a, b)
 
     @pytest.mark.parametrize(
         "size, a, b",
@@ -465,8 +473,7 @@ class TestPowerSums:
     )
     def test_edge_runs(self, size, a, b):
         poly = Polynomial([rational(1, 3), -2, 0, rational(5, 7), 0, 0, rational(-1, 9)])
-        got = _as_rationals(lebesgue._power_sums(poly, size, a, b))
-        assert got == _direct_sums(poly, size, a, b)
+        assert _power_sums(poly, size, a, b) == _direct_sums(poly, size, a, b)
 
 
 _roots = st.fractions(-2, 2, max_denominator=8)
@@ -1137,14 +1144,28 @@ def _touched_cells(fn, size):
     return sorted(cells)
 
 
+def _expected_call(fn, i, size):
+    """(first, last, low, high) of the ``_span`` call for the cell
+    [i/size, (i+1)/size]: the pieces it meets, piece first's value where
+    the cell or that piece starts and piece last's where either ends."""
+    bps = fn.breakpoints
+    lo, hi = Fraction(i, size), Fraction(i + 1, size)
+    met = [k for k in range(len(fn.pieces)) if bps[k] <= hi and lo <= bps[k + 1]]
+    first, last = met[0], met[-1]
+    low = fn.pieces[first][1](_rat(max(lo, bps[first])))
+    high = fn.pieces[last][1](_rat(min(hi, bps[last + 1])))
+    return first, last, low, high
+
+
 def _record_spans(fn, n):
-    """(lo, hi, result) of each ``_span`` call of fn's closed-form level n."""
+    """(first, last, low, high, result) of each ``_span`` call of fn's
+    closed-form level n."""
     calls = []
     original = PiecewiseMonotoneFn._span
 
-    def recording(self, first, last, lo, hi):
-        result = original(self, first, last, lo, hi)
-        calls.append((lo, hi, result))
+    def recording(self, first, last, low, high):
+        result = original(self, first, last, low, high)
+        calls.append((first, last, low, high, result))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1154,13 +1175,16 @@ def _record_spans(fn, n):
 
 
 def _cells_agree(fn, depths):
+    """Each level reads the cells that touch an interior breakpoint, in
+    ascending order, through one ``_span`` call each (see
+    ``_expected_call``), and each call returns range_over on its cell."""
     for n in depths:
         size = 2 ** n
         calls = _record_spans(fn, n)
-        cells = [lo[0] for lo, _, _ in calls]
-        assert cells == _touched_cells(fn, size), n
-        for (i, q), hi, pairs in calls:
-            assert q == size and hi == (i + 1, size), n
+        cells = _touched_cells(fn, size)
+        got = [(first, last, *_as_rationals([low, high])) for first, last, low, high, _ in calls]
+        assert got == [_expected_call(fn, i, size) for i in cells], n
+        for i, (*_, pairs) in zip(cells, calls):
             want = fn.range_over(rational(i, size), rational(i + 1, size))
             assert _as_rationals(pairs) == want, (n, i)
 
@@ -1178,7 +1202,8 @@ def _many_pieces(bps):
 
 class TestBreakpointCells:
     """A level reads each cell that touches an interior breakpoint through
-    one ``_span`` call, and each call equals range_over on that cell."""
+    one ``_span`` call over the pieces it meets, given their values at the
+    cell's ends, and each call equals range_over on that cell."""
 
     @settings(EXAMPLES, max_examples=60)
     @given(piecewise_fns())
@@ -1201,6 +1226,75 @@ class TestBreakpointCells:
     def test_many_pieces_per_cell(self, bps):
         assert len(bps) == 33
         _cells_agree(_many_pieces(bps), range(9))
+
+
+def _evaluations(fn, n):
+    """(piece, point) for each ``_horner`` call of fn's closed-form level n;
+    piece None for a point that lies strictly inside no piece with the
+    polynomial evaluated (a breakpoint of the piece, or outside it)."""
+    bps = fn.breakpoints
+    calls = []
+    original = lebesgue._horner
+
+    def recording(num, p, q):
+        x = Fraction(p, q)
+        inside = [
+            k for k, (_, poly) in enumerate(fn.pieces)
+            if poly.num is num and bps[k] < x < bps[k + 1]
+        ]
+        calls.append((inside[0] if inside else None, x))
+        return original(num, p, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lebesgue, "_horner", recording)
+        lebesgue_n(n, canonical_extension(fn))
+    return calls
+
+
+def _evaluated_once(fn, depths):
+    """A level evaluates each piece only strictly inside it, at each grid
+    point at most once, and at most degree + 2 times."""
+    for n in depths:
+        calls = _evaluations(fn, n)
+        assert all(k is not None for k, _ in calls), (n, calls)
+        assert len(set(calls)) == len(calls), (n, calls)
+        for k, (_, poly) in enumerate(fn.pieces):
+            points = [x for j, x in calls if j == k]
+            assert len(points) <= poly.degree + 2, (n, k)
+            assert all((x * 2 ** n).denominator == 1 for x in points), (n, k)
+
+
+class TestEvaluationCounts:
+    """One evaluation per piece and grid point in a level, none at a stored
+    end; the level reads every other value from the plan."""
+
+    def test_tent_to_depth_24(self):
+        _evaluated_once(fixture_functions()["tent"], range(25))
+
+    def test_crowded_pieces(self):
+        crowded = _many_pieces([Fraction(k, 256) for k in range(32)] + [Fraction(1)])
+        _evaluated_once(crowded, range(25))
+
+    @settings(EXAMPLES, max_examples=60)
+    @given(piecewise_fns())
+    def test_piecewise_functions_to_depth_12(self, fn):
+        _evaluated_once(fn, range(13))
+
+    def test_integrate_deep_total(self):
+        # the three functions of the benchmark's integrate-deep load, every
+        # level to a width of 2^-14: 401 evaluations when the run ends and
+        # the breakpoint cells each evaluated their own
+        literals = [
+            "piecewise { [0,1/2] inc: 2*x; [1/2,3/4] dec: 2 - 2*x; [3/4,1] dec: 2 - 2*x }",
+            "piecewise { [0,1] inc: 0 + 1*(x - 0)^2 }",
+            "piecewise { [0,1/3] inc: 0 + 9/2*(x - 0)^3; [1/3,1] inc: 1/6 + 1/2*(x - 1/3) }",
+        ]
+        total = 0
+        for literal in literals:
+            fn = parse_piecewise(literal)
+            *_, (depth, _) = refine(canonical_extension(fn), rational(1, 2 ** 14))
+            total += sum(len(_evaluations(fn, n)) for n in range(depth + 1))
+        assert total == 184
 
 
 class TestLevels:
@@ -1268,18 +1362,19 @@ class TestLevels:
 
     def test_only_breakpoint_cells_are_evaluated(self, monkeypatch):
         # every cell the level loop evaluates goes through _span, once per
-        # distinct cell that touches a breakpoint, no cell through
-        # range_over, and each piece's run through at most one _power_sums
+        # distinct cell that touches a breakpoint and over the pieces it
+        # meets, no cell through range_over, and each piece's run through
+        # at most one _power_sums
         spans, sums = [], []
         span, power_sums = PiecewiseMonotoneFn._span, lebesgue._power_sums
 
-        def counting_span(self, first, last, lo, hi):
-            spans.append(lo[0])
-            return span(self, first, last, lo, hi)
+        def counting_span(self, first, last, low, high):
+            spans.append((first, last, *_as_rationals([low, high])))
+            return span(self, first, last, low, high)
 
-        def counting_sums(poly, size, a, b):
+        def counting_sums(num, size, a, b, first, after):
             sums.append((a, b))
-            return power_sums(poly, size, a, b)
+            return power_sums(num, size, a, b, first, after)
 
         def forbidden(self, lo, hi):
             raise AssertionError("the level loop called range_over")
@@ -1294,7 +1389,8 @@ class TestLevels:
                 spans.clear()
                 sums.clear()
                 lebesgue_n(n, canonical_extension(fn))
-                assert spans == _touched_cells(fn, 2 ** n), n
+                cells = _touched_cells(fn, 2 ** n)
+                assert spans == [_expected_call(fn, i, 2 ** n) for i in cells], n
                 assert 0 < len(spans) <= 2 * (len(fn.breakpoints) - 2), n
                 # the runs are disjoint and ascending, at most one per piece
                 assert len(sums) <= len(fn.pieces), n
@@ -1415,6 +1511,53 @@ class TestRefine:
         )
         assert lebesgue_integrate(self._id(), "1/8")[1] == 3
         assert depths == [0, 1, 2, 3]
+
+
+_ENDS = st.one_of(st.fractions(0, 4, max_denominator=12), st.just(INFINITY))
+
+
+@st.composite
+def _walks(draw):
+    """Up to six levels, some with infinite ends, and a width target: a
+    rational, inf, or the width of one of the levels."""
+    levels = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = sorted((ext(draw(_ENDS)), ext(draw(_ENDS))))
+        levels.append(IntervalValue(lo, hi))
+    eps = draw(
+        st.one_of(
+            st.fractions(0, 5, max_denominator=12),
+            st.just(INFINITY),
+            st.sampled_from([width(level) for level in levels]),
+        )
+    )
+    return levels, eps
+
+
+class TestStopRule:
+    """refine stops at the first level whose width is at most eps, and
+    decides that on the level's endpoints."""
+
+    @settings(EXAMPLES, max_examples=300)
+    @given(_walks())
+    @example(([ival(0, "inf"), ival(1, 3)], 2))  # [a, inf], then width == eps
+    @example(([ival(0, "inf"), ival("inf", "inf")], 1))  # [inf, inf] has width 0
+    @example(([ival(1, "inf")], "inf"))  # [a, inf] is within an infinite eps
+    @example(([ival(0, "1/3"), ival(0, "1/4")], "1/4"))
+    def test_stops_exactly_where_the_width_is_within_eps(self, walk):
+        levels, eps = walk
+        within = [width(level) <= ext(eps) for level in levels]
+        stop = within.index(True) if True in within else len(levels) - 1
+        seen, cap = [], None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lebesgue, "lebesgue_n", lambda n, h, **kw: levels[n])
+            try:
+                for pair in refine(None, eps, cap=len(levels) - 1):
+                    seen.append(pair)
+            except DepthCapExceeded as exc:
+                cap = exc.depth
+        assert seen == list(enumerate(levels[: stop + 1]))
+        assert cap == (None if True in within else stop)
 
 
 class TestChainAndSqueeze:
