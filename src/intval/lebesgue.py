@@ -406,6 +406,11 @@ def _sign_changes(chain: Sequence[Polynomial], x: Tuple[int, int]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+# Pascal's rows, the coefficients of (1 + t)^k at index k, shared by every
+# call of _moebius: it extends the list to the highest degree it has met.
+_PASCAL_ROWS: List[List[int]] = [[1]]
+
+
 def _moebius(num: Sequence[int], lo: Tuple[int, int], hi: Tuple[int, int]) -> List[int]:
     """(q_lo q_hi)^d (1 + t)^d A((lo + hi t)/(1 + t)) for the integer
     polynomial A = num of degree d, as integer coefficients in t, for the
@@ -417,17 +422,23 @@ def _moebius(num: Sequence[int], lo: Tuple[int, int], hi: Tuple[int, int]) -> Li
     N = q_lo q_hi (lo + hi t) and D = q_lo q_hi (1 + t), both integral.
     Step k multiplies the running sum by the linear factor N = a + b t,
     a = p_lo q_hi and b = p_hi q_lo, and adds a coefficient times
-    D^k = (q_lo q_hi)^k (1 + t)^k, built from one running power and one
-    Pascal row, in one comprehension.
+    D^k = (q_lo q_hi)^k (1 + t)^k, built from one running power and
+    Pascal's row k, in one comprehension.  The rows come from
+    ``_PASCAL_ROWS``, which a call extends only past the highest degree
+    any call before it has met, so once the table reaches a degree a
+    check of that degree builds no row.
     """
     (lo_n, lo_d), (hi_n, hi_d) = lo, hi
     scale = lo_d * hi_d
     a, b = lo_n * hi_d, hi_n * lo_d
+    rows = _PASCAL_ROWS
+    while len(rows) < len(num):
+        row = rows[-1]
+        rows.append([u + v for u, v in zip(row + [0], [0] + row)])
     acc = [num[-1]]
-    power, row = 1, [1]
-    for c in reversed(num[:-1]):
+    power = 1
+    for row, c in zip(rows[1:], reversed(num[:-1])):
         power *= scale
-        row = [u + v for u, v in zip(row + [0], [0] + row)]
         if c:
             c *= power
             acc = [a * u + b * v + c * r for u, v, r in zip(acc + [0], [0] + acc, row)]
@@ -500,8 +511,10 @@ def _nonnegative_on(
     changes sign.  As t -> 0+, x -> lo+ and P(t) takes the sign of its
     lowest nonzero coefficient, so ``signs[0]`` is g's sign just right of lo.
 
-    The decision order and its cost: if V <= 1, the one transform
-    decides.  If V >= 2, ``_odd_roots`` builds g's Sturm chain, takes
+    The decision order and its cost: if every nonzero coefficient of P
+    already has the wanted sign, V == 0 and the answer is yes, read off
+    the transform without counting V.  Otherwise, if V <= 1, the same
+    transform decides.  If V >= 2, ``_odd_roots`` builds g's Sturm chain, takes
     Yun's gcds of polynomials of degree no larger than g's square-free
     part, one per multiplicity up to the highest, and builds at most one
     more chain.
@@ -512,6 +525,8 @@ def _nonnegative_on(
     if g.is_constant:
         return g.num[0] <= 0 if negate else g.num[0] >= 0
     coeffs = _moebius(g.num, lo, hi)
+    if max(coeffs) <= 0 if negate else min(coeffs) >= 0:
+        return True
     signs = [c < 0 for c in coeffs if c] if negate else [c > 0 for c in coeffs if c]
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if changes == 0:
@@ -626,11 +641,13 @@ class PiecewiseMonotoneFn:
 
         The ends are read as ``__call__`` reads x, into reduced int pairs.
         Finds the pieces [lo, hi] meets by bisection on the breakpoint
-        pairs, evaluates the first at lo only when lo lies right of its
-        left end and the last at hi only when hi lies left of its right
-        end, and passes those values (the stored ones otherwise) to
-        ``_span``.  Raises OutOfRange when lo > hi or [lo, hi] misses
-        [0, 1].
+        pairs and passes ``_span`` the first one's value at lo and the
+        last one's at hi.  A piece is evaluated only where lo or hi lies
+        strictly inside it: at or left of the first piece's left end the
+        value passed is its stored left end, and at its right breakpoint
+        its stored right end; hi at or right of the last piece's right end,
+        or at its left breakpoint, is read from ``ends`` the same way.
+        Raises OutOfRange when lo > hi or [lo, hi] misses [0, 1].
         """
         lo, hi = _finite_pair(lo), _finite_pair(hi)
         if lo[0] * hi[1] > hi[0] * lo[1]:
@@ -642,14 +659,19 @@ class PiecewiseMonotoneFn:
             raise OutOfRange(f"[{_pair_str(*lo)},{_pair_str(*hi)}] misses [0, 1]")
         (s_n, s_d), (t_n, t_d) = self._bps[first], self._bps[last + 1]
         den, _, ends, _ = self._plan
-        if lo[0] * s_d > s_n * lo[1]:
-            low = self.pieces[first][1]._pair(*lo)
-        else:
+        # both ends and the breakpoints are reduced pairs, so == is equality
+        if lo[0] * s_d <= s_n * lo[1]:
             low = ends[2 * first], den
-        if hi[0] * t_d < t_n * hi[1]:
-            high = self.pieces[last][1]._pair(*hi)
+        elif lo == self._bps[first + 1]:
+            low = ends[2 * first + 1], den
         else:
+            low = self.pieces[first][1]._pair(*lo)
+        if hi[0] * t_d >= t_n * hi[1]:
             high = ends[2 * last + 1], den
+        elif hi == self._bps[last]:
+            high = ends[2 * last], den
+        else:
+            high = self.pieces[last][1]._pair(*hi)
         low, high = self._span(first, last, low, high)
         return rational(*low), rational(*high)
 

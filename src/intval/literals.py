@@ -37,7 +37,10 @@ one that starts with a letter or '_' is a name.  The parsers read the
 token list by index: one routine reads a literal's braces and separators
 and calls its form's item reader once per item, which takes its tokens
 inline and each scalar through one helper, and an expression is read in
-one loop with an explicit stack of open parentheses.  Each token is
+one loop with an explicit stack of open parentheses; a product that
+starts with 'p/q', p and q integers, q nonzero and not raised to a
+power, reads it as one rational atom, with the value, caps and error
+positions of the general division, which it cannot fail.  Each token is
 checked lexically as it is taken.  Only an error re-scans the text, to
 find any lexical error and the token's offset, and from it the line and
 column; the end of input sits one column past the last character.
@@ -246,6 +249,17 @@ class _Parser:
         instead.  That product is not built, but its caps are checked on
         the same operands as when it is; every cap check is an inline
         comparison that calls check only when over.
+
+        An integer p that is the first factor of a product (of a term, or
+        inside '('), followed by '/' and a nonzero integer q that no '^'
+        follows, is one atom: the raw pair ([p], q) that the division step
+        would build, through _raw when q is over _RAW_DEN_BITS.  That
+        division's checks cannot fail (p and q have at most MAX_DIGITS
+        digits, so its size bound is under 30,000 bits, below
+        MAX_COEFF_BITS), so the value, the caps and every error and its
+        position are the general path's.
+        Every other '/' is a division step: after a pending product (x/2/3
+        is x/6), by zero, by an over-long digit run, or by a power q^k.
         """
         tokens, i = self.tokens, self.pos
         stack = []  # for each open '(', the state pending outside it
@@ -267,6 +281,16 @@ class _Parser:
                 num, den = [0, 1], 1
             elif "/" < tok < ":" and len(tok) <= MAX_DIGITS:
                 num, den = [int(tok)], 1
+                if prod is None and tokens[i] == "/":
+                    # a leading p/q: the raw pair the division step builds
+                    tok = tokens[i + 1]
+                    if "/" < tok < ":" and len(tok) <= MAX_DIGITS and tokens[i + 2] != "^":
+                        q = int(tok)
+                        if q:
+                            den = q
+                            i += 2
+                            if q.bit_length() > _RAW_DEN_BITS:
+                                num, den = _raw(num, den)
             else:
                 self.unexpected(i - 1, "a number, 'x' or '('")
             # num / den is an atom: end its factor, and each '(' it closes

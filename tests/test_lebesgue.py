@@ -3,8 +3,11 @@ import json
 import math
 import pathlib
 import pickle
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from typing import List
 
 import pytest
 import sympy
@@ -568,6 +571,18 @@ def _sturm_nonnegative(g: Polynomial, lo, hi) -> bool:
     return lowest > 0 and lebesgue._odd_roots(g, lo, hi) == 0
 
 
+def _moebius_by_rows(num, lo: Fraction, hi: Fraction) -> List[int]:
+    """``_moebius(num, lo, hi)`` by the binomial row formula: step k of the
+    Horner pass adds c * (scale + scale t)^k, built entry by entry."""
+    scale = lo.denominator * hi.denominator
+    n = (lo.numerator * hi.denominator, hi.numerator * lo.denominator)
+    acc = [num[-1]]
+    for k, c in enumerate(reversed(num[:-1]), 1):
+        acc = lebesgue._mul_ints(acc, n)
+        acc = [a + c * b for a, b in zip(acc, lebesgue._binomial_row(scale, scale, k))]
+    return acc
+
+
 def _count_sturm_chains(monkeypatch) -> list:
     """The list that every later _sturm_chain call appends its argument to."""
     calls = []
@@ -658,17 +673,53 @@ class TestExactMonotonicity:
         st.fractions(Fraction(1, 10 ** 9), 3, max_denominator=10 ** 9),
     )
     def test_moebius_rows_match_the_binomial_row_formula(self, num, lo, size):
-        # step k of the Horner pass adds c * (scale + scale t)^k; the old
-        # row formula builds that row entry by entry
         assume(num[-1] != 0)
         lo, hi = _rat(lo), _rat(lo + size)
-        scale = lo.denominator * hi.denominator
-        n = (lo.numerator * hi.denominator, hi.numerator * lo.denominator)
-        acc = [num[-1]]
-        for k, c in enumerate(reversed(num[:-1]), 1):
-            acc = lebesgue._mul_ints(acc, n)
-            acc = [a + c * b for a, b in zip(acc, lebesgue._binomial_row(scale, scale, k))]
-        assert lebesgue._moebius(num, _pt(lo), _pt(hi)) == acc
+        assert lebesgue._moebius(num, _pt(lo), _pt(hi)) == _moebius_by_rows(num, lo, hi)
+        # the shared rows, grown from [1] by this example alone
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lebesgue, "_PASCAL_ROWS", [[1]])
+            assert lebesgue._moebius(num, _pt(lo), _pt(hi)) == _moebius_by_rows(num, lo, hi)
+            assert len(lebesgue._PASCAL_ROWS) == len(num)
+
+    def test_moebius_rows_grow_out_of_order(self, monkeypatch):
+        # degrees 63, 2 and 64 in one process: the second call reads rows
+        # the first built, the third extends them by one
+        monkeypatch.setattr(lebesgue, "_PASCAL_ROWS", [[1]])
+        lo, hi = rational(-1, 3), rational(5, 7)
+        for degree, rows in ((63, 64), (2, 64), (64, 65)):
+            num = [(-1) ** k * (k + 2) for k in range(degree + 1)]
+            assert lebesgue._moebius(num, _pt(lo), _pt(hi)) == _moebius_by_rows(num, lo, hi)
+            assert len(lebesgue._PASCAL_ROWS) == rows
+        assert lebesgue._PASCAL_ROWS == [[math.comb(k, j) for j in range(k + 1)] for k in range(65)]
+
+    def test_import_builds_no_pascal_row(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import intval.lebesgue as m; print(m._PASCAL_ROWS)"],
+            capture_output=True, check=True, text=True,
+        )
+        assert proc.stdout == "[[1]]\n"
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(certificate_cases())
+    @example((Polynomial([rational(-1, 3), 1]) ** 2, rational(1, 3), rational(1, 3)))
+    @example((Polynomial([1, 2, 3]), rational(0), rational(1)))
+    def test_early_yes_agrees_with_the_full_sign_count(self, case):
+        # the decision before the shortcut: count V over the nonzero
+        # coefficients, then the certificate or the Sturm count
+        g, lo, hi = case
+        lo, hi = _pt(lo), _pt(hi)
+        coeffs = lebesgue._moebius(g.num, lo, hi)
+        for negate in (False, True):
+            signs = [c < 0 if negate else c > 0 for c in coeffs if c]
+            changes = sum(a != b for a, b in zip(signs, signs[1:]))
+            if changes == 0:
+                expected = all(signs)
+            elif changes == 1:
+                expected = False
+            else:
+                expected = signs[0] and lebesgue._odd_roots(g, lo, hi) == 0
+            assert lebesgue._nonnegative_on(g, lo, hi, negate) == expected
 
     def test_certificate_decides_anchor_and_degree_64_literals(self, monkeypatch):
         # the integrate-wide anchor literals (32 pieces) and their invalid variants
@@ -968,6 +1019,58 @@ class TestRangeOver:
         if lo < hi:
             with pytest.raises(OutOfRange, match="out of order"):
                 fn.range_over(hi, lo)
+
+
+def _range_evaluations(fn: PiecewiseMonotoneFn, lo, hi):
+    """fn.range_over(lo, hi) and the number of ``_horner`` calls it makes."""
+    calls = []
+    original = lebesgue._horner
+
+    def counting(num, p, q):
+        calls.append((p, q))
+        return original(num, p, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lebesgue, "_horner", counting)
+        got = fn.range_over(lo, hi)
+    return got, len(calls)
+
+
+class TestRangeOverStoredEnds:
+    """range_over evaluates a piece only where lo or hi lies strictly
+    inside it; at a breakpoint it reads the stored end value."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, evaluations",
+        [
+            ("1/2", "1/2", 0),  # at a breakpoint: piece 0's right end, piece 1's left
+            ("1/2", "3/4", 0),  # piece 0's right end, piece 2's left end
+            ("1/3", "1/2", 1),  # piece 0 at 1/3; piece 1's left end
+            ("0", "1", 0),
+            ("-1", "2", 0),
+            ("1/3", "5/8", 2),
+            ("5/8", "5/8", 2),
+        ],
+    )
+    def test_tent(self, lo, hi, evaluations):
+        tent = fixture_functions()["tent"]  # interior breakpoints 1/2 and 3/4
+        lo, hi = rational(lo), rational(hi)
+        got, count = _range_evaluations(tent, lo, hi)
+        assert count == evaluations
+        assert got == _range_oracle(tent, lo, hi)
+
+    @settings(EXAMPLES, max_examples=120)
+    @given(piecewise_fns(), st.data())
+    def test_cell_ends_on_breakpoints(self, fn, data):
+        # one end, or both, on a breakpoint; the other may lie inside a piece
+        bps = fn.breakpoints
+        inside = st.fractions(0, 1, max_denominator=64)
+        ends = (data.draw(st.sampled_from(bps)), data.draw(st.one_of(st.sampled_from(bps), inside)))
+        lo, hi = sorted(ends)
+        lo, hi = _rat(lo), _rat(hi)
+        got, count = _range_evaluations(fn, lo, hi)
+        assert got == _range_oracle(fn, lo, hi)
+        assert count == (lo not in bps) + (hi not in bps)
 
 
 @st.composite

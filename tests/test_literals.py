@@ -631,6 +631,121 @@ class TestExpressionTrees:
         assert Polynomial._of(raw_num, raw_den) == expected
 
 
+def _outcome(text):
+    """poly_expr's raw pair and end index on text, or its error's type and
+    message."""
+    p = _Parser(text)
+    try:
+        num, den = p.poly_expr()
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return num, den, p.pos
+
+
+def _leading_quotients_spelled_out(tokens):
+    """(text, rewritten, wrapped): tokens joined with one space around
+    each, the same text with every integer that a factor starts and a '/'
+    follows written '(p)', which takes the general division step, and the
+    indices of those integers.  The parentheses take the spaces, so every
+    column, and every error message, is the same in both texts."""
+    wrapped = []
+    for j, tok in enumerate(tokens[:-1]):
+        if not tok.isdigit() or tokens[j + 1] != "/":
+            continue
+        k = j - 1
+        while k >= 0 and tokens[k] == "-":
+            k -= 1
+        before = tokens[k] if k >= 0 else "("
+        # after a run of '-', a factor starts unless the run is an exponent's
+        if before != "^" and (k < j - 1 or before in "(+*/"):
+            wrapped.append(j)
+    seps = [" "] * (len(tokens) + 1)
+    text = "".join(sep + tok for sep, tok in zip(seps, tokens)) + " "
+    for j in wrapped:
+        seps[j], seps[j + 1] = "(", ")"
+    rewritten = "".join(sep + tok for sep, tok in zip(seps, tokens)) + seps[-1]
+    return text, rewritten, wrapped
+
+
+_quotient_leaves = st.one_of(
+    st.just("x"),
+    st.integers(0, 12).map(str),
+    st.sampled_from(["0", "00", "9" * 80, "7" * MAX_DIGITS, "1" * (MAX_DIGITS + 1)]),
+)
+_quotient_tokens = st.recursive(
+    _quotient_leaves.map(lambda tok: [tok]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(["+", "-", "*", "/", "/", "/"]), sub).map(
+            lambda t: t[0] + [t[1]] + t[2]
+        ),
+        sub.map(lambda t: ["-"] + t),
+        sub.map(lambda t: ["("] + t + [")"]),
+        st.tuples(sub, st.integers(0, 3)).map(lambda t: t[0] + ["^", str(t[1])]),
+    ),
+    max_leaves=12,
+)
+
+
+class TestLeadingQuotient:
+    """A product that starts with p/q reads it as one atom, with the raw
+    pair, end index, caps and errors of the general division step."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(
+        _quotient_tokens,
+        st.lists(
+            st.tuples(st.integers(0, 40), st.sampled_from(["(", ")", "/", "^", "-", "*", "0", "3"])),
+            max_size=2,
+        ),
+    )
+    @example(["x", "/", "2", "/", "3"], [])
+    @example(["-", "3", "/", "4", "*", "x"], [])
+    @example(["2", "*", "-", "3", "/", "4"], [])
+    @example(["x", "-", "-", "3", "/", "4"], [])
+    def test_same_as_the_general_division(self, tokens, noise):
+        for at, tok in noise:
+            tokens.insert(at % (len(tokens) + 1), tok)
+        assume(tokens.count("(") < MAX_NESTING)
+        text, rewritten, wrapped = _leading_quotients_spelled_out(tokens)
+        got, want = _outcome(text), _outcome(rewritten)
+        if len(got) == 3:  # the same raw pair, and the same token ends it
+            num, den, pos = got
+            got = num, den, pos + 2 * sum(j < pos for j in wrapped)
+        assert got == want, (text, rewritten)
+
+    @pytest.mark.parametrize(
+        "text, raw, value",
+        [
+            ("x/2/3", ([0, 1], 6), [0, rational(1, 6)]),
+            ("3/2^2", ([3], 4), [rational(3, 4)]),
+            ("2*3/4", ([6], 4), [rational(3, 2)]),
+            ("-3/4*x", ([0, -3], 4), [0, rational(-3, 4)]),
+            ("(1/3 - x)^2", ([1, -6, 9], 9), [rational(1, 9), rational(-2, 3), 1]),
+            ("1/2/2", ([1], 4), [rational(1, 4)]),
+            ("x - 3/4", ([-3, 4], 4), [rational(-3, 4), 1]),
+        ],
+    )
+    def test_pinned_raw_pairs(self, text, raw, value):
+        assert _Parser(text).poly_expr() == raw
+        assert _poly(text) == Polynomial(value)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("3/0", ParseError, "line 1, col 2: division is only defined by a nonzero constant"),
+            ("x + 3/0", ParseError,
+             "line 1, col 6: division is only defined by a nonzero constant"),
+            ("3/" + "7" * (MAX_DIGITS + 1), LiteralTooLarge,
+             "line 1, col 3: 4301 digits exceed the cap 4300"),
+        ],
+    )
+    def test_general_division_errors(self, text, error, message):
+        with pytest.raises(error) as info:
+            _Parser(text).poly_expr()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestSizeCaps:
     @pytest.mark.parametrize(
         "parse, text, col",
