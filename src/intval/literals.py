@@ -40,7 +40,15 @@ inline and each scalar through one helper, and an expression is read in
 one loop with an explicit stack of open parentheses; a product that
 starts with 'p/q', p and q integers, q nonzero and not raised to a
 power, reads it as one rational atom, with the value, caps and error
-positions of the general division, which it cannot fail.  Each token is
+positions of the general division, which it cannot fail.  Within one
+expression, a parenthesized group with no '(' inside that repeats the
+last such group token for token takes that group's value without being
+read again: '(' starts a fresh sum, so the value depends on the tokens
+alone, while a repeat of a group with a '(' inside would skip the inner
+'(' nesting check at a new depth.  A power of the last powered base
+reuses its size bound and canonical form, and an exponent at least the
+last one extends the last power.  Only the last group and the last power
+are kept, so the memory held is what the last step built.  Each token is
 checked lexically as it is taken.  Only an error re-scans the text, to
 find any lexical error and the token's offset, and from it the line and
 column; the end of input sits one column past the last character.
@@ -260,11 +268,36 @@ class _Parser:
         position are the general path's.
         Every other '/' is a division step: after a pending product (x/2/3
         is x/6), by zero, by an over-long digit run, or by a power q^k.
+
+        A piece in Taylor form, c0 + c1*(b - x) + ... + c8*(b - x)^8, names
+        one base in every term, so two things are kept for the expression
+        being read, and only the last of each.  A flat group, a '(' with no
+        '(' before its ')', is kept as its tokens through ')' and its raw
+        pair: a '(' whose tokens repeat it takes that pair as its atom and
+        goes on past the ')'.  Its value, caps and errors depend on its
+        tokens alone, since '(' starts a fresh sum, product and sign, and
+        the first reading would have raised any error.  Its '(' is still
+        checked against MAX_NESTING first.  A group with a '(' inside is
+        read again: its inner '(' stands deeper at a repeat, where the
+        nesting check may fail.  The last powered base is kept with its
+        _rough_bound, canonical form, exponent and power: a '^' on that same
+        raw pair (the same list, as a repeated group gives, and the same
+        denominator) checks the cap on the kept bound, and for an exponent
+        at least the kept one multiplies the kept power by the base once
+        per step; a lower exponent raises the base afresh.  Nothing outlives
+        the call, and only what the last step built is held.
         """
         tokens, i = self.tokens, self.pos
         stack = []  # for each open '(', the state pending outside it
         total = prod = op = at = None  # the pending sum, product, '*' or '/', its index
         negate = False  # whether the pending term is negated
+        # the last flat group: its tokens through ')' (none match [None])
+        # and raw pair; opened is the index after the last '(' while no '('
+        # has come after it and its group is open
+        span, group, opened = [None], None, None
+        # the last powered base's raw pair, _rough_bound and canonical
+        # form, and its last exponent and that power's numerator
+        base = base_den = bound = cnum = cden = power_exp = power = None
         while True:
             tok = tokens[i]
             i += 1
@@ -274,10 +307,16 @@ class _Parser:
             if tok == "(":
                 if len(stack) >= MAX_NESTING:
                     self.check(len(stack) + 1, MAX_NESTING, i - 1, "nesting exceeds the cap {1}")
-                stack.append((total, prod, op, at, negate))
-                total, prod, negate = None, None, False
-                continue
-            if tok == "x":
+                if tokens[i:i + len(span)] != span:
+                    stack.append((total, prod, op, at, negate))
+                    total, prod, negate = None, None, False
+                    opened = i
+                    continue
+                # a repeat of the last flat group: its raw pair, past its ')'
+                num, den = group
+                i += len(span)
+                opened = None
+            elif tok == "x":
                 num, den = [0, 1], 1
             elif "/" < tok < ":" and len(tok) <= MAX_DIGITS:
                 num, den = [int(tok)], 1
@@ -304,11 +343,27 @@ class _Parser:
                         self.check(exp, MAX_DEGREE, i + 1, "exponent {} exceeds the cap {}")
                     if (len(num) - 1) * exp > MAX_DEGREE:
                         self.check((len(num) - 1) * exp, MAX_DEGREE, i, _DEGREE_MESSAGE)
-                    if _rough_bound(num, den) * exp > MAX_COEFF_BITS:
+                    if num is not base or den != base_den:
+                        # a new base: its bound and canonical form, kept for
+                        # a repeat (a power of a canonical base is canonical,
+                        # by Gauss's lemma), and no power of it yet
+                        base, base_den, bound = num, den, _rough_bound(num, den)
+                        cnum, cden = _canonical(num, den)
+                        power_exp = MAX_DEGREE + 1
+                    if bound * exp > MAX_COEFF_BITS:
                         self.check(_size_bound(num, den) * exp, MAX_COEFF_BITS, i, _SIZE_MESSAGE)
-                    # a power of a canonical base is canonical (Gauss's lemma)
-                    num, den = _canonical(num, den)
-                    num, den = _power(num, exp), den ** exp
+                    if exp < power_exp:
+                        power = _power(cnum, exp)
+                    elif len(cnum) == 2:  # the last power times a + b x, per step
+                        a, b = cnum
+                        for _ in range(exp - power_exp):
+                            power = [a * u + b * v
+                                     for u, v in zip_longest(power, [0, *power], fillvalue=0)]
+                    else:
+                        for _ in range(exp - power_exp):
+                            power = _mul_ints(power, cnum)
+                    power_exp = exp
+                    num, den = power, cden ** exp
                     i += 2
                 tok = tokens[i]
                 scale = 1  # a constant factor of the term that num leaves out
@@ -373,6 +428,8 @@ class _Parser:
                     return num, den
                 if tok != ")":
                     self.unexpected(i, "')'")
+                if opened is not None:  # a flat group closes
+                    span, group, opened = tokens[opened:i + 1], (num, den), None
                 i += 1
                 total, prod, op, at, negate = stack.pop()
 

@@ -566,20 +566,71 @@ _trees = st.recursive(
 )
 
 
-def _render(tree):
+# A pooled tree may also name a base of a pool of three, each a group
+# written as (text, value): ('base', b, k) is base b to the power k, and
+# ('run', b, exponents) the sum of j * (base b)^k over the exponents, in
+# ascending, equal or descending order, as in a piece written in Taylor
+# form.  The bases are flat groups (no '(' inside) and nested ones, linear
+# and not, so a repeated group and a repeated power base meet every case.
+_pairs = st.tuples(st.integers(-9, 9), st.integers(1, 9))
+
+
+def _flat_base(pairs):
+    monomials = ("", "*x", *(f"*x^{k}" for k in range(2, len(pairs))))
+    text = " + ".join(f"{p}/{q}{m}" for (p, q), m in zip(pairs, monomials))
+    return f"({text})", Polynomial([rational(p, q) for p, q in pairs])
+
+
+_flat_bases = st.lists(_pairs, min_size=1, max_size=4).map(_flat_base)
+_pool = st.lists(
+    st.one_of(
+        _flat_bases,
+        st.tuples(_flat_bases, _flat_bases).map(
+            lambda t: (f"({t[0][0]}*{t[1][0]})", t[0][1] * t[1][1])
+        ),
+    ),
+    min_size=3,
+    max_size=3,
+)
+_exponent_runs = st.tuples(
+    st.lists(st.integers(0, 4), min_size=2, max_size=4),
+    st.sampled_from([sorted, lambda ks: ks[:1] * len(ks), lambda ks: sorted(ks, reverse=True)]),
+).map(lambda t: t[1](t[0]))
+_pooled_trees = st.recursive(
+    st.one_of(
+        st.integers(0, 12),
+        st.just("x"),
+        st.tuples(st.just("base"), st.integers(0, 2), st.integers(0, 4)),
+        st.tuples(st.just("run"), st.integers(0, 2), _exponent_runs),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("^"), sub, st.integers(0, 3)),
+    ),
+    max_leaves=8,
+)
+
+
+def _render(tree, pool=()):
     if isinstance(tree, int):
         return str(tree)
     if tree == "x":
         return "x"
+    if tree[0] == "base":
+        text = pool[tree[1]][0]
+        return text if tree[2] == 1 else f"{text}^{tree[2]}"
+    if tree[0] == "run":
+        return " + ".join(f"{j}*{pool[tree[1]][0]}^{k}" for j, k in enumerate(tree[2], 1))
     if tree[0] == "neg":
-        return f"-({_render(tree[1])})"
+        return f"-({_render(tree[1], pool)})"
     if tree[0] == "^":
-        return f"({_render(tree[1])})^{tree[2]}"
+        return f"({_render(tree[1], pool)})^{tree[2]}"
     op, a, b = tree
-    return f"({_render(a)}) {op} ({_render(b)})"
+    return f"({_render(a, pool)}) {op} ({_render(b, pool)})"
 
 
-def _evaluate(tree, degrees):
+def _evaluate(tree, degrees, pool=()):
     """The tree's value by the Polynomial operators, every intermediate
     degree appended to degrees; a division by anything but a nonzero
     constant raises ParseError, as the parser does."""
@@ -587,13 +638,20 @@ def _evaluate(tree, degrees):
         return Polynomial.constant(tree)
     if tree == "x":
         return Polynomial.identity()
-    if tree[0] == "neg":
-        return -_evaluate(tree[1], degrees)
-    if tree[0] == "^":
-        result = _evaluate(tree[1], degrees) ** tree[2]
+    if tree[0] == "base":
+        result = pool[tree[1]][1] ** tree[2]
+    elif tree[0] == "run":
+        result = Polynomial.constant(0)
+        for j, k in enumerate(tree[2], 1):
+            result = result + Polynomial.constant(j) * pool[tree[1]][1] ** k
+            degrees.append(result.degree)
+    elif tree[0] == "neg":
+        return -_evaluate(tree[1], degrees, pool)
+    elif tree[0] == "^":
+        result = _evaluate(tree[1], degrees, pool) ** tree[2]
     else:
         op, a, b = tree
-        a, b = _evaluate(a, degrees), _evaluate(b, degrees)
+        a, b = _evaluate(a, degrees, pool), _evaluate(b, degrees, pool)
         if op == "/":
             if not b.is_constant or b == Polynomial.constant(0):
                 raise ParseError("division is only defined by a nonzero constant", 1, 1)
@@ -614,13 +672,23 @@ class TestExpressionTrees:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_trees)
     def test_parser_matches_the_polynomial_operators(self, tree):
-        degrees = []
+        self.check(tree, ())
+
+    # repeated groups and repeated power bases, which the parser reads once
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_pooled_trees, _pool)
+    def test_repeated_bases_match_the_polynomial_operators(self, tree, pool):
+        self.check(tree, pool)
+
+    @staticmethod
+    def check(tree, pool):
+        degrees = [base.degree for _, base in pool]
         try:
-            expected = _evaluate(tree, degrees)
+            expected = _evaluate(tree, degrees, pool)
         except ParseError:
             expected = None
         assume(max(degrees, default=0) <= MAX_DEGREE)
-        text = _render(tree)
+        text = _render(tree, pool)
         if expected is None:
             with pytest.raises(ParseError, match="division is only defined"):
                 _poly(text)
@@ -746,6 +814,109 @@ class TestLeadingQuotient:
         assert str(info.value) == message
 
 
+def _counted_calls(monkeypatch, parse, text):
+    """How many times parse(text) calls literals._power and literals._canonical."""
+    counts = dict.fromkeys(("_power", "_canonical"), 0)
+    for name in counts:
+        def counted(*args, name=name, f=getattr(literals, name)):
+            counts[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(literals, name, counted)
+    parse(text)
+    return counts
+
+
+# a piece in Taylor form about 1/3, its terms in ascending order of degree
+_TAYLOR_TERMS = ["1/4"] + [f"{j}/8*(1/3 - x)" + (f"^{j}" if j > 1 else "") for j in range(1, 9)]
+
+
+class TestRepeatedBases:
+    """One expression reads a repeat of its last flat group, and a power of
+    its last powered base, from what it kept; nothing is kept across
+    expressions, and the values, caps and errors are the first reading's."""
+
+    def test_ascending_taylor_form_raises_its_base_once(self, monkeypatch):
+        text = " + ".join(_TAYLOR_TERMS)
+        assert _counted_calls(monkeypatch, _poly, text) == {"_power": 1, "_canonical": 1}
+        assert _poly(text) == Polynomial(_sympy_coeffs(text))
+
+    def test_descending_taylor_form_raises_each_power(self, monkeypatch):
+        # a lower exponent is raised afresh, as before the bases were kept,
+        # from the kept canonical form of the base
+        text = " + ".join(_TAYLOR_TERMS[::-1])
+        assert _counted_calls(monkeypatch, _poly, text) == {"_power": 7, "_canonical": 1}
+        assert _poly(text) == Polynomial(_sympy_coeffs(text))
+
+    def test_alternating_bases_are_each_raised(self, monkeypatch):
+        # only the last group is kept, so the third (1/3 - x) is read again
+        text = "(1/3 - x)^2 + (1/2 - x)^3 + (1/3 - x)^4"
+        assert _counted_calls(monkeypatch, _poly, text) == {"_power": 3, "_canonical": 3}
+        assert _poly(text) == Polynomial(_sympy_coeffs(text))
+
+    def test_each_expression_keeps_its_own_bases(self, monkeypatch):
+        text = "piecewise { [0,1/2] inc: (1 + x) + (1 + x)^2; [1/2,1] inc: (1 + x)^2 + (1 + x)^3 }"
+        counts = _counted_calls(monkeypatch, parse_piecewise, text)
+        assert counts == {"_power": 2, "_canonical": 2}
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            # groups that differ only in their last token
+            ("(x - 1)^2 + (x - 2)^2", [5, -6, 2]),
+            ("(x - 1)*(x - 2)", [2, -3, 1]),
+            ("(x - 1)*(x - 1 + 1)", [0, -1, 1]),
+            # a power of the last powered base with the same exponent
+            ("(x + 1)*(x + 1)^2*(x + 1)^2", [1, 5, 10, 10, 5, 1]),
+            # a repeated base under another denominator is another base
+            ("(x + 1)^2 + (1/2*(x + 1))^2", [rational(5, 4), rational(5, 2), rational(5, 4)]),
+            # a nested group and the flat group inside it
+            ("((x + 1)*2)^2 + (x + 1)^3", [5, 11, 7, 1]),
+        ],
+    )
+    def test_values(self, text, value):
+        assert _poly(text) == Polynomial(value) == Polynomial(_sympy_coeffs(text))
+
+    def test_a_repeated_flat_group_at_the_nesting_cap(self):
+        def text(depth):  # a repeat of (x - 1) inside depth more '('
+            return "(x - 1)*" + "(" * depth + "(x - 1)" + ")" * depth
+
+        assert _poly(text(MAX_NESTING - 1)) == Polynomial([1, -2, 1])
+        with pytest.raises(LiteralTooLarge) as info:
+            _poly(text(MAX_NESTING))
+        assert str(info.value) == "line 1, col 73: nesting exceeds the cap 64"
+
+    def test_a_repeated_nested_group_checks_its_inner_nesting(self):
+        # ((x)) holds a repeat of (x), and is repeated where its inner '('
+        # stands one level over the cap
+        inner = "(" * (MAX_NESTING - 2) + "((x))" + ")" * (MAX_NESTING - 2)
+        assert _poly(f"(x)*((x))*{inner}") == Polynomial([0, 0, 0, 1])
+        with pytest.raises(LiteralTooLarge) as info:
+            _poly(f"(x)*((x))*({inner})")
+        assert str(info.value) == "line 1, col 75: nesting exceeds the cap 64"
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("(x - 1/0) + (x - 1/0)", ParseError,
+             "line 1, col 7: division is only defined by a nonzero constant"),
+            ("(x + 1)*(x + 1)^65", LiteralTooLarge, "line 1, col 17: exponent 65 exceeds the cap 64"),
+            ("(x + 1)^2*(x + 1)^63", LiteralTooLarge,
+             "line 1, col 10: polynomial degree 65 exceeds the cap 64"),
+        ],
+    )
+    def test_errors(self, text, error, message):
+        with pytest.raises(error) as info:
+            _poly(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+# B^8 is accepted and a product with it is not: see test_cap_verdicts_are_pinned
+_B = "(x + 1/(2^60)^20)"
+_FLAT_B = f"(x + 1/{2 ** 1200})"  # the same base, 2^1200 written in digits
+
+
 class TestSizeCaps:
     @pytest.mark.parametrize(
         "parse, text, col",
@@ -817,6 +988,18 @@ class TestSizeCaps:
             (
                 f"(x / 3 + 1)^{MAX_DEGREE} * 2^{MAX_COEFF_BITS}",
                 ("exponent 65536 exceeds the cap 64", 43),
+            ),
+            # a base that is raised again, in a group read again (the flat
+            # form) or a power of a repeated inner group (2^60)^20
+            (f"{_B}^8", None),
+            (f"1*{_B}^8", ("coefficients of up to 86414 bits exceed the cap 65536", 25)),
+            (f"{_B}^8*1", ("coefficients of up to 86414 bits exceed the cap 65536", 43)),
+            (f"{_B}^8 + 3*{_B}^8", ("coefficients of up to 86415 bits exceed the cap 65536", 47)),
+            (f"{_B}^7 + 3*{_B}^8", ("coefficients of up to 86415 bits exceed the cap 65536", 47)),
+            (f"{_FLAT_B}^8", None),
+            (
+                f"{_FLAT_B}^8 + 3*{_FLAT_B}^8",
+                ("coefficients of up to 86415 bits exceed the cap 65536", 400),
             ),
         ],
     )
