@@ -27,13 +27,15 @@ First, Descartes' rule of signs after the substitution
 x = (lo + hi t)/(1 + t) bounds the roots of p' inside the segment by the
 sign changes V of one integer polynomial: V == 0 proves p' keeps one
 sign there, and V == 1 proves p' crosses zero once, so p turns.  Only
-when V >= 2 is a Sturm sequence over the rationals built, of p' or, when
-p' has repeated roots, of the one square-free polynomial that Yun's
-decomposition gives for its roots of odd multiplicity; it counts those
-roots inside the segment.  p' keeps its sign there exactly when there
-are none, and the certificate's lowest coefficient gives that sign.  A
-piece that fails the check must be split by the caller at its turning
-point.
+when V >= 2 is a Sturm sequence built, of p' or, when p' has repeated
+roots, of the one square-free polynomial that Musser's gcd-only
+square-free split gives for its roots of odd multiplicity; it counts
+those roots inside the segment.  p' keeps its sign there exactly when
+there are none, and the certificate's lowest coefficient gives that
+sign.  The whole check reads the integer numerators of p', negated for
+a decreasing piece, and every polynomial it builds is a list of ints
+too.  A piece that fails the check must be split by the caller at its
+turning point.
 
 For a canonical extension the level is computed in closed form rather
 than cell by cell.  A cell that touches no interior breakpoint lies
@@ -378,30 +380,31 @@ class Polynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def _sturm_chain(g: Polynomial) -> List[Polynomial]:
-    """g, g', then negated remainders until the last nonzero one.
+def _sturm_chain(g: Sequence[int]) -> List[Sequence[int]]:
+    """g, g', then negated remainders until the last nonzero one, for the
+    nonconstant integer polynomial g with a nonzero last entry.
 
     Every member after g is a primitive integer polynomial, a positive
     multiple of the exact remainder (see ``_pseudo_divmod``), so the signs
     at any point, and with them the Sturm counts, are the exact chain's.
     """
-    chain = [g, Polynomial._of(_primitive(g.derivative().num), 1)]
-    while not chain[-1].is_constant:
-        rem = _pseudo_divmod(chain[-2].num, chain[-1].num)[2]
+    chain = [g, _primitive([k * v for k, v in enumerate(g) if k])]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_divmod(chain[-2], chain[-1])[2]
         if rem == [0]:
             break
-        chain.append(Polynomial._of([-v for v in _primitive(rem)], 1))
+        chain.append([-v for v in _primitive(rem)])
     return chain
 
 
-def _sign(poly: Polynomial, x: Tuple[int, int]) -> int:
-    """The sign of poly at the point x = (p, q), q > 0, read off the integer
-    Horner value."""
-    v = _horner(poly.num, *x)
+def _sign(num: Sequence[int], x: Tuple[int, int]) -> int:
+    """The sign of the integer polynomial num at the point x = (p, q),
+    q > 0, read off the integer Horner value."""
+    v = _horner(num, *x)
     return (v > 0) - (v < 0)
 
 
-def _sign_changes(chain: Sequence[Polynomial], x: Tuple[int, int]) -> int:
+def _sign_changes(chain: Sequence[Sequence[int]], x: Tuple[int, int]) -> int:
     signs = [v > 0 for v in (_sign(c, x) for c in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
@@ -447,31 +450,41 @@ def _moebius(num: Sequence[int], lo: Tuple[int, int], hi: Tuple[int, int]) -> Li
     return acc
 
 
-def _odd_roots(g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int]) -> int:
+def _odd_roots(g: Sequence[int], lo: Tuple[int, int], hi: Tuple[int, int]) -> int:
     """How many distinct roots of g in (lo, hi) have odd multiplicity,
-    for nonconstant g and points lo < hi given as int pairs (p, q), q > 0.
+    for a nonconstant integer polynomial g with a nonzero last entry and
+    points lo < hi given as int pairs (p, q), q > 0.
 
-    gcd(g, g') is the last member of g's Sturm chain, which counts when
-    it is constant.  Otherwise Yun's recurrence (SYMSAC 1976) from
-    b = g / gcd, c = g' / gcd repeats d = c - b', a_i = gcd(b, d),
-    b = b / a_i, c = d / a_i until b is constant: a_i is the square-free
-    product of g's factors of multiplicity i, and one more chain counts
-    the roots of the product of the a_i of odd i.
+    h = gcd(g, g') is the last member of g's Sturm chain, which counts when
+    it is constant.  Otherwise Musser's square-free split (Geddes, Czapor
+    and Labahn, "Algorithms for Computer Algebra", 1992, section 8.2)
+    starts from w = g / h, which has each of g's roots once, and step i
+    takes y = gcd(w, h): w / y holds the roots of multiplicity exactly i,
+    and w, h = y, h / y.  It needs only gcds and exact
+    quotients, and since only roots matter each quotient is the primitive
+    part of a pseudo-quotient (see ``_quotient``), so every polynomial it
+    builds is a primitive integer one.  One more chain counts the roots of
+    the product of the w / y of odd i.
     """
     chain = _sturm_chain(g)
-    if not chain[-1].is_constant:
-        b, c = divmod(g, chain[-1])[0], divmod(g.derivative(), chain[-1])[0]
-        odd, i = Polynomial.constant(1), 1
-        while not b.is_constant:
-            d = c - b.derivative()
-            a = Polynomial._of(_gcd(d.num, b.num), 1)
+    h = chain[-1]
+    if len(h) > 1:
+        w, odd, i = _quotient(g, h), [1], 1
+        while len(w) > 1:
+            y = _gcd(w, h)
             if i % 2:
-                odd = odd * a
-            b, c, i = divmod(b, a)[0], divmod(d, a)[0], i + 1
+                odd = _mul_ints(odd, _quotient(w, y))
+            w, h, i = y, _quotient(h, y), i + 1
         # a constant is its own chain, with no roots
-        chain = [odd] if odd.is_constant else _sturm_chain(odd)
+        chain = [odd] if len(odd) == 1 else _sturm_chain(odd)
     # chain[0] is square-free: V(lo) - V(hi) counts its roots in (lo, hi]
     return _sign_changes(chain, lo) - _sign_changes(chain, hi) - (_sign(chain[0], hi) == 0)
+
+
+def _quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The primitive part of a / b, for integer polynomials b dividing a:
+    a positive multiple of the exact quotient, with its roots."""
+    return _primitive(_pseudo_divmod(a, b)[1])
 
 
 def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -485,55 +498,57 @@ def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
 
 def nonnegative_on(g: Polynomial, lo, hi) -> bool:
     """Exact decision of g(x) >= 0 for every x in [lo, hi], for rationals
-    lo <= hi: ``_nonnegative_on`` on their reduced int pairs."""
-    return _nonnegative_on(g, _finite_pair(lo), _finite_pair(hi))
+    lo <= hi: ``_nonnegative_on`` on g's integer numerators and the ends'
+    reduced int pairs."""
+    return _nonnegative_on(g.num, _finite_pair(lo), _finite_pair(hi))
 
 
-def _nonnegative_on(
-    g: Polynomial, lo: Tuple[int, int], hi: Tuple[int, int], negate: bool = False
-) -> bool:
-    """Exact decision of g(x) >= 0 for every x in [lo, hi], for points
-    lo <= hi given as int pairs (p, q), q > 0; with negate, of -g(x) >= 0.
+def _nonnegative_on(num: Sequence[int], lo: Tuple[int, int], hi: Tuple[int, int]) -> bool:
+    """Exact decision of g(x) >= 0 for every x in [lo, hi], for the integer
+    polynomial g = num, with a nonzero last entry or equal to [0], and
+    points lo <= hi given as int pairs (p, q), q > 0.
 
-    For lo < hi this is the question on (lo, hi): by continuity, a negative
-    value at an end makes g negative just inside.  First a certificate: by
-    Descartes' rule of signs, the number V of sign changes among the
-    nonzero coefficients of P = ``_moebius(g)`` exceeds the number of g's
-    roots inside (lo, hi), counted with multiplicity, by an even number
-    >= 0.  V == 0 means no root inside, so g has the common sign of those
-    coefficients there; V == 1 means exactly one root inside, a simple
-    one, where g changes sign, so the answer is no.  With lo == hi every t
-    maps to lo, so each coefficient carries the sign of g(lo), and the
-    certificate answers g(lo) >= 0.
+    num may be any positive multiple of a rational polynomial, such as a
+    slope's numerators over a denominator that is never divided out: only
+    signs and roots are read.  For lo < hi this is the question on
+    (lo, hi): by continuity, a negative value at an end makes g negative
+    just inside.  First a certificate: by Descartes' rule of signs, the
+    number V of sign changes among the nonzero coefficients of
+    P = ``_moebius(num)`` exceeds the number of g's roots inside (lo, hi),
+    counted with multiplicity, by an even number >= 0.  V == 0 means no
+    root inside, so g has the common sign of those coefficients there;
+    V == 1 means exactly one root inside, a simple one, where g changes
+    sign, so the answer is no.  With lo == hi every t maps to lo, so each
+    coefficient carries the sign of g(lo), and the certificate answers
+    g(lo) >= 0.
 
     When V >= 2, g >= 0 exactly when g is positive just right of lo and
     has no root of odd multiplicity inside, the only places where it
     changes sign.  As t -> 0+, x -> lo+ and P(t) takes the sign of its
     lowest nonzero coefficient, so ``signs[0]`` is g's sign just right of lo.
 
-    The decision order and its cost: if every nonzero coefficient of P
-    already has the wanted sign, V == 0 and the answer is yes, read off
-    the transform without counting V.  Otherwise, if V <= 1, the same
-    transform decides.  If V >= 2, ``_odd_roots`` builds g's Sturm chain, takes
-    Yun's gcds of polynomials of degree no larger than g's square-free
-    part, one per multiplicity up to the highest, and builds at most one
-    more chain.
-
-    negate reads every sign flipped, so no -g is built; -g has g's roots,
-    so ``_odd_roots`` reads g either way.
+    The decision order and its cost: a constant g is read off its one
+    entry.  Otherwise, if every coefficient of P is >= 0, V == 0 and the
+    answer is yes, read off the transform without counting V.  Otherwise,
+    if V <= 1, the same transform decides.  If V >= 2, ``_odd_roots``
+    builds g's Sturm chain by pseudo-division; when g has repeated roots it
+    takes Musser's gcds and exact quotients, one step per multiplicity up
+    to the highest, on primitive integer polynomials of degree no larger
+    than g's, and builds at most one more chain.  No step builds a
+    ``Polynomial`` or a rational.
     """
-    if g.is_constant:
-        return g.num[0] <= 0 if negate else g.num[0] >= 0
-    coeffs = _moebius(g.num, lo, hi)
-    if max(coeffs) <= 0 if negate else min(coeffs) >= 0:
+    if len(num) == 1:
+        return num[0] >= 0
+    coeffs = _moebius(num, lo, hi)
+    if min(coeffs) >= 0:
         return True
-    signs = [c < 0 for c in coeffs if c] if negate else [c > 0 for c in coeffs if c]
+    signs = [c > 0 for c in coeffs if c]
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if changes == 0:
         return all(signs)
     if changes == 1:
         return False
-    return signs[0] and _odd_roots(g, lo, hi) == 0
+    return signs[0] and _odd_roots(num, lo, hi) == 0
 
 
 def _bisect(bps: Sequence[Tuple[int, int]], n: int, d: int, lo: int, right: bool = False) -> int:
@@ -599,8 +614,10 @@ class PiecewiseMonotoneFn:
         for (direction, poly), lo, hi in zip(pieces, bps, bps[1:]):
             if direction not in ("inc", "dec"):
                 raise ValueError(f"unknown direction {direction!r}")
-            slope = poly.derivative()
-            if not _nonnegative_on(slope, lo, hi, direction == "dec"):
+            # the slope's numerators over poly.den, negated for a dec piece
+            sign = 1 if direction == "inc" else -1
+            slope = [sign * k * v for k, v in enumerate(poly.num) if k] or [0]
+            if not _nonnegative_on(slope, lo, hi):
                 raise NonEvaluablePiece(
                     f"piece on [{_pair_str(*lo)},{_pair_str(*hi)}] is not {direction}; "
                     f"split the segment at the turning point"

@@ -512,8 +512,8 @@ class TestSturmCounts:
     @given(square_free_polys(), _roots, _roots)
     def test_counts_agree_with_sympy(self, poly, u, v):
         assume(u < v)
-        chain = lebesgue._sturm_chain(poly)
-        assert chain[-1].is_constant
+        chain = lebesgue._sturm_chain(poly.num)
+        assert len(chain[-1]) == 1
         u, v = _rat(u), _rat(v)
         su, sv = (sympy.Rational(w.numerator, w.denominator) for w in (u, v))
         g = _sym(poly)
@@ -526,7 +526,7 @@ class TestSturmCounts:
     @given(repeated_root_polys(), _roots, _roots)
     def test_repeated_roots_agree_with_sympy(self, poly, lo, hi):
         assume(lo < hi)
-        assert not lebesgue._sturm_chain(poly)[-1].is_constant
+        assert len(lebesgue._sturm_chain(poly.num)[-1]) > 1
         for g in (poly, -poly):
             assert nonnegative_on(g, _rat(lo), _rat(hi)) == _sympy_nonnegative(
                 g, _rat(lo), _rat(hi)
@@ -568,7 +568,7 @@ def _sturm_nonnegative(g: Polynomial, lo, hi) -> bool:
     the real ``_moebius(g)``, and no root of odd multiplicity inside."""
     lo, hi = _pt(lo), _pt(hi)
     lowest = next(c for c in lebesgue._moebius(g.num, lo, hi) if c)
-    return lowest > 0 and lebesgue._odd_roots(g, lo, hi) == 0
+    return lowest > 0 and lebesgue._odd_roots(g.num, lo, hi) == 0
 
 
 def _moebius_by_rows(num, lo: Fraction, hi: Fraction) -> List[int]:
@@ -584,10 +584,26 @@ def _moebius_by_rows(num, lo: Fraction, hi: Fraction) -> List[int]:
 
 
 def _count_sturm_chains(monkeypatch) -> list:
-    """The list that every later _sturm_chain call appends its argument to."""
+    """The list that every later _sturm_chain call appends its argument, an
+    integer coefficient list, to."""
     calls = []
     build = lebesgue._sturm_chain
     monkeypatch.setattr(lebesgue, "_sturm_chain", lambda g: calls.append(g) or build(g))
+    return calls
+
+
+def _count_polynomials(monkeypatch) -> list:
+    """The list that every later ``lebesgue._canonical`` call appends the
+    length of its numerators and the bits of its denominator to: one entry
+    per ``Polynomial`` built, by any constructor or arithmetic."""
+    calls = []
+    canonical = lebesgue._canonical
+
+    def counting(num, den):
+        calls.append((len(num), den.bit_length()))
+        return canonical(num, den)
+
+    monkeypatch.setattr(lebesgue, "_canonical", counting)
     return calls
 
 
@@ -709,17 +725,16 @@ class TestExactMonotonicity:
         # coefficients, then the certificate or the Sturm count
         g, lo, hi = case
         lo, hi = _pt(lo), _pt(hi)
-        coeffs = lebesgue._moebius(g.num, lo, hi)
-        for negate in (False, True):
-            signs = [c < 0 if negate else c > 0 for c in coeffs if c]
+        for num in (g.num, [-v for v in g.num]):
+            signs = [c > 0 for c in lebesgue._moebius(num, lo, hi) if c]
             changes = sum(a != b for a, b in zip(signs, signs[1:]))
             if changes == 0:
                 expected = all(signs)
             elif changes == 1:
                 expected = False
             else:
-                expected = signs[0] and lebesgue._odd_roots(g, lo, hi) == 0
-            assert lebesgue._nonnegative_on(g, lo, hi, negate) == expected
+                expected = signs[0] and lebesgue._odd_roots(num, lo, hi) == 0
+            assert lebesgue._nonnegative_on(num, lo, hi) == expected
 
     def test_certificate_decides_anchor_and_degree_64_literals(self, monkeypatch):
         # the integrate-wide anchor literals (32 pieces) and their invalid variants
@@ -799,6 +814,18 @@ class TestExactMonotonicity:
         assert elapsed < 2.0, elapsed
 
 
+    def test_clustered_double_roots_are_split_in_integers(self, monkeypatch):
+        # the slope's chain and its square-free split run on integer lists,
+        # so no 2^16384-bit coefficient goes through _canonical
+        fn = parse_piecewise(_CLUSTERED_DOUBLE)
+        chains = _count_sturm_chains(monkeypatch)
+        built = _count_polynomials(monkeypatch)
+        PiecewiseMonotoneFn(fn.breakpoints, fn.pieces)
+        # the slope's own chain; its roots are all double, so the product
+        # of its odd-multiplicity factors is constant and needs none
+        assert len(chains) == 1
+        assert built == []
+
 @st.composite
 def high_multiplicity_polys(draw):
     """A product of up to three rational linear factors and x^2 - 1/2, each
@@ -818,7 +845,7 @@ class TestOddRoots:
     @given(high_multiplicity_polys(), _roots, _roots)
     def test_high_multiplicities_agree_with_sympy(self, g, lo, hi):
         assume(lo < hi)
-        assert lebesgue._odd_roots(g, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
+        assert lebesgue._odd_roots(g.num, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
 
     @pytest.mark.parametrize(
         "g, expected",
@@ -831,20 +858,20 @@ class TestOddRoots:
     def test_high_multiplicities_build_at_most_two_chains(self, monkeypatch, g, expected):
         # g's own chain, and one for the product of its odd-multiplicity factors
         calls = _count_sturm_chains(monkeypatch)
-        assert lebesgue._odd_roots(g, (0, 1), (1, 1)) == expected
+        assert lebesgue._odd_roots(g.num, (0, 1), (1, 1)) == expected
         assert 1 <= len(calls) <= 2
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(repeated_root_polys(), _roots, _roots)
     def test_repeated_roots_agree_with_sympy(self, g, lo, hi):
         assume(lo < hi)
-        assert lebesgue._odd_roots(g, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
+        assert lebesgue._odd_roots(g.num, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(certificate_cases())
     def test_certificate_cases_agree_with_sympy(self, case):
         g, lo, hi = case
-        assert lebesgue._odd_roots(g, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
+        assert lebesgue._odd_roots(g.num, _pt(lo), _pt(hi)) == _sympy_odd_roots(g, lo, hi)
 
     @pytest.mark.parametrize(
         "g, expected",
@@ -857,7 +884,7 @@ class TestOddRoots:
         ],
     )
     def test_pinned_counts_on_the_unit_segment(self, g, expected):
-        assert lebesgue._odd_roots(g, (0, 1), (1, 1)) == expected
+        assert lebesgue._odd_roots(g.num, (0, 1), (1, 1)) == expected
 
 
 class TestCanonicalExtension:
@@ -1199,9 +1226,9 @@ class TestNonnegativePairCore:
             lo += Fraction(1, _LONG + 3)
         hi = lo + size
         expected = nonnegative_on(g, lo, hi)
-        assert lebesgue._nonnegative_on(g, _pt(lo), _pt(hi)) is expected
+        assert lebesgue._nonnegative_on(g.num, _pt(lo), _pt(hi)) is expected
         scaled = [(q.numerator * scale, q.denominator * scale) for q in (lo, hi)]
-        assert lebesgue._nonnegative_on(g, *scaled) is expected
+        assert lebesgue._nonnegative_on(g.num, *scaled) is expected
         if max(lo.denominator, hi.denominator) < 10 ** 7:
             assert expected == _sympy_nonnegative(g, lo, hi)
 
@@ -1215,24 +1242,31 @@ class TestNonnegativePairCore:
     @example(Polynomial([rational(-1, 9), 0, 1]), Fraction(1, 3), Fraction(0))
     @example(Polynomial([-2]), Fraction(0), Fraction(1))
     @example(Polynomial([0]), Fraction(0), Fraction(1))
-    def test_negate_decides_the_negated_polynomial(self, g, lo, size):
-        # negate reads g's signs flipped; no -g is built
+    def test_the_negated_list_decides_the_negated_polynomial(self, g, lo, size):
+        # a dec piece's check reads its slope's numerators negated
         hi = lo + size
-        got = lebesgue._nonnegative_on(g, _pt(lo), _pt(hi), True)
+        got = lebesgue._nonnegative_on([-v for v in g.num], _pt(lo), _pt(hi))
         assert got is nonnegative_on(-g, lo, hi)
         assert got == _sympy_nonnegative(-g, lo, hi)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(certificate_cases(), st.integers(1, 2 ** 200))
+    @example((Polynomial([rational(-1, 3), 1]) ** 2, rational(0), rational(1)), 6)
+    @example((Polynomial([rational(-1, 2), 1]) * Polynomial([1, 1]), rational(0), rational(1)), 1)
+    def test_a_positive_multiple_gets_the_same_verdict(self, case, c):
+        # a piece's slope reaches the check unreduced, as k * num_k over den
+        g, lo, hi = case
+        for h in (g, -g):
+            got = lebesgue._nonnegative_on([c * v for v in h.num], _pt(lo), _pt(hi))
+            assert got is nonnegative_on(h, lo, hi)
+
     def test_a_dec_piece_is_checked_without_its_negated_slope(self, monkeypatch):
-        # one Polynomial per piece, its slope, whatever its direction
-        built = []
-        original = Polynomial.__dict__["_of"].__func__
-        monkeypatch.setattr(
-            Polynomial, "_of", classmethod(lambda cls, *a: built.append(a) or original(cls, *a))
-        )
+        # no Polynomial per piece, not even its slope, whatever its direction
         pieces = [("inc", Polynomial([0, 1])), ("dec", Polynomial([3, -2, 1])),
                   ("dec", Polynomial([2, -1]))]
+        built = _count_polynomials(monkeypatch)
         PiecewiseMonotoneFn([0, rational(1, 4), rational(1, 2), 1], pieces)
-        assert len(built) == len(pieces)
+        assert built == []
         with pytest.raises(NonEvaluablePiece, match="is not dec"):
             PiecewiseMonotoneFn([0, 1], [("dec", Polynomial([0, 1]))])
 
